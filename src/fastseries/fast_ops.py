@@ -17,6 +17,12 @@ s = C*h'/h computed first: its lower half folds the linear C*h' term into
 the flooring pass (with h' held in double-sized blocks), its upper half runs
 on plain order-2k products.  All budgets are recorded per stage in the
 ledger; bootstrap work is tagged separately and excluded from budget bands.
+
+The order-n bootstrap prefixes come from the quadratic references up to
+ORACLE_MAX_ORDER and, above it, from the fast algorithms themselves on their
+default plans, whose own bootstrap order is about n/4; the recursion reaches
+the references after a few levels.  Those inner calls get no ledger, so the
+bootstrap stages of the caller's report stay empty.
 """
 
 from __future__ import annotations
@@ -35,6 +41,13 @@ from .oracle import oracle_exp, oracle_inverse, oracle_pow
 from .series_core import TruncatedSeries, coeffs_of, mul_mod
 
 FAST_MIN_ORDER = 32
+# Largest bootstrap order computed by the quadratic references.  Best-of-5 ms,
+# reference vs fast, on a 2-vCPU Xeon with numpy's np.fft:
+#   order   exp         inverse     pow
+#    512    2.2 / 4.1   2.3 / 1.8   7.0 / 8.0
+#   1024    4.3 / 5.1   4.2 / 2.0   13.8 / 11.3
+#   4096    30.7 / 12.7 28.5 / 4.1  112 / 22.6
+ORACLE_MAX_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -49,9 +62,32 @@ class PowExponent:
 
 
 def _as_exponent(C) -> complex:
-    if isinstance(C, PowExponent):
-        return complex(C.value)
-    return complex(C)
+    if not isinstance(C, PowExponent):
+        C = PowExponent(complex(C))
+    return complex(C.value)
+
+
+def _finite_coeffs(f) -> np.ndarray:
+    """Coefficient array of an input series; non-finite entries are rejected
+    because they would spread through every transform into the whole result."""
+    c = coeffs_of(f)
+    if not np.all(np.isfinite(c)):
+        raise DomainError("series coefficients must be finite")
+    return c
+
+
+def _finite_result(c: np.ndarray) -> TruncatedSeries:
+    """The result series, unless a coefficient overflowed complex128."""
+    if not np.all(np.isfinite(c)):
+        raise DomainError("result coefficients overflow complex128")
+    return TruncatedSeries(c)
+
+
+def _prefix_inverse(f, n: int) -> np.ndarray:
+    """1/f mod x**n for a bootstrap prefix, without a ledger."""
+    if n <= ORACLE_MAX_ORDER:
+        return oracle_inverse(f, n).coeffs
+    return fast_inverse(f, n).coeffs
 
 
 # -- plan selection -----------------------------------------------------------
@@ -164,7 +200,7 @@ def _ode_update(cache, b_label, frontier, plan, ledger):
 
 def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
     """1/f mod x**N by quadratic Newton doubling r <- r*(2 - f*r)."""
-    c = coeffs_of(f)
+    c = _finite_coeffs(f)
     if N < 1:
         raise DomainError("order must be positive")
     if c.size == 0 or c[0] == 0:
@@ -179,7 +215,7 @@ def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
             corr = -fr
             corr[0] += 2.0
             r = mul_mod(r, corr, t, ledger=led, label="newton").coeffs
-    return TruncatedSeries(r)
+    return _finite_result(r)
 
 
 # -- exponential --------------------------------------------------------------
@@ -206,9 +242,9 @@ def exp_first_half(h, m: int, plan: BlockPlan | None = None, ledger=None):
     hh = h_arr[: 2 * m]
     dh = np.arange(1, hh.size) * hh[1:]
     with led.stage("bootstrap.E"):
-        f_n = oracle_exp(hh[:n], n).coeffs
+        f_n = (oracle_exp(hh[:n], n) if n <= ORACLE_MAX_ORDER else fast_exp(hh[:n], n)).coeffs
     with led.stage("bootstrap.I"):
-        r_n = oracle_inverse(f_n, n).coeffs
+        r_n = _prefix_inverse(f_n, n)
 
     f_arr = np.zeros(m, dtype=np.complex128)
     f_arr[:n] = f_n
@@ -263,7 +299,7 @@ def log_extend(f_m, r_n, cache: BlockCache, target: int, plan: BlockPlan,
 
 def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> TruncatedSeries:
     """exp(h) mod x**N for h[0] = 0."""
-    h_arr = coeffs_of(h)
+    h_arr = _finite_coeffs(h)
     if N < 1:
         raise DomainError("order must be positive")
     if h_arr.size and h_arr[0] != 0:
@@ -273,7 +309,7 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
         plan = choose_plan(N)
     if plan.fallback:
         with led.stage("bootstrap.E"):
-            return oracle_exp(h_arr, N)
+            return _finite_result(oracle_exp(h_arr, N).coeffs)
     m, k = plan.m, plan.k
     h2 = np.zeros(2 * m, dtype=np.complex128)
     take = min(h_arr.size, 2 * m)
@@ -289,8 +325,7 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
         upper = _window_product_2k(
             cache, "f", m // k, w_tail, m, led, y_label="w-blocks", out_label="final-restore"
         )
-    out = np.concatenate([f_m.coeffs, upper])[:N]
-    return TruncatedSeries(out)
+    return _finite_result(np.concatenate([f_m.coeffs, upper])[:N])
 
 
 # -- constant powers ----------------------------------------------------------
@@ -425,7 +460,7 @@ def s_iteration(h, rho_n, s_seed, cache: BlockCache, target: int, C, plan: Block
 def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> TruncatedSeries:
     """h**C mod x**N for h[0] = 1 and a finite complex exponent."""
     Cc = _as_exponent(C)
-    h_arr = coeffs_of(h)
+    h_arr = _finite_coeffs(h)
     if N < 1:
         raise DomainError("order must be positive")
     if h_arr.size == 0 or h_arr[0] != 1:
@@ -444,7 +479,7 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         plan = choose_plan(N)
     if plan.fallback:
         with led.stage("bootstrap.P"):
-            return oracle_pow(h_arr, Cc, N)
+            return _finite_result(oracle_pow(h_arr, Cc, N).coeffs)
     m, n, k = plan.m, plan.n, plan.k
     if n % (2 * k):
         raise PlanError("power runs need the extension order to span double blocks")
@@ -455,14 +490,15 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     h2[:take] = h_arr[:take]
 
     with led.stage("bootstrap.P"):
-        f_n = oracle_pow(h2[:n], Cc, n).coeffs
+        f_n = (oracle_pow(h2[:n], Cc, n) if n <= ORACLE_MAX_ORDER
+               else fast_pow(h2[:n], Cc, n)).coeffs
     with led.stage("bootstrap.I"):
-        r_n = oracle_inverse(f_n, n).coeffs
+        r_n = _prefix_inverse(f_n, n)
     with led.stage("bootstrap.rho"):
-        rho_n = oracle_inverse(h2[:n], n).coeffs
+        rho_n = _prefix_inverse(h2[:n], n)
     with led.stage("bootstrap.s"):
         dh_head = np.arange(1, n) * h2[1:n]
-        seed = Cc * np.convolve(dh_head, rho_n)[: n - 1] if n > 1 else np.zeros(0)
+        seed = Cc * mul_mod(dh_head, rho_n, n - 1).coeffs
 
     cache = BlockCache(k)
     s_arr = s_iteration(h2, rho_n, seed, cache, 2 * m - 1, Cc, plan, ledger=led).coeffs
@@ -492,14 +528,13 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         upper = _window_product_2k(
             cache, "f", m // k, w_tail, m, led, y_label="w-blocks", out_label="final-restore"
         )
-    out = np.concatenate([f_arr, upper])[:N]
-    return TruncatedSeries(out)
+    return _finite_result(np.concatenate([f_arr, upper])[:N])
 
 
 def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     """log(f) mod x**N for f[0] = 1, as the integral of f'/f with the
     reciprocal computed by Newton doubling."""
-    c = coeffs_of(f)
+    c = _finite_coeffs(f)
     if N < 1:
         raise DomainError("order must be positive")
     if c.size == 0 or c[0] != 1:
@@ -515,4 +550,4 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     inv = fast_inverse(cc[: N - 1], N - 1, ledger=led)
     prod = mul_mod(df, inv, N - 1, ledger=led, label="log")
     out[1:] = prod.coeffs / np.arange(1, N)
-    return TruncatedSeries(out)
+    return _finite_result(out)

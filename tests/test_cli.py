@@ -65,6 +65,14 @@ def test_domain_error_exit_code(tmp_path):
     assert main(["exp", str(src), str(dst), "--n", "4"]) == 1
 
 
+def test_non_finite_input_exit_code(tmp_path):
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    write_input(src, [1, 0.5, float("nan"), 0.25])
+    assert main(["inv", str(src), str(dst), "--n", "4"]) == 1
+    assert not dst.exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     src = tmp_path / "h.txt"
     src.write_text("#order 2\n0\t1\t0\nbad\n")

@@ -143,6 +143,47 @@ def test_fast_exp_rejects_bad_constant_term():
         fast_exp([1, 1], 8)
 
 
+def test_fast_exp_rejects_non_finite_coefficients():
+    h = random_exp_arg(np.random.default_rng(30), 256)
+    h[7] = np.nan
+    with pytest.raises(DomainError):
+        fast_exp(h, 256)
+
+
+def test_fast_pow_rejects_non_finite_input():
+    g = random_pow_arg(np.random.default_rng(31), 256)
+    with pytest.raises(DomainError):
+        fast_pow(g, np.nan, 256)
+    g[9] = np.inf
+    with pytest.raises(DomainError):
+        fast_pow(g, 0.5, 256)
+
+
+def test_fast_inverse_rejects_non_finite_coefficients():
+    g = random_pow_arg(np.random.default_rng(32), 256)
+    g[9] = complex(0, np.inf)
+    with pytest.raises(DomainError):
+        fast_inverse(g, 256)
+
+
+def test_fast_log_rejects_non_finite_coefficients():
+    g = random_pow_arg(np.random.default_rng(33), 256)
+    g[255] = -np.inf
+    with pytest.raises(DomainError):
+        fast_log(g, 256)
+
+
+def test_overflowing_results_are_rejected():
+    # (1 - 1.5x)**C has coefficients near 1.5**j, past complex128 by j ~ 1750;
+    # at 2**14 the overflow happens inside the recursive bootstrap prefix.
+    with np.errstate(all="ignore"):
+        for N in (2048, 1 << 14):
+            with pytest.raises(DomainError, match="overflow"):
+                fast_pow([1, -1.5], 0.5, N)
+        with pytest.raises(DomainError, match="overflow"):
+            fast_inverse([1, -1.5], 2048)
+
+
 def test_fast_exp_odd_order_truncates():
     rng = np.random.default_rng(4)
     h = random_exp_arg(rng, 100)

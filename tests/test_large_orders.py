@@ -1,0 +1,97 @@
+"""The fast paths at N = 2**14, beyond the quadratic references' reach: the
+bootstrap recursion stays off the quadratic code, leaves no trace in the
+caller's ledger, and the results satisfy their defining identities."""
+
+import hashlib
+
+import numpy as np
+
+from fastseries import (
+    CostLedger,
+    choose_plan,
+    derivative,
+    fast_exp,
+    fast_log,
+    fast_pow,
+    fast_ops,
+)
+from fastseries.cost_ledger import BOOTSTRAP_PREFIX, report_kv
+
+from util import random_exp_arg, random_pow_arg, rel_err
+
+N = 1 << 14
+TOL = 1e-8  # the identity tolerance of acceptance criterion 5
+C = 0.3 + 0.7j
+
+# sha256 of report_kv for default-plan fast_exp / fast_pow at N = 2**14
+# (k=2048, n=4096, m=8192); the same text as when every bootstrap prefix came
+# from the quadratic references.
+KV_SHA256 = {
+    "exp": "c4b060e248d8c23aca44a61208ce11ea1ff3ea453262371c5344f400892504c1",
+    "pow": "45cffe68914ee684ce78ea018cf2ed0c944a8e6c78fe37deaa401cf3f21f3b01",
+}
+
+
+def product(a, b, n):
+    """(a*b) mod x**n through numpy's FFT, independent of fft_core."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    L = 1 << (a.size + b.size - 2).bit_length()
+    return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:n]
+
+
+def test_no_quadratic_work_above_the_crossover(monkeypatch):
+    orders = []
+    for name in ("oracle_exp", "oracle_inverse", "oracle_pow"):
+        def spy(*args, _real=getattr(fast_ops, name)):
+            orders.append(args[-1])
+            return _real(*args)
+        monkeypatch.setattr(fast_ops, name, spy)
+    rng = np.random.default_rng(21)
+    fast_exp(random_exp_arg(rng, N), N)
+    fast_pow(random_pow_arg(rng, N), C, N)
+    assert orders and max(orders) <= fast_ops.ORACLE_MAX_ORDER
+
+
+def test_bootstrap_stages_stay_out_of_the_ledger():
+    rng = np.random.default_rng(22)
+    h, g = random_exp_arg(rng, N), random_pow_arg(rng, N)
+    plan = choose_plan(N)
+    runs = {
+        "exp": lambda led: fast_exp(h, N, ledger=led),
+        "pow": lambda led: fast_pow(g, C, N, ledger=led),
+    }
+    for op, run in runs.items():
+        led = CostLedger()
+        run(led)
+        boot = [t for t in led.units_by_stage(plan.k) if t.startswith(BOOTSTRAP_PREFIX)]
+        assert boot
+        assert all(led.event_count(stage=t) == 0 for t in boot)
+        digest = hashlib.sha256(report_kv(led, plan).encode()).hexdigest()
+        assert digest == KV_SHA256[op], op
+
+
+def test_fast_exp_defining_ode_at_2_14():
+    h = random_exp_arg(np.random.default_rng(23), N)
+    f = fast_exp(h, N).coeffs
+    assert rel_err(derivative(f).coeffs, product(derivative(h).coeffs, f, N - 1)) <= TOL
+
+
+def test_fast_pow_defining_ode_at_2_14():
+    h = random_pow_arg(np.random.default_rng(24), N)
+    f = fast_pow(h, C, N).coeffs
+    lhs = product(h, derivative(f).coeffs, N - 1)
+    rhs = C * product(derivative(h).coeffs, f, N - 1)
+    assert rel_err(lhs, rhs) <= TOL
+
+
+def test_fast_log_inverts_fast_exp_at_2_14():
+    h = random_exp_arg(np.random.default_rng(25), N)
+    assert rel_err(fast_log(fast_exp(h, N), N).coeffs, h) <= TOL
+
+
+def test_fast_pow_exponents_add_at_2_14():
+    h = random_pow_arg(np.random.default_rng(26), N)
+    c1, c2 = 0.6 - 0.2j, -0.9 + 0.4j
+    lhs = product(fast_pow(h, c1, N).coeffs, fast_pow(h, c2, N).coeffs, N)
+    assert rel_err(lhs, fast_pow(h, c1 + c2, N).coeffs) <= TOL
