@@ -15,6 +15,12 @@ single straddling u is inverted once to extract the flooring correction
 theta and the boundary coefficient, theta is transformed forward, and each
 output block costs one inverse transform.  Excluding the cached block
 transforms, that is 3*(n/k + 2) order-k units.
+
+A series' block spectra are stacked as the rows of one array, so each
+block-axis sum (a u-vector, an output block) is one numpy reduction over
+row slices, and the forward transforms of a step and its output inverses
+each run as one batch.  The ledger still sees one event per block
+transform, in block order.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import fft_core
 from .errors import DomainError, PlanError
-from .series_core import TruncatedSeries, overlap_add
+from .series_core import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -71,30 +77,47 @@ class BlockPlan:
 class MiddleScratch:
     """Intermediates of one block middle product, kept for inspection."""
 
-    u_images: dict = field(default_factory=dict)
+    u_images: dict = field(default_factory=dict)  # residual image per block, None if absent
     boundary_poly: np.ndarray | None = None  # straddling block, coefficient form
     theta: np.ndarray | None = None
-    d_polys: list = field(default_factory=list)
+    d_polys: np.ndarray | None = None  # output blocks, coefficient form, one per row
 
 
-class _Slot:
-    """Spectrum values of one block plus how many of its coefficients were
-    known at transform time (== block size once the block is complete)."""
+class _Lane:
+    """Spectra of one label's blocks in one transform space, one block per
+    row, beside the count of its coefficients each block had known when it
+    was transformed (== block size once complete, -1 before the first
+    transform).  Rows 0..rows-1 are filled; the array has a row for every
+    block the label can hold, and rows are first written when filled."""
 
-    __slots__ = ("values", "known")
+    __slots__ = ("spec", "known", "rows")
 
-    def __init__(self, values, known):
-        self.values = values
-        self.known = known
+    def __init__(self, capacity: int, width: int):
+        self.spec = np.empty((capacity, width), dtype=np.complex128)
+        self.known = np.full(capacity, -1, dtype=np.int64)
+        self.rows = 0
+
+    def stale(self, states: np.ndarray) -> np.ndarray:
+        """Indices of the blocks not yet transformed at the known counts
+        ``states`` gives for blocks 0..states.size-1."""
+        return np.flatnonzero(self.known[: states.size] != states)
+
+    def store(self, idx: np.ndarray, values: np.ndarray, known: np.ndarray):
+        self.spec[idx] = values
+        self.known[idx] = known
+        self.rows = max(self.rows, int(idx[-1]) + 1)
 
 
 class BlockCache:
-    """Per-label lists of block spectra over registered coefficient arrays.
+    """Per-label stacks of block spectra over registered coefficient arrays.
 
-    Single writer; readers may share it once a frontier is published.  The
-    2k lane stores plain order-2k spectra for short products; when a double
-    spectrum of the same block state exists, its first segment is reused at
-    no transform cost.
+    Each label keeps one 2-d array of double spectra, row i for block i, and
+    a second one of plain order-2k spectra for short products; when a double
+    spectrum of the same block state exists, its first segment fills the 2k
+    row at no transform cost.  Rows 0..high_water are always current for
+    the known count they were made at; a stale row is transformed again.
+
+    Single writer; readers may share it once a frontier is published.
     """
 
     def __init__(self, k: int):
@@ -104,8 +127,8 @@ class BlockCache:
         self._arrays: dict[str, np.ndarray] = {}
         self._known: dict[str, int] = {}
         self._block: dict[str, int] = {}
-        self._slots: dict[str, list] = {}
-        self._lane2k: dict[str, list] = {}
+        self._double: dict[str, _Lane] = {}
+        self._plain: dict[str, _Lane] = {}
 
     # -- series registration --------------------------------------------------
 
@@ -114,8 +137,9 @@ class BlockCache:
         self._arrays[label] = arr
         self._known[label] = arr.size if known is None else int(known)
         self._block[label] = self.k if block is None else int(block)
-        self._slots[label] = []
-        self._lane2k[label] = []
+        capacity = -(-arr.size // self._block[label])
+        self._double[label] = _Lane(capacity, 3 * self.k)
+        self._plain[label] = _Lane(capacity, 2 * self.k)
 
     def has(self, label: str) -> bool:
         return label in self._arrays
@@ -134,118 +158,122 @@ class BlockCache:
         return self._known[label]
 
     def alias(self, dst: str, src: str, upto: int):
-        """Share src's slots 0..upto with dst (content must agree there)."""
-        slots = self._slots[src]
-        if upto >= len(slots):
-            raise DomainError(f"alias range 0..{upto} beyond {src}'s {len(slots)} slots")
-        self._slots[dst] = list(slots[: upto + 1])
+        """Give dst a copy of src's double spectra 0..upto (content must agree there)."""
+        lane = self._double[src]
+        if upto >= lane.rows:
+            raise DomainError(f"alias range 0..{upto} beyond {src}'s {lane.rows} slots")
+        copy = _Lane(self._double[dst].known.size, 3 * self.k)
+        copy.store(np.arange(upto + 1), lane.spec[: upto + 1], lane.known[: upto + 1])
+        self._double[dst] = copy
 
     # -- spectra ----------------------------------------------------------------
 
-    def _block_state(self, label: str, i: int, allow_partial: bool) -> int:
+    def _block_states(self, label: str, upto: int, allow_partial: bool) -> np.ndarray:
+        """Known coefficient counts of blocks 0..upto; only the last one can
+        fall short of the block size."""
         size = self._block[label]
         total = self._known[label]
-        known = total - i * size
-        if known >= size:
-            return size
-        if known < 1:
-            raise DomainError(f"series '{label}' has no coefficients in block {i}")
-        if total == self._arrays[label].size:
-            # fixed series: the short final block's zero padding is final
-            return size
-        if not allow_partial:
-            raise DomainError(f"series '{label}' shorter than requested block range")
-        return known
+        if total - upto * size < 1:
+            raise DomainError(f"series '{label}' has no coefficients in block {-(-total // size)}")
+        states = np.full(upto + 1, size, dtype=np.int64)
+        tail = total - upto * size
+        # a fixed series' short final block is zero-padded and final
+        if tail < size and total < self._arrays[label].size:
+            if not allow_partial:
+                raise DomainError(f"series '{label}' shorter than requested block range")
+            states[upto] = tail
+        return states
+
+    def _blocks(self, label: str, idx: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Coefficient rows of blocks idx, each cut to its known count."""
+        size = self._block[label]
+        arr = self._arrays[label]
+        whole = (states == size) & (idx < arr.size // size)
+        if whole.all() and idx[-1] - idx[0] + 1 == idx.size:
+            return arr[idx[0] * size : (idx[-1] + 1) * size].reshape(-1, size)
+        out = np.zeros((idx.size, size), dtype=np.complex128)
+        out[whole] = arr[: arr.size // size * size].reshape(-1, size)[idx[whole]]
+        # the head block of a growing series, or a fixed series' short last block
+        for r in np.flatnonzero(~whole):
+            lo = idx[r] * size
+            avail = min(states[r], arr.size - lo)
+            out[r, :avail] = arr[lo : lo + avail]
+        return out
 
     def ensure(self, label: str, upto: int, ledger=None, stage=None, allow_partial=False) -> int:
-        """Make double spectra for blocks 0..upto current; returns the number
-        of transforms performed (3 order-k units each).
+        """Make double spectra for blocks 0..upto current, all stale blocks in
+        one batch; returns the number of transforms performed (3 order-k
+        units each).
 
         The label's block size only controls slicing; every spectrum lives in
         the same order-(2k, k) space so blocks of different sizes can be
         combined pointwise (a double-sized block still fits: its degree is
         below 2k while the space holds degrees below 3k).
         """
-        size = self._block[label]
-        if size > 2 * self.k:
+        if self._block[label] > 2 * self.k:
             raise PlanError("blocks larger than 2k do not fit the image space")
-        arr = self._arrays[label]
-        slots = self._slots[label]
-        states = [self._block_state(label, i, allow_partial) for i in range(upto + 1)]
-        while len(slots) <= upto:
-            slots.append(None)
-        fresh = 0
-        for i, blk_known in enumerate(states):
-            slot = slots[i]
-            if slot is not None and slot.known == blk_known:
-                continue
-            blk = np.zeros(size, dtype=np.complex128)
-            avail = min(blk_known, arr.size - i * size)
-            blk[:avail] = arr[i * size : i * size + avail]
-            spec = fft_core.double_dft(blk, 2 * self.k, self.k, ledger=ledger, stage=stage, label=label)
-            slots[i] = _Slot(spec.values, blk_known)
-            fresh += 1
-        return fresh
+        states = self._block_states(label, upto, allow_partial)
+        lane = self._double[label]
+        stale = lane.stale(states)
+        if stale.size:
+            spec = fft_core.double_dft(self._blocks(label, stale, states[stale]), 2 * self.k,
+                                       self.k, ledger=ledger, stage=stage, label=label)
+            lane.store(stale, spec.values, states[stale])
+        return int(stale.size)
 
     def ensure_2k(self, label: str, upto: int, ledger=None, stage=None, allow_partial=False) -> int:
         """Plain order-2k spectra for blocks 0..upto, reusing the first segment
-        of a matching double spectrum when one exists."""
+        of a matching double spectrum when one exists; the rest are
+        transformed in one batch, whose count is returned."""
         size = self._block[label]
         if size != self.k:
             raise DomainError("the 2k lane is only kept for size-k blocks")
-        arr = self._arrays[label]
-        lane = self._lane2k[label]
-        slots = self._slots[label]
-        states = [self._block_state(label, i, allow_partial) for i in range(upto + 1)]
-        while len(lane) <= upto:
-            lane.append(None)
-        fresh = 0
-        for i, blk_known in enumerate(states):
-            cur = lane[i]
-            if cur is not None and cur.known == blk_known:
-                continue
-            if i < len(slots) and slots[i] is not None and slots[i].known == blk_known:
-                lane[i] = _Slot(slots[i].values[: 2 * size], blk_known)
-                continue
-            blk = np.zeros(size, dtype=np.complex128)
-            avail = min(blk_known, arr.size - i * size)
-            blk[:avail] = arr[i * size : i * size + avail]
-            spec = fft_core.dft(blk, 2 * size, ledger=ledger, stage=stage, label=label)
-            lane[i] = _Slot(spec.values, blk_known)
-            fresh += 1
-        return fresh
+        states = self._block_states(label, upto, allow_partial)
+        lane = self._plain[label]
+        stale = lane.stale(states)
+        double = self._double[label]
+        reuse = double.known[stale] == states[stale]
+        if reuse.any():
+            idx = stale[reuse]
+            lane.store(idx, double.spec[idx, : 2 * size], states[idx])
+        fresh = stale[~reuse]
+        if fresh.size:
+            spec = fft_core.dft(self._blocks(label, fresh, states[fresh]), 2 * size,
+                                ledger=ledger, stage=stage, label=label)
+            lane.store(fresh, spec.values, states[fresh])
+        return int(fresh.size)
 
     def high_water(self, label: str) -> int:
         """Index of the last transformed block, -1 when none."""
-        hw = -1
-        for i, slot in enumerate(self._slots[label]):
-            if slot is None:
-                break
-            hw = i
-        return hw
+        return self._double[label].rows - 1
 
-    def high_water_2k(self, label: str) -> int:
-        hw = -1
-        for i, slot in enumerate(self._lane2k[label]):
-            if slot is None:
-                break
-            hw = i
-        return hw
+    def spectra(self, label: str) -> np.ndarray:
+        """Double spectra of blocks 0..high_water, one block per row."""
+        lane = self._double[label]
+        return lane.spec[: lane.rows]
+
+    def spectra_2k(self, label: str, count: int | None = None) -> np.ndarray:
+        """Order-2k spectra of blocks 0..count-1 (default: all of the 2k
+        lane's rows), taken from the double spectra when the 2k lane holds
+        fewer than count rows."""
+        lane = self._plain[label]
+        rows = lane.spec[: lane.rows]
+        if count is None:
+            return rows
+        if rows.shape[0] < count:
+            rows = self.spectra(label)[:, : 2 * self._block[label]]
+        if rows.shape[0] < count:
+            raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
+        return rows[:count]
 
     def spec3k(self, label: str, i: int) -> np.ndarray:
-        slots = self._slots[label]
-        if i >= len(slots) or slots[i] is None:
+        rows = self.spectra(label)
+        if i >= rows.shape[0]:
             raise DomainError(f"missing spectrum for '{label}' block {i}")
-        return slots[i].values
+        return rows[i]
 
     def spec2k(self, label: str, i: int) -> np.ndarray:
-        lane = self._lane2k[label]
-        if i < len(lane) and lane[i] is not None:
-            return lane[i].values
-        slots = self._slots[label]
-        if i < len(slots) and slots[i] is not None:
-            return slots[i].values[: 2 * self._block[label]]
-        raise DomainError(f"missing 2k spectrum for '{label}' block {i}")
+        return self.spectra_2k(label, i + 1)[i]
 
 
 def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None, stage=None) -> int:
@@ -254,24 +282,78 @@ def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None, 
     return cache.ensure(label, upto, ledger=ledger, stage=stage)
 
 
-def _image_convolution(cache: BlockCache, b_label: str, c_label: str, j: int, ledger=None):
-    """Image of the j-th size-k coefficient block of the product b*c, summed
-    over all cached block pairs; None when no pair contributes."""
-    hw_b = cache.high_water(b_label)
-    hw_c = cache.high_water(c_label)
-    lo = max(0, j - hw_c)
-    hi = min(hw_b, j)
-    if lo > hi:
-        return None
-    acc = None
-    for mu in range(lo, hi + 1):
-        term = cache.spec3k(b_label, mu) * cache.spec3k(c_label, j - mu)
-        acc = term if acc is None else acc + term
-    if ledger is not None:
-        pairs = hi - lo + 1
-        ledger.add_scalar("cmul", pairs * acc.size)
-        ledger.add_scalar("cadd", (pairs - 1) * acc.size)
-    return acc
+# Rows wider than this (in spectrum values) are summed one by one: the long
+# blocks of the default plans come few to a sum, and a loop over them costs
+# less than the temporary a single reduction needs.
+_WIDE_ROW = 2048
+
+
+def _block_sum(b: np.ndarray, c: np.ndarray, j: int, out: np.ndarray) -> int:
+    """Write the sum over mu of b[mu] * c[j - mu], for every row pair both
+    stacks hold, into out as one reduction along the block axis; returns
+    the number of pairs (0 leaves out as it was)."""
+    lo = max(0, j - c.shape[0] + 1)
+    hi = min(b.shape[0] - 1, j)
+    pairs = hi - lo + 1
+    if pairs <= 0:
+        return 0
+    bs, cs = b[lo : hi + 1], c[j - hi : j - lo + 1][::-1]
+    if b.shape[1] <= _WIDE_ROW:
+        np.add.reduce(bs * cs, axis=0, out=out)
+    else:
+        np.multiply(bs[0], cs[0], out=out)
+        for i in range(1, pairs):
+            out += bs[i] * cs[i]
+    return pairs
+
+
+def _image_rows(b: np.ndarray, c: np.ndarray, j0: int, count: int, ledger=None):
+    """Images of the size-k coefficient blocks j0..j0+count-1 of the product
+    of two series given by their stacked block spectra (double or order-2k),
+    one row per block, each summed over all block pairs; with them, whether
+    any pair reached each row (an absent row is zero and cost nothing)."""
+    width = b.shape[1]
+    rows = np.zeros((count, width), dtype=np.complex128)
+    present = []
+    products = 0
+    for i in range(count):
+        pairs = _block_sum(b, c, j0 + i, rows[i])
+        present.append(pairs > 0)
+        products += pairs
+    if ledger is not None and products:
+        ledger.add_scalar("cmul", products * width)
+        ledger.add_scalar("cadd", (products - sum(present)) * width)
+    return rows, present
+
+
+def _invert_live(rows: np.ndarray, live: list, ledger, label: str, k: int | None = None):
+    """Coefficients of the spectrum rows flagged live, inverted in one batch
+    (double spectra of order (2k, k) when k is given, else plain ones); the
+    other rows come back zero and record no event."""
+    def invert(values):
+        if k is None:
+            return fft_core.inverse_dft(fft_core.Spectrum(values, "plain"),
+                                        ledger=ledger, label=label)
+        spec = fft_core.Spectrum(values, "double", l=2 * k, k=k, zeta=fft_core.zeta_for(k))
+        return fft_core.inverse_double_dft(spec, ledger=ledger, label=label)
+
+    if all(live):
+        return invert(rows)
+    out = np.zeros_like(rows)
+    if any(live):
+        sel = np.array(live)
+        out[sel] = invert(rows[sel])
+    return out
+
+
+def _overlap_rows(rows: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Sum of rows[i] * x**(i*k) truncated to order n, for rows whose width
+    is a multiple of k."""
+    count, width = rows.shape
+    out = np.zeros((max(count + width // k - 1, -(-n // k)), k), dtype=np.complex128)
+    for s in range(width // k):
+        out[s : s + count] += rows[:, s * k : (s + 1) * k]
+    return out.reshape(-1)[:n]
 
 
 def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
@@ -282,74 +364,64 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     blocks of label2 sit on the even k-grid, so a folded linear term needs an
     even block shift.
 
+    Each residual image and each output block is one reduction along the
+    block axis of the stacked spectra; the output blocks are inverted in one
+    batch.
+
     Returns (q, straddle_poly, scratch); straddle_poly is the residual's
     straddling block in coefficient form, whose coefficient k-1 is the single
     boundary value shifted products need.
     """
     k = cache.k
-    zeta = fft_core.zeta_for(k)
     n_blocks = -(-out_len // k) if out_len > 0 else 0
     scratch = MiddleScratch()
-
-    lin_coef, lin_label = linear if linear is not None else (None, None)
     if linear is not None and block_shift % 2:
         raise PlanError("a folded linear term needs an even block shift")
 
-    def residual_image(i):
-        u = _image_convolution(cache, b_label, c_label, block_shift + i, ledger)
-        scratch.u_images[i] = u
-        if linear is None:
-            return u
-        e = None if u is None else -u
-        if (block_shift + i) % 2 == 0:
-            jj = (block_shift + i) // 2
-            if 0 <= jj <= cache.high_water(lin_label):
-                lin = lin_coef * cache.spec3k(lin_label, jj)
-                e = lin if e is None else e + lin
+    # Residual images of the straddling block (row 0) and the output blocks.
+    res, present = _image_rows(cache.spectra(b_label), cache.spectra(c_label),
+                               block_shift - 1, n_blocks + 1, ledger)
+    if linear is not None:
+        coef, lin = linear[0], cache.spectra(linear[1])
+        np.negative(res, out=res)
+        for i in range(n_blocks + 1):
+            j = block_shift - 1 + i
+            if j % 2 == 0 and j // 2 < lin.shape[0]:
+                res[i] += coef * lin[j // 2]
+                present[i] = True
                 if ledger is not None:
-                    ledger.add_scalar("cmul", lin.size)
-        return e
+                    ledger.add_scalar("cmul", res.shape[1])
+    scratch.u_images = {i - 1: res[i] if present[i] else None for i in range(n_blocks + 1)}
 
     # Straddling block: one inverse to read theta and the boundary value.
-    img = residual_image(-1)
-    if img is None:
-        straddle = np.zeros(3 * k, dtype=np.complex128)
-    else:
-        spec = fft_core.Spectrum(img, "double", l=2 * k, k=k, zeta=zeta)
-        straddle = fft_core.inverse_double_dft(spec, ledger=ledger, label="u-boundary")
+    straddle = _invert_live(res[:1], present[:1], ledger, "u-boundary", k)[0]
     scratch.boundary_poly = straddle
     theta = straddle[k : 2 * k]
     scratch.theta = theta
 
-    out_blocks = []
+    out_blocks = np.zeros((0, 3 * k), dtype=np.complex128)
     if n_blocks > 0:
         theta_spec = fft_core.double_dft(theta, 2 * k, k, ledger=ledger, label="theta").values
-        hw_a = cache.high_water(a_label)
-        images = [residual_image(i) for i in range(n_blocks)]
+        a = cache.spectra(a_label)
+        u_rows = res[1:]
+        absent = [i for i in range(n_blocks) if not present[i + 1]]
+        # output block t: a[t]*theta plus a[lam]*u[t-lam] for lam <= min(t, hw_a);
+        # an absent image adds nothing and costs no multiplication
+        with_theta = min(n_blocks, a.shape[0])
+        acc = np.zeros((n_blocks, 3 * k), dtype=np.complex128)
+        live = []
+        terms = with_theta
         for t in range(n_blocks):
-            acc = None
-            if t <= hw_a:
-                acc = cache.spec3k(a_label, t) * theta_spec
-                if ledger is not None:
-                    ledger.add_scalar("cmul", acc.size)
-            for lam in range(0, min(t, hw_a) + 1):
-                img_u = images[t - lam]
-                if img_u is None:
-                    continue
-                term = cache.spec3k(a_label, lam) * img_u
-                acc = term if acc is None else acc + term
-                if ledger is not None:
-                    ledger.add_scalar("cmul", term.size)
-            if acc is None:
-                out_blocks.append(np.zeros(3 * k, dtype=np.complex128))
-                continue
-            spec = fft_core.Spectrum(acc, "double", l=2 * k, k=k, zeta=zeta)
-            out_blocks.append(fft_core.inverse_double_dft(spec, ledger=ledger, label="mp-restore"))
+            pairs = _block_sum(a, u_rows, t, acc[t])
+            pairs -= sum(1 for i in absent if t - pairs < i <= t)
+            terms += pairs
+            live.append(t < with_theta or pairs > 0)
+        acc[:with_theta] += a[:with_theta] * theta_spec
+        if ledger is not None:
+            ledger.add_scalar("cmul", 3 * k * terms)
+        out_blocks = _invert_live(acc, live, ledger, "mp-restore", k)
     scratch.d_polys = out_blocks
-    if out_len > 0:
-        q = overlap_add(out_blocks, k, out_len).coeffs
-    else:
-        q = np.zeros(0, dtype=np.complex128)
+    q = _overlap_rows(out_blocks, k, max(out_len, 0))
     return q, straddle, scratch
 
 

@@ -143,43 +143,25 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
 
 # -- shared machinery --------------------------------------------------------
 
-def _split_k(y: np.ndarray, k: int) -> list[np.ndarray]:
-    count = -(-y.size // k)
-    return [y[i * k : (i + 1) * k] for i in range(count)]
-
-
 def _window_product_2k(cache, x_label, x_count, y, out_len, ledger,
                        y_label, out_label):
     """Short product (x * y) mod x**out_len where x is given by the order-2k
     segments of cached blocks 0..x_count-1 and y is a fresh coefficient
-    window, transformed here block by block."""
+    window, whose blocks are transformed here in one batch.  Each output
+    block is one reduction over the two stacks; all are inverted at once."""
     k = cache.k
     y = np.asarray(y, dtype=np.complex128)
-    y_specs = [
-        fft_core.dft(blk, 2 * k, ledger=ledger, label=y_label).values
-        for blk in _split_k(y, k)
-    ]
-    out = np.zeros(out_len, dtype=np.complex128)
+    y_blocks = np.zeros((-(-y.size // k), k), dtype=np.complex128)
+    y_blocks.reshape(-1)[: y.size] = y
+    y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
+    x_specs = cache.spectra_2k(x_label, x_count)
     t_max = -(-out_len // k)
-    for t in range(t_max):
-        acc = None
-        for lam in range(0, min(t, x_count - 1) + 1):
-            j = t - lam
-            if j >= len(y_specs):
-                continue
-            term = cache.spec2k(x_label, lam) * y_specs[j]
-            acc = term if acc is None else acc + term
-            if ledger is not None:
-                ledger.add_scalar("cmul", term.size)
-        if acc is None:
-            continue
-        block = fft_core.inverse_dft(
-            fft_core.Spectrum(acc, "plain"), ledger=ledger, label=out_label
-        )
-        lo = t * k
-        hi = min(out_len, lo + block.size)
-        out[lo:hi] += block[: hi - lo]
-    return out
+    acc = np.zeros((t_max, 2 * k), dtype=np.complex128)
+    terms = [block_engine._block_sum(x_specs, y_specs, t, acc[t]) for t in range(t_max)]
+    if ledger is not None:
+        ledger.add_scalar("cmul", sum(terms) * 2 * k)
+    acc = block_engine._invert_live(acc, [pairs > 0 for pairs in terms], ledger, out_label)
+    return block_engine._overlap_rows(acc, k, out_len)
 
 
 def _ode_update(cache, b_label, frontier, plan, ledger):
@@ -346,24 +328,6 @@ def _s_first_step(cache, dh, C, frontier, plan, ledger):
     return out
 
 
-def _image_conv_2k(cache, b_label, c_label, j, ledger):
-    hw_b = cache.high_water_2k(b_label)
-    hw_c = cache.high_water_2k(c_label)
-    lo = max(0, j - hw_c)
-    hi = min(hw_b, j)
-    if lo > hi:
-        return None
-    acc = None
-    for mu in range(lo, hi + 1):
-        term = cache.spec2k(b_label, mu) * cache.spec2k(c_label, j - mu)
-        acc = term if acc is None else acc + term
-    if ledger is not None:
-        pairs = hi - lo + 1
-        ledger.add_scalar("cmul", pairs * acc.size)
-        ledger.add_scalar("cadd", (pairs - 1) * acc.size)
-    return acc
-
-
 def _s_second_half(cache, s_arr, dh, C, plan, ledger):
     """Upper half of s = C*h'/h: each extension is two plain order-2k short
     products (the s*h window and the reciprocal correction)."""
@@ -372,30 +336,13 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
     for fr in range(m, 2 * m, n):
         cache.ensure_2k("h", (fr + n) // k - 1, ledger=ledger)
         cache.ensure_2k("s", fr // k - 1, ledger=ledger, allow_partial=True)
-        M = fr // k
-        u = {}
-        for i in range(-1, a):
-            img = _image_conv_2k(cache, "s", "h", M + i, ledger)
-            if img is None:
-                u[i] = None
-            else:
-                u[i] = fft_core.inverse_dft(
-                    fft_core.Spectrum(img, "plain"), ledger=ledger, label="u2k-restore"
-                )
-        boundary = u[-1] if u[-1] is not None else np.zeros(2 * k, dtype=np.complex128)
-        window = np.zeros(n - 1, dtype=np.complex128)
-        theta = boundary[k:]
-        window[: min(k, n - 1)] += theta[: min(k, n - 1)]
-        for i in range(a):
-            if u[i] is None:
-                continue
-            lo = i * k
-            if lo >= n - 1:
-                continue
-            hi = min(n - 1, lo + 2 * k)
-            window[lo:hi] += u[i][: hi - lo]
+        # row 0 is the straddling block below the cut, rows 1..a the window's
+        u, live = block_engine._image_rows(cache.spectra_2k("s"), cache.spectra_2k("h"),
+                                           fr // k - 1, a + 1, ledger)
+        u = block_engine._invert_live(u, live, ledger, "u2k-restore")
+        window = block_engine._overlap_rows(u, k, n - 1 + k)[k:]
         G = np.zeros(n, dtype=np.complex128)
-        G[0] = C * dh[fr - 1] - boundary[k - 1]
+        G[0] = C * dh[fr - 1] - u[0, k - 1]
         G[1:] = C * dh[fr : fr + n - 1] - window
         if ledger is not None:
             ledger.add_scalar("cmul", n)

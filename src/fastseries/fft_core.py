@@ -5,7 +5,10 @@ A polynomial is a 1-d array of complex coefficients, index = power of x.
 Transforms evaluate with the convention ``values[j] = p(w**j)``,
 ``w = exp(2*pi*i/L)``; the inverse carries the 1/L factor.  Every public
 transform reports a DFT event to the ledger it is handed (the leaf kernels
-themselves do not record anything).
+themselves do not record anything).  The forward and inverse transforms
+also take a 2-d array of polynomials, one per row: the batch runs as one
+numpy call along the last axis and records one event group per row, the
+same events as that many single calls.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -102,10 +105,10 @@ class Spectrum:
 
     @property
     def length(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
     def _signature(self):
-        return (self.kind, self.l, self.k, len(self.values))
+        return (self.kind, self.l, self.k, self.values.shape[-1])
 
     def pointwise(self, other: "Spectrum", ledger=None) -> "Spectrum":
         if self._signature() != other._signature():
@@ -113,23 +116,23 @@ class Spectrum:
                 f"cannot combine {self._signature()} with {other._signature()}"
             )
         if ledger is not None:
-            ledger.add_scalar("cmul", len(self.values))
+            ledger.add_scalar("cmul", self.values.size)
         return Spectrum(self.values * other.values, self.kind, self.l, self.k, self.zeta)
 
 
 # -- leaf kernels (no recording) ------------------------------------------
 
 def _forward(coeffs, L: int) -> np.ndarray:
-    buf = np.zeros(L, dtype=np.complex128)
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if c.size:
-        buf[: c.size] = c
-    return np.fft.ifft(buf) * L
+    values = np.fft.ifft(np.asarray(coeffs, dtype=np.complex128), n=L, axis=-1)
+    values *= L
+    return values
 
 
 def _backward(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
-    return np.fft.fft(v) / len(v)
+    coeffs = np.fft.fft(v, axis=-1)
+    coeffs /= v.shape[-1]
+    return coeffs
 
 
 def _check_length(L: int):
@@ -137,34 +140,45 @@ def _check_length(L: int):
         raise UnsupportedLengthError(f"transform length {L} not of the form 2^a*3^b, b<=1")
 
 
-def _record(ledger, order, stage, label):
+def _polys(p) -> np.ndarray:
+    """One polynomial as a 1-d array, or a batch of them as the rows of a 2-d one."""
+    c = np.asarray(p, dtype=np.complex128)
+    return c if c.ndim == 2 else c.reshape(-1)
+
+
+def _rows(a: np.ndarray) -> int:
+    return a.shape[0] if a.ndim == 2 else 1
+
+
+def _record(ledger, orders, count, stage, label):
     if ledger is not None:
-        ledger.record_dft(order, stage=stage, label=label)
+        ledger.record_dfts(orders, count, stage=stage, label=label)
 
 
 # -- public transforms -----------------------------------------------------
 
 def dft(p, L: int, ledger=None, stage=None, label=None) -> Spectrum:
-    """Order-L DFT of a polynomial with deg p < L.  Empty input is zero."""
+    """Order-L DFT of a polynomial with deg p < L, or of each row of a
+    batch.  Empty input is zero."""
     _check_length(L)
-    c = np.asarray(p, dtype=np.complex128).reshape(-1)
-    if c.size > L:
-        raise UnsupportedLengthError(f"polynomial with {c.size} coefficients exceeds order {L}")
-    _record(ledger, L, stage, label)
+    c = _polys(p)
+    if c.shape[-1] > L:
+        raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
+    _record(ledger, (L,), _rows(c), stage, label)
     return Spectrum(_forward(c, L), "plain")
 
 
 def inverse_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.ndarray:
-    """Recover the coefficients of a plain spectrum."""
+    """Recover the coefficients of a plain spectrum (row by row for a batch)."""
     if s.kind != "plain":
         raise KindMismatchError(f"inverse_dft needs a plain spectrum, got {s.kind}")
-    L = s.length
-    _record(ledger, L, stage, label)
+    _record(ledger, (s.length,), _rows(s.values), stage, label)
     return _backward(s.values)
 
 
 def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectrum:
-    """Double DFT of order (l, k) of a polynomial with deg p < l + k.
+    """Double DFT of order (l, k) of a polynomial with deg p < l + k, or of
+    each row of a batch.
 
     Costs one order-l and one order-k transform plus O(l+k) scalar work: the
     two segments are the residues of p modulo x**l - 1 and modulo x**k - i
@@ -172,34 +186,36 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
     """
     _check_length(l)
     _check_length(k)
-    c = np.asarray(p, dtype=np.complex128).reshape(-1)
-    if c.size > l + k:
+    c = _polys(p)
+    width = c.shape[-1]
+    if width > l + k:
         raise UnsupportedLengthError(
-            f"polynomial with {c.size} coefficients exceeds double order ({l},{k})"
+            f"polynomial with {width} coefficients exceeds double order ({l},{k})"
         )
     zeta = zeta_for(k)
-    fold_l = np.zeros(l, dtype=np.complex128)
-    for t in range(0, c.size, l):
-        chunk = c[t : t + l]
-        fold_l[: chunk.size] += chunk
-    fold_k = np.zeros(k, dtype=np.complex128)
+    fold_l = np.zeros(c.shape[:-1] + (l,), dtype=np.complex128)
+    for t in range(0, width, l):
+        chunk = c[..., t : t + l]
+        fold_l[..., : chunk.shape[-1]] += chunk
+    fold_k = np.zeros(c.shape[:-1] + (k,), dtype=np.complex128)
     tw = 1.0 + 0j  # i**t twist because zeta**k = i
-    for t in range(0, c.size, k):
-        chunk = c[t : t + k]
-        fold_k[: chunk.size] += tw * chunk
+    for t in range(0, width, k):
+        chunk = c[..., t : t + k]
+        fold_k[..., : chunk.shape[-1]] += tw * chunk
         tw *= 1j
     fold_k *= _zeta_table(k, 1)
+    rows = _rows(c)
     if ledger is not None:
-        ledger.add_scalar("cmul", l + 2 * k)
+        ledger.add_scalar("cmul", rows * (l + 2 * k))
         ledger.add_scalar("cadd", c.size)
-    _record(ledger, l, stage, label)
-    _record(ledger, k, stage, label)
-    values = np.concatenate([_forward(fold_l, l), _forward(fold_k, k)])
+    _record(ledger, (l, k), rows, stage, label)
+    values = np.concatenate([_forward(fold_l, l), _forward(fold_k, k)], axis=-1)
     return Spectrum(values, "double", l=l, k=k, zeta=zeta)
 
 
 def inverse_double_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.ndarray:
-    """Recover a degree < l + k polynomial from its double spectrum.
+    """Recover a degree < l + k polynomial from its double spectrum (row by
+    row for a batch).
 
     Implemented for l = 2k by residue recombination: with x**2k = -1 modulo
     x**k - i, the top block is t = -(r2 - r1)/2 reduced modulo x**k - i,
@@ -210,19 +226,19 @@ def inverse_double_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.n
     l, k = s.l, s.k
     if l != 2 * k:
         raise KindMismatchError("double reconstruction is defined for l = 2k")
-    _record(ledger, l, stage, label)
-    _record(ledger, k, stage, label)
-    r1 = _backward(s.values[:l])
-    q = _backward(s.values[l:])
+    rows = _rows(s.values)
+    _record(ledger, (l, k), rows, stage, label)
+    r1 = _backward(s.values[..., :l])
+    q = _backward(s.values[..., l:])
     r2 = q * _zeta_table(k, -1)
-    r1_mod = r1[:k] + 1j * r1[k:]  # r1 modulo x**k - i
+    r1_mod = r1[..., :k] + 1j * r1[..., k:]  # r1 modulo x**k - i
     top = -(r2 - r1_mod) / 2
     low = r1.copy()
-    low[:k] -= top
+    low[..., :k] -= top
     if ledger is not None:
-        ledger.add_scalar("cmul", 2 * k)
-        ledger.add_scalar("cadd", 3 * k)
-    return np.concatenate([low, top])
+        ledger.add_scalar("cmul", rows * 2 * k)
+        ledger.add_scalar("cadd", rows * 3 * k)
+    return np.concatenate([low, top], axis=-1)
 
 
 def dft_3k(p, k: int, ledger=None, stage=None, label=None) -> Spectrum:
@@ -235,8 +251,7 @@ def dft_3k(p, k: int, ledger=None, stage=None, label=None) -> Spectrum:
             f"polynomial with {c.size} coefficients exceeds order {3 * k}"
         )
     inner = [_forward(c[t::3], k) for t in range(3)]
-    for _ in range(3):
-        _record(ledger, k, stage, label)
+    _record(ledger, (k,), 3, stage, label)
     j = np.arange(3 * k)
     twiddles = _outer3_table(k)
     values = np.zeros(3 * k, dtype=np.complex128)

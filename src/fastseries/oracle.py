@@ -5,7 +5,9 @@ Everything here uses schoolbook convolution only, so the suite is fully
 independent of the transform engine and serves as the ground truth the fast
 algorithms are checked against.  Round-off grows with the recurrence depth;
 at order 256 with unit-disk inputs agreements of 1e-10 are comfortable,
-while order 2**13 is the practical cap used in tests.
+while order 2**13 is the practical cap used in tests.  Like the fast paths,
+inverse, exp, log and power reject NaN/inf coefficients and a non-finite
+exponent with DomainError.
 """
 
 from __future__ import annotations
@@ -16,8 +18,17 @@ from .errors import DomainError
 from .series_core import TruncatedSeries, coeffs_of
 
 
-def _padded(f, n: int) -> np.ndarray:
+def _finite(f) -> np.ndarray:
+    """Coefficient array of an input series; NaN/inf would run through every
+    recurrence step into the whole result, so they are rejected."""
     c = coeffs_of(f)
+    if not np.all(np.isfinite(c)):
+        raise DomainError("series coefficients must be finite")
+    return c
+
+
+def _padded(f, n: int) -> np.ndarray:
+    c = _finite(f)
     out = np.zeros(n, dtype=np.complex128)
     out[: min(n, c.size)] = c[:n]
     return out
@@ -25,7 +36,7 @@ def _padded(f, n: int) -> np.ndarray:
 
 def oracle_inverse(f, n: int) -> TruncatedSeries:
     """1/f mod x**n by the coefficient recurrence; needs f[0] != 0."""
-    c = coeffs_of(f)
+    c = _finite(f)
     if c.size == 0 or c[0] == 0:
         raise DomainError("series with zero constant term is not invertible")
     r = np.zeros(n, dtype=np.complex128)
@@ -39,7 +50,7 @@ def oracle_inverse(f, n: int) -> TruncatedSeries:
 
 def oracle_exp(h, n: int) -> TruncatedSeries:
     """exp(h) mod x**n for h[0] = 0, via j*f_j = sum_i i*h_i*f_{j-i}."""
-    c = coeffs_of(h)
+    c = _finite(h)
     if c.size and c[0] != 0:
         raise DomainError("exp needs a zero constant term")
     ih = np.arange(c.size) * c  # i * h_i
@@ -71,8 +82,10 @@ def oracle_log(f, n: int) -> TruncatedSeries:
 
 def oracle_pow(h, C, n: int) -> TruncatedSeries:
     """h**C mod x**n for h[0] = 1 and complex C, via h*f' = C*h'*f."""
-    c = coeffs_of(h)
+    c = _finite(h)
     C = complex(C)
+    if not np.isfinite(C):
+        raise DomainError("exponent must be finite")
     if c.size == 0 or c[0] != 1:
         raise DomainError("pow needs constant term 1")
     f = np.zeros(n, dtype=np.complex128)

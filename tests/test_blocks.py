@@ -7,6 +7,7 @@ from fastseries import (
     CostLedger,
     DomainError,
     PlanError,
+    double_dft,
     ensure_block_spectra,
     oracle_middle,
     shifted_middle_product,
@@ -194,3 +195,110 @@ def test_missing_spectra_error():
         cache.spec3k("a", 1)
     with pytest.raises(DomainError):
         cache.spec2k("a", 1)
+
+
+# -- the pinned bench scale: k = 16, m/k = 128 ---------------------------------
+
+K, M, NN = 16, 2048, 256  # block size, cut, output order (16 output blocks)
+
+
+def test_triple_at_pinned_scale():
+    rng = np.random.default_rng(10)
+    led = CostLedger()
+    cache, f, g, h = _populated_cache(rng, K, NN, M, ledger=led)
+    before = led.units_total(K)
+    q = triple_middle_product(cache, "a", "b", "c", M, NN, ledger=led)
+    assert led.units_total(K) - before == 3 * (NN // K + 2)
+    assert rel_err(q.coeffs, oracle_middle(f, g, h, M, NN).coeffs) < 1e-10
+
+
+def test_shifted_at_pinned_scale():
+    rng = np.random.default_rng(11)
+    led = CostLedger()
+    cache, f, g, h = _populated_cache(rng, K, NN, M, ledger=led)
+    before = led.units_total(K)
+    q = shifted_middle_product(cache, "a", "b", "c", M - 1, NN, ledger=led)
+    assert led.units_total(K) - before == 3 * (NN // K + 2)
+    assert rel_err(q.coeffs, oracle_middle(f, g, h, M - 1, NN).coeffs) < 1e-10
+
+
+def _pairs(hw_b, hw_c, j):
+    return max(0, min(hw_b, j) - max(0, j - hw_c) + 1)
+
+
+def test_absent_residual_images_cost_nothing():
+    """g*h ends four blocks past the cut, so no cached block pair reaches
+    the residual images further up; f has four blocks, so output blocks
+    past the last image it can reach have no terms at all."""
+    rng = np.random.default_rng(12)
+    f, g, h = disk(rng, 4 * K), disk(rng, M + 4 * K), disk(rng, 2 * K)
+    led = CostLedger()
+    cache, *_ = _populated_cache(rng, K, NN, M, f=f, g=g, h=h)
+    q = triple_middle_product(cache, "a", "b", "c", M, NN, ledger=led)
+    assert rel_err(q.coeffs, oracle_middle(f, g, h, M, NN).coeffs) < 1e-10
+
+    # hand count: straddle image j = M/K - 1, output images j = M/K + i
+    hw_a, hw_b, hw_c, n_out = 3, M // K + 3, 1, NN // K
+    images = [_pairs(hw_b, hw_c, M // K + i) for i in range(-1, n_out)]
+    present = [p > 0 for p in images[1:]]
+    assert images[0] > 0 and not all(present)
+    cmul = 3 * K * sum(images)  # image sums
+    cmul += 2 * K  # straddle inverse
+    cmul += 4 * K  # theta forward
+    live = 0
+    for t in range(n_out):
+        terms = (t <= hw_a) + sum(present[t - lam] for lam in range(min(t, hw_a) + 1))
+        cmul += 3 * K * terms
+        if terms:
+            live += 1
+            cmul += 2 * K  # output inverse
+    assert 0 < live < n_out
+    assert led.scalar["cmul"] == cmul
+    assert led.event_count(label="mp-restore") == 2 * live
+    assert led.units_total(K) == 3 * (2 + live)
+
+
+def test_partial_head_block_retransformed_at_pinned_scale():
+    rng = np.random.default_rng(13)
+    arr = np.zeros(M, dtype=complex)
+    full = disk(rng, M)
+    arr[:1000] = full[:1000]  # block 62 holds 8 of its 16 coefficients
+    cache = BlockCache(K)
+    cache.register("s", arr, known=1000)
+    assert cache.ensure("s", 62, allow_partial=True) == 63
+    arr[1000:1500] = full[1000:1500]
+    cache.extend_known("s", 1500)
+    led = CostLedger()
+    # the grown head block 62 again, plus blocks 63..93 (93 partial)
+    assert cache.ensure("s", 93, ledger=led, allow_partial=True) == 32
+    assert led.event_count(label="s") == 2 * 32
+    assert cache.high_water("s") == 93
+    want = double_dft(full[992:1008], 2 * K, K).values
+    assert np.array_equal(cache.spec3k("s", 62), want)
+
+    f, h = disk(rng, NN), disk(rng, M)
+    cache.register("a", f)
+    cache.register("c", h)
+    cache.ensure("a", NN // K - 1)
+    cache.ensure("c", M // K - 1)
+    q = triple_middle_product(cache, "a", "s", "c", 1472, NN)
+    want = oracle_middle(f, full[:1500], h, 1472, NN).coeffs
+    assert rel_err(q.coeffs, want) < 1e-10
+
+
+@pytest.mark.parametrize("width", [48, 6144])  # one reduction / row-by-row sums
+def test_block_sum_matches_pairwise_loop(width):
+    from fastseries.block_engine import _block_sum
+
+    rng = np.random.default_rng(14)
+    b = disk(rng, 9 * width).reshape(9, width)
+    c = disk(rng, 5 * width).reshape(5, width)
+    for j in range(-1, 15):
+        want, pairs = np.zeros(width, dtype=complex), 0
+        for mu in range(9):
+            if 0 <= j - mu < 5:
+                want += b[mu] * c[j - mu]
+                pairs += 1
+        got = np.zeros(width, dtype=complex)
+        assert _block_sum(b, c, j, got) == pairs
+        assert np.max(np.abs(got - want)) <= 1e-14 * pairs

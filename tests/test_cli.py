@@ -1,7 +1,9 @@
+import hashlib
 import io
 from math import factorial
 
 import numpy as np
+import pytest
 
 from fastseries import load_series
 from fastseries.cli import main, run_bench, run_verify
@@ -73,6 +75,22 @@ def test_non_finite_input_exit_code(tmp_path):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("cmd, coeffs, extra", [
+    ("exp", [0, 0.5, float("nan"), 0.25], []),
+    ("log", [1, float("nan"), 0, 0], []),
+    ("inv", [1, 0.5, float("inf"), 0.25], []),
+    ("pow", [1, 0.5, float("nan"), 0.25], ["--power-re", "0.5"]),
+    ("pow", [1, 0.5, 0, 0], ["--power-re", "inf"]),
+], ids=["exp", "log", "inv", "pow", "pow-exponent"])
+def test_oracle_path_rejects_non_finite_input(tmp_path, cmd, coeffs, extra):
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    write_input(src, coeffs)
+    args = [cmd, str(src), str(dst), "--n", "4", "--algorithm", "oracle", *extra]
+    assert main(args) == 1
+    assert not dst.exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     src = tmp_path / "h.txt"
     src.write_text("#order 2\n0\t1\t0\nbad\n")
@@ -115,6 +133,19 @@ def test_bench_reports_are_byte_identical(tmp_path):
     b1 = rep1.read_bytes()
     b2 = rep2.read_bytes()
     assert b1 == b2 and len(b1) > 0
+
+
+# sha256 of the kv report of `bench --sizes 256,512,1024,2048,4096 --seed 11`:
+# every transform event and scalar count of the pinned k=16 ladder, as the
+# per-block engine recorded them before the block stacks were batched.
+BENCH_KV_SHA256 = "7b2b7d9df737b9e9ebd3f912785e56d1f5d310e5eb004ecdccf36a952d3d7980"
+
+
+def test_bench_report_matches_pinned_digest(tmp_path):
+    rep = tmp_path / "r.txt"
+    args = ["bench", "--sizes", "256,512,1024,2048,4096", "--seed", "11", "--report", str(rep)]
+    assert main(args) == 0
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == BENCH_KV_SHA256
 
 
 def test_bench_stdout_contains_tables():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,14 @@ from fastseries import (
     BlockPlan,
     CostLedger,
     EXPECTED_STAGE_UNITS,
+    fast_exp,
+    fast_pow,
     multiply,
     report_kv,
     report_text,
     stage_table,
 )
+from fastseries.cli import bench_plan, exp_input, pow_input
 
 
 def test_unit_rule():
@@ -22,6 +26,42 @@ def test_unit_rule():
     assert led.units_total(k) == 4
     led.record_dft(2 * k, stage="s")
     assert led.units_total(k) == 6
+
+
+def test_bulk_records_equal_single_records():
+    one, bulk = CostLedger(), CostLedger()
+    with one.stage("s"), bulk.stage("s"):
+        for _ in range(3):
+            one.record_dft(8, label="x")
+            one.record_dft(4, label="x")
+        bulk.record_dfts((8, 4), 3, label="x")
+        bulk.record_dfts((8,), 0, label="x")
+    assert bulk.events == one.events
+
+
+# sha256 of every event (order, stage, label, in recording order) and scalar
+# count of the pinned bench plans' fast_exp / fast_pow at N = 4096, as the
+# block-by-block engine recorded them; none of it depends on the input values.
+EVENT_SHA256 = {
+    "exp": "a6cd07f0c330d20579040e77a4f926de22c935f96e2e5d2687826563518ab3cb",
+    "pow": "a3730d33c7ed5515eecb8706889d62a8d5ec11c6614ada1924e189eda39a3d44",
+}
+
+
+def test_event_sequence_of_pinned_runs():
+    N = 4096
+    rng = np.random.default_rng(31 + N)
+    runs = {
+        "exp": lambda led: fast_exp(exp_input(rng, N), N, plan=bench_plan("exp", N), ledger=led),
+        "pow": lambda led: fast_pow(pow_input(rng, N), 0.3 + 0.7j, N,
+                                    plan=bench_plan("pow", N), ledger=led),
+    }
+    for op, run in runs.items():
+        led = CostLedger()
+        run(led)
+        text = "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
+        text += "".join(f"{kind}={n}\n" for kind, n in sorted(led.scalar.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == EVENT_SHA256[op], op
 
 
 def test_additivity_and_filtering():
