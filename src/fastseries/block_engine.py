@@ -266,26 +266,11 @@ class BlockCache:
             raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
         return rows[:count]
 
-    def spec3k(self, label: str, i: int) -> np.ndarray:
-        rows = self.spectra(label)
-        if i >= rows.shape[0]:
-            raise DomainError(f"missing spectrum for '{label}' block {i}")
-        return rows[i]
-
-    def spec2k(self, label: str, i: int) -> np.ndarray:
-        return self.spectra_2k(label, i + 1)[i]
-
 
 def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None, stage=None) -> int:
     """Transform any not-yet-cached blocks 0..upto of a series; idempotent.
     Each new block costs one combined transform worth 3 order-k units."""
     return cache.ensure(label, upto, ledger=ledger, stage=stage)
-
-
-# Rows wider than this (in spectrum values) are summed one by one: the long
-# blocks of the default plans come few to a sum, and a loop over them costs
-# less than the temporary a single reduction needs.
-_WIDE_ROW = 2048
 
 
 def _block_sum(b: np.ndarray, c: np.ndarray, j: int, out: np.ndarray) -> int:
@@ -297,13 +282,7 @@ def _block_sum(b: np.ndarray, c: np.ndarray, j: int, out: np.ndarray) -> int:
     pairs = hi - lo + 1
     if pairs <= 0:
         return 0
-    bs, cs = b[lo : hi + 1], c[j - hi : j - lo + 1][::-1]
-    if b.shape[1] <= _WIDE_ROW:
-        np.add.reduce(bs * cs, axis=0, out=out)
-    else:
-        np.multiply(bs[0], cs[0], out=out)
-        for i in range(1, pairs):
-            out += bs[i] * cs[i]
+    np.add.reduce(b[lo : hi + 1] * c[j - hi : j - lo + 1][::-1], axis=0, out=out)
     return pairs
 
 

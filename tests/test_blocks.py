@@ -191,10 +191,9 @@ def test_missing_spectra_error():
     cache = BlockCache(2)
     cache.register("a", np.ones(4))
     cache.ensure("a", 0)
+    assert cache.spectra("a").shape == (1, 6)
     with pytest.raises(DomainError):
-        cache.spec3k("a", 1)
-    with pytest.raises(DomainError):
-        cache.spec2k("a", 1)
+        cache.spectra_2k("a", 2)
 
 
 # -- the pinned bench scale: k = 16, m/k = 128 ---------------------------------
@@ -274,7 +273,7 @@ def test_partial_head_block_retransformed_at_pinned_scale():
     assert led.event_count(label="s") == 2 * 32
     assert cache.high_water("s") == 93
     want = double_dft(full[992:1008], 2 * K, K).values
-    assert np.array_equal(cache.spec3k("s", 62), want)
+    assert np.array_equal(cache.spectra("s")[62], want)
 
     f, h = disk(rng, NN), disk(rng, M)
     cache.register("a", f)
@@ -286,11 +285,10 @@ def test_partial_head_block_retransformed_at_pinned_scale():
     assert rel_err(q.coeffs, want) < 1e-10
 
 
-@pytest.mark.parametrize("width", [48, 6144])  # one reduction / row-by-row sums
-def test_block_sum_matches_pairwise_loop(width):
+def test_block_sum_matches_pairwise_loop():
     from fastseries.block_engine import _block_sum
 
-    rng = np.random.default_rng(14)
+    rng, width = np.random.default_rng(14), 48
     b = disk(rng, 9 * width).reshape(9, width)
     c = disk(rng, 5 * width).reshape(5, width)
     for j in range(-1, 15):
