@@ -4,7 +4,6 @@ fast exponential, inverse and constant-power algorithms."""
 from .block_engine import (
     BlockCache,
     BlockPlan,
-    MiddleScratch,
     ensure_block_spectra,
     shifted_middle_product,
     triple_middle_product,
@@ -14,7 +13,6 @@ from .cost_ledger import (
     CostLedger,
     StageBudget,
     main_term_units,
-    report,
     report_kv,
     report_text,
     stage_table,
@@ -39,7 +37,6 @@ from .fast_ops import (
 )
 from .fft_core import (
     Spectrum,
-    TransformSize,
     dft,
     dft_3k,
     double_dft,

@@ -26,7 +26,7 @@ transform, in block order.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,9 @@ class BlockPlan:
     def __post_init__(self):
         if self.fallback:
             return
-        if self.k < 1:
-            raise PlanError("block size must be positive")
+        if self.k < 2:
+            # the head block of a log-derivative extension step holds k-1 known coefficients
+            raise PlanError("block size must be at least 2")
         if self.n % self.k:
             raise PlanError(f"block size {self.k} must divide bootstrap order {self.n}")
         if self.m % self.n:
@@ -73,49 +74,34 @@ class BlockPlan:
         return self.m // self.k
 
 
-@dataclass
-class MiddleScratch:
-    """Intermediates of one block middle product, kept for inspection."""
+class _Stack:
+    """One label's block spectra, one block per row: the double spectrum in
+    all 3k columns, whose first 2k columns are the block's plain order-2k
+    spectrum.  Beside each row, the count of its coefficients the block had
+    known when the whole row (``known``) and when its first 2k columns
+    (``known_2k``) were last transformed (== block size once complete, -1
+    when not current).  ``rows`` counts the rows up to the last double
+    spectrum written; the array has a row for every block the label can
+    hold."""
 
-    u_images: dict = field(default_factory=dict)  # residual image per block, None if absent
-    boundary_poly: np.ndarray | None = None  # straddling block, coefficient form
-    theta: np.ndarray | None = None
-    d_polys: np.ndarray | None = None  # output blocks, coefficient form, one per row
+    __slots__ = ("spec", "known", "known_2k", "rows")
 
-
-class _Lane:
-    """Spectra of one label's blocks in one transform space, one block per
-    row, beside the count of its coefficients each block had known when it
-    was transformed (== block size once complete, -1 before the first
-    transform).  Rows 0..rows-1 are filled; the array has a row for every
-    block the label can hold, and rows are first written when filled."""
-
-    __slots__ = ("spec", "known", "rows")
-
-    def __init__(self, capacity: int, width: int):
-        self.spec = np.empty((capacity, width), dtype=np.complex128)
+    def __init__(self, capacity: int, k: int):
+        self.spec = np.empty((capacity, 3 * k), dtype=np.complex128)
         self.known = np.full(capacity, -1, dtype=np.int64)
+        self.known_2k = np.full(capacity, -1, dtype=np.int64)
         self.rows = 0
-
-    def stale(self, states: np.ndarray) -> np.ndarray:
-        """Indices of the blocks not yet transformed at the known counts
-        ``states`` gives for blocks 0..states.size-1."""
-        return np.flatnonzero(self.known[: states.size] != states)
-
-    def store(self, idx: np.ndarray, values: np.ndarray, known: np.ndarray):
-        self.spec[idx] = values
-        self.known[idx] = known
-        self.rows = max(self.rows, int(idx[-1]) + 1)
 
 
 class BlockCache:
     """Per-label stacks of block spectra over registered coefficient arrays.
 
-    Each label keeps one 2-d array of double spectra, row i for block i, and
-    a second one of plain order-2k spectra for short products; when a double
-    spectrum of the same block state exists, its first segment fills the 2k
-    row at no transform cost.  Rows 0..high_water are always current for
-    the known count they were made at; a stale row is transformed again.
+    Each label keeps one 2-d array, row i for block i, holding its double
+    spectra; short products read the order-2k spectra as the first 2k
+    columns of the same rows.  A row is current for the known count it was
+    made at; a stale row is transformed again, either whole (``ensure``) or
+    in its first 2k columns only (``ensure_2k``, which leaves the rest of
+    the row stale).
 
     Single writer; readers may share it once a frontier is published.
     """
@@ -127,8 +113,7 @@ class BlockCache:
         self._arrays: dict[str, np.ndarray] = {}
         self._known: dict[str, int] = {}
         self._block: dict[str, int] = {}
-        self._double: dict[str, _Lane] = {}
-        self._plain: dict[str, _Lane] = {}
+        self._stacks: dict[str, _Stack] = {}
 
     # -- series registration --------------------------------------------------
 
@@ -137,9 +122,7 @@ class BlockCache:
         self._arrays[label] = arr
         self._known[label] = arr.size if known is None else int(known)
         self._block[label] = self.k if block is None else int(block)
-        capacity = -(-arr.size // self._block[label])
-        self._double[label] = _Lane(capacity, 3 * self.k)
-        self._plain[label] = _Lane(capacity, 2 * self.k)
+        self._stacks[label] = _Stack(-(-arr.size // self._block[label]), self.k)
 
     def has(self, label: str) -> bool:
         return label in self._arrays
@@ -158,13 +141,16 @@ class BlockCache:
         return self._known[label]
 
     def alias(self, dst: str, src: str, upto: int):
-        """Give dst a copy of src's double spectra 0..upto (content must agree there)."""
-        lane = self._double[src]
-        if upto >= lane.rows:
-            raise DomainError(f"alias range 0..{upto} beyond {src}'s {lane.rows} slots")
-        copy = _Lane(self._double[dst].known.size, 3 * self.k)
-        copy.store(np.arange(upto + 1), lane.spec[: upto + 1], lane.known[: upto + 1])
-        self._double[dst] = copy
+        """Give dst a copy of src's spectra 0..upto (content must agree there)."""
+        src_stack = self._stacks[src]
+        if upto >= src_stack.rows:
+            raise DomainError(f"alias range 0..{upto} beyond {src}'s {src_stack.rows} slots")
+        stack = _Stack(self._stacks[dst].known.size, self.k)
+        stack.spec[: upto + 1] = src_stack.spec[: upto + 1]
+        stack.known[: upto + 1] = src_stack.known[: upto + 1]
+        stack.known_2k[: upto + 1] = src_stack.known_2k[: upto + 1]
+        stack.rows = upto + 1
+        self._stacks[dst] = stack
 
     # -- spectra ----------------------------------------------------------------
 
@@ -213,58 +199,51 @@ class BlockCache:
         if self._block[label] > 2 * self.k:
             raise PlanError("blocks larger than 2k do not fit the image space")
         states = self._block_states(label, upto, allow_partial)
-        lane = self._double[label]
-        stale = lane.stale(states)
+        stack = self._stacks[label]
+        stale = np.flatnonzero(stack.known[: states.size] != states)
         if stale.size:
             spec = fft_core.double_dft(self._blocks(label, stale, states[stale]), 2 * self.k,
                                        self.k, ledger=ledger, stage=stage, label=label)
-            lane.store(stale, spec.values, states[stale])
+            stack.spec[stale] = spec.values
+            stack.known[stale] = stack.known_2k[stale] = states[stale]
+            stack.rows = max(stack.rows, int(stale[-1]) + 1)
         return int(stale.size)
 
     def ensure_2k(self, label: str, upto: int, ledger=None, stage=None, allow_partial=False) -> int:
-        """Plain order-2k spectra for blocks 0..upto, reusing the first segment
-        of a matching double spectrum when one exists; the rest are
-        transformed in one batch, whose count is returned."""
-        size = self._block[label]
-        if size != self.k:
-            raise DomainError("the 2k lane is only kept for size-k blocks")
+        """Make the order-2k spectra (the first 2k columns) of blocks 0..upto
+        current.  A row made at the block's current count, whole or in
+        those columns, already holds them; the others are transformed at
+        order 2k in one batch, whose count is returned (2 order-k units
+        each), and the rest of their rows goes stale."""
+        if self._block[label] != self.k:
+            raise DomainError("order-2k spectra are only kept for size-k blocks")
         states = self._block_states(label, upto, allow_partial)
-        lane = self._plain[label]
-        stale = lane.stale(states)
-        double = self._double[label]
-        reuse = double.known[stale] == states[stale]
-        if reuse.any():
-            idx = stale[reuse]
-            lane.store(idx, double.spec[idx, : 2 * size], states[idx])
-        fresh = stale[~reuse]
-        if fresh.size:
-            spec = fft_core.dft(self._blocks(label, fresh, states[fresh]), 2 * size,
+        stack = self._stacks[label]
+        stale = np.flatnonzero(stack.known_2k[: states.size] != states)
+        if stale.size:
+            spec = fft_core.dft(self._blocks(label, stale, states[stale]), 2 * self.k,
                                 ledger=ledger, stage=stage, label=label)
-            lane.store(fresh, spec.values, states[fresh])
-        return int(fresh.size)
+            stack.spec[stale, : 2 * self.k] = spec.values
+            stack.known_2k[stale] = states[stale]
+            stack.known[stale] = -1
+        return int(stale.size)
 
     def high_water(self, label: str) -> int:
-        """Index of the last transformed block, -1 when none."""
-        return self._double[label].rows - 1
+        """Index of the last block with a double spectrum, -1 when none."""
+        return self._stacks[label].rows - 1
 
     def spectra(self, label: str) -> np.ndarray:
         """Double spectra of blocks 0..high_water, one block per row."""
-        lane = self._double[label]
-        return lane.spec[: lane.rows]
+        stack = self._stacks[label]
+        return stack.spec[: stack.rows]
 
-    def spectra_2k(self, label: str, count: int | None = None) -> np.ndarray:
-        """Order-2k spectra of blocks 0..count-1 (default: all of the 2k
-        lane's rows), taken from the double spectra when the 2k lane holds
-        fewer than count rows."""
-        lane = self._plain[label]
-        rows = lane.spec[: lane.rows]
-        if count is None:
-            return rows
-        if rows.shape[0] < count:
-            rows = self.spectra(label)[:, : 2 * self._block[label]]
-        if rows.shape[0] < count:
+    def spectra_2k(self, label: str, count: int) -> np.ndarray:
+        """Order-2k spectra of blocks 0..count-1: a view of the first 2k
+        columns of their rows."""
+        known_2k = self._stacks[label].known_2k
+        if count > known_2k.size or (count > 0 and known_2k[count - 1] < 0):
             raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
-        return rows[:count]
+        return self._stacks[label].spec[:count, : 2 * self.k]
 
 
 def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None, stage=None) -> int:
@@ -313,7 +292,7 @@ def _invert_live(rows: np.ndarray, live: list, ledger, label: str, k: int | None
         if k is None:
             return fft_core.inverse_dft(fft_core.Spectrum(values, "plain"),
                                         ledger=ledger, label=label)
-        spec = fft_core.Spectrum(values, "double", l=2 * k, k=k, zeta=fft_core.zeta_for(k))
+        spec = fft_core.Spectrum(values, "double", l=2 * k, k=k)
         return fft_core.inverse_double_dft(spec, ledger=ledger, label=label)
 
     if all(live):
@@ -347,13 +326,13 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     block axis of the stacked spectra; the output blocks are inverted in one
     batch.
 
-    Returns (q, straddle_poly, scratch); straddle_poly is the residual's
+    Returns (q, straddle_poly, out_blocks); straddle_poly is the residual's
     straddling block in coefficient form, whose coefficient k-1 is the single
-    boundary value shifted products need.
+    boundary value shifted products need, and out_blocks holds the output
+    blocks in coefficient form, one per row.
     """
     k = cache.k
     n_blocks = -(-out_len // k) if out_len > 0 else 0
-    scratch = MiddleScratch()
     if linear is not None and block_shift % 2:
         raise PlanError("a folded linear term needs an even block shift")
 
@@ -370,13 +349,10 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
                 present[i] = True
                 if ledger is not None:
                     ledger.add_scalar("cmul", res.shape[1])
-    scratch.u_images = {i - 1: res[i] if present[i] else None for i in range(n_blocks + 1)}
 
     # Straddling block: one inverse to read theta and the boundary value.
     straddle = _invert_live(res[:1], present[:1], ledger, "u-boundary", k)[0]
-    scratch.boundary_poly = straddle
     theta = straddle[k : 2 * k]
-    scratch.theta = theta
 
     out_blocks = np.zeros((0, 3 * k), dtype=np.complex128)
     if n_blocks > 0:
@@ -399,14 +375,16 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         if ledger is not None:
             ledger.add_scalar("cmul", 3 * k * terms)
         out_blocks = _invert_live(acc, live, ledger, "mp-restore", k)
-    scratch.d_polys = out_blocks
     q = _overlap_rows(out_blocks, k, max(out_len, 0))
-    return q, straddle, scratch
+    return q, straddle, out_blocks
+
+
+def _in_stage(ledger, stage):
+    return ledger.stage(stage) if (ledger is not None and stage) else contextlib.nullcontext()
 
 
 def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label: str,
-                          shift: int, n: int, ledger=None, stage=None,
-                          return_scratch=False):
+                          shift: int, n: int, ledger=None, stage=None):
     """q = a * floor(b*c / x**shift) mod x**n for a block-aligned shift.
 
     All block spectra must already be cached (see ensure_block_spectra); the
@@ -418,35 +396,35 @@ def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label
         raise DomainError(f"shift {shift} is not a nonnegative multiple of block size {k}")
     if n % k:
         raise DomainError(f"output order {n} is not a multiple of block size {k}")
-    ctx = ledger.stage(stage) if (ledger is not None and stage) else contextlib.nullcontext()
-    with ctx:
-        q, _, scratch = _aligned_middle(cache, a_label, b_label, c_label, shift // k, n, ledger)
-    result = TruncatedSeries(q)
-    if return_scratch:
-        return result, scratch
-    return result
+    with _in_stage(ledger, stage):
+        q, _, _ = _aligned_middle(cache, a_label, b_label, c_label, shift // k, n, ledger)
+    return TruncatedSeries(q)
 
 
 def shifted_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label: str,
-                           shift: int, n: int, ledger=None, stage=None):
-    """q = a * floor(b*c / x**shift) mod x**n for shift = (multiple of k) - 1.
+                           shift: int, n: int, ledger=None, stage=None, linear=None):
+    """q = a * floor(v / x**shift) mod x**n for shift = (multiple of k) - 1,
+    where v = b*c, or coef*g - b*c when ``linear=(coef, g_label)`` names a
+    series g held in double-sized blocks (see _aligned_middle).
 
     Splitting off the single coefficient below the aligned cut,
     floor(v/x**s) = v_s + x*floor(v/x**(s+1)), reduces this to the aligned
     product of order n-1 plus one scalar-times-vector term; the boundary
-    value v_s is read from the straddling block at no extra transform cost.
+    value v_s is read from the straddling block at no extra transform cost
+    (plus coef*g_s, since the linear term never reaches that block).
     """
     k = cache.k
     if shift < 1 or (shift + 1) % k:
         raise DomainError(f"shift {shift} must be one below a multiple of {k}")
     if n < 1:
         raise DomainError("output order must be positive")
-    ctx = ledger.stage(stage) if (ledger is not None and stage) else contextlib.nullcontext()
-    with ctx:
+    with _in_stage(ledger, stage):
         q_aligned, straddle, _ = _aligned_middle(
-            cache, a_label, b_label, c_label, (shift + 1) // k, n - 1, ledger
+            cache, a_label, b_label, c_label, (shift + 1) // k, n - 1, ledger, linear=linear
         )
         v = straddle[k - 1]
+        if linear is not None:
+            v = linear[0] * cache.series_array(linear[1])[shift] + v
         a_arr = cache.series_array(a_label)
         out = np.zeros(n, dtype=np.complex128)
         take = min(n, cache.known(a_label))

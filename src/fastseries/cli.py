@@ -59,6 +59,18 @@ def _max_err(got, want):
     return float(np.max(np.abs(got - want))) / scale if want.size else 0.0
 
 
+# CLI command -> name of its fast_ops.fast_* and oracle.oracle_* functions
+_OPS = {"exp": "exp", "log": "log", "inv": "inverse", "pow": "pow"}
+
+
+def _run(command, algorithm, head, n, **options):
+    """Call a command's fast or reference function on (*head, n); the
+    function is looked up at call time."""
+    if algorithm == "oracle":
+        return getattr(oracle, "oracle_" + _OPS[command])(*head, n)
+    return getattr(fast_ops, "fast_" + _OPS[command])(*head, n, **options)
+
+
 def run_verify(sizes, seed, report_path=None, out=sys.stdout):
     """Fast-vs-reference sweep; returns the worst normalized error and writes
     one line per check."""
@@ -67,25 +79,14 @@ def run_verify(sizes, seed, report_path=None, out=sys.stdout):
     for size in sizes:
         rng = np.random.default_rng(seed + size)
         h = exp_input(rng, size)
-        got = fast_ops.fast_exp(h, size).coeffs
-        want = oracle.oracle_exp(h, size).coeffs
-        err = _max_err(got, want)
-        worst = max(worst, err)
-        lines.append(f"exp N={size} max_err={err:.3e}")
-
         g = pow_input(rng, size)
-        got = fast_ops.fast_inverse(g, size).coeffs
-        want = oracle.oracle_inverse(g, size).coeffs
-        err = _max_err(got, want)
-        worst = max(worst, err)
-        lines.append(f"inv N={size} max_err={err:.3e}")
-
-        for C in VERIFY_POWERS:
-            got = fast_ops.fast_pow(g, C, size).coeffs
-            want = oracle.oracle_pow(g, C, size).coeffs
-            err = _max_err(got, want)
+        checks = [("exp", (h,), ""), ("inv", (g,), "")]
+        checks += [("pow", (g, C), f" C={C:g}") for C in VERIFY_POWERS]
+        for command, head, tag in checks:
+            err = _max_err(_run(command, "fast", head, size).coeffs,
+                           _run(command, "oracle", head, size).coeffs)
             worst = max(worst, err)
-            lines.append(f"pow N={size} C={C:g} max_err={err:.3e}")
+            lines.append(f"{command} N={size}{tag} max_err={err:.3e}")
     status = "ok" if worst <= VERIFY_TOL else "FAIL"
     lines.append(f"verify result={status} worst={worst:.3e}")
     text = "\n".join(lines) + "\n"
@@ -136,32 +137,12 @@ def _transform(args):
     series = load_series(args.input)
     ledger = CostLedger()
     plan = None
+    options = {"ledger": ledger}
     if args.command in ("exp", "pow") and (args.block_size or args.bootstrap_order):
         plan = fast_ops.choose_plan(args.n, k=args.block_size, n=args.bootstrap_order)
-
-    if args.command == "exp":
-        if args.algorithm == "oracle":
-            result = oracle.oracle_exp(series, args.n)
-        else:
-            result = fast_ops.fast_exp(series, args.n, plan=plan, ledger=ledger)
-    elif args.command == "log":
-        if args.algorithm == "oracle":
-            result = oracle.oracle_log(series, args.n)
-        else:
-            result = fast_ops.fast_log(series, args.n, ledger=ledger)
-    elif args.command == "inv":
-        if args.algorithm == "oracle":
-            result = oracle.oracle_inverse(series, args.n)
-        else:
-            result = fast_ops.fast_inverse(series, args.n, ledger=ledger)
-    elif args.command == "pow":
-        C = complex(args.power_re, args.power_im)
-        if args.algorithm == "oracle":
-            result = oracle.oracle_pow(series, C, args.n)
-        else:
-            result = fast_ops.fast_pow(series, C, args.n, plan=plan, ledger=ledger)
-    else:
-        raise AssertionError(args.command)
+        options["plan"] = plan
+    head = (series, complex(args.power_re, args.power_im)) if args.command == "pow" else (series,)
+    result = _run(args.command, args.algorithm, head, args.n, **options)
 
     dump_series(result, args.output)
     if args.report:

@@ -117,50 +117,32 @@ class CostLedger:
 
     # -- aggregation ---------------------------------------------------------
 
+    def _select(self, stage: str | None, label: str | None) -> list[DftEvent]:
+        """Events of the given stage and label (any when None)."""
+        return [ev for ev in self.events
+                if (stage is None or ev.stage == stage) and (label is None or ev.label == label)]
+
     def units_for(self, k: int, stage: str | None = None, label: str | None = None) -> Fraction:
         """Total units relative to block size k over matching events."""
-        total = Fraction(0)
-        for ev in self.events:
-            if stage is not None and ev.stage != stage:
-                continue
-            if label is not None and ev.label != label:
-                continue
-            total += Fraction(ev.order, k)
-        return total
+        return Fraction(sum(ev.order for ev in self._select(stage, label)), k)
 
     def units_by_stage(self, k: int) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for ev in self.events:
-            out[ev.stage] = out.get(ev.stage, Fraction(0)) + Fraction(ev.order, k)
-        for tag in self._touched:
-            out.setdefault(tag, Fraction(0))
-        return out
+        tags = dict.fromkeys([ev.stage for ev in self.events] + self._touched)
+        return {tag: self.units_for(k, stage=tag) for tag in tags}
 
     def units_total(self, k: int, include_bootstrap: bool = True) -> Fraction:
-        total = Fraction(0)
-        for ev in self.events:
-            if not include_bootstrap and ev.stage.startswith(BOOTSTRAP_PREFIX):
-                continue
-            total += Fraction(ev.order, k)
-        return total
+        return Fraction(sum(ev.order for ev in self.events
+                            if include_bootstrap or not ev.stage.startswith(BOOTSTRAP_PREFIX)), k)
 
     def event_count(self, stage: str | None = None, label: str | None = None) -> int:
-        n = 0
-        for ev in self.events:
-            if stage is not None and ev.stage != stage:
-                continue
-            if label is not None and ev.label != label:
-                continue
-            n += 1
-        return n
+        return len(self._select(stage, label))
 
 
 def stage_table(ledger: CostLedger, plan) -> list[StageBudget]:
     """Per-stage measured units normalized by m/k, next to the expected constants."""
     mk = Fraction(plan.m, plan.k)
     rows = []
-    for tag in sorted(ledger.units_by_stage(plan.k)):
-        units = ledger.units_for(plan.k, stage=tag)
+    for tag, units in sorted(ledger.units_by_stage(plan.k).items()):
         rows.append(
             StageBudget(
                 stage=tag,
@@ -171,11 +153,6 @@ def stage_table(ledger: CostLedger, plan) -> list[StageBudget]:
             )
         )
     return rows
-
-
-def report(ledger: CostLedger, plan) -> list[StageBudget]:
-    """The stage budget table; see report_text/report_kv for rendered forms."""
-    return stage_table(ledger, plan)
 
 
 def main_term_units(ledger: CostLedger, k: int) -> Fraction:

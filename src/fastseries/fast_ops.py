@@ -83,6 +83,14 @@ def _finite_result(c: np.ndarray) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
+def _padded(c: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` coefficients of c, zero-extended to that length."""
+    out = np.zeros(size, dtype=np.complex128)
+    take = min(size, c.size)
+    out[:take] = c[:take]
+    return out
+
+
 def _prefix_inverse(f, n: int) -> np.ndarray:
     """1/f mod x**n for a bootstrap prefix, without a ledger."""
     if n <= ORACLE_MAX_ORDER:
@@ -164,18 +172,44 @@ def _window_product_2k(cache, x_label, x_count, y, out_len, ledger,
     return block_engine._overlap_rows(acc, k, out_len)
 
 
-def _ode_update(cache, b_label, frontier, plan, ledger):
-    """One extension step of the first-half update formula: the shifted
-    middle product against the cached derivative-like series, integrated and
-    multiplied back by the fixed prefix."""
-    n, k = plan.n, plan.k
-    q = shifted_middle_product(cache, "r", b_label, "f", frontier - 1, n, ledger=ledger)
-    tail = q.coeffs / np.arange(frontier, frontier + n)
-    if ledger is not None:
-        ledger.add_scalar("smul", n)
-    return _window_product_2k(
-        cache, "f", n // k, tail, n, ledger, y_label="j-blocks", out_label="update-restore"
-    )
+def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> np.ndarray:
+    """f mod x**m from its order-n prefix f_n and the reciprocal prefix r_n:
+    the frontier grows by n per step through the update
+    f += f_n * J(x**(fr-1) * r_n * floor(b * f / x**(fr-1))), where b is the
+    cached derivative-like series b_label, whose new blocks are transformed
+    under b_stage (the current stage when None).  Registers f and r."""
+    m, n, k = plan.m, plan.n, plan.k
+    f_arr = _padded(f_n, m)
+    cache.register("f", f_arr, known=n)
+    cache.register("r", r_n)
+    with ledger.stage(stage):
+        cache.ensure("r", n // k - 1, ledger=ledger)
+        for fr in range(n, m, n):
+            cache.ensure(b_label, (fr + n) // k - 1, ledger=ledger, stage=b_stage)
+            cache.ensure("f", fr // k - 1, ledger=ledger)
+            q = shifted_middle_product(cache, "r", b_label, "f", fr - 1, n, ledger=ledger)
+            tail = q.coeffs / np.arange(fr, fr + n)
+            ledger.add_scalar("smul", n)
+            f_arr[fr : fr + n] = _window_product_2k(
+                cache, "f", n // k, tail, n, ledger, y_label="j-blocks", out_label="update-restore"
+            )
+            cache.extend_known("f", fr + n)
+        cache.ensure("f", m // k - 1, ledger=ledger)
+    return f_arr
+
+
+def _final_stage(cache, f_arr, w_tail, plan, ledger, stage) -> np.ndarray:
+    """f + x**m * (f * w_tail mod x**m) for the order-m prefix f, as one
+    blockwise short product on the order-2k segments of f's cached blocks;
+    w_tail is the upper half of the correction, divided by its powers."""
+    m, k = plan.m, plan.k
+    with ledger.stage(stage):
+        ledger.add_scalar("smul", m)
+        ledger.add_scalar("cadd", m)
+        upper = _window_product_2k(
+            cache, "f", m // k, w_tail, m, ledger, y_label="w-blocks", out_label="final-restore"
+        )
+    return np.concatenate([f_arr, upper])
 
 
 # -- inverse ------------------------------------------------------------------
@@ -218,31 +252,17 @@ def exp_first_half(h, m: int, plan: BlockPlan | None = None, ledger=None):
     if h_arr.size < m:
         raise DomainError(f"need at least {m} coefficients of the argument")
     led = ledger if ledger is not None else CostLedger()
-    n, k = plan.n, plan.k
-    a = n // k
+    n = plan.n
 
     hh = h_arr[: 2 * m]
-    dh = np.arange(1, hh.size) * hh[1:]
     with led.stage("bootstrap.E"):
         f_n = (oracle_exp(hh[:n], n) if n <= ORACLE_MAX_ORDER else fast_exp(hh[:n], n)).coeffs
     with led.stage("bootstrap.I"):
         r_n = _prefix_inverse(f_n, n)
 
-    f_arr = np.zeros(m, dtype=np.complex128)
-    f_arr[:n] = f_n
-    cache = BlockCache(k)
-    cache.register("f", f_arr, known=n)
-    cache.register("dh", dh)
-    cache.register("r", r_n)
-
-    with led.stage("exp.stage1"):
-        cache.ensure("r", a - 1, ledger=led)
-        for fr in range(n, m, n):
-            cache.ensure("dh", (fr + n) // k - 1, ledger=led)
-            cache.ensure("f", fr // k - 1, ledger=led)
-            f_arr[fr : fr + n] = _ode_update(cache, "dh", fr, plan, led)
-            cache.extend_known("f", fr + n)
-        cache.ensure("f", m // k - 1, ledger=led)
+    cache = BlockCache(plan.k)
+    cache.register("dh", np.arange(1, hh.size) * hh[1:])
+    f_arr = _first_half(cache, f_n, r_n, "dh", plan, led, "exp.stage1")
     return TruncatedSeries(f_arr), cache
 
 
@@ -292,41 +312,18 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
     if plan.fallback:
         with led.stage("bootstrap.E"):
             return _finite_result(oracle_exp(h_arr, N).coeffs)
-    m, k = plan.m, plan.k
-    h2 = np.zeros(2 * m, dtype=np.complex128)
-    take = min(h_arr.size, 2 * m)
-    h2[:take] = h_arr[:take]
+    m = plan.m
+    if 2 * m < N:
+        raise PlanError(f"plan reaches order {2 * m}, below {N}")
+    h2 = _padded(h_arr, 2 * m)
 
     f_m, cache = exp_first_half(h2, m, plan=plan, ledger=led)
     s = log_extend(f_m, cache.series_array("r"), cache, 2 * m, plan, ledger=led)
-    with led.stage("exp.final"):
-        idx = np.arange(m, 2 * m)
-        w_tail = h2[m:] - s.coeffs[m - 1 :] / idx
-        led.add_scalar("smul", m)
-        led.add_scalar("cadd", m)
-        upper = _window_product_2k(
-            cache, "f", m // k, w_tail, m, led, y_label="w-blocks", out_label="final-restore"
-        )
-    return _finite_result(np.concatenate([f_m.coeffs, upper])[:N])
+    w_tail = h2[m:] - s.coeffs[m - 1 :] / np.arange(m, 2 * m)
+    return _finite_result(_final_stage(cache, f_m.coeffs, w_tail, plan, led, "exp.final")[:N])
 
 
 # -- constant powers ----------------------------------------------------------
-
-def _s_first_step(cache, dh, C, frontier, plan, ledger):
-    """One lower-half extension of s = C*h'/h: the flooring pass runs on the
-    residual C*h' - s*h, with h' folded in as double-sized blocks."""
-    n, k = plan.n, plan.k
-    q_al, straddle, _ = block_engine._aligned_middle(
-        cache, "rho", "s", "h", frontier // k, n - 1, ledger, linear=(C, "dh2")
-    )
-    v = C * dh[frontier - 1] + straddle[k - 1]
-    out = v * cache.series_array("rho")[:n]
-    out[1:] += q_al
-    if ledger is not None:
-        ledger.add_scalar("cmul", n)
-        ledger.add_scalar("cadd", n - 1)
-    return out
-
 
 def _s_second_half(cache, s_arr, dh, C, plan, ledger):
     """Upper half of s = C*h'/h: each extension is two plain order-2k short
@@ -337,7 +334,8 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
         cache.ensure_2k("h", (fr + n) // k - 1, ledger=ledger)
         cache.ensure_2k("s", fr // k - 1, ledger=ledger, allow_partial=True)
         # row 0 is the straddling block below the cut, rows 1..a the window's
-        u, live = block_engine._image_rows(cache.spectra_2k("s"), cache.spectra_2k("h"),
+        u, live = block_engine._image_rows(cache.spectra_2k("s", fr // k),
+                                           cache.spectra_2k("h", (fr + n) // k),
                                            fr // k - 1, a + 1, ledger)
         u = block_engine._invert_live(u, live, ledger, "u2k-restore")
         window = block_engine._overlap_rows(u, k, n - 1 + k)[k:]
@@ -373,9 +371,7 @@ def s_iteration(h, rho_n, s_seed, cache: BlockCache, target: int, C, plan: Block
     h_arr = coeffs_of(h)
     if h_arr.size == 0 or h_arr[0] != 1:
         raise DomainError("power runs need constant term 1")
-    h2 = np.zeros(2 * m, dtype=np.complex128)
-    take = min(h_arr.size, 2 * m)
-    h2[:take] = h_arr[:take]
+    h2 = _padded(h_arr, 2 * m)
     dh = np.arange(1, 2 * m) * h2[1:]
 
     if not cache.has("h"):
@@ -397,7 +393,9 @@ def s_iteration(h, rho_n, s_seed, cache: BlockCache, target: int, C, plan: Block
             cache.ensure("h", (fr + n) // k - 1, ledger=led)
             cache.ensure("dh2", (fr + n) // (2 * k) - 1, ledger=led)
             cache.ensure("s", fr // k - 1, ledger=led, allow_partial=True)
-            s_arr[fr - 1 : fr + n - 1] = _s_first_step(cache, dh, C, fr, plan, led)
+            q = shifted_middle_product(cache, "rho", "s", "h", fr - 1, n, ledger=led,
+                                       linear=(C, "dh2"))
+            s_arr[fr - 1 : fr + n - 1] = q.coeffs
             cache.extend_known("s", fr + n - 1)
     with led.stage("pow.s.second"):
         _s_second_half(cache, s_arr, dh, C, plan, led)
@@ -418,10 +416,7 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         out[0] = 1.0
         return TruncatedSeries(out)
     if Cc == 1:
-        out = np.zeros(N, dtype=np.complex128)
-        take = min(N, h_arr.size)
-        out[:take] = h_arr[:take]
-        return TruncatedSeries(out)
+        return TruncatedSeries(_padded(h_arr, N))
     if plan is None:
         plan = choose_plan(N)
     if plan.fallback:
@@ -430,11 +425,9 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     m, n, k = plan.m, plan.n, plan.k
     if n % (2 * k):
         raise PlanError("power runs need the extension order to span double blocks")
-    a = n // k
-
-    h2 = np.zeros(2 * m, dtype=np.complex128)
-    take = min(h_arr.size, 2 * m)
-    h2[:take] = h_arr[:take]
+    if 2 * m < N:
+        raise PlanError(f"plan reaches order {2 * m}, below {N}")
+    h2 = _padded(h_arr, 2 * m)
 
     with led.stage("bootstrap.P"):
         f_n = (oracle_pow(h2[:n], Cc, n) if n <= ORACLE_MAX_ORDER
@@ -450,32 +443,12 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     cache = BlockCache(k)
     s_arr = s_iteration(h2, rho_n, seed, cache, 2 * m - 1, Cc, plan, ledger=led).coeffs
 
-    f_arr = np.zeros(m, dtype=np.complex128)
-    f_arr[:n] = f_n
-    cache.register("f", f_arr, known=n)
-    cache.register("r", r_n)
-    with led.stage("pow.f"):
-        cache.ensure("r", a - 1, ledger=led)
-        for fr in range(n, m, n):
-            cache.ensure("s", (fr + n) // k - 1, ledger=led, stage="pow.s.first",
-                         allow_partial=True)
-            cache.ensure("f", fr // k - 1, ledger=led)
-            f_arr[fr : fr + n] = _ode_update(cache, "s", fr, plan, led)
-            cache.extend_known("f", fr + n)
-        cache.ensure("f", m // k - 1, ledger=led)
-
+    # the blocks of s are charged to the stage that computed s
+    f_arr = _first_half(cache, f_n, r_n, "s", plan, led, "pow.f", b_stage="pow.s.first")
     sf = log_extend(TruncatedSeries(f_arr), r_n, cache, 2 * m, plan, ledger=led,
                     stage="pow.log", label="sf", seed_label="s", alias_upto=m // k - 1)
-
-    with led.stage("pow.final"):
-        idx = np.arange(m, 2 * m)
-        w_tail = (s_arr[m - 1 :] - sf.coeffs[m - 1 :]) / idx
-        led.add_scalar("smul", m)
-        led.add_scalar("cadd", m)
-        upper = _window_product_2k(
-            cache, "f", m // k, w_tail, m, led, y_label="w-blocks", out_label="final-restore"
-        )
-    return _finite_result(np.concatenate([f_arr, upper])[:N])
+    w_tail = (s_arr[m - 1 :] - sf.coeffs[m - 1 :]) / np.arange(m, 2 * m)
+    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, led, "pow.final")[:N])
 
 
 def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
@@ -490,9 +463,7 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     out = np.zeros(N, dtype=np.complex128)
     if N == 1:
         return TruncatedSeries(out)
-    cc = np.zeros(N, dtype=np.complex128)
-    take = min(N, c.size)
-    cc[:take] = c[:take]
+    cc = _padded(c, N)
     df = np.arange(1, N) * cc[1:]
     inv = fast_inverse(cc[: N - 1], N - 1, ledger=led)
     prod = mul_mod(df, inv, N - 1, ledger=led, label="log")

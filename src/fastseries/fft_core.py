@@ -46,18 +46,6 @@ def granted_length(n: int) -> int:
     return min(c for c in (p2, p3) if c >= n)
 
 
-@dataclass(frozen=True)
-class TransformSize:
-    """A requested length together with the smallest supported one covering it."""
-
-    requested: int
-    granted: int
-
-    @classmethod
-    def for_length(cls, n: int) -> "TransformSize":
-        return cls(requested=n, granted=granted_length(n))
-
-
 def zeta_for(k: int) -> complex:
     """Rotation used on the second segment of a double spectrum; zeta**k = i."""
     return complex(np.exp(1j * np.pi / (2 * k)))
@@ -101,7 +89,6 @@ class Spectrum:
     kind: str
     l: int = 0
     k: int = 0
-    zeta: complex = 0j
 
     @property
     def length(self) -> int:
@@ -117,7 +104,7 @@ class Spectrum:
             )
         if ledger is not None:
             ledger.add_scalar("cmul", self.values.size)
-        return Spectrum(self.values * other.values, self.kind, self.l, self.k, self.zeta)
+        return Spectrum(self.values * other.values, self.kind, self.l, self.k)
 
 
 # -- leaf kernels (no recording) ------------------------------------------
@@ -192,7 +179,6 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
         raise UnsupportedLengthError(
             f"polynomial with {width} coefficients exceeds double order ({l},{k})"
         )
-    zeta = zeta_for(k)
     fold_l = np.zeros(c.shape[:-1] + (l,), dtype=np.complex128)
     for t in range(0, width, l):
         chunk = c[..., t : t + l]
@@ -210,7 +196,7 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
         ledger.add_scalar("cadd", c.size)
     _record(ledger, (l, k), rows, stage, label)
     values = np.concatenate([_forward(fold_l, l), _forward(fold_k, k)], axis=-1)
-    return Spectrum(values, "double", l=l, k=k, zeta=zeta)
+    return Spectrum(values, "double", l=l, k=k)
 
 
 def inverse_double_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.ndarray:

@@ -1,0 +1,44 @@
+"""The traced benchmark run wraps library functions by module attribute name
+(perfbench/spans.py); a rename in src/ would silently drop its spans."""
+
+import importlib.util
+import pathlib
+import sys
+
+import numpy as np
+
+from fastseries import fast_exp, fast_pow
+from fastseries.cli import bench_plan, exp_input, pow_input
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave the benchmark directory as it is
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_every_block_engine_span_fires_on_pinned_runs():
+    spans = _load_spans()
+    N = 1024
+    rng = np.random.default_rng(N)
+    h, g = exp_input(rng, N), pow_input(rng, N)
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        fast_exp(h, N, plan=bench_plan("exp", N))
+        fast_pow(g, 0.3 + 0.7j, N, plan=bench_plan("pow", N))
+    names = {name for _, _, name in spans.WRAPPED if name.startswith("block_engine.")}
+    assert names == {"block_engine.ensure", "block_engine.ensure_2k",
+                     "block_engine.aligned_middle", "block_engine.window_product_2k"}
+    fired = tracer.totals()
+    assert all(fired[name][0] > 0 for name in names), {n: fired[n][0] for n in names}
+    # every wrapped attribute is restored afterwards
+    assert all(not hasattr(owner.__dict__[attr], "__wrapped__")
+               for owner, attr, _ in spans.WRAPPED)

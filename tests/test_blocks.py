@@ -13,6 +13,7 @@ from fastseries import (
     shifted_middle_product,
     triple_middle_product,
 )
+from fastseries.block_engine import _aligned_middle, _block_sum
 
 from util import disk, rel_err
 
@@ -26,6 +27,8 @@ def test_plan_validation():
         BlockPlan(k=4, n=12, m=64)
     with pytest.raises(PlanError):
         BlockPlan(k=4, n=16, m=16)
+    with pytest.raises(PlanError):
+        BlockPlan(k=1, n=2, m=8)  # a head block must hold a known coefficient
 
 
 def _populated_cache(rng, k, n, m, f=None, g=None, h=None, ledger=None):
@@ -142,11 +145,9 @@ def test_output_blocks_have_negligible_tail():
     rng = np.random.default_rng(5)
     k = 4
     cache, f, g, h = _populated_cache(rng, k, 16, 32)
-    q, scratch = triple_middle_product(
-        cache, "a", "b", "c", 32, 16, return_scratch=True
-    )
-    peak = max(np.max(np.abs(d)) for d in scratch.d_polys)
-    for d in scratch.d_polys:
+    _, _, out_blocks = _aligned_middle(cache, "a", "b", "c", 32 // k, 16)
+    peak = max(np.max(np.abs(d)) for d in out_blocks)
+    for d in out_blocks:
         assert np.all(np.abs(d[3 * k - 1 :]) <= 1e-12 * (1 + peak))
 
 
@@ -194,6 +195,59 @@ def test_missing_spectra_error():
     assert cache.spectra("a").shape == (1, 6)
     with pytest.raises(DomainError):
         cache.spectra_2k("a", 2)
+
+
+def test_ensure_2k_after_ensure_is_free():
+    rng = np.random.default_rng(15)
+    cache = BlockCache(4)
+    cache.register("x", disk(rng, 32))
+    assert cache.ensure("x", 7) == 8
+    led = CostLedger()
+    assert cache.ensure_2k("x", 7, ledger=led) == 0
+    assert led.events == []
+
+
+def test_2k_transform_of_grown_head_block_then_ensure():
+    rng = np.random.default_rng(16)
+    full = disk(rng, 32)
+    arr = np.zeros(32, dtype=complex)
+    arr[:14] = full[:14]  # block 3 holds 2 of its 4 coefficients
+    cache = BlockCache(4)
+    cache.register("x", arr, known=14)
+    assert cache.ensure("x", 3, allow_partial=True) == 4
+    arr[14:24] = full[14:24]
+    cache.extend_known("x", 24)
+    led = CostLedger()
+    # the grown head block 3 and the new blocks 4, 5 at order 2k only
+    assert cache.ensure_2k("x", 5, ledger=led) == 3
+    assert [ev.order for ev in led.events] == [8] * 3
+    want_2k = np.fft.ifft(full[12:24].reshape(3, 4), n=8, axis=1) * 8
+    assert np.allclose(cache.spectra_2k("x", 6)[3:], want_2k, rtol=0, atol=1e-13)
+    # row 3 no longer holds the double spectrum of the 2-coefficient head
+    # block, so a copy is not current for a series still at that count
+    older = np.zeros(32, dtype=complex)
+    older[:14] = full[:14]
+    cache.register("y", older, known=14)
+    cache.alias("y", "x", 3)
+    assert cache.ensure("y", 3, allow_partial=True) == 1
+    assert np.array_equal(cache.spectra("y")[3], double_dft(full[12:14], 8, 4).values)
+    # the double spectra of rows 3..5 went stale and are transformed again, whole
+    assert cache.ensure("x", 5) == 3
+    assert cache.ensure_2k("x", 5) == 0
+    fresh = BlockCache(4)
+    fresh.register("x", full[:24])
+    fresh.ensure("x", 5)
+    assert np.array_equal(cache.spectra("x"), fresh.spectra("x"))
+
+
+def test_spectra_2k_is_the_first_2k_columns():
+    rng = np.random.default_rng(17)
+    cache, *_ = _populated_cache(rng, 4, 8, 16)
+    for label in "abc":
+        rows = cache.spectra(label)
+        view = cache.spectra_2k(label, rows.shape[0])
+        assert np.shares_memory(view, rows)
+        assert np.array_equal(view, rows[:, :8])
 
 
 # -- the pinned bench scale: k = 16, m/k = 128 ---------------------------------
@@ -286,8 +340,6 @@ def test_partial_head_block_retransformed_at_pinned_scale():
 
 
 def test_block_sum_matches_pairwise_loop():
-    from fastseries.block_engine import _block_sum
-
     rng, width = np.random.default_rng(14), 48
     b = disk(rng, 9 * width).reshape(9, width)
     c = disk(rng, 5 * width).reshape(5, width)

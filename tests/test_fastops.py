@@ -2,6 +2,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastseries import (
     BlockCache,
@@ -295,6 +297,37 @@ def test_choose_plan_bootstrap_only_override():
     assert plan.n == 128 and plan.m == 512 and plan.n % plan.k == 0
     with pytest.raises(PlanError):
         choose_plan(1024, n=100)  # does not divide the frontier
+
+
+def test_plan_below_the_order_is_rejected():
+    """A plan reaching order 2m < N must not return fewer than N coefficients."""
+    rng = np.random.default_rng(22)
+    small = BlockPlan(k=16, n=64, m=256)
+    with pytest.raises(PlanError):
+        fast_exp(random_exp_arg(rng, 1024), 1024, plan=small)
+    with pytest.raises(PlanError):
+        fast_pow(random_pow_arg(rng, 1024), 0.5, 1024, plan=small)
+    assert fast_exp(random_exp_arg(rng, 512), 512, plan=small).coeffs.size == 512
+
+
+SMOOTH = [2**a * b for a in range(9) for b in (1, 3) if 2**a * b <= 256]
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(1, 300),
+       k=st.one_of(st.none(), st.integers(1, 64), st.sampled_from(SMOOTH[:12])),
+       n=st.one_of(st.none(), st.integers(1, 256), st.sampled_from(SMOOTH)))
+def test_plan_overrides_give_exactly_n_coefficients(N, k, n):
+    """choose_plan(N, k, n) either refuses the override or gives a plan on
+    which fast_exp returns exactly N correct coefficients."""
+    try:
+        plan = choose_plan(N, k=k, n=n)
+    except PlanError:
+        return
+    h = random_exp_arg(np.random.default_rng(N), N)
+    got = fast_exp(h, N, plan=plan).coeffs
+    assert got.size == N
+    assert rel_err(got, oracle_exp(h, N).coeffs) < 1e-10
 
 
 def test_fast_exp_defining_ode():

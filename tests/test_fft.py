@@ -5,7 +5,6 @@ from fastseries import (
     CostLedger,
     KindMismatchError,
     Spectrum,
-    TransformSize,
     UnsupportedLengthError,
     dft,
     dft_3k,
@@ -35,11 +34,6 @@ def test_granted_length():
         g = granted_length(n)
         assert g >= n and is_supported_length(g)
         assert g <= (3 * n) // 2 + 2  # overshoot stays below 3/2-ish
-
-
-def test_transform_size():
-    ts = TransformSize.for_length(50)
-    assert ts.requested == 50 and ts.granted == 64
 
 
 def test_unsupported_length():
@@ -100,7 +94,7 @@ def test_double_dft_segments_are_residue_transforms():
 
 def test_inverse_double_dft_examples():
     assert np.allclose(inverse_double_dft(double_dft([1, 1, 1], 2, 1)), [1, 1, 1])
-    ones = Spectrum(np.ones(3, dtype=complex), "double", l=2, k=1, zeta=zeta_for(1))
+    ones = Spectrum(np.ones(3, dtype=complex), "double", l=2, k=1)
     assert np.allclose(inverse_double_dft(ones), [1, 0, 0])
 
 
