@@ -44,9 +44,11 @@ FAST_MIN_ORDER = 32
 # Largest bootstrap order computed by the quadratic references.  Best-of-5 ms,
 # reference vs fast, on a 2-vCPU Xeon with numpy's np.fft:
 #   order   exp         inverse     pow
-#    512    2.2 / 4.1   2.3 / 1.8   7.0 / 8.0
-#   1024    4.3 / 5.1   4.2 / 2.0   13.8 / 11.3
-#   4096    30.7 / 12.7 28.5 / 4.1  112 / 22.6
+#    512    2.2 / 4.1   1.2 / 0.7   7.0 / 8.0
+#   1024    4.3 / 5.1   4.0 / 0.9   13.8 / 11.3
+#   4096    30.7 / 12.7 24.2 / 2.4  112 / 22.6
+# The inverse column is for the wrap-around Newton inverse, on an exp prefix;
+# at order 256 the two inverses tie (1.1 / 0.9), so its crossover is there.
 ORACLE_MAX_ORDER = 512
 
 
@@ -212,10 +214,51 @@ def _final_stage(cache, f_arr, w_tail, plan, ledger, stage) -> np.ndarray:
     return np.concatenate([f_arr, upper])
 
 
-# -- inverse ------------------------------------------------------------------
+# -- inverse and logarithm ----------------------------------------------------
+
+def _newton_orders(N: int) -> list[int]:
+    """Orders of the Newton steps towards N, ascending: each is at most
+    twice the one before, starting above 1."""
+    orders = []
+    while N > 1:
+        orders.append(N)
+        N = (N + 1) // 2
+    return orders[::-1]
+
+
+def _wrap_step(c, q, a, t, r_spec, q_spec, ledger, label) -> np.ndarray:
+    """Extend q = a/f from order h = q.size to order t <= 2h, where c holds
+    the coefficients of f, a those of the numerator (None for a = 1) and
+    r_spec, q_spec are the order-L spectra, L >= t, of r = 1/f mod x**h and
+    of q.
+
+    The cyclic product f[:t]*q of length L is exact on coefficients h..t-1,
+    because its terms past L wrap onto indices below t+h-1-L < h.  Those give
+    the residual e = (f*q - a)/x**h mod x**(t-h), and q[h:t] = -(r*e) mod
+    x**(t-h): four transforms of order L next to the two spectra given."""
+    h, L = q.size, r_spec.length
+    fq = fft_core.dft(c[:t], L, ledger=ledger, label=label).pointwise(q_spec, ledger=ledger)
+    e = fft_core.inverse_dft(fq, ledger=ledger, label=label)[h:t]
+    if a is not None:
+        e -= a[h:t]
+    re = r_spec.pointwise(fft_core.dft(e, L, ledger=ledger, label=label), ledger=ledger)
+    return np.concatenate([q, -fft_core.inverse_dft(re, ledger=ledger, label=label)[: t - h]])
+
+
+def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
+    """1/f mod x**N for c[0] != 0; r's spectrum serves both products of a step."""
+    r = np.array([1.0 / c[0]], dtype=np.complex128)
+    for t in _newton_orders(N):
+        r_spec = fft_core.dft(r, fft_core.granted_length(t), ledger=ledger, label="newton")
+        r = _wrap_step(c, r, None, t, r_spec, r_spec, ledger, "newton")
+    return r
+
 
 def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
-    """1/f mod x**N by quadratic Newton doubling r <- r*(2 - f*r)."""
+    """1/f mod x**N by Newton doubling r <- r - r*(f*r - 1), with the
+    residual read off a wrap-around product of length granted(t) and r's
+    spectrum shared by both products of a step: 5 transforms per step, so
+    80 order-2**j ones up to N = 2**16."""
     c = _finite_coeffs(f)
     if N < 1:
         raise DomainError("order must be positive")
@@ -223,15 +266,40 @@ def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
         raise DomainError("series with zero constant term is not invertible")
     led = ledger if ledger is not None else CostLedger()
     with led.stage("inverse"):
-        r = np.array([1.0 / c[0]], dtype=np.complex128)
-        t = 1
-        while t < N:
-            t = min(2 * t, N)
-            fr = mul_mod(c[:t], r, t, ledger=led, label="newton").coeffs
-            corr = -fr
-            corr[0] += 2.0
-            r = mul_mod(r, corr, t, ledger=led, label="newton").coeffs
+        r = _newton_inverse(c, N, led)
     return _finite_result(r)
+
+
+def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
+    """log(f) mod x**N for f[0] = 1, as the integral of q = f'/f.
+
+    The reciprocal r is computed only to order h = ceil((N-1)/2); q comes
+    from q = f'*r mod x**h and one wrap-around step with numerator f'
+    (Karp-Markstein), which reuses r's spectrum: 8 transforms of order
+    granted(N-1) next to the half-order inverse."""
+    c = _finite_coeffs(f)
+    if N < 1:
+        raise DomainError("order must be positive")
+    if c.size == 0 or c[0] != 1:
+        raise DomainError("log needs constant term 1")
+    led = ledger if ledger is not None else CostLedger()
+    out = np.zeros(N, dtype=np.complex128)
+    if N == 1:
+        return TruncatedSeries(out)
+    cc = _padded(c, N)
+    df = np.arange(1, N) * cc[1:]
+    M, h = N - 1, N // 2
+    with led.stage("inverse"):
+        r = _newton_inverse(cc, h, led)
+    L = fft_core.granted_length(M)
+    r_spec = fft_core.dft(r, L, ledger=led, label="log")
+    dr = fft_core.dft(df[:h], L, ledger=led, label="log").pointwise(r_spec, ledger=led)
+    q = fft_core.inverse_dft(dr, ledger=led, label="log")[:h]
+    if M > h:
+        q_spec = fft_core.dft(q, L, ledger=led, label="log")
+        q = _wrap_step(cc, q, df, M, r_spec, q_spec, led, "log")
+    out[1:] = q / np.arange(1, N)
+    return _finite_result(out)
 
 
 # -- exponential --------------------------------------------------------------
@@ -449,23 +517,3 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
                     stage="pow.log", label="sf", seed_label="s", alias_upto=m // k - 1)
     w_tail = (s_arr[m - 1 :] - sf.coeffs[m - 1 :]) / np.arange(m, 2 * m)
     return _finite_result(_final_stage(cache, f_arr, w_tail, plan, led, "pow.final")[:N])
-
-
-def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
-    """log(f) mod x**N for f[0] = 1, as the integral of f'/f with the
-    reciprocal computed by Newton doubling."""
-    c = _finite_coeffs(f)
-    if N < 1:
-        raise DomainError("order must be positive")
-    if c.size == 0 or c[0] != 1:
-        raise DomainError("log needs constant term 1")
-    led = ledger if ledger is not None else CostLedger()
-    out = np.zeros(N, dtype=np.complex128)
-    if N == 1:
-        return TruncatedSeries(out)
-    cc = _padded(c, N)
-    df = np.arange(1, N) * cc[1:]
-    inv = fast_inverse(cc[: N - 1], N - 1, ledger=led)
-    prod = mul_mod(df, inv, N - 1, ledger=led, label="log")
-    out[1:] = prod.coeffs / np.arange(1, N)
-    return _finite_result(out)

@@ -167,10 +167,14 @@ def overlap_add(blocks, k: int, n: int) -> TruncatedSeries:
 
 
 def write_series(f, fp):
+    """Write f in the text format: one %-template pass over all fields, one write."""
     c = coeffs_of(f)
-    fp.write(f"#order {c.size}\n")
-    for i, v in enumerate(c):
-        fp.write(f"{i}\t{format(v.real, '.17g')}\t{format(v.imag, '.17g')}\n")
+    n = c.size
+    fields = [None] * (3 * n)
+    fields[0::3] = range(n)
+    fields[1::3] = c.real.tolist()
+    fields[2::3] = c.imag.tolist()
+    fp.write(f"#order {n}\n" + "%d\t%.17g\t%.17g\n" * n % tuple(fields))
 
 
 def read_series(fp) -> TruncatedSeries:

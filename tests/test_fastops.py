@@ -46,6 +46,17 @@ def test_fast_inverse_examples():
         fast_inverse([0, 1], 4)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 1000, 3000])
+def test_newton_layer_matches_oracle(N):
+    rng = np.random.default_rng(N)
+    f = random_pow_arg(rng, N)
+    g = f.copy()
+    g[0] = 2.0 - 1.5j
+    assert rel_err(fast_inverse(g, N).coeffs, oracle_inverse(g, N).coeffs) < 1e-10
+    assert rel_err(fast_inverse(f, N).coeffs, oracle_inverse(f, N).coeffs) < 1e-10
+    assert rel_err(fast_log(f, N).coeffs, oracle_log(f, N).coeffs) < 1e-10
+
+
 def test_exp_first_half_known_series():
     h = np.zeros(32, dtype=complex)
     h[1] = 1
@@ -328,6 +339,24 @@ def test_plan_overrides_give_exactly_n_coefficients(N, k, n):
     got = fast_exp(h, N, plan=plan).coeffs
     assert got.size == N
     assert rel_err(got, oracle_exp(h, N).coeffs) < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(1, 300),
+       k=st.one_of(st.none(), st.integers(1, 64), st.sampled_from(SMOOTH[:12])),
+       n=st.one_of(st.none(), st.integers(1, 256), st.sampled_from(SMOOTH)))
+def test_plan_overrides_give_exactly_n_power_coefficients(N, k, n):
+    """choose_plan(N, k, n) either refuses the override, or fast_pow refuses
+    the plan (its n % 2k rule), or fast_pow returns exactly N correct
+    coefficients on it."""
+    C = 0.3 + 0.7j
+    h = random_pow_arg(np.random.default_rng(N), N)
+    try:
+        got = fast_pow(h, C, N, plan=choose_plan(N, k=k, n=n)).coeffs
+    except PlanError:
+        return
+    assert got.size == N
+    assert rel_err(got, oracle_pow(h, C, N).coeffs) < 1e-10
 
 
 def test_fast_exp_defining_ode():

@@ -1,16 +1,19 @@
-"""The fast paths at N = 2**14, beyond the quadratic references' reach: the
-bootstrap recursion stays off the quadratic code, leaves no trace in the
-caller's ledger, and the results satisfy their defining identities."""
+"""The fast paths at N = 2**14 (2**16 for the Newton layer), beyond the
+quadratic references' reach: the bootstrap recursion stays off the quadratic
+code, leaves no trace in the caller's ledger, and the results satisfy their
+defining identities."""
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from fastseries import (
     CostLedger,
     choose_plan,
     derivative,
     fast_exp,
+    fast_inverse,
     fast_log,
     fast_pow,
     fast_ops,
@@ -95,3 +98,36 @@ def test_fast_pow_exponents_add_at_2_14():
     c1, c2 = 0.6 - 0.2j, -0.9 + 0.4j
     lhs = product(fast_pow(h, c1, N).coeffs, fast_pow(h, c2, N).coeffs, N)
     assert rel_err(lhs, fast_pow(h, c1 + c2, N).coeffs) <= TOL
+
+
+@pytest.mark.parametrize("order", [1 << 16, (1 << 16) - 1])
+def test_newton_layer_identities_at_2_16(order):
+    g = random_pow_arg(np.random.default_rng(27), order)
+    one = np.zeros(order, dtype=np.complex128)
+    one[0] = 1.0
+    assert rel_err(product(g, fast_inverse(g, order).coeffs, order), one) <= TOL
+    dlog = derivative(fast_log(g, order)).coeffs
+    assert rel_err(product(g, dlog, order - 1), derivative(g).coeffs) <= TOL
+
+
+def _is_power_of_two(n):
+    return n & (n - 1) == 0
+
+
+def test_newton_layer_transform_counts_at_2_16():
+    """Five transforms per Newton step, all of power-of-two order: 80 for the
+    inverse to 2**16; the logarithm inverts to 2**15 (75) and adds 8 at 2**16."""
+    g = random_pow_arg(np.random.default_rng(28), 1 << 16)
+    led = CostLedger()
+    fast_inverse(g, 1 << 16, ledger=led)
+    assert led.event_count(label="newton") == len(led.events) == 80
+    assert all(_is_power_of_two(e.order) for e in led.events)
+    assert max(e.order for e in led.events) == 1 << 16
+
+    led = CostLedger()
+    fast_log(g, 1 << 16, ledger=led)
+    assert led.event_count(label="newton") == 75
+    assert max(e.order for e in led.events if e.label == "newton") == 1 << 15
+    assert [e.order for e in led.events if e.label == "log"] == [1 << 16] * 8
+    assert len(led.events) == 83
+    assert all(_is_power_of_two(e.order) for e in led.events)

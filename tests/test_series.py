@@ -139,6 +139,31 @@ def test_text_format_roundtrip_exact():
     assert np.array_equal(back.coeffs, f.coeffs)
 
 
+def test_text_format_golden_bytes():
+    """The writer's bytes are those of format(v, '.17g') per field, written
+    at once: negative zero, subnormals, large and integral values keep their
+    exact spelling."""
+    f = [complex(-0.0, 0.0), complex(5e-324, -2.5e-310), complex(5e40, -1.0),
+         complex(2.0, -3.0), complex(0.1, -0.0), complex(-7, 1 / 3)]
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    write_series(f, Sink())
+    assert writes == [
+        "#order 6\n0\t-0\t0\n1\t4.9406564584124654e-324\t-2.5000000000000171e-310\n"
+        "2\t5e+40\t-1\n3\t2\t-3\n4\t0.10000000000000001\t-0\n5\t-7\t0.33333333333333331\n"
+    ]
+    rng = np.random.default_rng(10)
+    c = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300) - 1j * rng.standard_normal(300)
+    buf = io.StringIO()
+    write_series(c, buf)
+    lines = [f"{i}\t{format(v.real, '.17g')}\t{format(v.imag, '.17g')}\n" for i, v in enumerate(c)]
+    assert buf.getvalue() == "#order 300\n" + "".join(lines)
+
+
 def test_text_format_errors_carry_line_numbers():
     with pytest.raises(FormatError) as exc:
         read_series(io.StringIO("nonsense\n"))
