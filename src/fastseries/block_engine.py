@@ -16,16 +16,20 @@ theta and the boundary coefficient, theta is transformed forward, and each
 output block costs one inverse transform.  Excluding the cached block
 transforms, that is 3*(n/k + 2) order-k units.
 
-A series' block spectra are stacked as the rows of one array, so each
-block-axis sum (a u-vector, an output block) is one numpy reduction over
-row slices, and the forward transforms of a step and its output inverses
-each run as one batch.  The ledger still sees one event per block
-transform, in block order.
+A series' block spectra are stacked as the rows of one array.  Every
+block-pair sum, sum over mu of B[mu] * C[j - mu] (a residual image, an
+output block of a middle or short product), comes from one primitive,
+``_block_conv``: one numpy reduction per row over row slices of the two
+stacks, recording one ``cmul`` per pair and column.  Its callers add only
+their own tallies: ``_image_rows`` the ``cadd`` of summing the pairs,
+``_aligned_middle`` the theta terms less the pairs that met an absent
+image.  The forward transforms of a step and its output inverses each run
+as one batch.  The ledger still sees one event per block transform, in
+block order.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,7 +198,9 @@ class BlockCache:
         The label's block size only controls slicing; every spectrum lives in
         the same order-(2k, k) space so blocks of different sizes can be
         combined pointwise (a double-sized block still fits: its degree is
-        below 2k while the space holds degrees below 3k).
+        below 2k while the space holds degrees below 3k).  The transforms
+        are charged to ``stage`` when given, else to the ledger's current
+        stage.
         """
         if self._block[label] > 2 * self.k:
             raise PlanError("blocks larger than 2k do not fit the image space")
@@ -209,7 +215,7 @@ class BlockCache:
             stack.rows = max(stack.rows, int(stale[-1]) + 1)
         return int(stale.size)
 
-    def ensure_2k(self, label: str, upto: int, ledger=None, stage=None, allow_partial=False) -> int:
+    def ensure_2k(self, label: str, upto: int, ledger=None, allow_partial=False) -> int:
         """Make the order-2k spectra (the first 2k columns) of blocks 0..upto
         current.  A row made at the block's current count, whole or in
         those columns, already holds them; the others are transformed at
@@ -222,7 +228,7 @@ class BlockCache:
         stale = np.flatnonzero(stack.known_2k[: states.size] != states)
         if stale.size:
             spec = fft_core.dft(self._blocks(label, stale, states[stale]), 2 * self.k,
-                                ledger=ledger, stage=stage, label=label)
+                                ledger=ledger, label=label)
             stack.spec[stale, : 2 * self.k] = spec.values
             stack.known_2k[stale] = states[stale]
             stack.known[stale] = -1
@@ -246,48 +252,48 @@ class BlockCache:
         return self._stacks[label].spec[:count, : 2 * self.k]
 
 
-def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None, stage=None) -> int:
+def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None) -> int:
     """Transform any not-yet-cached blocks 0..upto of a series; idempotent.
     Each new block costs one combined transform worth 3 order-k units."""
-    return cache.ensure(label, upto, ledger=ledger, stage=stage)
+    return cache.ensure(label, upto, ledger=ledger)
 
 
-def _block_sum(b: np.ndarray, c: np.ndarray, j: int, out: np.ndarray) -> int:
-    """Write the sum over mu of b[mu] * c[j - mu], for every row pair both
-    stacks hold, into out as one reduction along the block axis; returns
-    the number of pairs (0 leaves out as it was)."""
-    lo = max(0, j - c.shape[0] + 1)
-    hi = min(b.shape[0] - 1, j)
-    pairs = hi - lo + 1
-    if pairs <= 0:
-        return 0
-    np.add.reduce(b[lo : hi + 1] * c[j - hi : j - lo + 1][::-1], axis=0, out=out)
-    return pairs
+def _block_conv(b: np.ndarray, c: np.ndarray, j0: int, count: int, ledger=None):
+    """Rows j0..j0+count-1 of the block-axis convolution of two spectrum
+    stacks: row i is the sum over mu of b[mu] * c[j0+i-mu] for every row
+    pair both stacks hold, one reduction along the block axis (zero where
+    no pair reaches it).  Returns the rows and each row's pair count, and
+    records one multiplication per pair and column."""
+    width = b.shape[1]
+    rows = np.zeros((count, width), dtype=np.complex128)
+    pairs = []
+    for i in range(count):
+        j = j0 + i
+        lo, hi = max(0, j - c.shape[0] + 1), min(b.shape[0] - 1, j)
+        if hi >= lo:
+            np.add.reduce(b[lo : hi + 1] * c[j - hi : j - lo + 1][::-1], axis=0, out=rows[i])
+        pairs.append(max(0, hi - lo + 1))
+    if ledger is not None:
+        ledger.add_scalar("cmul", sum(pairs) * width)
+    return rows, np.array(pairs, dtype=np.int64)
 
 
 def _image_rows(b: np.ndarray, c: np.ndarray, j0: int, count: int, ledger=None):
     """Images of the size-k coefficient blocks j0..j0+count-1 of the product
     of two series given by their stacked block spectra (double or order-2k),
-    one row per block, each summed over all block pairs; with them, whether
-    any pair reached each row (an absent row is zero and cost nothing)."""
-    width = b.shape[1]
-    rows = np.zeros((count, width), dtype=np.complex128)
-    present = []
-    products = 0
-    for i in range(count):
-        pairs = _block_sum(b, c, j0 + i, rows[i])
-        present.append(pairs > 0)
-        products += pairs
-    if ledger is not None and products:
-        ledger.add_scalar("cmul", products * width)
-        ledger.add_scalar("cadd", (products - sum(present)) * width)
+    one row per block; with them, a mask of the rows any pair reached (an
+    absent row is zero and cost nothing).  A row of p pairs takes p-1 sums."""
+    rows, pairs = _block_conv(b, c, j0, count, ledger)
+    present = pairs > 0
+    if ledger is not None:
+        ledger.add_scalar("cadd", int((pairs - present).sum()) * b.shape[1])
     return rows, present
 
 
-def _invert_live(rows: np.ndarray, live: list, ledger, label: str, k: int | None = None):
-    """Coefficients of the spectrum rows flagged live, inverted in one batch
-    (double spectra of order (2k, k) when k is given, else plain ones); the
-    other rows come back zero and record no event."""
+def _invert_live(rows: np.ndarray, live: np.ndarray, ledger, label: str, k: int | None = None):
+    """Coefficients of the spectrum rows where the boolean mask live is set,
+    inverted in one batch (double spectra of order (2k, k) when k is given,
+    else plain ones); the other rows come back zero and record no event."""
     def invert(values):
         if k is None:
             return fft_core.inverse_dft(fft_core.Spectrum(values, "plain"),
@@ -295,12 +301,11 @@ def _invert_live(rows: np.ndarray, live: list, ledger, label: str, k: int | None
         spec = fft_core.Spectrum(values, "double", l=2 * k, k=k)
         return fft_core.inverse_double_dft(spec, ledger=ledger, label=label)
 
-    if all(live):
+    if live.all():
         return invert(rows)
     out = np.zeros_like(rows)
-    if any(live):
-        sel = np.array(live)
-        out[sel] = invert(rows[sel])
+    if live.any():
+        out[live] = invert(rows[live])
     return out
 
 
@@ -322,9 +327,8 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     blocks of label2 sit on the even k-grid, so a folded linear term needs an
     even block shift.
 
-    Each residual image and each output block is one reduction along the
-    block axis of the stacked spectra; the output blocks are inverted in one
-    batch.
+    The residual images and the output blocks both come from _block_conv;
+    the output blocks are inverted in one batch.
 
     Returns (q, straddle_poly, out_blocks); straddle_poly is the residual's
     straddling block in coefficient form, whose coefficient k-1 is the single
@@ -340,15 +344,15 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     res, present = _image_rows(cache.spectra(b_label), cache.spectra(c_label),
                                block_shift - 1, n_blocks + 1, ledger)
     if linear is not None:
+        # the even residual blocks j = block_shift-1+i, i = 1, 3, ..., gain
+        # coef times the double-sized block j/2 = block_shift/2 + (i-1)/2
         coef, lin = linear[0], cache.spectra(linear[1])
         np.negative(res, out=res)
-        for i in range(n_blocks + 1):
-            j = block_shift - 1 + i
-            if j % 2 == 0 and j // 2 < lin.shape[0]:
-                res[i] += coef * lin[j // 2]
-                present[i] = True
-                if ledger is not None:
-                    ledger.add_scalar("cmul", res.shape[1])
+        lin = lin[block_shift // 2 : block_shift // 2 + (n_blocks + 1) // 2]
+        res[1 : 2 * lin.shape[0] : 2] += coef * lin
+        present[1 : 2 * lin.shape[0] : 2] = True
+        if ledger is not None:
+            ledger.add_scalar("cmul", lin.size)
 
     # Straddling block: one inverse to read theta and the boundary value.
     straddle = _invert_live(res[:1], present[:1], ledger, "u-boundary", k)[0]
@@ -358,33 +362,25 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     if n_blocks > 0:
         theta_spec = fft_core.double_dft(theta, 2 * k, k, ledger=ledger, label="theta").values
         a = cache.spectra(a_label)
-        u_rows = res[1:]
-        absent = [i for i in range(n_blocks) if not present[i + 1]]
-        # output block t: a[t]*theta plus a[lam]*u[t-lam] for lam <= min(t, hw_a);
-        # an absent image adds nothing and costs no multiplication
+        # output block t: a[t]*theta plus a[lam]*u[t-lam] for lam < pairs[t];
+        # an absent image adds nothing and costs no multiplication, so count
+        # the present ones, flagged by present[t+1-lam], for each block
+        acc, pairs = _block_conv(a, res[1:], 0, n_blocks, ledger)
+        seen, end = np.cumsum(present), np.arange(1, n_blocks + 1)
+        met = seen[end] - seen[end - pairs]
         with_theta = min(n_blocks, a.shape[0])
-        acc = np.zeros((n_blocks, 3 * k), dtype=np.complex128)
-        live = []
-        terms = with_theta
-        for t in range(n_blocks):
-            pairs = _block_sum(a, u_rows, t, acc[t])
-            pairs -= sum(1 for i in absent if t - pairs < i <= t)
-            terms += pairs
-            live.append(t < with_theta or pairs > 0)
         acc[:with_theta] += a[:with_theta] * theta_spec
         if ledger is not None:
-            ledger.add_scalar("cmul", 3 * k * terms)
+            ledger.add_scalar("cmul", 3 * k * (with_theta - int((pairs - met).sum())))
+        live = met > 0
+        live[:with_theta] = True
         out_blocks = _invert_live(acc, live, ledger, "mp-restore", k)
     q = _overlap_rows(out_blocks, k, max(out_len, 0))
     return q, straddle, out_blocks
 
 
-def _in_stage(ledger, stage):
-    return ledger.stage(stage) if (ledger is not None and stage) else contextlib.nullcontext()
-
-
 def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label: str,
-                          shift: int, n: int, ledger=None, stage=None):
+                          shift: int, n: int, ledger=None):
     """q = a * floor(b*c / x**shift) mod x**n for a block-aligned shift.
 
     All block spectra must already be cached (see ensure_block_spectra); the
@@ -396,13 +392,12 @@ def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label
         raise DomainError(f"shift {shift} is not a nonnegative multiple of block size {k}")
     if n % k:
         raise DomainError(f"output order {n} is not a multiple of block size {k}")
-    with _in_stage(ledger, stage):
-        q, _, _ = _aligned_middle(cache, a_label, b_label, c_label, shift // k, n, ledger)
+    q, _, _ = _aligned_middle(cache, a_label, b_label, c_label, shift // k, n, ledger)
     return TruncatedSeries(q)
 
 
 def shifted_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label: str,
-                           shift: int, n: int, ledger=None, stage=None, linear=None):
+                           shift: int, n: int, ledger=None, linear=None):
     """q = a * floor(v / x**shift) mod x**n for shift = (multiple of k) - 1,
     where v = b*c, or coef*g - b*c when ``linear=(coef, g_label)`` names a
     series g held in double-sized blocks (see _aligned_middle).
@@ -418,19 +413,20 @@ def shifted_middle_product(cache: BlockCache, a_label: str, b_label: str, c_labe
         raise DomainError(f"shift {shift} must be one below a multiple of {k}")
     if n < 1:
         raise DomainError("output order must be positive")
-    with _in_stage(ledger, stage):
-        q_aligned, straddle, _ = _aligned_middle(
-            cache, a_label, b_label, c_label, (shift + 1) // k, n - 1, ledger, linear=linear
-        )
-        v = straddle[k - 1]
-        if linear is not None:
-            v = linear[0] * cache.series_array(linear[1])[shift] + v
-        a_arr = cache.series_array(a_label)
-        out = np.zeros(n, dtype=np.complex128)
-        take = min(n, cache.known(a_label))
-        out[:take] = v * a_arr[:take]
-        out[1:] += q_aligned
-        if ledger is not None:
-            ledger.add_scalar("cmul", take)
-            ledger.add_scalar("cadd", n - 1)
+    q_aligned, straddle, _ = _aligned_middle(
+        cache, a_label, b_label, c_label, (shift + 1) // k, n - 1, ledger, linear=linear
+    )
+    v = straddle[k - 1]
+    if linear is not None:
+        g = cache.series_array(linear[1])
+        if shift < g.size:  # g is zero past its end
+            v = linear[0] * g[shift] + v
+    a_arr = cache.series_array(a_label)
+    out = np.zeros(n, dtype=np.complex128)
+    take = min(n, cache.known(a_label))
+    out[:take] = v * a_arr[:take]
+    out[1:] += q_aligned
+    if ledger is not None:
+        ledger.add_scalar("cmul", take)
+        ledger.add_scalar("cadd", n - 1)
     return TruncatedSeries(out)

@@ -138,7 +138,8 @@ def _transform(args):
     ledger = CostLedger()
     plan = None
     options = {"ledger": ledger}
-    if args.command in ("exp", "pow") and (args.block_size or args.bootstrap_order):
+    if args.command in ("exp", "pow") and (args.block_size is not None
+                                           or args.bootstrap_order is not None):
         plan = fast_ops.choose_plan(args.n, k=args.block_size, n=args.bootstrap_order)
         options["plan"] = plan
     head = (series, complex(args.power_re, args.power_im)) if args.command == "pow" else (series,)
@@ -161,20 +162,25 @@ def build_parser():
                                      description="truncated power series toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, io=True):
-        if io:
-            p.add_argument("input", help="input series file")
-            p.add_argument("output", help="output series file")
-            p.add_argument("--n", type=int, required=True, help="output order")
-            p.add_argument("--algorithm", choices=("fast", "oracle"), default="fast")
-            p.add_argument("--block-size", type=int, default=None)
-            p.add_argument("--bootstrap-order", type=int, default=None)
+    def add_common(p):
+        p.add_argument("input", help="input series file")
+        p.add_argument("output", help="output series file")
+        p.add_argument("--n", type=int, required=True, help="output order")
+        p.add_argument("--algorithm", choices=("fast", "oracle"), default="fast")
         p.add_argument("--report", default=None, help="write the budget report here")
 
-    for name in ("exp", "log", "inv"):
+    def add_plan(p):  # inv and log run no block plan
+        p.add_argument("--block-size", type=int, default=None)
+        p.add_argument("--bootstrap-order", type=int, default=None)
+
+    for name in ("log", "inv"):
         add_common(sub.add_parser(name))
+    p_exp = sub.add_parser("exp")
+    add_common(p_exp)
+    add_plan(p_exp)
     p_pow = sub.add_parser("pow")
     add_common(p_pow)
+    add_plan(p_pow)
     p_pow.add_argument("--power-re", type=float, required=True)
     p_pow.add_argument("--power-im", type=float, default=0.0)
 
@@ -186,8 +192,7 @@ def build_parser():
     p_bench = sub.add_parser("bench")
     p_bench.add_argument("--sizes", default="256,512,1024,2048")
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--block-size", type=int, default=None)
-    p_bench.add_argument("--bootstrap-order", type=int, default=None)
+    add_plan(p_bench)
     p_bench.add_argument("--report", default=None)
     p_bench.add_argument("--timing", action="store_true",
                          help="print wall clock to stderr (advisory only)")

@@ -38,7 +38,7 @@ from .block_engine import BlockCache, BlockPlan, shifted_middle_product
 from .cost_ledger import CostLedger
 from .errors import DomainError, PlanError
 from .oracle import oracle_exp, oracle_inverse, oracle_pow
-from .series_core import TruncatedSeries, coeffs_of, mul_mod
+from .series_core import TruncatedSeries, coeffs_of, finite_coeffs, mul_mod, padded
 
 FAST_MIN_ORDER = 32
 # Largest bootstrap order computed by the quadratic references.  Best-of-5 ms,
@@ -69,28 +69,11 @@ def _as_exponent(C) -> complex:
     return complex(C.value)
 
 
-def _finite_coeffs(f) -> np.ndarray:
-    """Coefficient array of an input series; non-finite entries are rejected
-    because they would spread through every transform into the whole result."""
-    c = coeffs_of(f)
-    if not np.all(np.isfinite(c)):
-        raise DomainError("series coefficients must be finite")
-    return c
-
-
 def _finite_result(c: np.ndarray) -> TruncatedSeries:
     """The result series, unless a coefficient overflowed complex128."""
     if not np.all(np.isfinite(c)):
         raise DomainError("result coefficients overflow complex128")
     return TruncatedSeries(c)
-
-
-def _padded(c: np.ndarray, size: int) -> np.ndarray:
-    """The first ``size`` coefficients of c, zero-extended to that length."""
-    out = np.zeros(size, dtype=np.complex128)
-    take = min(size, c.size)
-    out[:take] = c[:take]
-    return out
 
 
 def _prefix_inverse(f, n: int) -> np.ndarray:
@@ -121,6 +104,8 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
         raise DomainError("order must be positive")
     if N < FAST_MIN_ORDER and k is None and n is None:
         return BlockPlan(k=0, n=0, m=0, target=N, fallback=True)
+    if k is not None and k < 2:
+        raise PlanError("block size must be at least 2")
     m = fft_core.granted_length(max(8, (N + 1) // 2))
     if k is not None and n is not None:
         return BlockPlan(k=k, n=n, m=m)
@@ -165,12 +150,8 @@ def _window_product_2k(cache, x_label, x_count, y, out_len, ledger,
     y_blocks.reshape(-1)[: y.size] = y
     y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
     x_specs = cache.spectra_2k(x_label, x_count)
-    t_max = -(-out_len // k)
-    acc = np.zeros((t_max, 2 * k), dtype=np.complex128)
-    terms = [block_engine._block_sum(x_specs, y_specs, t, acc[t]) for t in range(t_max)]
-    if ledger is not None:
-        ledger.add_scalar("cmul", sum(terms) * 2 * k)
-    acc = block_engine._invert_live(acc, [pairs > 0 for pairs in terms], ledger, out_label)
+    acc, pairs = block_engine._block_conv(x_specs, y_specs, 0, -(-out_len // k), ledger)
+    acc = block_engine._invert_live(acc, pairs > 0, ledger, out_label)
     return block_engine._overlap_rows(acc, k, out_len)
 
 
@@ -181,7 +162,7 @@ def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> 
     cached derivative-like series b_label, whose new blocks are transformed
     under b_stage (the current stage when None).  Registers f and r."""
     m, n, k = plan.m, plan.n, plan.k
-    f_arr = _padded(f_n, m)
+    f_arr = padded(f_n, m)
     cache.register("f", f_arr, known=n)
     cache.register("r", r_n)
     with ledger.stage(stage):
@@ -259,7 +240,7 @@ def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
     residual read off a wrap-around product of length granted(t) and r's
     spectrum shared by both products of a step: 5 transforms per step, so
     80 order-2**j ones up to N = 2**16."""
-    c = _finite_coeffs(f)
+    c = finite_coeffs(f)
     if N < 1:
         raise DomainError("order must be positive")
     if c.size == 0 or c[0] == 0:
@@ -277,7 +258,7 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     from q = f'*r mod x**h and one wrap-around step with numerator f'
     (Karp-Markstein), which reuses r's spectrum: 8 transforms of order
     granted(N-1) next to the half-order inverse."""
-    c = _finite_coeffs(f)
+    c = finite_coeffs(f)
     if N < 1:
         raise DomainError("order must be positive")
     if c.size == 0 or c[0] != 1:
@@ -286,7 +267,7 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     out = np.zeros(N, dtype=np.complex128)
     if N == 1:
         return TruncatedSeries(out)
-    cc = _padded(c, N)
+    cc = padded(c, N)
     df = np.arange(1, N) * cc[1:]
     M, h = N - 1, N // 2
     with led.stage("inverse"):
@@ -369,7 +350,7 @@ def log_extend(f_m, r_n, cache: BlockCache, target: int, plan: BlockPlan,
 
 def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> TruncatedSeries:
     """exp(h) mod x**N for h[0] = 0."""
-    h_arr = _finite_coeffs(h)
+    h_arr = finite_coeffs(h)
     if N < 1:
         raise DomainError("order must be positive")
     if h_arr.size and h_arr[0] != 0:
@@ -383,7 +364,7 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
     m = plan.m
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
-    h2 = _padded(h_arr, 2 * m)
+    h2 = padded(h_arr, 2 * m)
 
     f_m, cache = exp_first_half(h2, m, plan=plan, ledger=led)
     s = log_extend(f_m, cache.series_array("r"), cache, 2 * m, plan, ledger=led)
@@ -439,7 +420,7 @@ def s_iteration(h, rho_n, s_seed, cache: BlockCache, target: int, C, plan: Block
     h_arr = coeffs_of(h)
     if h_arr.size == 0 or h_arr[0] != 1:
         raise DomainError("power runs need constant term 1")
-    h2 = _padded(h_arr, 2 * m)
+    h2 = padded(h_arr, 2 * m)
     dh = np.arange(1, 2 * m) * h2[1:]
 
     if not cache.has("h"):
@@ -473,7 +454,7 @@ def s_iteration(h, rho_n, s_seed, cache: BlockCache, target: int, C, plan: Block
 def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> TruncatedSeries:
     """h**C mod x**N for h[0] = 1 and a finite complex exponent."""
     Cc = _as_exponent(C)
-    h_arr = _finite_coeffs(h)
+    h_arr = finite_coeffs(h)
     if N < 1:
         raise DomainError("order must be positive")
     if h_arr.size == 0 or h_arr[0] != 1:
@@ -484,7 +465,7 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         out[0] = 1.0
         return TruncatedSeries(out)
     if Cc == 1:
-        return TruncatedSeries(_padded(h_arr, N))
+        return TruncatedSeries(padded(h_arr, N))
     if plan is None:
         plan = choose_plan(N)
     if plan.fallback:
@@ -495,7 +476,7 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         raise PlanError("power runs need the extension order to span double blocks")
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
-    h2 = _padded(h_arr, 2 * m)
+    h2 = padded(h_arr, 2 * m)
 
     with led.stage("bootstrap.P"):
         f_n = (oracle_pow(h2[:n], Cc, n) if n <= ORACLE_MAX_ORDER

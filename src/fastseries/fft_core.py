@@ -137,29 +137,29 @@ def _rows(a: np.ndarray) -> int:
     return a.shape[0] if a.ndim == 2 else 1
 
 
-def _record(ledger, orders, count, stage, label):
+def _record(ledger, orders, count, label, stage=None):
     if ledger is not None:
         ledger.record_dfts(orders, count, stage=stage, label=label)
 
 
 # -- public transforms -----------------------------------------------------
 
-def dft(p, L: int, ledger=None, stage=None, label=None) -> Spectrum:
+def dft(p, L: int, ledger=None, label=None) -> Spectrum:
     """Order-L DFT of a polynomial with deg p < L, or of each row of a
     batch.  Empty input is zero."""
     _check_length(L)
     c = _polys(p)
     if c.shape[-1] > L:
         raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
-    _record(ledger, (L,), _rows(c), stage, label)
+    _record(ledger, (L,), _rows(c), label)
     return Spectrum(_forward(c, L), "plain")
 
 
-def inverse_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.ndarray:
+def inverse_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:
     """Recover the coefficients of a plain spectrum (row by row for a batch)."""
     if s.kind != "plain":
         raise KindMismatchError(f"inverse_dft needs a plain spectrum, got {s.kind}")
-    _record(ledger, (s.length,), _rows(s.values), stage, label)
+    _record(ledger, (s.length,), _rows(s.values), label)
     return _backward(s.values)
 
 
@@ -170,6 +170,7 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
     Costs one order-l and one order-k transform plus O(l+k) scalar work: the
     two segments are the residues of p modulo x**l - 1 and modulo x**k - i
     (the latter carried as the plain DFT of the zeta-rotated residue).
+    The events go to ``stage`` when given, else to the ledger's current one.
     """
     _check_length(l)
     _check_length(k)
@@ -194,12 +195,12 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
     if ledger is not None:
         ledger.add_scalar("cmul", rows * (l + 2 * k))
         ledger.add_scalar("cadd", c.size)
-    _record(ledger, (l, k), rows, stage, label)
+    _record(ledger, (l, k), rows, label, stage)
     values = np.concatenate([_forward(fold_l, l), _forward(fold_k, k)], axis=-1)
     return Spectrum(values, "double", l=l, k=k)
 
 
-def inverse_double_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.ndarray:
+def inverse_double_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:
     """Recover a degree < l + k polynomial from its double spectrum (row by
     row for a batch).
 
@@ -213,7 +214,7 @@ def inverse_double_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.n
     if l != 2 * k:
         raise KindMismatchError("double reconstruction is defined for l = 2k")
     rows = _rows(s.values)
-    _record(ledger, (l, k), rows, stage, label)
+    _record(ledger, (l, k), rows, label)
     r1 = _backward(s.values[..., :l])
     q = _backward(s.values[..., l:])
     r2 = q * _zeta_table(k, -1)
@@ -227,7 +228,7 @@ def inverse_double_dft(s: Spectrum, ledger=None, stage=None, label=None) -> np.n
     return np.concatenate([low, top], axis=-1)
 
 
-def dft_3k(p, k: int, ledger=None, stage=None, label=None) -> Spectrum:
+def dft_3k(p, k: int, ledger=None, label=None) -> Spectrum:
     """Order-3k DFT decomposed into three inner order-k DFTs plus order-3
     butterflies; equals dft(p, 3k) up to round-off."""
     _check_length(k)
@@ -237,7 +238,7 @@ def dft_3k(p, k: int, ledger=None, stage=None, label=None) -> Spectrum:
             f"polynomial with {c.size} coefficients exceeds order {3 * k}"
         )
     inner = [_forward(c[t::3], k) for t in range(3)]
-    _record(ledger, (k,), 3, stage, label)
+    _record(ledger, (k,), 3, label)
     j = np.arange(3 * k)
     twiddles = _outer3_table(k)
     values = np.zeros(3 * k, dtype=np.complex128)
@@ -249,7 +250,7 @@ def dft_3k(p, k: int, ledger=None, stage=None, label=None) -> Spectrum:
     return Spectrum(values, "triple", k=k)
 
 
-def multiply(p, q, ledger=None, stage=None, label=None) -> np.ndarray:
+def multiply(p, q, ledger=None, label=None) -> np.ndarray:
     """Exact polynomial product via forward/forward/pointwise/inverse at the
     granted length; records exactly three DFT events of that one order."""
     a = np.asarray(p, dtype=np.complex128).reshape(-1)
@@ -258,8 +259,8 @@ def multiply(p, q, ledger=None, stage=None, label=None) -> np.ndarray:
         return np.zeros(max(a.size + b.size - 1, 0), dtype=np.complex128)
     out_len = a.size + b.size - 1
     L = granted_length(out_len)
-    sa = dft(a, L, ledger=ledger, stage=stage, label=label)
-    sb = dft(b, L, ledger=ledger, stage=stage, label=label)
+    sa = dft(a, L, ledger=ledger, label=label)
+    sb = dft(b, L, ledger=ledger, label=label)
     prod = sa.pointwise(sb, ledger=ledger)
-    full = inverse_dft(prod, ledger=ledger, stage=stage, label=label)
+    full = inverse_dft(prod, ledger=ledger, label=label)
     return full[:out_len]

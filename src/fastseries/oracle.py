@@ -15,28 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .series_core import TruncatedSeries, coeffs_of
-
-
-def _finite(f) -> np.ndarray:
-    """Coefficient array of an input series; NaN/inf would run through every
-    recurrence step into the whole result, so they are rejected."""
-    c = coeffs_of(f)
-    if not np.all(np.isfinite(c)):
-        raise DomainError("series coefficients must be finite")
-    return c
-
-
-def _padded(f, n: int) -> np.ndarray:
-    c = _finite(f)
-    out = np.zeros(n, dtype=np.complex128)
-    out[: min(n, c.size)] = c[:n]
-    return out
+from .series_core import TruncatedSeries, coeffs_of, finite_coeffs, padded
 
 
 def oracle_inverse(f, n: int) -> TruncatedSeries:
     """1/f mod x**n by the coefficient recurrence; needs f[0] != 0."""
-    c = _finite(f)
+    c = finite_coeffs(f)
     if c.size == 0 or c[0] == 0:
         raise DomainError("series with zero constant term is not invertible")
     r = np.zeros(n, dtype=np.complex128)
@@ -50,7 +34,7 @@ def oracle_inverse(f, n: int) -> TruncatedSeries:
 
 def oracle_exp(h, n: int) -> TruncatedSeries:
     """exp(h) mod x**n for h[0] = 0, via j*f_j = sum_i i*h_i*f_{j-i}."""
-    c = _finite(h)
+    c = finite_coeffs(h)
     if c.size and c[0] != 0:
         raise DomainError("exp needs a zero constant term")
     ih = np.arange(c.size) * c  # i * h_i
@@ -67,7 +51,7 @@ def oracle_exp(h, n: int) -> TruncatedSeries:
 
 def oracle_log(f, n: int) -> TruncatedSeries:
     """log(f) mod x**n for f[0] = 1, computed as the integral of f'/f."""
-    c = _padded(f, max(n, 1))
+    c = padded(finite_coeffs(f), max(n, 1))
     if c[0] != 1:
         raise DomainError("log needs constant term 1")
     out = np.zeros(n, dtype=np.complex128)
@@ -82,7 +66,7 @@ def oracle_log(f, n: int) -> TruncatedSeries:
 
 def oracle_pow(h, C, n: int) -> TruncatedSeries:
     """h**C mod x**n for h[0] = 1 and complex C, via h*f' = C*h'*f."""
-    c = _finite(h)
+    c = finite_coeffs(h)
     C = complex(C)
     if not np.isfinite(C):
         raise DomainError("exponent must be finite")

@@ -47,6 +47,24 @@ def coeffs_of(f) -> np.ndarray:
     return np.asarray(f, dtype=np.complex128).reshape(-1)
 
 
+def finite_coeffs(f) -> np.ndarray:
+    """Coefficient array of an input series; non-finite entries are rejected
+    because they would spread through every transform or recurrence step
+    into the whole result."""
+    c = coeffs_of(f)
+    if not np.all(np.isfinite(c)):
+        raise DomainError("series coefficients must be finite")
+    return c
+
+
+def padded(c: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` coefficients of c, zero-extended to that length."""
+    out = np.zeros(size, dtype=np.complex128)
+    take = min(size, c.size)
+    out[:take] = c[:take]
+    return out
+
+
 def truncate(f, n: int) -> TruncatedSeries:
     """First n coefficients.  Requesting more than are known is an error;
     contexts that really mean zero extension use zero_extend."""
@@ -117,12 +135,12 @@ def scale(f, c) -> TruncatedSeries:
     return TruncatedSeries(coeffs_of(f) * complex(c))
 
 
-def mul_mod(f, g, n: int, ledger=None, stage=None, label=None) -> TruncatedSeries:
+def mul_mod(f, g, n: int, ledger=None, label=None) -> TruncatedSeries:
     """(f*g) mod x**n through the transform engine."""
     a, b = coeffs_of(f)[:n], coeffs_of(g)[:n]
     if a.size == 0 or b.size == 0:
         return TruncatedSeries(np.zeros(n, dtype=np.complex128))
-    prod = fft_core.multiply(a, b, ledger=ledger, stage=stage, label=label)
+    prod = fft_core.multiply(a, b, ledger=ledger, label=label)
     out = np.zeros(n, dtype=np.complex128)
     take = min(n, prod.size)
     out[:take] = prod[:take]

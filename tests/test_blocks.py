@@ -13,7 +13,7 @@ from fastseries import (
     shifted_middle_product,
     triple_middle_product,
 )
-from fastseries.block_engine import _aligned_middle, _block_sum
+from fastseries.block_engine import _aligned_middle, _block_conv
 
 from util import disk, rel_err
 
@@ -179,6 +179,32 @@ def test_shifted_single_output_block():
     assert rel_err(q.coeffs, want) < 1e-10
 
 
+@pytest.mark.parametrize("nb, ng, blocks_out, extra", [
+    (2, 3, 9, 0),  # the residual runs past both b*c and the folded term
+    (5, 1, 5, 0),  # the folded term stops below the first output block
+    (3, 8, 5, 1),  # an odd count of output blocks, all reached by the term
+])
+def test_shifted_with_folded_linear_term_matches_oracle(nb, ng, blocks_out, extra):
+    """v = coef*g - b*c with g held in double-sized blocks: the folded term
+    reaches the even residual blocks below g's end, and a residual block no
+    pair and no term reaches is absent."""
+    rng, k, coef = np.random.default_rng(15), 4, 0.3 - 0.2j
+    shift, n = 4 * k - 1, blocks_out * k + extra
+    f, g, b, c = disk(rng, 6 * k), disk(rng, ng * 2 * k), disk(rng, nb * k), disk(rng, nb * k)
+    cache = BlockCache(k)
+    for label, arr, size in (("a", f, k), ("b", b, k), ("c", c, k), ("d", g, 2 * k)):
+        cache.register(label, arr, block=size)
+        cache.ensure(label, arr.size // size - 1)
+    q = shifted_middle_product(cache, "a", "b", "c", shift, n, linear=(coef, "d"))
+    v = np.zeros(max(2 * nb * k, g.size), dtype=complex)
+    v[: 2 * nb * k - 1] -= np.convolve(b, c)
+    v[: g.size] += coef * g
+    want = np.zeros(n, dtype=complex)
+    head = np.convolve(f, v[shift:])[:n]
+    want[: head.size] = head
+    assert rel_err(q.coeffs, want) < 1e-12
+
+
 def test_shift_alignment_errors():
     rng = np.random.default_rng(9)
     cache, *_ = _populated_cache(rng, 4, 8, 16)
@@ -340,15 +366,23 @@ def test_partial_head_block_retransformed_at_pinned_scale():
 
 
 def test_block_sum_matches_pairwise_loop():
+    """_block_conv against a loop over block pairs: rows starting below,
+    at and above block 0, including rows no pair reaches and a count that
+    runs past the end of both stacks; its pair counts and the one cmul
+    tally it records, one multiplication per pair and column."""
     rng, width = np.random.default_rng(14), 48
     b = disk(rng, 9 * width).reshape(9, width)
     c = disk(rng, 5 * width).reshape(5, width)
-    for j in range(-1, 15):
-        want, pairs = np.zeros(width, dtype=complex), 0
-        for mu in range(9):
-            if 0 <= j - mu < 5:
-                want += b[mu] * c[j - mu]
-                pairs += 1
-        got = np.zeros(width, dtype=complex)
-        assert _block_sum(b, c, j, got) == pairs
-        assert np.max(np.abs(got - want)) <= 1e-14 * pairs
+    for j0, count in ((-1, 16), (0, 1), (3, 4), (6, 20), (0, 0)):
+        led = CostLedger()
+        got, pairs = _block_conv(b, c, j0, count, led)
+        assert got.shape == (count, width) and pairs.shape == (count,)
+        for i, j in enumerate(range(j0, j0 + count)):
+            want, n = np.zeros(width, dtype=complex), 0
+            for mu in range(9):
+                if 0 <= j - mu < 5:
+                    want += b[mu] * c[j - mu]
+                    n += 1
+            assert pairs[i] == n
+            assert np.max(np.abs(got[i] - want)) <= 1e-14 * n
+        assert led.scalar["cmul"] == pairs.sum() * width

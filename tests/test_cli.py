@@ -60,6 +60,31 @@ def test_plan_overrides_and_report(tmp_path):
     assert "plan.k=4" in text and "stage.exp.stage1.units=" in text
 
 
+@pytest.mark.parametrize("cmd, flags", [
+    ("exp", ["--block-size", "0"]),
+    ("exp", ["--bootstrap-order", "0"]),
+    ("pow", ["--block-size", "0", "--power-re", "0.5"]),
+])
+def test_zero_plan_flags_are_rejected(tmp_path, cmd, flags):
+    """A zero plan flag is an override like any other: it must reach
+    choose_plan and fail there, not fall through to the default plan."""
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    write_input(src, [1 if cmd == "pow" else 0, 1] + [0] * 62)
+    assert main([cmd, str(src), str(dst), "--n", "64", *flags]) == 1
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("cmd", ["inv", "log"])
+def test_plan_flags_only_on_exp_and_pow(tmp_path, cmd, capsys):
+    src = tmp_path / "h.txt"
+    write_input(src, [1, 1, 0, 0])
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, str(src), str(tmp_path / "f.txt"), "--n", "4", "--block-size", "4"])
+    assert exc.value.code == 2
+    assert "--block-size" in capsys.readouterr().err
+
+
 def test_domain_error_exit_code(tmp_path):
     src = tmp_path / "h.txt"
     dst = tmp_path / "f.txt"

@@ -301,6 +301,12 @@ def test_choose_plan_overrides_verbatim():
     assert (plan.k, plan.n, plan.m) == (16, 128, 512)
     with pytest.raises(PlanError):
         choose_plan(1024, k=16, n=100)
+    for k in (-2, 0, 1):  # below 2, as BlockPlan requires, with or without n
+        for n in (None, 16):
+            with pytest.raises(PlanError):
+                choose_plan(64, k=k, n=n)
+    with pytest.raises(PlanError):
+        choose_plan(16, k=0)  # an override leaves the small-order fallback
 
 
 def test_choose_plan_bootstrap_only_override():
