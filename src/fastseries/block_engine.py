@@ -19,17 +19,35 @@ transforms, that is 3*(n/k + 2) order-k units.
 A series' block spectra are stacked as the rows of one array.  Every
 block-pair sum, sum over mu of B[mu] * C[j - mu] (a residual image, an
 output block of a middle or short product), comes from one primitive,
-``_block_conv``: one numpy reduction per row over row slices of the two
-stacks, recording one ``cmul`` per pair and column.  Its callers add only
-their own tallies: ``_image_rows`` the ``cadd`` of summing the pairs,
-``_aligned_middle`` the theta terms less the pairs that met an absent
-image.  The forward transforms of a step and its output inverses each run
-as one batch.  The ledger still sees one event per block transform, in
-block order.
+``_block_conv``, which takes it one of two ways:
+
+- directly, one numpy reduction per row over row slices of the two stacks;
+- along the block axis (van der Hoeven's FFT trading): both stacks are cut
+  into chunks of c rows, c the largest power of two not above the rows
+  asked for (n/k per extension step, m/k for the final product), each chunk
+  is transformed along the block axis at length 2c, the chunk-pair products
+  are summed per landing offset, and one inverse per offset that reaches
+  the rows asked for gives them by overlap-add.  A stack keeps its chunk
+  transforms, keyed by the known counts of their rows, so a chunk is
+  transformed again only when one of its rows was (the growing head chunk
+  of s, once per step); the fixed r and rho chunks are transformed once
+  per run.  A step's residual images then cost O(m/n) chunk products of
+  2n points each where the direct sum takes O((n/k)(m/k)) row products of
+  3k points.
+
+The choice is made per call from the block counts it sees, by a cost model
+fitted to timings of both ways: the default plans (two to eight blocks per
+series) stay direct, the pinned k = 16 plans (m/k >= 128) go along the
+block axis.  Either way the work is tallied in the ledger's scalars
+(``cmul``, ``cadd`` and ``axis_dft``, the points of block-axis transforms),
+never as DFT events.  The forward block transforms of a step and its
+output inverses each run as one batch; the ledger still sees one event per
+block transform, in block order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +104,18 @@ class _Stack:
     (``known_2k``) were last transformed (== block size once complete, -1
     when not current).  ``rows`` counts the rows up to the last double
     spectrum written; the array has a row for every block the label can
-    hold."""
+    hold.  ``axis`` keeps the block-axis transforms of its chunks for
+    ``_block_conv``, per (chunk, width): the transforms and, per chunk, the
+    known counts of its rows they were made from."""
 
-    __slots__ = ("spec", "known", "known_2k", "rows")
+    __slots__ = ("spec", "known", "known_2k", "rows", "axis")
 
     def __init__(self, capacity: int, k: int):
         self.spec = np.empty((capacity, 3 * k), dtype=np.complex128)
         self.known = np.full(capacity, -1, dtype=np.int64)
         self.known_2k = np.full(capacity, -1, dtype=np.int64)
         self.rows = 0
+        self.axis = {}
 
 
 class BlockCache:
@@ -251,6 +272,62 @@ class BlockCache:
             raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
         return self._stacks[label].spec[:count, : 2 * self.k]
 
+    def rows(self, label: str, count: int | None = None) -> "_Rows":
+        """The label's spectra as a ``_block_conv`` operand: the double spectra
+        of blocks 0..high_water, or, given count, the order-2k spectra of
+        blocks 0..count-1; with them the known counts they were made at."""
+        stack = self._stacks[label]
+        if count is None:
+            return _Rows(self.spectra(label), stack.known[: stack.rows], stack)
+        return _Rows(self.spectra_2k(label, count), stack.known_2k[:count], stack)
+
+
+class _Rows:
+    """An operand of ``_block_conv``: block spectra, one block per row.  Rows
+    of a cache stack carry the known count each was transformed at and the
+    stack, which keeps their block-axis chunk transforms across calls; a
+    plain array is fresh and its chunks are transformed per call."""
+
+    __slots__ = ("spec", "known", "stack")
+
+    def __init__(self, spec, known=None, stack=None):
+        self.spec, self.known, self.stack = spec, known, stack
+
+    def chunk_spectra(self, chunk: int, count: int, ledger) -> np.ndarray:
+        """Block-axis transforms, at length 2*chunk, of chunks 0..count-1 (chunk
+        q is rows q*chunk.., zero-padded).  A stack keeps each with the known
+        counts of its rows and makes it again only when those change."""
+        if self.stack is None:
+            out = np.empty((count, 2 * chunk, self.spec.shape[1]), dtype=np.complex128)
+            _axis_dft(self.spec, chunk, out, 0, ledger)
+            return out
+        width, axis = self.spec.shape[1], self.stack.axis
+        if (chunk, width) not in axis:
+            cap = -(-len(self.stack.spec) // chunk)
+            axis[chunk, width] = (np.empty((cap, 2 * chunk, width), dtype=np.complex128),
+                                  [None] * cap)
+        spec, keys = axis[chunk, width]
+        for q in range(count):
+            key = self.known[q * chunk : (q + 1) * chunk].tobytes()
+            if keys[q] != key:
+                _axis_dft(self.spec, chunk, spec[q : q + 1], q, ledger)
+                keys[q] = key
+        return spec[:count]
+
+
+def _axis_dft(rows: np.ndarray, chunk: int, out: np.ndarray, q0: int, ledger):
+    """Length-2*chunk transforms along the block axis of chunks q0.. of rows
+    (chunk q is rows q*chunk.., zero-padded), in place in out, one chunk per
+    entry; recorded as ``axis_dft`` points."""
+    out[:, chunk:] = 0
+    for i, blk in enumerate(out):
+        part = rows[(q0 + i) * chunk : (q0 + i + 1) * chunk]
+        blk[: len(part)] = part
+        blk[len(part) : chunk] = 0
+    np.fft.fft(out, axis=1, out=out)
+    if ledger is not None:
+        ledger.add_scalar("axis_dft", out.size)
+
 
 def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None) -> int:
     """Transform any not-yet-cached blocks 0..upto of a series; idempotent.
@@ -258,36 +335,116 @@ def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None) 
     return cache.ensure(label, upto, ledger=ledger)
 
 
-def _block_conv(b: np.ndarray, c: np.ndarray, j0: int, count: int, ledger=None):
-    """Rows j0..j0+count-1 of the block-axis convolution of two spectrum
-    stacks: row i is the sum over mu of b[mu] * c[j0+i-mu] for every row
-    pair both stacks hold, one reduction along the block axis (zero where
-    no pair reaches it).  Returns the rows and each row's pair count, and
-    records one multiplication per pair and column."""
-    width = b.shape[1]
+# Predicted cost, in ns, of the two ways _block_conv sums, fitted to both
+# paths timed on 128 shapes (k = 16, 64, 256; chunks of 2 to 64 blocks; one
+# or two landing offsets; 1 to 8 chunks per operand) on a 2-vCPU Xeon VM with
+# numpy 2.4.6.  Direct: per row reduced and per complex multiply-add.
+# Block-axis: its extra fixed cost, per multiply-add of the chunk-pair
+# products and per transform point and doubling of length.  The fit picks
+# the faster path on 117 of the 128 shapes; the 11 misses are near ties.
+_ROW_NS = 7400
+_MAC_NS = 2.3
+_AXIS_FIXED_NS = 44000
+_AXIS_MAC_NS = 3.1
+_AXIS_FFT_NS = 2.0
+
+
+def _pairwise(b: np.ndarray, c: np.ndarray, j0: int, lo, hi) -> np.ndarray:
+    """Rows i = sum over mu in lo[i]..hi[i] of b[mu] * c[j0+i-mu], one
+    reduction along the block axis per row (zero where the range is empty)."""
+    rows = np.zeros((len(lo), b.shape[1]), dtype=np.complex128)
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        if h >= l:
+            j = j0 + i
+            np.add.reduce(b[l : h + 1] * c[j - h : j - l + 1][::-1], axis=0, out=rows[i])
+    return rows
+
+
+def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger):
+    """The rows of ``_block_conv`` from block-axis transforms, or None when
+    they are predicted to cost more than ``direct_ns``, the direct sum.
+
+    b and c are cut into chunks of ``chunk`` rows, the largest power of two
+    not above count, and each chunk is transformed at length L = 2*chunk.
+    The chunk-pair products are summed per landing offset s, sum over q of
+    B_q * C_{s-q}, in the frequency domain: one inverse per offset whose
+    rows s*chunk..s*chunk+2*chunk-2 meet the rows asked for; the inverses
+    overlap-add."""
+    chunk = 1 << (count.bit_length() - 1)
+    if chunk < 2:
+        return None
+    width, L = b.spec.shape[1], 2 * chunk
+    qb, qc = -(-len(b.spec) // chunk), -(-len(c.spec) // chunk)
+    offsets = range(max(0, -((2 * chunk - 2 - j0) // chunk)),
+                    min(qb + qc - 2, (j0 + count - 1) // chunk) + 1)
+    spans = [(max(0, s - qc + 1), min(qb - 1, s)) for s in offsets]
+    chunk_pairs = sum(qh - ql + 1 for ql, qh in spans)
+    # a stack's chunks are transformed once per run; count the fresh ones
+    fresh = sum(min(q, offsets.stop) for x, q in ((b, qb), (c, qc)) if x.stack is None)
+    axis_ns = (_AXIS_FIXED_NS + _AXIS_MAC_NS * chunk_pairs * L * width
+               + _AXIS_FFT_NS * (fresh + len(spans)) * L * width * chunk.bit_length())
+    if not spans or axis_ns >= direct_ns:
+        return None
+
+    B = b.chunk_spectra(chunk, min(qb, offsets.stop), ledger)
+    C = c.chunk_spectra(chunk, min(qc, offsets.stop), ledger)
+    back = np.empty((len(spans), L, width), dtype=np.complex128)
+    for g, (s, (ql, qh)) in enumerate(zip(offsets, spans)):
+        np.add.reduce(B[ql : qh + 1] * C[s - qh : s - ql + 1][::-1], axis=0, out=back[g])
+    np.fft.ifft(back, axis=1, out=back)
+    # offset s lands back[g, t] on row s*chunk + t, t <= 2*chunk - 2
     rows = np.zeros((count, width), dtype=np.complex128)
-    pairs = []
-    for i in range(count):
-        j = j0 + i
-        lo, hi = max(0, j - c.shape[0] + 1), min(b.shape[0] - 1, j)
-        if hi >= lo:
-            np.add.reduce(b[lo : hi + 1] * c[j - hi : j - lo + 1][::-1], axis=0, out=rows[i])
-        pairs.append(max(0, hi - lo + 1))
+    landed = 0
+    for g, s in enumerate(offsets):
+        lo, hi = max(j0, s * chunk), min(j0 + count, s * chunk + L - 1)
+        rows[lo - j0 : hi - j0] += back[g, lo - s * chunk : hi - s * chunk]
+        landed += max(0, hi - lo)
     if ledger is not None:
-        ledger.add_scalar("cmul", sum(pairs) * width)
+        # each row asked for that some offset lands on takes one add per
+        # further offset
+        covered = (min(j0 + count, offsets[-1] * chunk + L - 1)
+                   - max(j0, offsets[0] * chunk))
+        ledger.add_scalar("axis_dft", back.size)
+        ledger.add_scalar("cmul", chunk_pairs * L * width)
+        ledger.add_scalar("cadd", ((chunk_pairs - len(spans)) * L + landed - covered) * width)
+    return rows
+
+
+def _block_conv(b, c, j0: int, count: int, ledger=None, live=None):
+    """Rows j0..j0+count-1 of the block-axis convolution of two operands
+    (``BlockCache.rows`` views or plain spectrum arrays): row i is the sum
+    over mu of b[mu] * c[j0+i-mu] for every row pair both hold, zero where
+    no pair reaches it.  ``live`` flags the rows of c that can be nonzero; a
+    pair meeting another row is not counted.  Returns the rows and each
+    row's count of counted pairs.
+
+    The rows come from one reduction per row over the pairs (the direct
+    sum), or from products of block-axis chunk transforms (``_axis_rows``),
+    whichever is predicted to be cheaper for these block counts.
+    Either way the work is recorded as ``cmul``/``cadd`` (and ``axis_dft``),
+    never as DFT events."""
+    b, c = (x if isinstance(x, _Rows) else _Rows(np.asarray(x)) for x in (b, c))
+    width, nb, nc = b.spec.shape[1], len(b.spec), len(c.spec)
+    # the few rows of a direct sum make Python ints cheaper than arrays here
+    js = range(j0, j0 + count)
+    lo = [max(0, j - nc + 1) for j in js]
+    hi = [min(nb - 1, j) for j in js]
+    pairs = [max(0, h - l + 1) for l, h in zip(lo, hi)]
+    if live is not None:
+        seen = [0, *itertools.accumulate(live.tolist())]
+        pairs = [p and seen[j - l + 1] - seen[j - h] for j, l, h, p in zip(js, lo, hi, pairs)]
+    total = sum(pairs)
+    direct_ns = _ROW_NS * (count - pairs.count(0)) + _MAC_NS * total * width
+    # below the block-axis path's fixed cost there is nothing to weigh
+    rows = _axis_rows(b, c, j0, count, direct_ns, ledger) if direct_ns > _AXIS_FIXED_NS else None
+    if rows is None:
+        rows = _pairwise(b.spec, c.spec, j0, lo, hi)
+        if ledger is not None:
+            ledger.add_scalar("cmul", total * width)
+            ledger.add_scalar("cadd", (total - count + pairs.count(0)) * width)
+    elif 0 in pairs:
+        rows[[i for i, p in enumerate(pairs) if not p]] = 0
     return rows, np.array(pairs, dtype=np.int64)
-
-
-def _image_rows(b: np.ndarray, c: np.ndarray, j0: int, count: int, ledger=None):
-    """Images of the size-k coefficient blocks j0..j0+count-1 of the product
-    of two series given by their stacked block spectra (double or order-2k),
-    one row per block; with them, a mask of the rows any pair reached (an
-    absent row is zero and cost nothing).  A row of p pairs takes p-1 sums."""
-    rows, pairs = _block_conv(b, c, j0, count, ledger)
-    present = pairs > 0
-    if ledger is not None:
-        ledger.add_scalar("cadd", int((pairs - present).sum()) * b.shape[1])
-    return rows, present
 
 
 def _invert_live(rows: np.ndarray, live: np.ndarray, ledger, label: str, k: int | None = None):
@@ -341,8 +498,9 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         raise PlanError("a folded linear term needs an even block shift")
 
     # Residual images of the straddling block (row 0) and the output blocks.
-    res, present = _image_rows(cache.spectra(b_label), cache.spectra(c_label),
-                               block_shift - 1, n_blocks + 1, ledger)
+    res, pairs = _block_conv(cache.rows(b_label), cache.rows(c_label),
+                             block_shift - 1, n_blocks + 1, ledger)
+    present = pairs > 0  # an absent image is zero and costs nothing
     if linear is not None:
         # the even residual blocks j = block_shift-1+i, i = 1, 3, ..., gain
         # coef times the double-sized block j/2 = block_shift/2 + (i-1)/2
@@ -361,17 +519,15 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     out_blocks = np.zeros((0, 3 * k), dtype=np.complex128)
     if n_blocks > 0:
         theta_spec = fft_core.double_dft(theta, 2 * k, k, ledger=ledger, label="theta").values
-        a = cache.spectra(a_label)
-        # output block t: a[t]*theta plus a[lam]*u[t-lam] for lam < pairs[t];
-        # an absent image adds nothing and costs no multiplication, so count
-        # the present ones, flagged by present[t+1-lam], for each block
-        acc, pairs = _block_conv(a, res[1:], 0, n_blocks, ledger)
-        seen, end = np.cumsum(present), np.arange(1, n_blocks + 1)
-        met = seen[end] - seen[end - pairs]
-        with_theta = min(n_blocks, a.shape[0])
-        acc[:with_theta] += a[:with_theta] * theta_spec
+        a = cache.rows(a_label)
+        # output block t: a[t]*theta plus a[lam]*u[t-lam]; an absent image
+        # adds nothing and costs nothing
+        acc, met = _block_conv(a, res[1:], 0, n_blocks, ledger, live=present[1:])
+        with_theta = min(n_blocks, len(a.spec))
+        acc[:with_theta] += a.spec[:with_theta] * theta_spec
         if ledger is not None:
-            ledger.add_scalar("cmul", 3 * k * (with_theta - int((pairs - met).sum())))
+            ledger.add_scalar("cmul", 3 * k * with_theta)
+            ledger.add_scalar("cadd", 3 * k * int(np.count_nonzero(met[:with_theta])))
         live = met > 0
         live[:with_theta] = True
         out_blocks = _invert_live(acc, live, ledger, "mp-restore", k)

@@ -19,10 +19,11 @@ on plain order-2k products.  All budgets are recorded per stage in the
 ledger; bootstrap work is tagged separately and excluded from budget bands.
 
 The order-n bootstrap prefixes come from the quadratic references up to
-ORACLE_MAX_ORDER and, above it, from the fast algorithms themselves on their
-default plans, whose own bootstrap order is about n/4; the recursion reaches
-the references after a few levels.  Those inner calls get no ledger, so the
-bootstrap stages of the caller's report stay empty.
+ORACLE_MAX_ORDER (ORACLE_INVERSE_MAX_ORDER for the reciprocals) and, above
+it, from the fast algorithms themselves on their default plans, whose own
+bootstrap order is about n/4; the recursion reaches the references after a
+few levels.  Those inner calls get no ledger, so the bootstrap stages of the
+caller's report stay empty.
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ FAST_MIN_ORDER = 32
 # Largest bootstrap order computed by the quadratic references.  Best-of-5 ms,
 # reference vs fast, on a 2-vCPU Xeon with numpy's np.fft:
 #   order   exp         inverse     pow
-#    512    2.2 / 4.1   1.2 / 0.7   7.0 / 8.0
+#    256    -           1.1 / 0.9   -
+#    512    2.2 / 4.1   1.2 / 0.65  7.0 / 8.0
 #   1024    4.3 / 5.1   4.0 / 0.9   13.8 / 11.3
 #   4096    30.7 / 12.7 24.2 / 2.4  112 / 22.6
 # The inverse column is for the wrap-around Newton inverse, on an exp prefix;
-# at order 256 the two inverses tie (1.1 / 0.9), so its crossover is there.
+# the two inverses tie at order 256, so the bootstrap inverses have their own
+# crossover there.
 ORACLE_MAX_ORDER = 512
+ORACLE_INVERSE_MAX_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ def _finite_result(c: np.ndarray) -> TruncatedSeries:
 
 def _prefix_inverse(f, n: int) -> np.ndarray:
     """1/f mod x**n for a bootstrap prefix, without a ledger."""
-    if n <= ORACLE_MAX_ORDER:
+    if n <= ORACLE_INVERSE_MAX_ORDER:
         return oracle_inverse(f, n).coeffs
     return fast_inverse(f, n).coeffs
 
@@ -149,8 +153,8 @@ def _window_product_2k(cache, x_label, x_count, y, out_len, ledger,
     y_blocks = np.zeros((-(-y.size // k), k), dtype=np.complex128)
     y_blocks.reshape(-1)[: y.size] = y
     y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
-    x_specs = cache.spectra_2k(x_label, x_count)
-    acc, pairs = block_engine._block_conv(x_specs, y_specs, 0, -(-out_len // k), ledger)
+    x_rows = cache.rows(x_label, x_count)
+    acc, pairs = block_engine._block_conv(x_rows, y_specs, 0, -(-out_len // k), ledger)
     acc = block_engine._invert_live(acc, pairs > 0, ledger, out_label)
     return block_engine._overlap_rows(acc, k, out_len)
 
@@ -383,10 +387,10 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
         cache.ensure_2k("h", (fr + n) // k - 1, ledger=ledger)
         cache.ensure_2k("s", fr // k - 1, ledger=ledger, allow_partial=True)
         # row 0 is the straddling block below the cut, rows 1..a the window's
-        u, live = block_engine._image_rows(cache.spectra_2k("s", fr // k),
-                                           cache.spectra_2k("h", (fr + n) // k),
-                                           fr // k - 1, a + 1, ledger)
-        u = block_engine._invert_live(u, live, ledger, "u2k-restore")
+        u, pairs = block_engine._block_conv(cache.rows("s", fr // k),
+                                            cache.rows("h", (fr + n) // k),
+                                            fr // k - 1, a + 1, ledger)
+        u = block_engine._invert_live(u, pairs > 0, ledger, "u2k-restore")
         window = block_engine._overlap_rows(u, k, n - 1 + k)[k:]
         G = np.zeros(n, dtype=np.complex128)
         G[0] = C * dh[fr - 1] - u[0, k - 1]

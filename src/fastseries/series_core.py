@@ -196,7 +196,47 @@ def write_series(f, fp):
 
 
 def read_series(fp) -> TruncatedSeries:
-    lines = fp.read().splitlines()
+    """Parse the text format: in bulk when the text is exactly the writer's
+    layout, else line by line, so every FormatError names its line."""
+    text = fp.read()
+    coeffs = _read_bulk(text)
+    return TruncatedSeries(coeffs) if coeffs is not None else _read_lines(text)
+
+
+def _read_bulk(text: str) -> np.ndarray | None:
+    """The coefficients of a text holding '#order n' and then exactly n lines
+    'i<TAB>re<TAB>im' for i = 0..n-1 (ASCII, no other control characters),
+    with one split over the body and one array conversion per part; None
+    for any other text, which the line loop parses or rejects."""
+    head, _, body = text.partition("\n")
+    words = head.split()
+    if (not (head.isascii() and head.isprintable()) or len(words) != 2
+            or words[0] != "#order" or not words[1].isdigit()):
+        return None
+    order = int(words[1])
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
+    lines = ends.size + (raw.size > 0 and raw[-1] != 10)  # the last may lack its newline
+    if (lines != order or tabs.size != 2 * order or raw.max(initial=0) > 127
+            or np.count_nonzero(raw < 32) != tabs.size + ends.size
+            # two tabs on every line
+            or not np.array_equal(np.searchsorted(ends, tabs), np.arange(2 * order) // 2)):
+        return None
+    fields = body.split()
+    if len(fields) != 3 * order or fields[0::3] != [str(i) for i in range(order)]:
+        return None
+    out = np.empty(order, dtype=np.complex128)
+    try:
+        out.real = np.array(fields[1::3], dtype=np.float64)
+        out.imag = np.array(fields[2::3], dtype=np.float64)
+    except ValueError:
+        return None
+    return out
+
+
+def _read_lines(source: str) -> TruncatedSeries:
+    """Parse line by line; a FormatError names the line it failed on."""
+    lines = source.splitlines()
     if not lines:
         raise FormatError("empty file; expected '#order n' header", line=1)
     header = lines[0].strip()

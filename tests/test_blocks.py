@@ -365,24 +365,146 @@ def test_partial_head_block_retransformed_at_pinned_scale():
     assert rel_err(q.coeffs, want) < 1e-10
 
 
+def _conv_loop(b, c, j0, count, live=None):
+    """Rows j0..j0+count-1 of the block-axis convolution of b and c, one pair
+    at a time, and each row's count of pairs meeting a live row of c."""
+    rows, pairs = np.zeros((count, b.shape[1]), dtype=complex), []
+    for i, j in enumerate(range(j0, j0 + count)):
+        n = 0
+        for mu in range(len(b)):
+            if 0 <= j - mu < len(c):
+                rows[i] += b[mu] * c[j - mu]
+                n += live is None or live[j - mu]
+        pairs.append(n)
+    return rows, pairs
+
+
+def _conv_tallies(nb, nc, j0, count, width, pairs, transformed):
+    """cmul, cadd and axis_dft of _block_conv, counted pair by pair: the
+    direct sum takes one multiplication per pair and one addition per
+    further pair of a row; the block-axis path cuts both operands into
+    chunks of the largest power of two c <= count, multiplies each chunk
+    pair whose product (rows s*c..s*c+2c-2, s the sum of the chunk indices)
+    meets the rows asked for at length L = 2c, adds the products of each
+    offset s, inverts each offset once and adds where two offsets land on
+    one row.  ``transformed`` is the number of chunks transformed forward
+    in the call, None for the direct sum."""
+    if transformed is None:
+        return {"cmul": sum(pairs) * width, "cadd": sum(max(p - 1, 0) for p in pairs) * width}
+    chunk = 1 << (count.bit_length() - 1)
+    L, window = 2 * chunk, set(range(j0, j0 + count))
+    offsets = {}
+    for q in range(-(-nb // chunk)):
+        for r in range(-(-nc // chunk)):
+            s = q + r
+            if window & set(range(s * chunk, s * chunk + L - 1)):
+                offsets[s] = offsets.get(s, 0) + 1
+    landed = [sum(s * chunk <= j < s * chunk + L - 1 for s in offsets) for j in window]
+    return {"cmul": sum(offsets.values()) * L * width,
+            "cadd": (sum(offsets.values()) - len(offsets)) * L * width
+            + sum(max(n - 1, 0) for n in landed) * width,
+            "axis_dft": (transformed + len(offsets)) * L * width}
+
+
+def _check_conv(b, c, j0, count, led, live=None, transformed=0):
+    """_block_conv against the pair loop, within 1e-14 per pair, and its
+    tallies against the hand count of the path it took (``transformed``
+    chunks made on the block-axis path); b and c are arrays or cache rows.
+    Returns whether the block-axis path was taken."""
+    bs = b.spec if hasattr(b, "spec") else b
+    cs = c.spec if hasattr(c, "spec") else c
+    before = dict(led.scalar)
+    got, pairs = _block_conv(b, c, j0, count, led, live=live)
+    want, n = _conv_loop(bs, cs, j0, count, live)
+    assert got.shape == (count, bs.shape[1]) and list(pairs) == n
+    for i in range(count):
+        assert np.max(np.abs(got[i] - want[i]), initial=0) <= 1e-14 * n[i]
+    tallies = {kind: led.scalar[kind] - before.get(kind, 0) for kind in led.scalar}
+    axis = tallies.get("axis_dft", 0) > 0
+    want_tallies = _conv_tallies(len(bs), len(cs), j0, count, bs.shape[1], n,
+                                 transformed if axis else None)
+    assert ({kind: v for kind, v in tallies.items() if v}
+            == {kind: v for kind, v in want_tallies.items() if v})
+    return axis
+
+
 def test_block_sum_matches_pairwise_loop():
     """_block_conv against a loop over block pairs: rows starting below,
     at and above block 0, including rows no pair reaches and a count that
-    runs past the end of both stacks; its pair counts and the one cmul
-    tally it records, one multiplication per pair and column."""
+    runs past the end of both stacks; its pair counts and its tallies.
+    At m/k >= 128 (block size 16, stacks of 144 blocks) a few rows with few
+    pairs stay on the direct sum, one multiplication per pair and column,
+    and the wide windows take the block-axis path, whose tallies are
+    counted chunk pair by chunk pair: a stack's chunks are transformed on
+    first use and kept, a growing series' head chunk again once it grows,
+    and rows of c flagged absent are zero and their pairs not counted."""
     rng, width = np.random.default_rng(14), 48
     b = disk(rng, 9 * width).reshape(9, width)
     c = disk(rng, 5 * width).reshape(5, width)
     for j0, count in ((-1, 16), (0, 1), (3, 4), (6, 20), (0, 0)):
-        led = CostLedger()
-        got, pairs = _block_conv(b, c, j0, count, led)
-        assert got.shape == (count, width) and pairs.shape == (count,)
-        for i, j in enumerate(range(j0, j0 + count)):
-            want, n = np.zeros(width, dtype=complex), 0
-            for mu in range(9):
-                if 0 <= j - mu < 5:
-                    want += b[mu] * c[j - mu]
-                    n += 1
-            assert pairs[i] == n
-            assert np.max(np.abs(got[i] - want)) <= 1e-14 * n
-        assert led.scalar["cmul"] == pairs.sum() * width
+        # a plain array's chunks are transformed in the call: one chunk each
+        _check_conv(b, c, j0, count, CostLedger(), transformed=2)
+
+    # series scaled by 1/k put every spectrum entry in the unit disk, as the
+    # rows above are: the bound is per pair of such entries
+    cache, *_ = _populated_cache(rng, K, NN, M, *(disk(rng, n) / K for n in (NN, M + NN, M + NN)))
+    big_b, big_c = cache.rows("b"), cache.rows("c")
+    led = CostLedger()
+    # direct: a few rows of a few pairs each
+    assert not _check_conv(big_b, big_c, 5, 3, led)
+    assert not _check_conv(big_b, big_c, 200, 2, led)
+    # block-axis, first use: every chunk of both stacks up to the offsets
+    # used is transformed once and kept
+    assert _check_conv(big_b, big_c, 127, 17, led, transformed=9 + 9)
+    assert _check_conv(big_b, big_c, 130, 17, led, transformed=0)
+    # j0 != 0 with a count past both stacks: rows 287..300 have no pair
+    # (chunks of 64: both stacks' chunks 0..2 are new)
+    assert _check_conv(big_b, big_c, 236, 65, led, transformed=3 + 3)
+
+    # a partial head chunk: block 62 of s holds 8 of its 16 coefficients
+    full = disk(rng, M) / K
+    arr = np.zeros(M, dtype=complex)
+    arr[:1000] = full[:1000]
+    cache.register("s", arr, known=1000)
+    cache.ensure("s", 62, allow_partial=True)
+    # chunks of 16 blocks: s has 4 (the last holds the head block); the
+    # chunks of c are kept from above
+    assert _check_conv(cache.rows("s"), big_c, 62, 17, led, transformed=4)
+    arr[1000:1010] = full[1000:1010]
+    cache.extend_known("s", 1010)
+    cache.ensure("s", 63, allow_partial=True)
+    # block 62 is complete, block 63 the new head: only chunk 3 is made again
+    assert _check_conv(cache.rows("s"), big_c, 63, 17, led, transformed=1)
+
+    # absent rows of c, on both sides of the crossover; the first call also
+    # transforms a's one chunk
+    for absent, axis, transformed in (([], True, 2), ([0, 5, 6, 15], True, 1),
+                                      (range(15), False, None)):
+        c = disk(rng, 16 * 3 * K).reshape(16, 3 * K)
+        live = np.ones(16, dtype=bool)
+        live[list(absent)] = False
+        c[~live] = 0
+        assert _check_conv(cache.rows("a"), c, 0, 16, led, live=live,
+                           transformed=transformed) == axis
+
+
+def test_block_axis_tallies_by_hand():
+    """Block size 2 (rows of 6 columns), two stacks of 64 blocks, rows
+    63..79: chunks of 16 blocks, transforms of length 32.  Offset 3 (chunk
+    pairs (0,3)..(3,0)) lands on rows 48..78, offset 4 ((1,3)..(3,1)) on
+    64..94; rows 64..78 take both."""
+    rng = np.random.default_rng(17)
+    cache = BlockCache(2)
+    for label in ("b", "c"):
+        cache.register(label, disk(rng, 128))
+        cache.ensure(label, 63)
+    led = CostLedger()
+    _block_conv(cache.rows("b"), cache.rows("c"), 63, 17, led)
+    assert led.scalar == {
+        "axis_dft": (8 + 2) * 32 * 6,        # 4 + 4 chunks forward, 2 offsets back
+        "cmul": (4 + 3) * 32 * 6,            # 7 chunk pairs
+        "cadd": ((3 + 2) * 32 + 15) * 6,     # 5 sums of chunk pairs, 15 overlap rows
+    }
+    # again: the chunk transforms are kept, only the 2 inverses are new
+    _block_conv(cache.rows("b"), cache.rows("c"), 63, 17, led)
+    assert led.scalar["axis_dft"] == (8 + 4) * 32 * 6

@@ -18,6 +18,7 @@ from fastseries import (
     fast_pow,
     fast_ops,
 )
+from fastseries.cli import bench_plan
 from fastseries.cost_ledger import BOOTSTRAP_PREFIX, report_kv
 
 from util import random_exp_arg, random_pow_arg, rel_err
@@ -27,11 +28,12 @@ TOL = 1e-8  # the identity tolerance of acceptance criterion 5
 C = 0.3 + 0.7j
 
 # sha256 of report_kv for default-plan fast_exp / fast_pow at N = 2**14
-# (k=2048, n=4096, m=8192); the same text as when every bootstrap prefix came
-# from the quadratic references.
+# (k=2048, n=4096, m=8192); its unit lines are those recorded when every
+# bootstrap prefix came from the quadratic references, its scalar lines
+# count the additions of the output-block sums too.
 KV_SHA256 = {
-    "exp": "c4b060e248d8c23aca44a61208ce11ea1ff3ea453262371c5344f400892504c1",
-    "pow": "45cffe68914ee684ce78ea018cf2ed0c944a8e6c78fe37deaa401cf3f21f3b01",
+    "exp": "a737d00fa2762ff60fff980c6843f2080cb18e95350954b311876c613c5d836d",
+    "pow": "fbe768752d85d4d19d2b684a3eafa90633ece437f651c9eee15b959026890fcb",
 }
 
 
@@ -54,6 +56,24 @@ def test_no_quadratic_work_above_the_crossover(monkeypatch):
     fast_exp(random_exp_arg(rng, N), N)
     fast_pow(random_pow_arg(rng, N), C, N)
     assert orders and max(orders) <= fast_ops.ORACLE_MAX_ORDER
+
+
+def test_pinned_pow_bootstrap_inverses_skip_the_reference(monkeypatch):
+    """The pinned N = 4096 pow plan bootstraps at order 512, above the
+    inverse crossover: both reciprocal prefixes (bootstrap.I and
+    bootstrap.rho) come from the Newton inverse, none from the quadratic
+    reference."""
+    calls = {"oracle_inverse": [], "fast_inverse": []}
+    for name in calls:
+        def spy(f, n, *args, _real=getattr(fast_ops, name), _name=name, **kwargs):
+            calls[_name].append(n)
+            return _real(f, n, *args, **kwargs)
+        monkeypatch.setattr(fast_ops, name, spy)
+    n4 = 4096
+    fast_pow(random_pow_arg(np.random.default_rng(29), n4), C, n4, plan=bench_plan("pow", n4))
+    assert fast_ops.ORACLE_INVERSE_MAX_ORDER == 256
+    assert max(calls["oracle_inverse"], default=0) <= 256
+    assert calls["fast_inverse"] == [512, 512]
 
 
 def test_bootstrap_stages_stay_out_of_the_ledger():
@@ -86,6 +106,18 @@ def test_fast_pow_defining_ode_at_2_14():
     lhs = product(h, derivative(f).coeffs, N - 1)
     rhs = C * product(derivative(h).coeffs, f, N - 1)
     assert rel_err(lhs, rhs) <= TOL
+
+
+def test_pinned_k16_defining_odes_at_2_14():
+    """The pinned bench plans at 2**14 run k = 16 blocks, m/k = 512: every
+    per-step block sum and the final product take the block-axis path."""
+    h = random_exp_arg(np.random.default_rng(30), N)
+    f = fast_exp(h, N, plan=bench_plan("exp", N)).coeffs
+    assert rel_err(derivative(f).coeffs, product(derivative(h).coeffs, f, N - 1)) <= TOL
+    g = random_pow_arg(np.random.default_rng(31), N)
+    f = fast_pow(g, C, N, plan=bench_plan("pow", N)).coeffs
+    lhs = product(g, derivative(f).coeffs, N - 1)
+    assert rel_err(lhs, C * product(derivative(g).coeffs, f, N - 1)) <= TOL
 
 
 def test_fast_log_inverts_fast_exp_at_2_14():

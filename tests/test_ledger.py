@@ -40,11 +40,18 @@ def test_bulk_records_equal_single_records():
 
 
 # sha256 of every event (order, stage, label, in recording order) and scalar
-# count of the pinned bench plans' fast_exp / fast_pow at N = 4096, as the
-# block-by-block engine recorded them; none of it depends on the input values.
+# count of the pinned bench plans' fast_exp / fast_pow at N = 4096, with the
+# block-pair sums on the block-axis path; none of it depends on the input
+# values.
 EVENT_SHA256 = {
-    "exp": "a6cd07f0c330d20579040e77a4f926de22c935f96e2e5d2687826563518ab3cb",
-    "pow": "a3730d33c7ed5515eecb8706889d62a8d5ec11c6614ada1924e189eda39a3d44",
+    "exp": "73313e295558a22821e8f61df2e9dcfe255baf0751d4e81e39bcfda4ef858f9d",
+    "pow": "45024ff165544694be3806696857600fbd268b42af25b9ea593e01cd2927dcc9",
+}
+# sha256 of the events alone of the same runs, as the block-by-block engine
+# recorded them: how the block-pair sums are done moves no transform.
+EVENTS_ONLY_SHA256 = {
+    "exp": "11112037ce033803b1a9053b94d995ce558af764fd8a32963fd1784fa163e363",
+    "pow": "f7149676eaa3cff1c347c9c1f564a4135e5a2d895783831fdf0e4fdbd381e6a3",
 }
 
 
@@ -60,6 +67,7 @@ def test_event_sequence_of_pinned_runs():
         led = CostLedger()
         run(led)
         text = "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
+        assert hashlib.sha256(text.encode()).hexdigest() == EVENTS_ONLY_SHA256[op], op
         text += "".join(f"{kind}={n}\n" for kind, n in sorted(led.scalar.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == EVENT_SHA256[op], op
 

@@ -23,6 +23,7 @@ from fastseries import (
     write_series,
     zero_extend,
 )
+from fastseries import series_core
 
 from util import rel_err
 
@@ -173,3 +174,31 @@ def test_text_format_errors_carry_line_numbers():
     assert exc.value.line == 3
     with pytest.raises(FormatError):
         read_series(io.StringIO("#order 3\n0\t1\t0\n"))
+
+
+GOLDEN_TEXT = (
+    "#order 6\n0\t-0\t0\n1\t4.9406564584124654e-324\t-2.5000000000000171e-310\n"
+    "2\t5e+40\t-1\n3\t2\t-3\n4\t0.10000000000000001\t-0\n5\t-7\t0.33333333333333331\n"
+)
+
+
+def test_bulk_read_matches_line_loop():
+    """Files in the writer's layout are parsed in bulk, to the same bytes as
+    the line loop; any other text goes to the line loop."""
+    rng = np.random.default_rng(11)
+    texts = [GOLDEN_TEXT, GOLDEN_TEXT[:-1], "#order 0\n"]
+    for n in (1, 7, 300, 4096):
+        c = rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
+        c = c + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
+        buf = io.StringIO()
+        write_series(c, buf)
+        texts.append(buf.getvalue())
+    for text in texts:
+        bulk = series_core._read_bulk(text)
+        assert bulk is not None
+        assert bulk.tobytes() == series_core._read_lines(text).coeffs.tobytes()
+        assert read_series(io.StringIO(text)).coeffs.tobytes() == bulk.tobytes()
+    for text in ("#order 1\n# comment\n0\t1\t2\n", "#order 1\n0\t1\t2\n\n",
+                 "#order 1\r\n0\t1\t2\r\n", "#order\t1\n0\t1\t2\n", "#order 1\n+0\t1\t2\n",
+                 "#order 2\n0\t1.5\n1\t2.5\t1\t3\n", "#order 2\n0\t1\t2\n"):
+        assert series_core._read_bulk(text) is None

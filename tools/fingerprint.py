@@ -7,15 +7,16 @@ second checkout of the parent commit) and runs a fixed matrix: fast_exp and
 fast_pow (every exponent in cli.VERIFY_POWERS) on the default and on the
 pinned bench plans, plus fast_inverse and fast_log, at orders 64, 256, 1000,
 1024, 4096 and 16384, and triple and shifted middle products on small
-block caches whose products end before the output does.  It prints two
-sha256 digests: one over the raw bytes
-of every output, one over every ledger event (order, stage, label, in
-recording order) and scalar count.  A run whose plan is rejected records
-PlanError in both; a third line names those runs (the pinned plans have no
-valid bootstrap order at N = 64).
+block caches whose products end before the output does.  It prints three
+sha256 digests: one over the raw bytes of every output, one over every
+ledger event (order, stage, label, in recording order) and scalar count,
+and one over the events alone.  A run whose plan is rejected records
+PlanError in all three; a last line names those runs (the pinned plans have
+no valid bootstrap order at N = 64).
 
-A refactor meant to keep results bit for bit prints the same two lines as
-its parent on the same machine.  The output digest depends on numpy's FFT
+A refactor meant to keep results bit for bit prints the same three lines as
+its parent on the same machine; a change to how the scalar work is done or
+counted keeps the events line.  The output digest depends on numpy's FFT
 and the CPU, so compare trees on one host and do not pin it anywhere.
 """
 
@@ -95,7 +96,7 @@ def _edge_runs(block_engine):
 
 def fingerprint(src_dir):
     cli, fast_ops, CostLedger, PlanError = _import(src_dir)
-    outputs, ledgers = hashlib.sha256(), hashlib.sha256()
+    outputs, ledgers, events = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     raised = []
     runs = [run for N in SIZES for run in _runs(cli, fast_ops, N)]
     for name, run in runs + _edge_runs(fast_ops.block_engine):
@@ -108,18 +109,20 @@ def fingerprint(src_dir):
         outputs.update(name.encode() + b"\0" + result)
         text = f"{name} {status}\n"
         text += "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
+        events.update(text.encode())
         text += "".join(f"{kind}={n}\n" for kind, n in sorted(led.scalar.items()))
         ledgers.update(text.encode())
-    return outputs.hexdigest(), ledgers.hexdigest(), raised
+    return outputs.hexdigest(), ledgers.hexdigest(), events.hexdigest(), raised
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         sys.exit(__doc__.split("\n\n")[1])
-    out_hash, ledger_hash, raised = fingerprint(argv[0])
+    out_hash, ledger_hash, event_hash, raised = fingerprint(argv[0])
     print(f"outputs {out_hash}")
     print(f"ledgers {ledger_hash}")
+    print(f"events {event_hash}")
     print(f"raised {len(raised)}: {', '.join(raised)}")
     return 0
 
