@@ -4,7 +4,6 @@ fast exponential, inverse and constant-power algorithms."""
 from .block_engine import (
     BlockCache,
     BlockPlan,
-    ensure_block_spectra,
     shifted_middle_product,
     triple_middle_product,
 )
@@ -27,13 +26,10 @@ from .errors import (
 from .fast_ops import (
     PowExponent,
     choose_plan,
-    exp_first_half,
     fast_exp,
     fast_inverse,
     fast_log,
     fast_pow,
-    log_extend,
-    s_iteration,
 )
 from .fft_core import (
     Spectrum,

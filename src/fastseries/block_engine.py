@@ -149,9 +149,6 @@ class BlockCache:
         self._block[label] = self.k if block is None else int(block)
         self._stacks[label] = _Stack(-(-arr.size // self._block[label]), self.k)
 
-    def has(self, label: str) -> bool:
-        return label in self._arrays
-
     def extend_known(self, label: str, known: int):
         if known < self._known[label]:
             raise DomainError("known coefficient count cannot shrink")
@@ -327,12 +324,6 @@ def _axis_dft(rows: np.ndarray, chunk: int, out: np.ndarray, q0: int, ledger):
     np.fft.fft(out, axis=1, out=out)
     if ledger is not None:
         ledger.add_scalar("axis_dft", out.size)
-
-
-def ensure_block_spectra(cache: BlockCache, label: str, upto: int, ledger=None) -> int:
-    """Transform any not-yet-cached blocks 0..upto of a series; idempotent.
-    Each new block costs one combined transform worth 3 order-k units."""
-    return cache.ensure(label, upto, ledger=ledger)
 
 
 # Predicted cost, in ns, of the two ways _block_conv sums, fitted to both
@@ -539,7 +530,7 @@ def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label
                           shift: int, n: int, ledger=None):
     """q = a * floor(b*c / x**shift) mod x**n for a block-aligned shift.
 
-    All block spectra must already be cached (see ensure_block_spectra); the
+    All block spectra must already be cached (see BlockCache.ensure); the
     incremental cost recorded here is one inverse for the straddling block,
     one forward for theta, and one inverse per output block.
     """

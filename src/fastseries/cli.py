@@ -150,8 +150,8 @@ def _transform(args):
         if plan is None:
             plan = fast_ops.choose_plan(args.n)
         with open(args.report, "w") as fp:
-            if plan.fallback:
-                fp.write(f"plan.fallback=1\nplan.target={plan.target}\n")
+            if plan.fallback or args.algorithm == "oracle":  # no block plan ran
+                fp.write(f"plan.fallback=1\nplan.target={args.n}\n")
             else:
                 fp.write(report_kv(ledger, plan))
     return 0

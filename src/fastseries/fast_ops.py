@@ -18,6 +18,10 @@ the flooring pass (with h' held in double-sized blocks), its upper half runs
 on plain order-2k products.  All budgets are recorded per stage in the
 ledger; bootstrap work is tagged separately and excluded from budget bands.
 
+fast_exp and fast_pow are the entry points: each checks its input and plan
+once, then runs the private steps (_s_iteration for powers, _first_half,
+_log_extend, _final_stage) on one fresh cache.
+
 The order-n bootstrap prefixes come from the quadratic references up to
 ORACLE_MAX_ORDER (ORACLE_INVERSE_MAX_ORDER for the reciprocals) and, above
 it, from the fast algorithms themselves on their default plans, whose own
@@ -39,7 +43,7 @@ from .block_engine import BlockCache, BlockPlan, shifted_middle_product
 from .cost_ledger import CostLedger
 from .errors import DomainError, PlanError
 from .oracle import oracle_exp, oracle_inverse, oracle_pow
-from .series_core import TruncatedSeries, coeffs_of, finite_coeffs, mul_mod, padded
+from .series_core import TruncatedSeries, finite_coeffs, mul_mod, padded
 
 FAST_MIN_ORDER = 32
 # Largest bootstrap order computed by the quadratic references.  Best-of-5 ms,
@@ -124,13 +128,11 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
             raise PlanError(f"no valid bootstrap order for k={k}, m={m}")
         return BlockPlan(k=k, n=nn, m=m)
     if n is not None:
-        kk = 1 << max(0, min(m // r, n // 2).bit_length() - 1)
-        while kk >= 1:
-            try:
-                return BlockPlan(k=kk, n=n, m=m)
-            except PlanError:
-                kk //= 2
-        raise PlanError(f"no valid block size for n={n}, m={m}")
+        # the largest power of two k <= min(m/r, n/2) with 2k | n, which power runs need
+        kk = min(1 << max(0, min(m // r, n // 2).bit_length() - 1), (n & -n) // 2)
+        if kk < 2:
+            raise PlanError(f"no valid block size for n={n}, m={m}")
+        return BlockPlan(k=kk, n=n, m=m)
     kk = 1 << max(0, (max(1, m // r)).bit_length() - 1)
     while kk >= 1:
         nn = _pick_bootstrap(m, kk, r)
@@ -289,67 +291,26 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
 
 # -- exponential --------------------------------------------------------------
 
-def exp_first_half(h, m: int, plan: BlockPlan | None = None, ledger=None):
-    """exp(h) mod x**m plus the populated block caches the second half reuses.
+def _log_extend(cache, plan, ledger, stage, label, seed_label) -> np.ndarray:
+    """Logarithmic derivative of the cached order-m prefix f, extended to
+    order 2m-1 as the series ``label``; its integral is log(f) up to order 2m.
 
-    Returns (f, cache); the cache holds double spectra for all blocks of f,
-    for the blocks of h' consumed so far, and for the bootstrap reciprocal.
+    Seeded from the cached derivative-like series ``seed_label``, whose block
+    spectra are shared instead of recomputed; only blocks past the seed are
+    transformed.  Reads f and r as _first_half left them.
     """
-    h_arr = coeffs_of(h)
-    if h_arr.size and h_arr[0] != 0:
-        raise DomainError("exp needs a zero constant term")
-    if plan is None:
-        plan = choose_plan(2 * m)
-    if plan.fallback or plan.m != m:
-        raise PlanError(f"plan frontier {plan.m} does not match requested {m}")
-    if h_arr.size < m:
-        raise DomainError(f"need at least {m} coefficients of the argument")
-    led = ledger if ledger is not None else CostLedger()
-    n = plan.n
-
-    hh = h_arr[: 2 * m]
-    with led.stage("bootstrap.E"):
-        f_n = (oracle_exp(hh[:n], n) if n <= ORACLE_MAX_ORDER else fast_exp(hh[:n], n)).coeffs
-    with led.stage("bootstrap.I"):
-        r_n = _prefix_inverse(f_n, n)
-
-    cache = BlockCache(plan.k)
-    cache.register("dh", np.arange(1, hh.size) * hh[1:])
-    f_arr = _first_half(cache, f_n, r_n, "dh", plan, led, "exp.stage1")
-    return TruncatedSeries(f_arr), cache
-
-
-def log_extend(f_m, r_n, cache: BlockCache, target: int, plan: BlockPlan,
-               ledger=None, stage="exp.log", label="s", seed_label="dh",
-               alias_upto=None):
-    """Logarithmic derivative of the order-m prefix, extended to order
-    target-1 = 2m-1; its integral is log(f mod x**m) up to order 2m.
-
-    Seeded from the cached derivative-like series, whose block spectra are
-    shared instead of recomputed; only blocks past the seed are transformed.
-    """
-    led = ledger if ledger is not None else CostLedger()
     m, n, k = plan.m, plan.n, plan.k
-    if target != 2 * m:
-        raise PlanError("extension target must double the frontier")
-    if cache.high_water("f") < m // k - 1:
-        raise DomainError("missing cached block spectra for the computed prefix")
-    if not cache.has("r"):
-        cache.register("r", coeffs_of(r_n))
-
     s_arr = np.zeros(2 * m - 1, dtype=np.complex128)
     s_arr[: m - 1] = cache.series_array(seed_label)[: m - 1]
     cache.register(label, s_arr, known=m - 1)
-    cache.alias(label, seed_label, m // k - 2 if alias_upto is None else alias_upto)
-
-    with led.stage(stage):
-        cache.ensure("r", n // k - 1, ledger=led)
+    cache.alias(label, seed_label, m // k - 2)
+    with ledger.stage(stage):
         for fr in range(m, 2 * m, n):
-            cache.ensure(label, fr // k - 1, ledger=led, allow_partial=True)
-            q = shifted_middle_product(cache, "r", label, "f", fr - 1, n, ledger=led)
+            cache.ensure(label, fr // k - 1, ledger=ledger, allow_partial=True)
+            q = shifted_middle_product(cache, "r", label, "f", fr - 1, n, ledger=ledger)
             s_arr[fr - 1 : fr + n - 1] = -q.coeffs
             cache.extend_known(label, fr + n - 1)
-    return TruncatedSeries(s_arr)
+    return s_arr
 
 
 def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> TruncatedSeries:
@@ -365,15 +326,21 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
     if plan.fallback:
         with led.stage("bootstrap.E"):
             return _finite_result(oracle_exp(h_arr, N).coeffs)
-    m = plan.m
+    m, n = plan.m, plan.n
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
 
-    f_m, cache = exp_first_half(h2, m, plan=plan, ledger=led)
-    s = log_extend(f_m, cache.series_array("r"), cache, 2 * m, plan, ledger=led)
-    w_tail = h2[m:] - s.coeffs[m - 1 :] / np.arange(m, 2 * m)
-    return _finite_result(_final_stage(cache, f_m.coeffs, w_tail, plan, led, "exp.final")[:N])
+    with led.stage("bootstrap.E"):
+        f_n = (oracle_exp(h2[:n], n) if n <= ORACLE_MAX_ORDER else fast_exp(h2[:n], n)).coeffs
+    with led.stage("bootstrap.I"):
+        r_n = _prefix_inverse(f_n, n)
+    cache = BlockCache(plan.k)
+    cache.register("dh", np.arange(1, 2 * m) * h2[1:])
+    f_arr = _first_half(cache, f_n, r_n, "dh", plan, led, "exp.stage1")
+    s = _log_extend(cache, plan, led, "exp.log", "s", "dh")
+    w_tail = h2[m:] - s[m - 1 :] / np.arange(m, 2 * m)
+    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, led, "exp.final")[:N])
 
 
 # -- constant powers ----------------------------------------------------------
@@ -395,9 +362,8 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
         G = np.zeros(n, dtype=np.complex128)
         G[0] = C * dh[fr - 1] - u[0, k - 1]
         G[1:] = C * dh[fr : fr + n - 1] - window
-        if ledger is not None:
-            ledger.add_scalar("cmul", n)
-            ledger.add_scalar("cadd", 2 * n)
+        ledger.add_scalar("cmul", n)
+        ledger.add_scalar("cadd", 2 * n)
         q = _window_product_2k(
             cache, "rho", a, G, n, ledger, y_label="g-blocks", out_label="s2-restore"
         )
@@ -405,54 +371,35 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
         cache.extend_known("s", fr + n - 1)
 
 
-def s_iteration(h, rho_n, s_seed, cache: BlockCache, target: int, C, plan: BlockPlan,
-                ledger=None) -> TruncatedSeries:
-    """Extend s = C*h'/h from its seed (order n-1) to order target = 2m-1.
+def _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, C) -> np.ndarray:
+    """Extend s = C*h'/h from its seed, of order n-1, to order 2m-1, for h2
+    = h mod x**(2m) and dh its derivative.
 
     The lower half uses the folded flooring pass on cached block spectra;
     the upper half switches to plain order-2k products.  Registers h, h'
-    (double-sized blocks) and the reciprocal prefix in the cache when they
-    are not present yet.
+    (double-sized blocks), the reciprocal prefix rho_n and s.
     """
-    led = ledger if ledger is not None else CostLedger()
-    C = _as_exponent(C)
     m, n, k = plan.m, plan.n, plan.k
-    if n % (2 * k):
-        raise PlanError("power runs need the extension order to span double blocks")
-    if target != 2 * m - 1:
-        raise PlanError("s extends to one below twice the frontier")
-    h_arr = coeffs_of(h)
-    if h_arr.size == 0 or h_arr[0] != 1:
-        raise DomainError("power runs need constant term 1")
-    h2 = padded(h_arr, 2 * m)
-    dh = np.arange(1, 2 * m) * h2[1:]
-
-    if not cache.has("h"):
-        cache.register("h", h2)
-    if not cache.has("dh2"):
-        cache.register("dh2", dh, block=2 * k)
-    if not cache.has("rho"):
-        cache.register("rho", coeffs_of(rho_n))
+    cache.register("h", h2)
+    cache.register("dh2", dh, block=2 * k)
+    cache.register("rho", rho_n)
     s_arr = np.zeros(2 * m - 1, dtype=np.complex128)
-    seed = coeffs_of(s_seed)
-    if seed.size < n - 1:
-        raise DomainError("seed must cover the bootstrap order")
-    s_arr[: n - 1] = seed[: n - 1]
+    s_arr[: n - 1] = seed
     cache.register("s", s_arr, known=n - 1)
 
-    with led.stage("pow.s.first"):
-        cache.ensure("rho", n // k - 1, ledger=led)
+    with ledger.stage("pow.s.first"):
+        cache.ensure("rho", n // k - 1, ledger=ledger)
         for fr in range(n, m, n):
-            cache.ensure("h", (fr + n) // k - 1, ledger=led)
-            cache.ensure("dh2", (fr + n) // (2 * k) - 1, ledger=led)
-            cache.ensure("s", fr // k - 1, ledger=led, allow_partial=True)
-            q = shifted_middle_product(cache, "rho", "s", "h", fr - 1, n, ledger=led,
+            cache.ensure("h", (fr + n) // k - 1, ledger=ledger)
+            cache.ensure("dh2", (fr + n) // (2 * k) - 1, ledger=ledger)
+            cache.ensure("s", fr // k - 1, ledger=ledger, allow_partial=True)
+            q = shifted_middle_product(cache, "rho", "s", "h", fr - 1, n, ledger=ledger,
                                        linear=(C, "dh2"))
             s_arr[fr - 1 : fr + n - 1] = q.coeffs
             cache.extend_known("s", fr + n - 1)
-    with led.stage("pow.s.second"):
-        _s_second_half(cache, s_arr, dh, C, plan, led)
-    return TruncatedSeries(s_arr)
+    with ledger.stage("pow.s.second"):
+        _s_second_half(cache, s_arr, dh, C, plan, ledger)
+    return s_arr
 
 
 def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> TruncatedSeries:
@@ -489,16 +436,14 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         r_n = _prefix_inverse(f_n, n)
     with led.stage("bootstrap.rho"):
         rho_n = _prefix_inverse(h2[:n], n)
+    dh = np.arange(1, 2 * m) * h2[1:]
     with led.stage("bootstrap.s"):
-        dh_head = np.arange(1, n) * h2[1:n]
-        seed = Cc * mul_mod(dh_head, rho_n, n - 1).coeffs
+        seed = Cc * mul_mod(dh[: n - 1], rho_n, n - 1).coeffs
 
     cache = BlockCache(k)
-    s_arr = s_iteration(h2, rho_n, seed, cache, 2 * m - 1, Cc, plan, ledger=led).coeffs
-
+    s_arr = _s_iteration(cache, plan, led, h2, dh, rho_n, seed, Cc)
     # the blocks of s are charged to the stage that computed s
     f_arr = _first_half(cache, f_n, r_n, "s", plan, led, "pow.f", b_stage="pow.s.first")
-    sf = log_extend(TruncatedSeries(f_arr), r_n, cache, 2 * m, plan, ledger=led,
-                    stage="pow.log", label="sf", seed_label="s", alias_upto=m // k - 1)
-    w_tail = (s_arr[m - 1 :] - sf.coeffs[m - 1 :]) / np.arange(m, 2 * m)
+    sf = _log_extend(cache, plan, led, "pow.log", "sf", "s")
+    w_tail = (s_arr[m - 1 :] - sf[m - 1 :]) / np.arange(m, 2 * m)
     return _finite_result(_final_stage(cache, f_arr, w_tail, plan, led, "pow.final")[:N])

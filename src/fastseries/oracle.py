@@ -6,8 +6,8 @@ independent of the transform engine and serves as the ground truth the fast
 algorithms are checked against.  Round-off grows with the recurrence depth;
 at order 256 with unit-disk inputs agreements of 1e-10 are comfortable,
 while order 2**13 is the practical cap used in tests.  Like the fast paths,
-inverse, exp, log and power reject NaN/inf coefficients and a non-finite
-exponent with DomainError.
+inverse, exp, log and power reject NaN/inf coefficients, a non-finite
+exponent and a negative order with DomainError; order 0 gives an empty series.
 """
 
 from __future__ import annotations
@@ -18,13 +18,20 @@ from .errors import DomainError
 from .series_core import TruncatedSeries, coeffs_of, finite_coeffs, padded
 
 
+def _zeros(n: int) -> np.ndarray:
+    """The output array of order n."""
+    if n < 0:
+        raise DomainError("order must not be negative")
+    return np.zeros(n, dtype=np.complex128)
+
+
 def oracle_inverse(f, n: int) -> TruncatedSeries:
     """1/f mod x**n by the coefficient recurrence; needs f[0] != 0."""
     c = finite_coeffs(f)
     if c.size == 0 or c[0] == 0:
         raise DomainError("series with zero constant term is not invertible")
-    r = np.zeros(n, dtype=np.complex128)
-    r[0] = 1.0 / c[0]
+    r = _zeros(n)
+    r[:1] = 1.0 / c[0]
     for j in range(1, n):
         t = min(j, c.size - 1)
         s = np.dot(c[1 : t + 1], r[j - t : j][::-1]) if t > 0 else 0.0
@@ -38,7 +45,7 @@ def oracle_exp(h, n: int) -> TruncatedSeries:
     if c.size and c[0] != 0:
         raise DomainError("exp needs a zero constant term")
     ih = np.arange(c.size) * c  # i * h_i
-    f = np.zeros(n, dtype=np.complex128)
+    f = _zeros(n)
     if n == 0:
         return TruncatedSeries(f)
     f[0] = 1.0
@@ -54,7 +61,7 @@ def oracle_log(f, n: int) -> TruncatedSeries:
     c = padded(finite_coeffs(f), max(n, 1))
     if c[0] != 1:
         raise DomainError("log needs constant term 1")
-    out = np.zeros(n, dtype=np.complex128)
+    out = _zeros(n)
     if n <= 1:
         return TruncatedSeries(out)
     df = np.arange(1, n) * c[1:n]
@@ -72,7 +79,7 @@ def oracle_pow(h, C, n: int) -> TruncatedSeries:
         raise DomainError("exponent must be finite")
     if c.size == 0 or c[0] != 1:
         raise DomainError("pow needs constant term 1")
-    f = np.zeros(n, dtype=np.complex128)
+    f = _zeros(n)
     if n == 0:
         return TruncatedSeries(f)
     f[0] = 1.0

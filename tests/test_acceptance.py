@@ -15,7 +15,6 @@ from fastseries import (
     dft,
     dft_3k,
     double_dft,
-    ensure_block_spectra,
     fast_exp,
     fast_inverse,
     fast_pow,
@@ -80,9 +79,9 @@ def test_criterion_2_middle_product_bound():
         cache.register("a", f)
         cache.register("b", g)
         cache.register("c", h)
-        ensure_block_spectra(cache, "a", n // k - 1, ledger=led)
-        ensure_block_spectra(cache, "b", (m + n) // k - 1, ledger=led)
-        ensure_block_spectra(cache, "c", (m + n) // k - 1, ledger=led)
+        cache.ensure("a", n // k - 1, ledger=led)
+        cache.ensure("b", (m + n) // k - 1, ledger=led)
+        cache.ensure("c", (m + n) // k - 1, ledger=led)
         before = led.units_total(k)
         q = triple_middle_product(cache, "a", "b", "c", m, n, ledger=led)
         incremental = led.units_total(k) - before

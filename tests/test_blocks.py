@@ -8,7 +8,6 @@ from fastseries import (
     DomainError,
     PlanError,
     double_dft,
-    ensure_block_spectra,
     oracle_middle,
     shifted_middle_product,
     triple_middle_product,
@@ -39,9 +38,9 @@ def _populated_cache(rng, k, n, m, f=None, g=None, h=None, ledger=None):
     cache.register("a", f)
     cache.register("b", g)
     cache.register("c", h)
-    ensure_block_spectra(cache, "a", -(-f.size // k) - 1, ledger=ledger)
-    ensure_block_spectra(cache, "b", -(-g.size // k) - 1, ledger=ledger)
-    ensure_block_spectra(cache, "c", -(-h.size // k) - 1, ledger=ledger)
+    cache.ensure("a", -(-f.size // k) - 1, ledger=ledger)
+    cache.ensure("b", -(-g.size // k) - 1, ledger=ledger)
+    cache.ensure("c", -(-h.size // k) - 1, ledger=ledger)
     return cache, f, g, h
 
 
@@ -50,10 +49,10 @@ def test_ensure_counts():
     cache = BlockCache(4)
     cache.register("x", disk(rng, 64))
     led = CostLedger()
-    assert ensure_block_spectra(cache, "x", 3, ledger=led) == 4
+    assert cache.ensure("x", 3, ledger=led) == 4
     assert led.event_count(label="x") == 8  # one order-2k plus one order-k each
-    assert ensure_block_spectra(cache, "x", 3, ledger=led) == 0
-    assert ensure_block_spectra(cache, "x", 7, ledger=led) == 4
+    assert cache.ensure("x", 3, ledger=led) == 0
+    assert cache.ensure("x", 7, ledger=led) == 4
     assert cache.high_water("x") == 7
 
 

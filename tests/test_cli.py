@@ -5,8 +5,10 @@ from math import factorial
 import numpy as np
 import pytest
 
-from fastseries import load_series
-from fastseries.cli import main, run_bench, run_verify
+from fastseries import load_series, oracle_pow
+from fastseries.cli import main, pow_input, run_bench, run_verify
+
+from util import rel_err
 
 
 def write_input(path, coeffs):
@@ -58,6 +60,42 @@ def test_plan_overrides_and_report(tmp_path):
     assert code == 0
     text = rep.read_text()
     assert "plan.k=4" in text and "stage.exp.stage1.units=" in text
+
+
+def test_bootstrap_order_alone_gives_a_power_plan(tmp_path):
+    """n = 96 = 3 * 2**5 alone: the block size chosen for it leaves 2k | n,
+    as power runs need."""
+    src = tmp_path / "g.txt"
+    dst = tmp_path / "o.txt"
+    g = pow_input(np.random.default_rng(5), 384)
+    write_input(src, g)
+    args = ["pow", str(src), str(dst), "--n", "384", "--power-re", "0.5", "--bootstrap-order", "96"]
+    assert main(args) == 0
+    assert rel_err(load_series(dst).coeffs, oracle_pow(g, 0.5, 384).coeffs) < 1e-10
+
+
+@pytest.mark.parametrize("cmd, extra", [("exp", []), ("pow", ["--power-re", "0.5"])])
+def test_oracle_report_names_no_plan(tmp_path, cmd, extra):
+    """An oracle run writes the no-plan report, not a block plan that never ran."""
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    rep = tmp_path / "rep.txt"
+    write_input(src, [1 if cmd == "pow" else 0, 0.5] + [0] * 254)
+    args = [cmd, str(src), str(dst), "--n", "256", "--algorithm", "oracle", "--report", str(rep)]
+    assert main(args + extra) == 0
+    assert rep.read_text() == "plan.fallback=1\nplan.target=256\n"
+
+
+def test_negative_order_exit_code(tmp_path):
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    for cmd in ("exp", "log", "inv", "pow"):
+        write_input(src, [0 if cmd == "exp" else 1, 0.5])
+        extra = ["--power-re", "0.5"] if cmd == "pow" else []
+        for algorithm in ("fast", "oracle"):
+            args = [cmd, str(src), str(dst), "--n", "-1", "--algorithm", algorithm, *extra]
+            assert main(args) == 1, (cmd, algorithm)
+            assert not dst.exists()
 
 
 @pytest.mark.parametrize("cmd, flags", [

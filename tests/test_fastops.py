@@ -14,24 +14,36 @@ from fastseries import (
     PowExponent,
     choose_plan,
     derivative,
-    exp_first_half,
     fast_exp,
     fast_inverse,
     fast_log,
     fast_pow,
-    log_extend,
     mul_mod,
     oracle_exp,
     oracle_inverse,
     oracle_log,
     oracle_pow,
-    s_iteration,
 )
+from fastseries import fast_ops
 from fastseries.cost_ledger import main_term_units
 
 from util import random_exp_arg, random_pow_arg, rel_err
 
 PLAN_SMALL = BlockPlan(k=2, n=4, m=16)
+
+
+def _spy(monkeypatch, name):
+    """The calls a driver makes to the private step fast_ops.<name>, as
+    (arguments, result) pairs, recorded while the test runs."""
+    calls = []
+    step = getattr(fast_ops, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, step(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fast_ops, name, spy)
+    return calls
 
 
 def test_fast_inverse_examples():
@@ -57,62 +69,65 @@ def test_newton_layer_matches_oracle(N):
     assert rel_err(fast_log(f, N).coeffs, oracle_log(f, N).coeffs) < 1e-10
 
 
-def test_exp_first_half_known_series():
+def test_exp_first_half_known_series(monkeypatch):
     h = np.zeros(32, dtype=complex)
     h[1] = 1
-    led = CostLedger()
-    fm, cache = exp_first_half(h, 16, plan=PLAN_SMALL, ledger=led)
+    first = _spy(monkeypatch, "_first_half")
+    fast_exp(h, 32, plan=PLAN_SMALL)
+    (cache, *_), fm = first[0]
     want = np.array([1 / factorial(i) for i in range(16)])
-    assert rel_err(fm.coeffs, want) < 1e-12
+    assert rel_err(fm, want) < 1e-12
     assert cache.high_water("f") == 16 // 2 - 1
 
 
-def test_exp_first_half_zero_argument():
+def test_exp_first_half_zero_argument(monkeypatch):
     h = np.zeros(16, dtype=complex)
-    fm, _ = exp_first_half(h, 16, plan=PLAN_SMALL)
-    want = np.zeros(16)
+    first = _spy(monkeypatch, "_first_half")
+    out = fast_exp(h, 32, plan=PLAN_SMALL).coeffs
+    want = np.zeros(32)
     want[0] = 1
-    assert np.allclose(fm.coeffs, want)
+    assert np.allclose(first[0][1], want[:16])
+    assert np.allclose(out, want)
 
 
-def test_exp_first_half_accepts_exactly_m_coefficients():
+def test_exp_first_half_accepts_exactly_m_coefficients(monkeypatch):
     rng = np.random.default_rng(21)
     h = random_exp_arg(rng, 32)
-    short, _ = exp_first_half(h[:16], 16, plan=PLAN_SMALL)
-    full, _ = exp_first_half(h, 16, plan=PLAN_SMALL)
-    assert rel_err(short.coeffs, full.coeffs) < 1e-12
-    with pytest.raises(DomainError):
-        exp_first_half(h[:8], 16, plan=PLAN_SMALL)
+    first = _spy(monkeypatch, "_first_half")
+    fast_exp(h[:16], 32, plan=PLAN_SMALL)
+    fast_exp(h, 32, plan=PLAN_SMALL)
+    (_, short), (_, full) = first
+    assert rel_err(short, full) < 1e-12
 
 
 def test_exp_first_half_block_transform_budget():
     h = np.zeros(32, dtype=complex)
     h[1] = 1
     led = CostLedger()
-    exp_first_half(h, 16, plan=PLAN_SMALL, ledger=led)
+    fast_exp(h, 32, plan=PLAN_SMALL, ledger=led)
     mk = PLAN_SMALL.ratio
-    assert led.units_for(PLAN_SMALL.k, label="f") == 3 * mk
-    assert led.units_for(PLAN_SMALL.k, label="dh") == 3 * mk
+    assert led.units_for(PLAN_SMALL.k, stage="exp.stage1", label="f") == 3 * mk
+    assert led.units_for(PLAN_SMALL.k, stage="exp.stage1", label="dh") == 3 * mk
 
 
-def test_log_extend_matches_reference_log_derivative():
+def test_log_extend_matches_reference_log_derivative(monkeypatch):
     plan = BlockPlan(k=2, n=4, m=8)
     h = np.zeros(16, dtype=complex)
     h[1] = 1
-    fm, cache = exp_first_half(h, 8, plan=plan)
-    s = log_extend(fm, cache.series_array("r"), cache, 16, plan)
+    first, log = _spy(monkeypatch, "_first_half"), _spy(monkeypatch, "_log_extend")
+    fast_exp(h, 16, plan=plan)
     padded = np.zeros(16, dtype=complex)
-    padded[:8] = fm.coeffs
+    padded[:8] = first[0][1]
     want = derivative(oracle_log(padded, 16)).coeffs
-    assert rel_err(s.coeffs, want) < 1e-10
+    assert rel_err(log[0][1], want) < 1e-10
 
 
-def test_log_extend_constant_one_gives_zero():
+def test_log_extend_constant_one_gives_zero(monkeypatch):
     plan = BlockPlan(k=2, n=4, m=8)
     h = np.zeros(16, dtype=complex)
-    fm, cache = exp_first_half(h, 8, plan=plan)
-    s = log_extend(fm, cache.series_array("r"), cache, 16, plan)
-    assert np.allclose(s.coeffs, np.zeros(15))
+    log = _spy(monkeypatch, "_log_extend")
+    fast_exp(h, 16, plan=plan)
+    assert np.allclose(log[0][1], np.zeros(15))
 
 
 def test_log_extend_unit_band_at_ratio_32():
@@ -206,6 +221,14 @@ def test_fast_exp_odd_order_truncates():
     assert rel_err(got, want) < 1e-10
 
 
+def _s_iteration(h, rho, seed, C):
+    """fast_ops._s_iteration on PLAN_SMALL and a fresh cache, for h of order
+    2m = 32."""
+    dh = np.arange(1, h.size) * h[1:]
+    return fast_ops._s_iteration(BlockCache(2), PLAN_SMALL, CostLedger(), h, dh, rho, seed,
+                                 complex(C))
+
+
 def test_s_iteration_geometric():
     # h = 1 + x, C = 2: s = 2/(1+x)
     h = np.zeros(32, dtype=complex)
@@ -213,10 +236,9 @@ def test_s_iteration_geometric():
     h[1] = 1
     rho = oracle_inverse(h[:4], 4).coeffs
     seed = 2 * np.convolve(np.arange(1, 4) * h[1:4], rho)[:3]
-    cache = BlockCache(2)
-    s = s_iteration(h, rho, seed, cache, 31, 2, PLAN_SMALL)
+    s = _s_iteration(h, rho, seed, 2)
     want = 2.0 * (-1.0) ** np.arange(31)
-    assert rel_err(s.coeffs, want) < 1e-12
+    assert rel_err(s, want) < 1e-12
 
 
 def test_s_iteration_constant_input():
@@ -224,9 +246,8 @@ def test_s_iteration_constant_input():
     h[0] = 1
     rho = oracle_inverse(h[:4], 4).coeffs
     seed = np.zeros(3, dtype=complex)
-    cache = BlockCache(2)
-    s = s_iteration(h, rho, seed, cache, 31, 5 + 2j, PLAN_SMALL)
-    assert np.allclose(s.coeffs, np.zeros(31))
+    s = _s_iteration(h, rho, seed, 5 + 2j)
+    assert np.allclose(s, np.zeros(31))
 
 
 def test_s_iteration_random_vs_composed_reference():
@@ -235,10 +256,9 @@ def test_s_iteration_random_vs_composed_reference():
     h = random_pow_arg(rng, 32)
     rho = oracle_inverse(h[:4], 4).coeffs
     seed = C * np.convolve(np.arange(1, 4) * h[1:4], rho)[:3]
-    cache = BlockCache(2)
-    s = s_iteration(h, rho, seed, cache, 31, C, PLAN_SMALL)
+    s = _s_iteration(h, rho, seed, C)
     want = C * mul_mod(derivative(h[:32]), oracle_inverse(h, 31), 31).coeffs
-    assert rel_err(s.coeffs, want) < 1e-9
+    assert rel_err(s, want) < 1e-9
 
 
 def test_fast_pow_binomial():
@@ -336,7 +356,8 @@ SMOOTH = [2**a * b for a in range(9) for b in (1, 3) if 2**a * b <= 256]
        n=st.one_of(st.none(), st.integers(1, 256), st.sampled_from(SMOOTH)))
 def test_plan_overrides_give_exactly_n_coefficients(N, k, n):
     """choose_plan(N, k, n) either refuses the override or gives a plan on
-    which fast_exp returns exactly N correct coefficients."""
+    which fast_exp returns exactly N correct coefficients.  A block size it
+    picks for a given n also suits fast_pow (2k divides n)."""
     try:
         plan = choose_plan(N, k=k, n=n)
     except PlanError:
@@ -345,6 +366,13 @@ def test_plan_overrides_give_exactly_n_coefficients(N, k, n):
     got = fast_exp(h, N, plan=plan).coeffs
     assert got.size == N
     assert rel_err(got, oracle_exp(h, N).coeffs) < 1e-10
+    if k is None and n is not None:
+        assert plan.n % (2 * plan.k) == 0
+        C = 0.3 + 0.7j
+        g = random_pow_arg(np.random.default_rng(N), N)
+        got = fast_pow(g, C, N, plan=plan).coeffs
+        assert got.size == N
+        assert rel_err(got, oracle_pow(g, C, N).coeffs) < 1e-10
 
 
 @settings(max_examples=100, deadline=None)

@@ -40,36 +40,46 @@ def test_bulk_records_equal_single_records():
 
 
 # sha256 of every event (order, stage, label, in recording order) and scalar
-# count of the pinned bench plans' fast_exp / fast_pow at N = 4096, with the
-# block-pair sums on the block-axis path; none of it depends on the input
-# values.
+# count of fast_exp / fast_pow at N = 4096, on the pinned bench plans and on
+# the default plans, with the block-pair sums on the block-axis path where
+# the engine takes it; none of it depends on the input values.
 EVENT_SHA256 = {
-    "exp": "73313e295558a22821e8f61df2e9dcfe255baf0751d4e81e39bcfda4ef858f9d",
-    "pow": "45024ff165544694be3806696857600fbd268b42af25b9ea593e01cd2927dcc9",
+    "exp pinned": "73313e295558a22821e8f61df2e9dcfe255baf0751d4e81e39bcfda4ef858f9d",
+    "pow pinned": "45024ff165544694be3806696857600fbd268b42af25b9ea593e01cd2927dcc9",
+    "exp default": "1e1ebcab34db70581a3135f2dd8cba776616325a46f9dd1161cb9cd4bf77593b",
+    "pow default": "89b54b305ef7dfa1daf0b3ac68a9ebffe8cf76acd3b5c1048a4409d7e218d5f4",
 }
-# sha256 of the events alone of the same runs, as the block-by-block engine
-# recorded them: how the block-pair sums are done moves no transform.
+# sha256 of the events alone of the same runs; the pinned ones as the
+# block-by-block engine recorded them: how the block-pair sums are done moves
+# no transform.
 EVENTS_ONLY_SHA256 = {
-    "exp": "11112037ce033803b1a9053b94d995ce558af764fd8a32963fd1784fa163e363",
-    "pow": "f7149676eaa3cff1c347c9c1f564a4135e5a2d895783831fdf0e4fdbd381e6a3",
+    "exp pinned": "11112037ce033803b1a9053b94d995ce558af764fd8a32963fd1784fa163e363",
+    "pow pinned": "f7149676eaa3cff1c347c9c1f564a4135e5a2d895783831fdf0e4fdbd381e6a3",
+    "exp default": "0b5c5342c7da3f05dbbe330439d76625e10a033e63a7058eb8e14a5502289185",
+    "pow default": "1a894e14248a7799484f9d3a8e07e3eb7c6998a7ac286afa69873050c10b99f8",
 }
 
 
 def test_event_sequence_of_pinned_runs():
     N = 4096
     rng = np.random.default_rng(31 + N)
-    runs = {
-        "exp": lambda led: fast_exp(exp_input(rng, N), N, plan=bench_plan("exp", N), ledger=led),
-        "pow": lambda led: fast_pow(pow_input(rng, N), 0.3 + 0.7j, N,
-                                    plan=bench_plan("pow", N), ledger=led),
-    }
-    for op, run in runs.items():
-        led = CostLedger()
-        run(led)
-        text = "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
-        assert hashlib.sha256(text.encode()).hexdigest() == EVENTS_ONLY_SHA256[op], op
-        text += "".join(f"{kind}={n}\n" for kind, n in sorted(led.scalar.items()))
-        assert hashlib.sha256(text.encode()).hexdigest() == EVENT_SHA256[op], op
+    for kind in ("pinned", "default"):
+        def plan(op, kind=kind):
+            return bench_plan(op, N) if kind == "pinned" else None
+
+        runs = {
+            "exp": lambda led: fast_exp(exp_input(rng, N), N, plan=plan("exp"), ledger=led),
+            "pow": lambda led: fast_pow(pow_input(rng, N), 0.3 + 0.7j, N, plan=plan("pow"),
+                                        ledger=led),
+        }
+        for op, run in runs.items():
+            led = CostLedger()
+            run(led)
+            key = f"{op} {kind}"
+            text = "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
+            assert hashlib.sha256(text.encode()).hexdigest() == EVENTS_ONLY_SHA256[key], key
+            text += "".join(f"{name}={n}\n" for name, n in sorted(led.scalar.items()))
+            assert hashlib.sha256(text.encode()).hexdigest() == EVENT_SHA256[key], key
 
 
 def test_additivity_and_filtering():
