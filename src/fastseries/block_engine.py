@@ -77,6 +77,8 @@ class BlockPlan:
         if self.k < 2:
             # the head block of a log-derivative extension step holds k-1 known coefficients
             raise PlanError("block size must be at least 2")
+        if self.n < 1:
+            raise PlanError(f"bootstrap order {self.n} must be positive")
         if self.n % self.k:
             raise PlanError(f"block size {self.k} must divide bootstrap order {self.n}")
         if self.m % self.n:

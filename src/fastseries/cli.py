@@ -147,10 +147,12 @@ def _transform(args):
 
     dump_series(result, args.output)
     if args.report:
-        if plan is None:
+        # inv and log run no block plan, nor does the oracle
+        runs_plan = args.algorithm == "fast" and args.command in ("exp", "pow")
+        if runs_plan and plan is None:
             plan = fast_ops.choose_plan(args.n)
         with open(args.report, "w") as fp:
-            if plan.fallback or args.algorithm == "oracle":  # no block plan ran
+            if not runs_plan or plan.fallback:
                 fp.write(f"plan.fallback=1\nplan.target={args.n}\n")
             else:
                 fp.write(report_kv(ledger, plan))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ FAST_MIN_ORDER = 32
 # crossover there.
 ORACLE_MAX_ORDER = 512
 ORACLE_INVERSE_MAX_ORDER = 256
+
+# Per-thread work arrays of the Newton layer, see _workspace.
+_newton_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -213,31 +217,55 @@ def _newton_orders(N: int) -> list[int]:
     return orders[::-1]
 
 
-def _wrap_step(c, q, a, t, r_spec, q_spec, ledger, label) -> np.ndarray:
-    """Extend q = a/f from order h = q.size to order t <= 2h, where c holds
-    the coefficients of f, a those of the numerator (None for a = 1) and
-    r_spec, q_spec are the order-L spectra, L >= t, of r = 1/f mod x**h and
-    of q.
+def _workspace(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three complex work arrays of length L for the Newton layer: views of
+    the calling thread's own arrays, which are replaced only when a larger L
+    comes.  Steps transform and multiply in them, so repeated calls allocate
+    no transform-sized arrays; a thread keeps 3 * 16 * L bytes for the
+    largest L it has used (3 MB at L = 2**16)."""
+    bufs = getattr(_newton_local, "bufs", None)
+    if bufs is None or bufs[0].size < L:
+        bufs = _newton_local.bufs = tuple(np.empty(L, dtype=np.complex128) for _ in range(3))
+    return tuple(b[:L] for b in bufs)
+
+
+def _wrap_step(c, q, a, h, t, r_spec, q_spec, work, ledger, label):
+    """Extend q = a/f from order h to order t <= 2h in place: q[:h] is known
+    and q[h:t] is written.  c holds the coefficients of f, a those of the
+    numerator (None for a = 1; a[h:t] is read before q[h:t] is written, so
+    a may be q itself), and r_spec, q_spec are the order-L spectra, L >= t,
+    of r = 1/f mod x**h and of q[:h].  work holds two arrays of length L;
+    q_spec may be the second, which the step overwrites once it has read it.
 
     The cyclic product f[:t]*q of length L is exact on coefficients h..t-1,
     because its terms past L wrap onto indices below t+h-1-L < h.  Those give
     the residual e = (f*q - a)/x**h mod x**(t-h), and q[h:t] = -(r*e) mod
     x**(t-h): four transforms of order L next to the two spectra given."""
-    h, L = q.size, r_spec.length
-    fq = fft_core.dft(c[:t], L, ledger=ledger, label=label).pointwise(q_spec, ledger=ledger)
-    e = fft_core.inverse_dft(fq, ledger=ledger, label=label)[h:t]
+    prod, spare = work
+    L = r_spec.length
+    fq = fft_core.dft(c[:t], L, ledger=ledger, label=label, out=prod).pointwise(
+        q_spec, ledger=ledger, out=prod)
+    e = fft_core.inverse_dft(fq, ledger=ledger, label=label, out=prod)[h:t]
     if a is not None:
         e -= a[h:t]
-    re = r_spec.pointwise(fft_core.dft(e, L, ledger=ledger, label=label), ledger=ledger)
-    return np.concatenate([q, -fft_core.inverse_dft(re, ledger=ledger, label=label)[: t - h]])
+    re = r_spec.pointwise(fft_core.dft(e, L, ledger=ledger, label=label, out=spare),
+                          ledger=ledger, out=spare)
+    np.negative(fft_core.inverse_dft(re, ledger=ledger, label=label, out=spare)[: t - h],
+                out=q[h:t])
 
 
 def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
-    """1/f mod x**N for c[0] != 0; r's spectrum serves both products of a step."""
-    r = np.array([1.0 / c[0]], dtype=np.complex128)
+    """1/f mod x**N for c[0] != 0, in a fresh array; the steps run in the
+    thread's workspace, and r's spectrum serves both products of a step."""
+    r = np.empty(N, dtype=np.complex128)
+    r[0] = 1.0 / c[0]
+    spec, prod, spare = _workspace(fft_core.granted_length(N))
+    h = 1
     for t in _newton_orders(N):
-        r_spec = fft_core.dft(r, fft_core.granted_length(t), ledger=ledger, label="newton")
-        r = _wrap_step(c, r, None, t, r_spec, r_spec, ledger, "newton")
+        L = fft_core.granted_length(t)
+        r_spec = fft_core.dft(r[:h], L, ledger=ledger, label="newton", out=spec[:L])
+        _wrap_step(c, r, None, h, t, r_spec, r_spec, (prod[:L], spare[:L]), ledger, "newton")
+        h = t
     return r
 
 
@@ -273,19 +301,23 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     out = np.zeros(N, dtype=np.complex128)
     if N == 1:
         return TruncatedSeries(out)
-    cc = padded(c, N)
-    df = np.arange(1, N) * cc[1:]
     M, h = N - 1, N // 2
-    with led.stage("inverse"):
-        r = _newton_inverse(cc, h, led)
     L = fft_core.granted_length(M)
-    r_spec = fft_core.dft(r, L, ledger=led, label="log")
-    dr = fft_core.dft(df[:h], L, ledger=led, label="log").pointwise(r_spec, ledger=led)
-    q = fft_core.inverse_dft(dr, ledger=led, label="log")[:h]
+    spec, prod, spare = _workspace(L)
+    # q = f'/f mod x**M is built in out[1:], which holds f' until the
+    # wrap-around step has read it
+    q, n = out[1:], min(c.size, N)
+    np.multiply(np.arange(1, n), c[1:n], out=q[: n - 1])
+    with led.stage("inverse"):
+        r = _newton_inverse(c, h, led)
+    r_spec = fft_core.dft(r, L, ledger=led, label="log", out=spec)
+    dr = fft_core.dft(q[:h], L, ledger=led, label="log", out=prod).pointwise(
+        r_spec, ledger=led, out=prod)
+    q[:h] = fft_core.inverse_dft(dr, ledger=led, label="log", out=prod)[:h]
     if M > h:
-        q_spec = fft_core.dft(q, L, ledger=led, label="log")
-        q = _wrap_step(cc, q, df, M, r_spec, q_spec, led, "log")
-    out[1:] = q / np.arange(1, N)
+        q_spec = fft_core.dft(q[:h], L, ledger=led, label="log", out=spare)
+        _wrap_step(c, q, q, h, M, r_spec, q_spec, (prod, spare), led, "log")
+    q /= np.arange(1, N)
     return _finite_result(out)
 
 

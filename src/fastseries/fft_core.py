@@ -8,7 +8,9 @@ transform reports a DFT event to the ledger it is handed (the leaf kernels
 themselves do not record anything).  The forward and inverse transforms
 also take a 2-d array of polynomials, one per row: the batch runs as one
 numpy call along the last axis and records one event group per row, the
-same events as that many single calls.
+same events as that many single calls.  ``dft``, ``inverse_dft`` and
+``Spectrum.pointwise`` can write into a caller's array (``out=``), which may
+be the input itself; the values are the same bit for bit either way.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -97,27 +99,31 @@ class Spectrum:
     def _signature(self):
         return (self.kind, self.l, self.k, self.values.shape[-1])
 
-    def pointwise(self, other: "Spectrum", ledger=None) -> "Spectrum":
+    def pointwise(self, other: "Spectrum", ledger=None, out=None) -> "Spectrum":
+        """The product spectrum self * other, in ``out`` when given; the
+        operand order is kept because complex products are not bitwise
+        commutative."""
         if self._signature() != other._signature():
             raise KindMismatchError(
                 f"cannot combine {self._signature()} with {other._signature()}"
             )
         if ledger is not None:
             ledger.add_scalar("cmul", self.values.size)
-        return Spectrum(self.values * other.values, self.kind, self.l, self.k)
+        return Spectrum(np.multiply(self.values, other.values, out=out),
+                        self.kind, self.l, self.k)
 
 
 # -- leaf kernels (no recording) ------------------------------------------
 
-def _forward(coeffs, L: int) -> np.ndarray:
-    values = np.fft.ifft(np.asarray(coeffs, dtype=np.complex128), n=L, axis=-1)
+def _forward(coeffs, L: int, out=None) -> np.ndarray:
+    values = np.fft.ifft(np.asarray(coeffs, dtype=np.complex128), n=L, axis=-1, out=out)
     values *= L
     return values
 
 
-def _backward(values) -> np.ndarray:
+def _backward(values, out=None) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
-    coeffs = np.fft.fft(v, axis=-1)
+    coeffs = np.fft.fft(v, axis=-1, out=out)
     coeffs /= v.shape[-1]
     return coeffs
 
@@ -144,23 +150,24 @@ def _record(ledger, orders, count, label, stage=None):
 
 # -- public transforms -----------------------------------------------------
 
-def dft(p, L: int, ledger=None, label=None) -> Spectrum:
+def dft(p, L: int, ledger=None, label=None, out=None) -> Spectrum:
     """Order-L DFT of a polynomial with deg p < L, or of each row of a
-    batch.  Empty input is zero."""
+    batch, whose values are ``out`` when given.  Empty input is zero."""
     _check_length(L)
     c = _polys(p)
     if c.shape[-1] > L:
         raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
     _record(ledger, (L,), _rows(c), label)
-    return Spectrum(_forward(c, L), "plain")
+    return Spectrum(_forward(c, L, out), "plain")
 
 
-def inverse_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:
-    """Recover the coefficients of a plain spectrum (row by row for a batch)."""
+def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:
+    """Recover the coefficients of a plain spectrum (row by row for a batch),
+    into ``out`` when given."""
     if s.kind != "plain":
         raise KindMismatchError(f"inverse_dft needs a plain spectrum, got {s.kind}")
     _record(ledger, (s.length,), _rows(s.values), label)
-    return _backward(s.values)
+    return _backward(s.values, out)
 
 
 def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectrum:

@@ -28,6 +28,9 @@ def test_plan_validation():
         BlockPlan(k=4, n=16, m=16)
     with pytest.raises(PlanError):
         BlockPlan(k=1, n=2, m=8)  # a head block must hold a known coefficient
+    for n in (0, -4):  # k divides n and n divides m, but there is no bootstrap
+        with pytest.raises(PlanError, match="must be positive"):
+            BlockPlan(k=2, n=n, m=512)
 
 
 def _populated_cache(rng, k, n, m, f=None, g=None, h=None, ledger=None):

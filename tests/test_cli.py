@@ -74,14 +74,23 @@ def test_bootstrap_order_alone_gives_a_power_plan(tmp_path):
     assert rel_err(load_series(dst).coeffs, oracle_pow(g, 0.5, 384).coeffs) < 1e-10
 
 
-@pytest.mark.parametrize("cmd, extra", [("exp", []), ("pow", ["--power-re", "0.5"])])
+@pytest.mark.parametrize("cmd, extra", [
+    ("exp", ["--algorithm", "oracle"]),
+    ("pow", ["--algorithm", "oracle", "--power-re", "0.5"]),
+    ("inv", []),
+    ("log", []),
+    ("inv", ["--algorithm", "oracle"]),
+    ("log", ["--algorithm", "oracle"]),
+])
 def test_oracle_report_names_no_plan(tmp_path, cmd, extra):
-    """An oracle run writes the no-plan report, not a block plan that never ran."""
+    """A run without a block plan (any oracle run, and the fast inv and log,
+    which run the Newton layer) writes the no-plan report, not a block plan
+    that never ran."""
     src = tmp_path / "h.txt"
     dst = tmp_path / "f.txt"
     rep = tmp_path / "rep.txt"
-    write_input(src, [1 if cmd == "pow" else 0, 0.5] + [0] * 254)
-    args = [cmd, str(src), str(dst), "--n", "256", "--algorithm", "oracle", "--report", str(rep)]
+    write_input(src, [0 if cmd == "exp" else 1, 0.5] + [0] * 254)
+    args = [cmd, str(src), str(dst), "--n", "256", "--report", str(rep)]
     assert main(args + extra) == 0
     assert rep.read_text() == "plan.fallback=1\nplan.target=256\n"
 
@@ -110,6 +119,17 @@ def test_zero_plan_flags_are_rejected(tmp_path, cmd, flags):
     dst = tmp_path / "f.txt"
     write_input(src, [1 if cmd == "pow" else 0, 1] + [0] * 62)
     assert main([cmd, str(src), str(dst), "--n", "64", *flags]) == 1
+    assert not dst.exists()
+
+
+def test_negative_bootstrap_order_is_a_plan_error(tmp_path, capsys):
+    """A negative bootstrap order fails as a plan error, before any
+    bootstrap runs on it."""
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    write_input(src, [0, 1] + [0] * 1022)
+    assert main(["exp", str(src), str(dst), "--n", "1024", "--bootstrap-order", "-4"]) == 1
+    assert capsys.readouterr().err == "error: bootstrap order -4 must be positive\n"
     assert not dst.exists()
 
 

@@ -334,6 +334,9 @@ def test_choose_plan_bootstrap_only_override():
     assert plan.n == 128 and plan.m == 512 and plan.n % plan.k == 0
     with pytest.raises(PlanError):
         choose_plan(1024, n=100)  # does not divide the frontier
+    for kw in ({"n": -4}, {"k": 4, "n": 0}):
+        with pytest.raises(PlanError, match="must be positive"):
+            choose_plan(1024, **kw)
 
 
 def test_plan_below_the_order_is_rejected():

@@ -45,6 +45,45 @@ def product(a, b, n):
     return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:n]
 
 
+def binomial_series(a, c, n):
+    """(1 - a*x)**c mod x**n from t_j = t_{j-1} * (j-1-c) * a / j."""
+    j = np.arange(1, n)
+    t = np.ones(n, dtype=np.complex128)
+    t[1:] = np.cumprod((j - 1 - c) * a / j)
+    return t
+
+
+def closed_form_check(got, want):
+    """Error relative to the largest reference coefficient, after checking
+    that the top half of the reference is not negligible (so that a result
+    whose upper half is lost cannot pass)."""
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(want[want.size // 2 :])) >= 1e-5 * scale
+    return np.max(np.abs(got - want)) / scale
+
+
+# g = (1 - a*x)**c with |a| = 1: every coefficient is live up to 2**16, and
+# 1/g and log g are known in closed form, without a quadratic reference
+CLOSED_FORM_A = np.exp(2j * np.pi * np.random.default_rng(7).uniform())
+
+
+@pytest.mark.parametrize("order", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("c", [0.5 + 0.3j, 0.25 - 0.4j])
+def test_fast_inverse_closed_form(order, c):
+    g = binomial_series(CLOSED_FORM_A, c, order)
+    want = binomial_series(CLOSED_FORM_A, -c, order)
+    assert closed_form_check(fast_inverse(g, order).coeffs, want) <= TOL
+
+
+@pytest.mark.parametrize("order", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("c", [0.5 + 0.3j, 0.25 - 0.4j])
+def test_fast_log_closed_form(order, c):
+    g = binomial_series(CLOSED_FORM_A, c, order)
+    want = np.zeros(order, dtype=np.complex128)
+    want[1:] = -c * np.cumprod(np.full(order - 1, CLOSED_FORM_A)) / np.arange(1, order)
+    assert closed_form_check(fast_log(g, order).coeffs, want) <= TOL
+
+
 def test_no_quadratic_work_above_the_crossover(monkeypatch):
     orders = []
     for name in ("oracle_exp", "oracle_inverse", "oracle_pow"):

@@ -1,13 +1,14 @@
 """Results and ledger reports are bitwise reproducible, also when several
 threads run the pinned-plan fast paths at once and share the module-level
-root tables (the README's "bitwise identical" claim)."""
+root tables, and when they run the Newton layer, each in its own workspace
+(the README's "bitwise identical" claim)."""
 
 import sys
 import threading
 
 import numpy as np
 
-from fastseries import CostLedger, fast_exp, fast_pow
+from fastseries import CostLedger, fast_exp, fast_inverse, fast_log, fast_pow
 from fastseries.cli import bench_plan, exp_input, pow_input
 from fastseries.cost_ledger import report_kv
 
@@ -32,23 +33,21 @@ def _runs():
     return run
 
 
-def test_pinned_runs_in_threads_match_sequential_runs():
-    run = _runs()
-    sequential = {op: run(op) for op in ("exp", "pow")}
-
-    results, errors = {"exp": [], "pow": []}, []
-    orders = [("exp", "pow"), ("pow", "exp")] * 2  # more threads than cores
+def _in_threads(orders, run):
+    """Run each list of jobs in ``orders`` in its own thread, all released at
+    once with a short switch interval; returns job -> list of results."""
+    results, errors = {job: [] for jobs in orders for job in jobs}, []
     start = threading.Barrier(len(orders))
 
-    def worker(ops):
+    def worker(jobs):
         try:
             start.wait(timeout=60)
-            for op in ops:
-                results[op].append(run(op))
+            for job in jobs:
+                results[job].append(run(job))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(ops,), daemon=True) for ops in orders]
+    threads = [threading.Thread(target=worker, args=(jobs,), daemon=True) for jobs in orders]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -60,8 +59,43 @@ def test_pinned_runs_in_threads_match_sequential_runs():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    for op, (want, want_kv) in sequential.items():
-        assert len(results[op]) == len(orders)
-        for got, got_kv in results[op]:
-            assert np.array_equal(got.view(np.float64), want.view(np.float64)), op
-            assert got_kv == want_kv, op
+    return results
+
+
+def _assert_bitwise(sequential, results, runs_each):
+    for job, (want, want_ledger) in sequential.items():
+        assert len(results[job]) == runs_each, job
+        for got, got_ledger in results[job]:
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), job
+            assert got_ledger == want_ledger, job
+
+
+def test_pinned_runs_in_threads_match_sequential_runs():
+    run = _runs()
+    sequential = {op: run(op) for op in ("exp", "pow")}
+    orders = [("exp", "pow"), ("pow", "exp")] * 2  # more threads than cores
+    _assert_bitwise(sequential, _in_threads(orders, run), len(orders))
+
+
+def test_newton_layer_in_threads_matches_sequential_runs():
+    """fast_inverse and fast_log transform in a per-thread workspace: every
+    thread starts without one and grows it from order 2**14 to 2**16 on its
+    second call, while the others are mid-run."""
+    g = pow_input(np.random.default_rng(37), 1 << 16)
+    ops = {"inv": fast_inverse, "log": fast_log}
+
+    def run(job):
+        op, order = job
+        led = CostLedger()
+        out = ops[op](g, order, ledger=led).coeffs
+        return out, [(e.order, e.stage, e.label) for e in led.events] + sorted(led.scalar.items())
+
+    small, large = 1 << 14, 1 << 16
+    orders = [
+        (("inv", small), ("inv", large), ("log", small), ("log", large)),
+        (("log", small), ("log", large), ("inv", small), ("inv", large)),
+        (("inv", small), ("log", large), ("log", small), ("inv", large)),
+        (("log", small), ("inv", large), ("inv", small), ("log", large)),
+    ]
+    sequential = {job: run(job) for job in orders[0]}
+    _assert_bitwise(sequential, _in_threads(orders, run), len(orders))
