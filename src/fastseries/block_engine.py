@@ -16,7 +16,10 @@ theta and the boundary coefficient, theta is transformed forward, and each
 output block costs one inverse transform.  Excluding the cached block
 transforms, that is 3*(n/k + 2) order-k units.
 
-A series' block spectra are stacked as the rows of one array.  Every
+The cache keeps one record per series: its coefficients, their known
+count, and its block spectra stacked as the rows of one array, the double
+spectrum in all 3k columns and the order-2k spectrum in the first 2k.
+``BlockCache.rows`` hands out either kind as a view of those rows.  Every
 block-pair sum, sum over mu of B[mu] * C[j - mu] (a residual image, an
 output block of a middle or short product), comes from one primitive,
 ``_block_conv``, which takes it one of two ways:
@@ -27,8 +30,8 @@ output block of a middle or short product), comes from one primitive,
   asked for (n/k per extension step, m/k for the final product), each chunk
   is transformed along the block axis at length 2c, the chunk-pair products
   are summed per landing offset, and one inverse per offset that reaches
-  the rows asked for gives them by overlap-add.  A stack keeps its chunk
-  transforms, keyed by the known counts of their rows, so a chunk is
+  the rows asked for gives them by overlap-add.  A series' record keeps its
+  chunk transforms, keyed by the known counts of their rows, so a chunk is
   transformed again only when one of its rows was (the growing head chunk
   of s, once per step); the fixed r and rho chunks are transformed once
   per run.  A step's residual images then cost O(m/n) chunk products of
@@ -98,32 +101,37 @@ class BlockPlan:
         return self.m // self.k
 
 
-class _Stack:
-    """One label's block spectra, one block per row: the double spectrum in
-    all 3k columns, whose first 2k columns are the block's plain order-2k
-    spectrum.  Beside each row, the count of its coefficients the block had
-    known when the whole row (``known``) and when its first 2k columns
-    (``known_2k``) were last transformed (== block size once complete, -1
-    when not current).  ``rows`` counts the rows up to the last double
-    spectrum written; the array has a row for every block the label can
-    hold.  ``axis`` keeps the block-axis transforms of its chunks for
-    ``_block_conv``, per (chunk, width): the transforms and, per chunk, the
-    known counts of its rows they were made from."""
+class _Series:
+    """One label's cached series: its coefficient array, the count of them
+    known, the size of its blocks, and its block spectra, one block per row
+    of ``spec``: the double spectrum in all 3k columns, whose first 2k
+    columns are the block's plain order-2k spectrum.  Beside each row, the
+    count of its coefficients the block had known when the whole row
+    (``row_known``) and when its first 2k columns (``row_known_2k``) were
+    last transformed (== block size once complete, -1 when not current).
+    ``written`` counts the rows up to the last double spectrum written;
+    ``spec`` has a row for every block the array can hold.  ``axis`` keeps
+    the block-axis transforms of its chunks for ``_block_conv``, per (chunk,
+    width): the transforms and, per chunk, the known counts of its rows they
+    were made from."""
 
-    __slots__ = ("spec", "known", "known_2k", "rows", "axis")
+    __slots__ = ("array", "known", "block", "spec", "row_known", "row_known_2k",
+                 "written", "axis")
 
-    def __init__(self, capacity: int, k: int):
+    def __init__(self, array: np.ndarray, known: int, block: int, k: int):
+        self.array, self.known, self.block = array, known, block
+        capacity = -(-array.size // block)
         self.spec = np.empty((capacity, 3 * k), dtype=np.complex128)
-        self.known = np.full(capacity, -1, dtype=np.int64)
-        self.known_2k = np.full(capacity, -1, dtype=np.int64)
-        self.rows = 0
+        self.row_known = np.full(capacity, -1, dtype=np.int64)
+        self.row_known_2k = np.full(capacity, -1, dtype=np.int64)
+        self.written = 0
         self.axis = {}
 
 
 class BlockCache:
-    """Per-label stacks of block spectra over registered coefficient arrays.
+    """One ``_Series`` record per label over registered coefficient arrays.
 
-    Each label keeps one 2-d array, row i for block i, holding its double
+    Each record keeps one 2-d array, row i for block i, holding its double
     spectra; short products read the order-2k spectra as the first 2k
     columns of the same rows.  A row is current for the known count it was
     made at; a stale row is transformed again, either whole (``ensure``) or
@@ -137,78 +145,72 @@ class BlockCache:
         if k < 1:
             raise PlanError("block size must be positive")
         self.k = k
-        self._arrays: dict[str, np.ndarray] = {}
-        self._known: dict[str, int] = {}
-        self._block: dict[str, int] = {}
-        self._stacks: dict[str, _Stack] = {}
+        self._series: dict[str, _Series] = {}
 
     # -- series registration --------------------------------------------------
 
     def register(self, label: str, array, known: int | None = None, block: int | None = None):
         arr = np.asarray(array, dtype=np.complex128).reshape(-1)
-        self._arrays[label] = arr
-        self._known[label] = arr.size if known is None else int(known)
-        self._block[label] = self.k if block is None else int(block)
-        self._stacks[label] = _Stack(-(-arr.size // self._block[label]), self.k)
+        self._series[label] = _Series(arr, arr.size if known is None else int(known),
+                                      self.k if block is None else int(block), self.k)
 
     def extend_known(self, label: str, known: int):
-        if known < self._known[label]:
+        s = self._series[label]
+        if known < s.known:
             raise DomainError("known coefficient count cannot shrink")
-        if known > self._arrays[label].size:
+        if known > s.array.size:
             raise DomainError("known count beyond backing array")
-        self._known[label] = known
+        s.known = known
 
     def series_array(self, label: str) -> np.ndarray:
-        return self._arrays[label]
+        return self._series[label].array
 
     def known(self, label: str) -> int:
-        return self._known[label]
+        return self._series[label].known
 
     def alias(self, dst: str, src: str, upto: int):
         """Give dst a copy of src's spectra 0..upto (content must agree there)."""
-        src_stack = self._stacks[src]
-        if upto >= src_stack.rows:
-            raise DomainError(f"alias range 0..{upto} beyond {src}'s {src_stack.rows} slots")
-        stack = _Stack(self._stacks[dst].known.size, self.k)
-        stack.spec[: upto + 1] = src_stack.spec[: upto + 1]
-        stack.known[: upto + 1] = src_stack.known[: upto + 1]
-        stack.known_2k[: upto + 1] = src_stack.known_2k[: upto + 1]
-        stack.rows = upto + 1
-        self._stacks[dst] = stack
+        s, d = self._series[src], self._series[dst]
+        if upto >= s.written:
+            raise DomainError(f"alias range 0..{upto} beyond {src}'s {s.written} slots")
+        d.spec[: upto + 1] = s.spec[: upto + 1]
+        d.row_known[: upto + 1] = s.row_known[: upto + 1]
+        d.row_known_2k[: upto + 1] = s.row_known_2k[: upto + 1]
+        d.written = upto + 1
 
     # -- spectra ----------------------------------------------------------------
 
-    def _block_states(self, label: str, upto: int, allow_partial: bool) -> np.ndarray:
-        """Known coefficient counts of blocks 0..upto; only the last one can
-        fall short of the block size."""
-        size = self._block[label]
-        total = self._known[label]
-        if total - upto * size < 1:
-            raise DomainError(f"series '{label}' has no coefficients in block {-(-total // size)}")
+    def _stale(self, label: str, upto: int, allow_partial: bool, row_known: np.ndarray):
+        """Blocks 0..upto whose rows, by the known counts ``row_known`` they
+        were made at, are stale: their indices, their known counts (only
+        block upto can fall short of the block size) and their coefficients
+        cut to those counts, one block per row."""
+        s = self._series[label]
+        size, arr = s.block, s.array
+        tail = s.known - upto * size
+        if tail < 1:
+            raise DomainError(f"series '{label}' has no coefficients in block {-(-s.known // size)}")
         states = np.full(upto + 1, size, dtype=np.int64)
-        tail = total - upto * size
         # a fixed series' short final block is zero-padded and final
-        if tail < size and total < self._arrays[label].size:
+        if tail < size and s.known < arr.size:
             if not allow_partial:
                 raise DomainError(f"series '{label}' shorter than requested block range")
             states[upto] = tail
-        return states
-
-    def _blocks(self, label: str, idx: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Coefficient rows of blocks idx, each cut to its known count."""
-        size = self._block[label]
-        arr = self._arrays[label]
+        idx = np.flatnonzero(row_known[: upto + 1] != states)
+        if not idx.size:
+            return idx, None, None
+        states = states[idx]
         whole = (states == size) & (idx < arr.size // size)
         if whole.all() and idx[-1] - idx[0] + 1 == idx.size:
-            return arr[idx[0] * size : (idx[-1] + 1) * size].reshape(-1, size)
-        out = np.zeros((idx.size, size), dtype=np.complex128)
-        out[whole] = arr[: arr.size // size * size].reshape(-1, size)[idx[whole]]
+            return idx, states, arr[idx[0] * size : (idx[-1] + 1) * size].reshape(-1, size)
+        blocks = np.zeros((idx.size, size), dtype=np.complex128)
+        blocks[whole] = arr[: arr.size // size * size].reshape(-1, size)[idx[whole]]
         # the head block of a growing series, or a fixed series' short last block
         for r in np.flatnonzero(~whole):
             lo = idx[r] * size
             avail = min(states[r], arr.size - lo)
-            out[r, :avail] = arr[lo : lo + avail]
-        return out
+            blocks[r, :avail] = arr[lo : lo + avail]
+        return idx, states, blocks
 
     def ensure(self, label: str, upto: int, ledger=None, stage=None, allow_partial=False) -> int:
         """Make double spectra for blocks 0..upto current, all stale blocks in
@@ -222,17 +224,15 @@ class BlockCache:
         are charged to ``stage`` when given, else to the ledger's current
         stage.
         """
-        if self._block[label] > 2 * self.k:
+        s = self._series[label]
+        if s.block > 2 * self.k:
             raise PlanError("blocks larger than 2k do not fit the image space")
-        states = self._block_states(label, upto, allow_partial)
-        stack = self._stacks[label]
-        stale = np.flatnonzero(stack.known[: states.size] != states)
+        stale, states, blocks = self._stale(label, upto, allow_partial, s.row_known)
         if stale.size:
-            spec = fft_core.double_dft(self._blocks(label, stale, states[stale]), 2 * self.k,
-                                       self.k, ledger=ledger, stage=stage, label=label)
-            stack.spec[stale] = spec.values
-            stack.known[stale] = stack.known_2k[stale] = states[stale]
-            stack.rows = max(stack.rows, int(stale[-1]) + 1)
+            s.spec[stale] = fft_core.double_dft(blocks, 2 * self.k, self.k, ledger=ledger,
+                                                stage=stage, label=label).values
+            s.row_known[stale] = s.row_known_2k[stale] = states
+            s.written = max(s.written, int(stale[-1]) + 1)
         return int(stale.size)
 
     def ensure_2k(self, label: str, upto: int, ledger=None, allow_partial=False) -> int:
@@ -241,68 +241,57 @@ class BlockCache:
         those columns, already holds them; the others are transformed at
         order 2k in one batch, whose count is returned (2 order-k units
         each), and the rest of their rows goes stale."""
-        if self._block[label] != self.k:
+        s = self._series[label]
+        if s.block != self.k:
             raise DomainError("order-2k spectra are only kept for size-k blocks")
-        states = self._block_states(label, upto, allow_partial)
-        stack = self._stacks[label]
-        stale = np.flatnonzero(stack.known_2k[: states.size] != states)
+        stale, states, blocks = self._stale(label, upto, allow_partial, s.row_known_2k)
         if stale.size:
-            spec = fft_core.dft(self._blocks(label, stale, states[stale]), 2 * self.k,
-                                ledger=ledger, label=label)
-            stack.spec[stale, : 2 * self.k] = spec.values
-            stack.known_2k[stale] = states[stale]
-            stack.known[stale] = -1
+            s.spec[stale, : 2 * self.k] = fft_core.dft(blocks, 2 * self.k, ledger=ledger,
+                                                       label=label).values
+            s.row_known_2k[stale] = states
+            s.row_known[stale] = -1
         return int(stale.size)
 
     def high_water(self, label: str) -> int:
         """Index of the last block with a double spectrum, -1 when none."""
-        return self._stacks[label].rows - 1
-
-    def spectra(self, label: str) -> np.ndarray:
-        """Double spectra of blocks 0..high_water, one block per row."""
-        stack = self._stacks[label]
-        return stack.spec[: stack.rows]
-
-    def spectra_2k(self, label: str, count: int) -> np.ndarray:
-        """Order-2k spectra of blocks 0..count-1: a view of the first 2k
-        columns of their rows."""
-        known_2k = self._stacks[label].known_2k
-        if count > known_2k.size or (count > 0 and known_2k[count - 1] < 0):
-            raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
-        return self._stacks[label].spec[:count, : 2 * self.k]
+        return self._series[label].written - 1
 
     def rows(self, label: str, count: int | None = None) -> "_Rows":
         """The label's spectra as a ``_block_conv`` operand: the double spectra
         of blocks 0..high_water, or, given count, the order-2k spectra of
-        blocks 0..count-1; with them the known counts they were made at."""
-        stack = self._stacks[label]
+        blocks 0..count-1 (a view of the first 2k columns of their rows);
+        with them the known counts they were made at."""
+        s = self._series[label]
         if count is None:
-            return _Rows(self.spectra(label), stack.known[: stack.rows], stack)
-        return _Rows(self.spectra_2k(label, count), stack.known_2k[:count], stack)
+            return _Rows(s.spec[: s.written], s.row_known[: s.written], s)
+        if count > s.row_known_2k.size or (count > 0 and s.row_known_2k[count - 1] < 0):
+            raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
+        return _Rows(s.spec[:count, : 2 * self.k], s.row_known_2k[:count], s)
 
 
 class _Rows:
     """An operand of ``_block_conv``: block spectra, one block per row.  Rows
-    of a cache stack carry the known count each was transformed at and the
-    stack, which keeps their block-axis chunk transforms across calls; a
+    of a cached series carry the known count each was transformed at and the
+    series, which keeps their block-axis chunk transforms across calls; a
     plain array is fresh and its chunks are transformed per call."""
 
-    __slots__ = ("spec", "known", "stack")
+    __slots__ = ("spec", "known", "series")
 
-    def __init__(self, spec, known=None, stack=None):
-        self.spec, self.known, self.stack = spec, known, stack
+    def __init__(self, spec, known=None, series=None):
+        self.spec, self.known, self.series = spec, known, series
 
     def chunk_spectra(self, chunk: int, count: int, ledger) -> np.ndarray:
         """Block-axis transforms, at length 2*chunk, of chunks 0..count-1 (chunk
-        q is rows q*chunk.., zero-padded).  A stack keeps each with the known
-        counts of its rows and makes it again only when those change."""
-        if self.stack is None:
+        q is rows q*chunk.., zero-padded).  A cached series keeps each with
+        the known counts of its rows and makes it again only when those
+        change."""
+        if self.series is None:
             out = np.empty((count, 2 * chunk, self.spec.shape[1]), dtype=np.complex128)
             _axis_dft(self.spec, chunk, out, 0, ledger)
             return out
-        width, axis = self.spec.shape[1], self.stack.axis
+        width, axis = self.spec.shape[1], self.series.axis
         if (chunk, width) not in axis:
-            cap = -(-len(self.stack.spec) // chunk)
+            cap = -(-len(self.series.spec) // chunk)
             axis[chunk, width] = (np.empty((cap, 2 * chunk, width), dtype=np.complex128),
                                   [None] * cap)
         spec, keys = axis[chunk, width]
@@ -372,8 +361,8 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger
                     min(qb + qc - 2, (j0 + count - 1) // chunk) + 1)
     spans = [(max(0, s - qc + 1), min(qb - 1, s)) for s in offsets]
     chunk_pairs = sum(qh - ql + 1 for ql, qh in spans)
-    # a stack's chunks are transformed once per run; count the fresh ones
-    fresh = sum(min(q, offsets.stop) for x, q in ((b, qb), (c, qc)) if x.stack is None)
+    # a cached series' chunks are transformed once per run; count the fresh ones
+    fresh = sum(min(q, offsets.stop) for x, q in ((b, qb), (c, qc)) if x.series is None)
     axis_ns = (_AXIS_FIXED_NS + _AXIS_MAC_NS * chunk_pairs * L * width
                + _AXIS_FFT_NS * (fresh + len(spans)) * L * width * chunk.bit_length())
     if not spans or axis_ns >= direct_ns:
@@ -497,7 +486,7 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     if linear is not None:
         # the even residual blocks j = block_shift-1+i, i = 1, 3, ..., gain
         # coef times the double-sized block j/2 = block_shift/2 + (i-1)/2
-        coef, lin = linear[0], cache.spectra(linear[1])
+        coef, lin = linear[0], cache.rows(linear[1]).spec
         np.negative(res, out=res)
         lin = lin[block_shift // 2 : block_shift // 2 + (n_blocks + 1) // 2]
         res[1 : 2 * lin.shape[0] : 2] += coef * lin

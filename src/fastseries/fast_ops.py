@@ -138,12 +138,10 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
             raise PlanError(f"no valid block size for n={n}, m={m}")
         return BlockPlan(k=kk, n=n, m=m)
     kk = 1 << max(0, (max(1, m // r)).bit_length() - 1)
-    while kk >= 1:
-        nn = _pick_bootstrap(m, kk, r)
-        if nn is not None:
-            return BlockPlan(k=kk, n=nn, m=m)
+    # m >= 16 is 2^a or 3*2^a, so kk = 2 always finds n = 4
+    while (nn := _pick_bootstrap(m, kk, r)) is None:
         kk //= 2
-    return BlockPlan(k=0, n=0, m=0, target=N, fallback=True)
+    return BlockPlan(k=kk, n=nn, m=m)
 
 
 # -- shared machinery --------------------------------------------------------
@@ -152,12 +150,10 @@ def _window_product_2k(cache, x_label, x_count, y, out_len, ledger,
                        y_label, out_label):
     """Short product (x * y) mod x**out_len where x is given by the order-2k
     segments of cached blocks 0..x_count-1 and y is a fresh coefficient
-    window, whose blocks are transformed here in one batch.  Each output
+    window of whole blocks, transformed here in one batch.  Each output
     block is one reduction over the two stacks; all are inverted at once."""
     k = cache.k
-    y = np.asarray(y, dtype=np.complex128)
-    y_blocks = np.zeros((-(-y.size // k), k), dtype=np.complex128)
-    y_blocks.reshape(-1)[: y.size] = y
+    y_blocks = np.asarray(y, dtype=np.complex128).reshape(-1, k)
     y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
     x_rows = cache.rows(x_label, x_count)
     acc, pairs = block_engine._block_conv(x_rows, y_specs, 0, -(-out_len // k), ledger)

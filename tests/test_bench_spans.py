@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from fastseries import fast_exp, fast_pow
+from fastseries import CostLedger, fast_exp, fast_pow
 from fastseries.cli import bench_plan, exp_input, pow_input
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -30,15 +30,26 @@ def test_every_block_engine_span_fires_on_pinned_runs():
     N = 1024
     rng = np.random.default_rng(N)
     h, g = exp_input(rng, N), pow_input(rng, N)
-    tracer = spans.Tracer()
+    tracer, led = spans.Tracer(), CostLedger()
     with spans.instrumented(tracer):
-        fast_exp(h, N, plan=bench_plan("exp", N))
-        fast_pow(g, 0.3 + 0.7j, N, plan=bench_plan("pow", N))
+        fast_exp(h, N, plan=bench_plan("exp", N), ledger=led)
+        fast_pow(g, 0.3 + 0.7j, N, plan=bench_plan("pow", N), ledger=led)
     names = {name for _, _, name in spans.WRAPPED if name.startswith("block_engine.")}
     assert names == {"block_engine.ensure", "block_engine.ensure_2k",
                      "block_engine.aligned_middle", "block_engine.window_product_2k"}
     fired = tracer.totals()
     assert all(fired[name][0] > 0 for name in names), {n: fired[n][0] for n in names}
+    # every double spectrum ensure makes is one order-k event, so its count
+    # is the ledger's order-k events outside the middle products' own
+    # theta, u-boundary and mp-restore transforms
+    k = bench_plan("exp", N).k
+    assert bench_plan("pow", N).k == k
+    blocks = sum(1 for ev in led.events
+                 if ev.order == k and ev.label not in ("theta", "u-boundary", "mp-restore"))
+    assert tracer.counts["ensure.transforms"] == blocks > 0
+    # head blocks of growing series are transformed again; high_water tells
+    # those transforms from the ones of new blocks
+    assert 0 < tracer.counts["ensure.retransforms"] < blocks
     # every wrapped attribute is restored afterwards
     assert all(not hasattr(owner.__dict__[attr], "__wrapped__")
                for owner, attr, _ in spans.WRAPPED)

@@ -220,9 +220,9 @@ def test_missing_spectra_error():
     cache = BlockCache(2)
     cache.register("a", np.ones(4))
     cache.ensure("a", 0)
-    assert cache.spectra("a").shape == (1, 6)
+    assert cache.rows("a").spec.shape == (1, 6)
     with pytest.raises(DomainError):
-        cache.spectra_2k("a", 2)
+        cache.rows("a", 2)
 
 
 def test_ensure_2k_after_ensure_is_free():
@@ -250,7 +250,7 @@ def test_2k_transform_of_grown_head_block_then_ensure():
     assert cache.ensure_2k("x", 5, ledger=led) == 3
     assert [ev.order for ev in led.events] == [8] * 3
     want_2k = np.fft.ifft(full[12:24].reshape(3, 4), n=8, axis=1) * 8
-    assert np.allclose(cache.spectra_2k("x", 6)[3:], want_2k, rtol=0, atol=1e-13)
+    assert np.allclose(cache.rows("x", 6).spec[3:], want_2k, rtol=0, atol=1e-13)
     # row 3 no longer holds the double spectrum of the 2-coefficient head
     # block, so a copy is not current for a series still at that count
     older = np.zeros(32, dtype=complex)
@@ -258,22 +258,22 @@ def test_2k_transform_of_grown_head_block_then_ensure():
     cache.register("y", older, known=14)
     cache.alias("y", "x", 3)
     assert cache.ensure("y", 3, allow_partial=True) == 1
-    assert np.array_equal(cache.spectra("y")[3], double_dft(full[12:14], 8, 4).values)
+    assert np.array_equal(cache.rows("y").spec[3], double_dft(full[12:14], 8, 4).values)
     # the double spectra of rows 3..5 went stale and are transformed again, whole
     assert cache.ensure("x", 5) == 3
     assert cache.ensure_2k("x", 5) == 0
     fresh = BlockCache(4)
     fresh.register("x", full[:24])
     fresh.ensure("x", 5)
-    assert np.array_equal(cache.spectra("x"), fresh.spectra("x"))
+    assert np.array_equal(cache.rows("x").spec, fresh.rows("x").spec)
 
 
 def test_spectra_2k_is_the_first_2k_columns():
     rng = np.random.default_rng(17)
     cache, *_ = _populated_cache(rng, 4, 8, 16)
     for label in "abc":
-        rows = cache.spectra(label)
-        view = cache.spectra_2k(label, rows.shape[0])
+        rows = cache.rows(label).spec
+        view = cache.rows(label, rows.shape[0]).spec
         assert np.shares_memory(view, rows)
         assert np.array_equal(view, rows[:, :8])
 
@@ -355,7 +355,7 @@ def test_partial_head_block_retransformed_at_pinned_scale():
     assert led.event_count(label="s") == 2 * 32
     assert cache.high_water("s") == 93
     want = double_dft(full[992:1008], 2 * K, K).values
-    assert np.array_equal(cache.spectra("s")[62], want)
+    assert np.array_equal(cache.rows("s").spec[62], want)
 
     f, h = disk(rng, NN), disk(rng, M)
     cache.register("a", f)

@@ -306,6 +306,10 @@ def test_choose_plan_rule():
     plan = choose_plan(1024)
     assert (plan.k, plan.n, plan.m) == (128, 256, 512)
     assert plan.target == 1024
+    # from the crossover on, the default rule always finds a fast plan
+    for N in range(fast_ops.FAST_MIN_ORDER, (1 << 16) + 1):
+        plan = choose_plan(N)
+        assert not plan.fallback and plan.n % (2 * plan.k) == 0, N
 
 
 def test_choose_plan_small_orders_fall_back():

@@ -84,6 +84,32 @@ def test_fast_log_closed_form(order, c):
     assert closed_form_check(fast_log(g, order).coeffs, want) <= TOL
 
 
+def _plan(op, order, pinned):
+    return bench_plan(op, order) if pinned else None
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["default", "pinned"])
+@pytest.mark.parametrize("order", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("c", [0.5 + 0.3j, 0.25 - 0.4j])
+def test_fast_exp_closed_form(order, c, pinned):
+    """exp(c * sum of a**j x**j / j) = (1 - a*x)**(-c)."""
+    h = np.zeros(order, dtype=np.complex128)
+    h[1:] = c * np.cumprod(np.full(order - 1, CLOSED_FORM_A)) / np.arange(1, order)
+    got = fast_exp(h, order, plan=_plan("exp", order, pinned)).coeffs
+    assert closed_form_check(got, binomial_series(CLOSED_FORM_A, -c, order)) <= TOL
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["default", "pinned"])
+@pytest.mark.parametrize("order", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("power", [-1, 0.3 + 0.7j])
+def test_fast_pow_closed_form(order, power, pinned):
+    """((1 - a*x)**c)**C = (1 - a*x)**(c*C), for c = 0.5+0.3j."""
+    c = 0.5 + 0.3j
+    g = binomial_series(CLOSED_FORM_A, c, order)
+    got = fast_pow(g, power, order, plan=_plan("pow", order, pinned)).coeffs
+    assert closed_form_check(got, binomial_series(CLOSED_FORM_A, c * power, order)) <= TOL
+
+
 def test_no_quadratic_work_above_the_crossover(monkeypatch):
     orders = []
     for name in ("oracle_exp", "oracle_inverse", "oracle_pow"):
