@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedLengthError,
 )
 from .fast_ops import (
-    PowExponent,
     choose_plan,
     fast_exp,
     fast_inverse,
@@ -50,20 +49,11 @@ from .oracle import (
 )
 from .series_core import (
     TruncatedSeries,
-    add,
     derivative,
-    floor_div_xn,
-    integral,
     load_series,
     mul_mod,
-    overlap_add,
     read_series,
-    scale,
-    split_blocks,
-    sub,
-    truncate,
     write_series,
-    zero_extend,
 )
 
 __version__ = "0.1.0"

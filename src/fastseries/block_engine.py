@@ -92,10 +92,6 @@ class BlockPlan:
             object.__setattr__(self, "target", 2 * self.m)
 
     @property
-    def blocks_per_step(self) -> int:
-        return self.n // self.k
-
-    @property
     def ratio(self) -> int:
         """m/k, the normalization all stage budgets are quoted in."""
         return self.m // self.k

@@ -159,6 +159,14 @@ def _transform(args):
     return 0
 
 
+def _sizes(text):
+    """argparse type of --sizes: a comma list of positive orders."""
+    parts = text.split(",")
+    if not all(p.isascii() and p.isdigit() and int(p) > 0 for p in parts):
+        raise argparse.ArgumentTypeError(f"not a comma list of positive orders: {text!r}")
+    return [int(p) for p in parts]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="fastseries",
                                      description="truncated power series toolkit")
@@ -187,12 +195,12 @@ def build_parser():
     p_pow.add_argument("--power-im", type=float, default=0.0)
 
     p_verify = sub.add_parser("verify")
-    p_verify.add_argument("--sizes", default="64,256,1024")
+    p_verify.add_argument("--sizes", type=_sizes, default="64,256,1024")
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--report", default=None)
 
     p_bench = sub.add_parser("bench")
-    p_bench.add_argument("--sizes", default="256,512,1024,2048")
+    p_bench.add_argument("--sizes", type=_sizes, default="256,512,1024,2048")
     p_bench.add_argument("--seed", type=int, default=1)
     add_plan(p_bench)
     p_bench.add_argument("--report", default=None)
@@ -208,13 +216,11 @@ def main(argv=None) -> int:
         if args.command in ("exp", "log", "inv", "pow"):
             return _transform(args)
         if args.command == "verify":
-            sizes = [int(s) for s in args.sizes.split(",") if s]
-            worst = run_verify(sizes, args.seed, report_path=args.report)
+            worst = run_verify(args.sizes, args.seed, report_path=args.report)
             return 0 if worst <= VERIFY_TOL else 3
         if args.command == "bench":
-            sizes = [int(s) for s in args.sizes.split(",") if s]
             start = time.perf_counter()
-            run_bench(sizes, args.seed, k=args.block_size, n=args.bootstrap_order,
+            run_bench(args.sizes, args.seed, k=args.block_size, n=args.bootstrap_order,
                       report_path=args.report)
             if args.timing:
                 print(f"bench wall clock: {time.perf_counter() - start:.2f}s",

@@ -7,8 +7,9 @@ be read in multiplication units by dividing by six.  High-level stage budgets
 are quoted per ``m/k``, i.e. in units of a hypothetical order-m transform.
 
 A ledger is an explicitly passed recording context; nothing here is global.
-Recording is meant to happen on a single thread per ledger, and merging of
-sub-ledgers is associative and order-independent at the aggregate level.
+Recording is meant to happen on a single thread per ledger.  A stage
+entered through ``CostLedger.stage`` shows in the reports even when it
+records no event.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ class CostLedger:
         finally:
             self._stage_stack.pop()
 
-    def touch_stage(self, tag: str):
-        """Register a stage that ran even if it records no DFT events."""
-        if tag not in self._touched:
-            self._touched.append(tag)
-
     def record_dft(self, order: int, stage: str | None = None, label: str | None = None):
         tag = stage if stage is not None else self.current_stage
         self.events.append(DftEvent(int(order), tag, label or ""))
@@ -102,18 +98,6 @@ class CostLedger:
 
     def add_scalar(self, kind: str, count: int):
         self.scalar[kind] = self.scalar.get(kind, 0) + int(count)
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        out = CostLedger()
-        out.events = self.events + other.events
-        out.scalar = dict(self.scalar)
-        for kind, cnt in other.scalar.items():
-            out.scalar[kind] = out.scalar.get(kind, 0) + cnt
-        out._touched = list(self._touched)
-        for tag in other._touched:
-            if tag not in out._touched:
-                out._touched.append(tag)
-        return out
 
     # -- aggregation ---------------------------------------------------------
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,23 +61,6 @@ ORACLE_INVERSE_MAX_ORDER = 256
 
 # Per-thread work arrays of the Newton layer, see _workspace.
 _newton_local = threading.local()
-
-
-@dataclass(frozen=True)
-class PowExponent:
-    """The constant exponent of a power run; 0 and 1 are legal fast paths."""
-
-    value: complex
-
-    def __post_init__(self):
-        if not cmath.isfinite(complex(self.value)):
-            raise DomainError("exponent must be finite")
-
-
-def _as_exponent(C) -> complex:
-    if not isinstance(C, PowExponent):
-        C = PowExponent(complex(C))
-    return complex(C.value)
 
 
 def _finite_result(c: np.ndarray) -> TruncatedSeries:
@@ -432,7 +414,9 @@ def _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, C) -> np.ndarray:
 
 def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> TruncatedSeries:
     """h**C mod x**N for h[0] = 1 and a finite complex exponent."""
-    Cc = _as_exponent(C)
+    Cc = complex(C)
+    if not cmath.isfinite(Cc):
+        raise DomainError("exponent must be finite")
     h_arr = finite_coeffs(h)
     if N < 1:
         raise DomainError("order must be positive")

@@ -1,13 +1,12 @@
-"""The truncated-series data type, formal operators, block split/assemble,
-and elementary arithmetic modulo x**n.
+"""The truncated-series data type, the input checks, padding, derivative and
+product modulo x**n the fast operations share, and the coefficient text
+format.
 
 Values are immutable after construction and safe to share across threads.
 Coefficient storage is dense complex128.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -36,9 +35,6 @@ class TruncatedSeries:
         tail = ", ..." if self.order > 4 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs)
-
 
 def coeffs_of(f) -> np.ndarray:
     """Coefficient array of a TruncatedSeries or any array-like."""
@@ -65,74 +61,11 @@ def padded(c: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def truncate(f, n: int) -> TruncatedSeries:
-    """First n coefficients.  Requesting more than are known is an error;
-    contexts that really mean zero extension use zero_extend."""
-    c = coeffs_of(f)
-    if n < 0:
-        raise DomainError("truncation order must be nonnegative")
-    if n > c.size:
-        raise DomainError(f"cannot truncate order-{c.size} series to larger order {n}")
-    return TruncatedSeries(c[:n])
-
-
-def zero_extend(f, n: int) -> TruncatedSeries:
-    c = coeffs_of(f)
-    if n < c.size:
-        raise DomainError("zero_extend cannot shrink; use truncate")
-    out = np.zeros(n, dtype=np.complex128)
-    out[: c.size] = c
-    return TruncatedSeries(out)
-
-
-def floor_div_xn(f, n: int) -> TruncatedSeries:
-    """Coefficients from index n upward, shifted down by n."""
-    c = coeffs_of(f)
-    if n < 0 or n > c.size:
-        raise DomainError(f"shift {n} outside [0, {c.size}]")
-    return TruncatedSeries(c[n:])
-
-
 def derivative(f) -> TruncatedSeries:
     c = coeffs_of(f)
     if c.size < 1:
         raise DomainError("derivative needs order >= 1")
     return TruncatedSeries(np.arange(1, c.size) * c[1:])
-
-
-@functools.lru_cache(maxsize=64)
-def _recip_table(n: int):
-    # Reciprocals 1/1 .. 1/n, precomputed so integration costs one scalar
-    # multiplication per coefficient.
-    return 1.0 / np.arange(1, n + 1)
-
-
-def integral(f, ledger=None) -> TruncatedSeries:
-    c = coeffs_of(f)
-    out = np.zeros(c.size + 1, dtype=np.complex128)
-    if c.size:
-        out[1:] = c * _recip_table(c.size)
-    if ledger is not None:
-        ledger.add_scalar("smul", c.size)
-    return TruncatedSeries(out)
-
-
-def add(f, g) -> TruncatedSeries:
-    a, b = coeffs_of(f), coeffs_of(g)
-    if a.size != b.size:
-        raise DomainError(f"order mismatch {a.size} != {b.size}; truncate explicitly")
-    return TruncatedSeries(a + b)
-
-
-def sub(f, g) -> TruncatedSeries:
-    a, b = coeffs_of(f), coeffs_of(g)
-    if a.size != b.size:
-        raise DomainError(f"order mismatch {a.size} != {b.size}; truncate explicitly")
-    return TruncatedSeries(a - b)
-
-
-def scale(f, c) -> TruncatedSeries:
-    return TruncatedSeries(coeffs_of(f) * complex(c))
 
 
 def mul_mod(f, g, n: int, ledger=None, label=None) -> TruncatedSeries:
@@ -144,34 +77,6 @@ def mul_mod(f, g, n: int, ledger=None, label=None) -> TruncatedSeries:
     out = np.zeros(n, dtype=np.complex128)
     take = min(n, prod.size)
     out[:take] = prod[:take]
-    return TruncatedSeries(out)
-
-
-def split_blocks(f, k: int) -> list[np.ndarray]:
-    """Cut into ceil(order/k) size-k coefficient blocks, last one zero-padded."""
-    if k < 1:
-        raise DomainError("block size must be positive")
-    c = coeffs_of(f)
-    count = -(-c.size // k)
-    blocks = []
-    for i in range(count):
-        blk = np.zeros(k, dtype=np.complex128)
-        chunk = c[i * k : (i + 1) * k]
-        blk[: chunk.size] = chunk
-        blocks.append(blk)
-    return blocks
-
-
-def overlap_add(blocks, k: int, n: int) -> TruncatedSeries:
-    """Sum block_i * x**(i*k) truncated to order n; overlapping parts add."""
-    out = np.zeros(n, dtype=np.complex128)
-    for i, blk in enumerate(blocks):
-        b = np.asarray(blk, dtype=np.complex128).reshape(-1)
-        lo = i * k
-        if lo >= n:
-            continue
-        hi = min(n, lo + b.size)
-        out[lo:hi] += b[: hi - lo]
     return TruncatedSeries(out)
 
 
@@ -248,8 +153,8 @@ def _read_lines(source: str) -> TruncatedSeries:
         raise FormatError("malformed '#order n' header", line=1) from None
     if order < 0:
         raise FormatError("negative order", line=1)
-    out = np.zeros(order, dtype=np.complex128)
-    seen = 0
+    # the header only bounds the coefficients; the lines read size the array
+    out = []
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -262,14 +167,14 @@ def _read_lines(source: str) -> TruncatedSeries:
             re, im = float(parts[1]), float(parts[2])
         except ValueError:
             raise FormatError("unparsable coefficient fields", line=lineno) from None
-        if idx != seen:
-            raise FormatError(f"expected index {seen}, got {idx}", line=lineno)
+        if idx != len(out):
+            raise FormatError(f"expected index {len(out)}, got {idx}", line=lineno)
         if idx >= order:
             raise FormatError(f"index {idx} beyond declared order {order}", line=lineno)
-        out[idx] = complex(re, im)
-        seen += 1
-    if seen != order:
-        raise FormatError(f"declared order {order} but found {seen} coefficients", line=len(lines))
+        out.append(complex(re, im))
+    if len(out) != order:
+        raise FormatError(f"declared order {order} but found {len(out)} coefficients",
+                          line=len(lines))
     return TruncatedSeries(out)
 
 

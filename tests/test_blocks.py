@@ -19,7 +19,7 @@ from util import disk, rel_err
 
 def test_plan_validation():
     plan = BlockPlan(k=4, n=16, m=64)
-    assert plan.target == 128 and plan.ratio == 16 and plan.blocks_per_step == 4
+    assert plan.target == 128 and plan.ratio == 16
     with pytest.raises(PlanError):
         BlockPlan(k=3, n=16, m=64)
     with pytest.raises(PlanError):

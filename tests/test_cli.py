@@ -178,6 +178,8 @@ def test_parse_error_exit_code(tmp_path):
     src = tmp_path / "h.txt"
     src.write_text("#order 2\n0\t1\t0\nbad\n")
     assert main(["exp", str(src), str(tmp_path / "f.txt"), "--n", "4"]) == 2
+    src.write_text("#order 1000000000000\n0\t1\t0\n")
+    assert main(["exp", str(src), str(tmp_path / "f.txt"), "--n", "4"]) == 2
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -206,6 +208,16 @@ def test_verify_cli_exit(tmp_path):
     rep = tmp_path / "verify.txt"
     assert main(["verify", "--sizes", "64", "--seed", "3", "--report", str(rep)]) == 0
     assert "exp N=64" in rep.read_text()
+
+
+@pytest.mark.parametrize("cmd, sizes", [
+    ("verify", "0"), ("verify", "-4"), ("verify", "abc"), ("verify", "64,"), ("bench", "x"),
+])
+def test_bad_sizes_are_a_usage_error(cmd, sizes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--sizes", sizes])
+    assert exc.value.code == 2
+    assert "--sizes" in capsys.readouterr().err
 
 
 def test_bench_reports_are_byte_identical(tmp_path):

@@ -109,25 +109,6 @@ def test_stage_scoping():
     assert led.units_for(4, stage="inner") == 1
 
 
-def test_merge_is_associative_and_commutative_on_totals():
-    def make(orders, stage):
-        led = CostLedger()
-        for o in orders:
-            led.record_dft(o, stage=stage)
-        led.add_scalar("cmul", len(orders))
-        return led
-
-    a = make([4, 8], "a")
-    b = make([12], "b")
-    c = make([4, 4, 4], "c")
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    swapped = c.merge(b).merge(a)
-    for k in (2, 4):
-        assert left.units_total(k) == right.units_total(k) == swapped.units_total(k)
-    assert left.scalar == right.scalar == swapped.scalar
-
-
 def test_bootstrap_exclusion():
     led = CostLedger()
     led.record_dft(8, stage="bootstrap.E")
@@ -167,7 +148,8 @@ def test_empty_ledger_reports_zero_table():
     plan = BlockPlan(k=4, n=8, m=32)
     led = CostLedger()
     assert stage_table(led, plan) == []
-    led.touch_stage("exp.stage1")
+    with led.stage("exp.stage1"):
+        pass
     rows = stage_table(led, plan)
     assert len(rows) == 1 and rows[0].units == 0
 
