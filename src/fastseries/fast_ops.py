@@ -22,12 +22,14 @@ fast_exp and fast_pow are the entry points: each checks its input and plan
 once, then runs the private steps (_s_iteration for powers, _first_half,
 _log_extend, _final_stage) on one fresh cache.
 
-The order-n bootstrap prefixes come from the quadratic references up to
-ORACLE_MAX_ORDER (ORACLE_INVERSE_MAX_ORDER for the reciprocals) and, above
-it, from the fast algorithms themselves on their default plans, whose own
-bootstrap order is about n/4; the recursion reaches the references after a
-few levels.  Those inner calls get no ledger, so the bootstrap stages of the
-caller's report stay empty.
+The order-n bootstrap prefixes are exponentials and reciprocals.  A power
+takes its prefix h**C mod x**n as the exponential of the integral of its
+seed s_n = C*h'/h mod x**(n-1), so it never calls itself or the quadratic
+power reference.  The prefixes come from oracle_exp up to ORACLE_MAX_ORDER
+(oracle_inverse up to ORACLE_INVERSE_MAX_ORDER) and, above it, from fast_exp
+(fast_inverse) on its default plan, whose own bootstrap order is about n/4;
+the recursion reaches the references after a few levels.  Those inner calls
+get no ledger, so the bootstrap stages of the caller's report stay empty.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ from .series_core import TruncatedSeries, finite_coeffs, mul_mod, padded
 FAST_MIN_ORDER = 32
 # Largest bootstrap order computed by the quadratic references.  Best-of-5 ms,
 # reference vs fast, on a 2-vCPU Xeon with numpy's np.fft:
-#   order   exp         inverse     pow
-#    256    -           1.1 / 0.9   -
-#    512    2.2 / 4.1   1.2 / 0.65  7.0 / 8.0
-#   1024    4.3 / 5.1   4.0 / 0.9   13.8 / 11.3
-#   4096    30.7 / 12.7 24.2 / 2.4  112 / 22.6
+#   order   exp         inverse
+#    256    -           1.1 / 0.9
+#    512    2.2 / 4.1   1.2 / 0.65
+#   1024    4.3 / 5.1   4.0 / 0.9
+#   4096    30.7 / 12.7 24.2 / 2.4
 # The inverse column is for the wrap-around Newton inverse, on an exp prefix;
 # the two inverses tie at order 256, so the bootstrap inverses have their own
-# crossover there.
+# crossover there.  Power prefixes are exponentials (see fast_pow), so no
+# bootstrap runs oracle_pow.
 ORACLE_MAX_ORDER = 512
 ORACLE_INVERSE_MAX_ORDER = 256
 
@@ -68,6 +71,13 @@ def _finite_result(c: np.ndarray) -> TruncatedSeries:
     if not np.all(np.isfinite(c)):
         raise DomainError("result coefficients overflow complex128")
     return TruncatedSeries(c)
+
+
+def _prefix_exp(h, n: int) -> np.ndarray:
+    """exp(h) mod x**n for a bootstrap prefix, without a ledger."""
+    if n <= ORACLE_MAX_ORDER:
+        return _finite_result(oracle_exp(h, n).coeffs).coeffs
+    return fast_exp(h, n).coeffs
 
 
 def _prefix_inverse(f, n: int) -> np.ndarray:
@@ -342,7 +352,7 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
     h2 = padded(h_arr, 2 * m)
 
     with led.stage("bootstrap.E"):
-        f_n = (oracle_exp(h2[:n], n) if n <= ORACLE_MAX_ORDER else fast_exp(h2[:n], n)).coeffs
+        f_n = _prefix_exp(h2[:n], n)
     with led.stage("bootstrap.I"):
         r_n = _prefix_inverse(f_n, n)
     cache = BlockCache(plan.k)
@@ -441,16 +451,16 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
 
-    with led.stage("bootstrap.P"):
-        f_n = (oracle_pow(h2[:n], Cc, n) if n <= ORACLE_MAX_ORDER
-               else fast_pow(h2[:n], Cc, n)).coeffs
-    with led.stage("bootstrap.I"):
-        r_n = _prefix_inverse(f_n, n)
     with led.stage("bootstrap.rho"):
         rho_n = _prefix_inverse(h2[:n], n)
     dh = np.arange(1, 2 * m) * h2[1:]
     with led.stage("bootstrap.s"):
         seed = Cc * mul_mod(dh[: n - 1], rho_n, n - 1).coeffs
+    with led.stage("bootstrap.P"):
+        # the seed is C*log(h)' mod x**(n-1), so h**C mod x**n = exp(integral)
+        f_n = _prefix_exp(np.concatenate([[0], seed / np.arange(1, n)]), n)
+    with led.stage("bootstrap.I"):
+        r_n = _prefix_inverse(f_n, n)
 
     cache = BlockCache(k)
     s_arr = _s_iteration(cache, plan, led, h2, dh, rho_n, seed, Cc)

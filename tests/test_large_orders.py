@@ -123,6 +123,23 @@ def test_no_quadratic_work_above_the_crossover(monkeypatch):
     assert orders and max(orders) <= fast_ops.ORACLE_MAX_ORDER
 
 
+@pytest.mark.parametrize("pinned", [False, True], ids=["default-2^14", "pinned-4096"])
+def test_pow_bootstrap_calls_no_power(monkeypatch, pinned):
+    """A non-fallback fast_pow takes its prefix h**C mod x**n as the exp of
+    the integrated seed C*h'/h: it calls neither itself nor oracle_pow."""
+    outer, inner = fast_ops.fast_pow, []
+    for name in ("fast_pow", "oracle_pow"):
+        def spy(*args, _real=getattr(fast_ops, name), _name=name, **kwargs):
+            inner.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(fast_ops, name, spy)
+    order = 4096 if pinned else N
+    plan = bench_plan("pow", order) if pinned else choose_plan(order)
+    assert not plan.fallback
+    outer(random_pow_arg(np.random.default_rng(30), order), C, order, plan=plan)
+    assert inner == []
+
+
 def test_pinned_pow_bootstrap_inverses_skip_the_reference(monkeypatch):
     """The pinned N = 4096 pow plan bootstraps at order 512, above the
     inverse crossover: both reciprocal prefixes (bootstrap.I and

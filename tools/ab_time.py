@@ -1,0 +1,113 @@
+"""Interleaved A/B wall time of one fast operation in two source trees.
+
+Usage:  python tools/ab_time.py PARENT_SRC CHANGE_SRC OP N [REPEATS]
+
+OP is exp, pow, inv or log.  Copies the fastseries package of each source
+tree (e.g. ``src`` of a second checkout of the parent commit, and ``src`` of
+this one) into a temporary directory under the names fastseries_parent and
+fastseries_change, and imports both into this one process.  It then draws
+REPEATS inputs (default 12) with cli.exp_input (exp) or cli.pow_input (the
+others) from default_rng(j), and calls the operation at order N on each
+input in both trees, alternating which tree goes first; pow cycles through
+cli.VERIFY_POWERS.  One untimed call per tree comes first.
+
+It prints the median milliseconds of each tree, the median and quartiles of
+the paired ratios change/parent, and the largest difference between the two
+trees' outputs, scaled by 1 + max|parent output|.  Both trees share the
+process, its allocator and numpy's FFT plan cache, so whole-host drift moves
+both sides of a pair alike; that is what makes a paired ratio steadier than
+two separate runs.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+OPS = {"exp": "fast_exp", "pow": "fast_pow", "inv": "fast_inverse", "log": "fast_log"}
+SIDES = ("parent", "change")
+
+
+def _load(src_dir, name, tmp):
+    """Import SRC_DIR/fastseries as the package ``name`` from a copy in tmp."""
+    pkg = os.path.join(os.path.abspath(src_dir), "fastseries")
+    if not os.path.isfile(os.path.join(pkg, "__init__.py")):
+        sys.exit(f"error: no fastseries package under {src_dir}")
+    shutil.copytree(pkg, os.path.join(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
+    return (importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.fast_ops"))
+
+
+def _calls(cli, fast_ops, op, N, repeats):
+    """One zero-argument call per input j < repeats."""
+    fn = getattr(fast_ops, OPS[op])
+    calls = []
+    for j in range(repeats):
+        rng = np.random.default_rng(j)
+        if op == "exp":
+            calls.append(lambda x=cli.exp_input(rng, N): fn(x, N))
+        elif op == "pow":
+            C = cli.VERIFY_POWERS[j % len(cli.VERIFY_POWERS)]
+            calls.append(lambda x=cli.pow_input(rng, N), C=C: fn(x, C, N))
+        else:
+            calls.append(lambda x=cli.pow_input(rng, N): fn(x, N))
+    return calls
+
+
+def _timed(call):
+    start = time.perf_counter()
+    out = call().coeffs
+    return (time.perf_counter() - start) * 1e3, out
+
+
+def compare(parent_src, change_src, op, N, repeats):
+    """(ms per side, change/parent ratio per pair, largest scaled difference)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            trees = [_load(src, name, tmp) for src, name in
+                     zip((parent_src, change_src), ("fastseries_" + s for s in SIDES))]
+        finally:
+            sys.path.remove(tmp)
+    calls = [_calls(cli, fast_ops, op, N, repeats) for cli, fast_ops in trees]
+    for side in calls:
+        side[0]()
+    ms = ([], [])
+    diff = 0.0
+    for j in range(repeats):
+        outs = [None, None]
+        for side in ((0, 1) if j % 2 == 0 else (1, 0)):
+            t, outs[side] = _timed(calls[side][j])
+            ms[side].append(t)
+        scale = 1.0 + float(np.max(np.abs(outs[0])))
+        diff = max(diff, float(np.max(np.abs(outs[1] - outs[0]))) / scale)
+    return ms, [b / a for a, b in zip(*ms)], diff
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (4, 5) or argv[2] not in OPS:
+        sys.exit(__doc__.split("\n\n")[1])
+    parent_src, change_src, op, N = argv[0], argv[1], argv[2], int(argv[3])
+    repeats = int(argv[4]) if len(argv) == 5 else 12
+    if N < 1 or repeats < 1:
+        sys.exit("error: N and REPEATS must be positive")
+    ms, ratios, diff = compare(parent_src, change_src, op, N, repeats)
+    q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"{op} N={N} pairs={repeats}")
+    for side, times in zip(SIDES, ms):
+        print(f"{side} median_ms={statistics.median(times):.2f}")
+    print(f"ratio change/parent median={statistics.median(ratios):.3f} "
+          f"q1={q[0]:.3f} q3={q[2]:.3f}")
+    print(f"max_diff={diff:.3e}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
