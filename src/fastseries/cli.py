@@ -100,12 +100,23 @@ def run_verify(sizes, seed, report_path=None, out=sys.stdout):
 def bench_plan(algorithm, size, k=None, n=None):
     """Pinned bench plans: block size 16 by default, with the bootstrap order
     chosen so the measured stage constants decrease toward their limits as
-    the ladder grows (m/8 for exp, m/4 for pow)."""
+    the ladder grows: the largest valid order up to m/8 for exp, m/4 for pow.
+
+    Valid means k | n (2k | n for pow) and n | m.  Where k = 16 allows no
+    such order (m < 128), k is halved until one does; at m = 8 and 12, where
+    no k does, the bound is raised to the order k = 2 needs."""
     m = fast_ops.fft_core.granted_length(max(8, (size + 1) // 2))
-    kk = 16 if k is None else k
-    if n is None:
-        n = m // 8 if algorithm == "exp" else m // 4
-    return fast_ops.BlockPlan(k=kk, n=n, m=m)
+    if n is not None:
+        return fast_ops.BlockPlan(k=16 if k is None else k, n=n, m=m)
+    if k is not None and k < 2:
+        raise PlanError("block size must be at least 2")
+    step = 1 if algorithm == "exp" else 2
+    cap = max(m // 8 if algorithm == "exp" else m // 4, 2 * step)  # <= m/2
+    for kk in [k] if k is not None else [16, 8, 4, 2]:
+        orders = [d for d in range(step * kk, cap + 1, step * kk) if m % d == 0]
+        if orders:
+            return fast_ops.BlockPlan(k=kk, n=max(orders), m=m)
+    raise PlanError(f"no valid bootstrap order for k={kk}, m={m}")
 
 
 def run_bench(sizes, seed, k=None, n=None, report_path=None, out=sys.stdout):

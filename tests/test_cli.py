@@ -5,8 +5,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from fastseries import load_series, oracle_pow
-from fastseries.cli import main, pow_input, run_bench, run_verify
+from fastseries import BlockPlan, load_series, oracle_pow
+from fastseries.cli import bench_plan, main, pow_input, run_bench, run_verify
 
 from util import rel_err
 
@@ -250,3 +250,25 @@ def test_bench_stdout_contains_tables():
     text = buf.getvalue()
     assert "== exp N=256 ==" in text and "== pow N=256 ==" in text
     assert "exp.stage1" in text and "pow.s.first" in text
+
+
+def test_bench_runs_at_small_sizes(tmp_path):
+    """Frontiers below m = 128 have no order up to m/8 (exp) or m/4 (pow)
+    that k = 16 divides; the bench plan halves k there instead of failing."""
+    rep = tmp_path / "r.txt"
+    sizes = "1,3,16,17,33,64,65,128,192,193,200,257,384"
+    assert main(["bench", "--sizes", sizes, "--seed", "3", "--report", str(rep)]) == 0
+    assert rep.read_text().count("plan.k=") == 2 * len(sizes.split(","))
+
+
+def test_bench_plans_keep_k16_where_it_fits():
+    for size in range(1, 1100):
+        for op, step, cap in (("exp", 1, 8), ("pow", 2, 4)):
+            plan = bench_plan(op, size)
+            assert plan.n % (step * plan.k) == 0
+            assert plan.k == 16 or plan.m < 128
+            assert plan.n <= plan.m // cap or (plan.k, plan.m) in ((2, 8), (2, 12))
+    assert bench_plan("exp", 4096) == BlockPlan(k=16, n=256, m=2048)
+    assert bench_plan("pow", 4096) == BlockPlan(k=16, n=512, m=2048)
+    assert bench_plan("pow", 200) == BlockPlan(k=16, n=32, m=128)
+    assert bench_plan("exp", 300) == BlockPlan(k=16, n=16, m=192)

@@ -11,8 +11,7 @@ block caches whose products end before the output does.  It prints three
 sha256 digests: one over the raw bytes of every output, one over every
 ledger event (order, stage, label, in recording order) and scalar count,
 and one over the events alone.  A run whose plan is rejected records
-PlanError in all three; a last line names those runs (the pinned plans have
-no valid bootstrap order at N = 64).
+PlanError in all three; a last line names those runs.
 
 A refactor meant to keep results bit for bit prints the same three lines as
 its parent on the same machine; a change to how the scalar work is done or
