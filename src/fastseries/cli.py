@@ -80,7 +80,7 @@ def run_verify(sizes, seed, report_path=None, out=sys.stdout):
         rng = np.random.default_rng(seed + size)
         h = exp_input(rng, size)
         g = pow_input(rng, size)
-        checks = [("exp", (h,), ""), ("inv", (g,), "")]
+        checks = [("exp", (h,), ""), ("inv", (g,), ""), ("log", (g,), "")]
         checks += [("pow", (g, C), f" C={C:g}") for C in VERIFY_POWERS]
         for command, head, tag in checks:
             err = _max_err(_run(command, "fast", head, size).coeffs,

@@ -83,7 +83,7 @@ def _prefix_exp(h, n: int) -> np.ndarray:
 def _prefix_inverse(f, n: int) -> np.ndarray:
     """1/f mod x**n for a bootstrap prefix, without a ledger."""
     if n <= ORACLE_INVERSE_MAX_ORDER:
-        return oracle_inverse(f, n).coeffs
+        return _finite_result(oracle_inverse(f, n).coeffs).coeffs
     return fast_inverse(f, n).coeffs
 
 

@@ -8,9 +8,13 @@ transform reports a DFT event to the ledger it is handed (the leaf kernels
 themselves do not record anything).  The forward and inverse transforms
 also take a 2-d array of polynomials, one per row: the batch runs as one
 numpy call along the last axis and records one event group per row, the
-same events as that many single calls.  ``dft``, ``inverse_dft`` and
-``Spectrum.pointwise`` can write into a caller's array (``out=``), which may
-be the input itself; the values are the same bit for bit either way.
+same events as that many single calls.  Each transform is one
+unnormalized pocketfft call (numpy's ``norm="forward"``, which applies the
+inverse's 1/L inside the transform) that writes its values once, straight
+into the destination array: ``dft``, ``double_dft``, ``inverse_dft`` and
+``Spectrum.pointwise`` take a caller's array (``out=``), which may be the
+input itself or a strided view; the values are the same bit for bit either
+way.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -114,18 +118,17 @@ class Spectrum:
 
 
 # -- leaf kernels (no recording) ------------------------------------------
+# pocketfft applies the 1/L of the inverse inside the transform (no factor
+# on the forward one) and writes straight into ``out``, any strided view.
 
 def _forward(coeffs, L: int, out=None) -> np.ndarray:
-    values = np.fft.ifft(np.asarray(coeffs, dtype=np.complex128), n=L, axis=-1, out=out)
-    values *= L
-    return values
+    c = np.asarray(coeffs, dtype=np.complex128)
+    return np.fft.ifft(c, n=L, axis=-1, norm="forward", out=out)
 
 
 def _backward(values, out=None) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
-    coeffs = np.fft.fft(v, axis=-1, out=out)
-    coeffs /= v.shape[-1]
-    return coeffs
+    return np.fft.fft(v, axis=-1, norm="forward", out=out)
 
 
 def _check_length(L: int):
@@ -170,9 +173,9 @@ def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:
     return _backward(s.values, out)
 
 
-def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectrum:
+def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None, out=None) -> Spectrum:
     """Double DFT of order (l, k) of a polynomial with deg p < l + k, or of
-    each row of a batch.
+    each row of a batch, whose values are ``out`` when given.
 
     Costs one order-l and one order-k transform plus O(l+k) scalar work: the
     two segments are the residues of p modulo x**l - 1 and modulo x**k - i
@@ -203,7 +206,9 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
         ledger.add_scalar("cmul", rows * (l + 2 * k))
         ledger.add_scalar("cadd", c.size)
     _record(ledger, (l, k), rows, label, stage)
-    values = np.concatenate([_forward(fold_l, l), _forward(fold_k, k)], axis=-1)
+    values = np.empty(c.shape[:-1] + (l + k,), dtype=np.complex128) if out is None else out
+    _forward(fold_l, l, values[..., :l])
+    _forward(fold_k, k, values[..., l:])
     return Spectrum(values, "double", l=l, k=k)
 
 
@@ -222,17 +227,17 @@ def inverse_double_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:
         raise KindMismatchError("double reconstruction is defined for l = 2k")
     rows = _rows(s.values)
     _record(ledger, (l, k), rows, label)
-    r1 = _backward(s.values[..., :l])
-    q = _backward(s.values[..., l:])
-    r2 = q * _zeta_table(k, -1)
-    r1_mod = r1[..., :k] + 1j * r1[..., k:]  # r1 modulo x**k - i
-    top = -(r2 - r1_mod) / 2
-    low = r1.copy()
-    low[..., :k] -= top
+    coeffs = np.empty(s.values.shape, dtype=np.complex128)
+    r1 = _backward(s.values[..., :l], coeffs[..., :l])
+    top = _backward(s.values[..., l:], coeffs[..., l:])
+    top *= _zeta_table(k, -1)  # r2
+    top -= r1[..., :k] + 1j * r1[..., k:]  # r1 modulo x**k - i
+    top /= -2
+    r1[..., :k] -= top
     if ledger is not None:
         ledger.add_scalar("cmul", rows * 2 * k)
         ledger.add_scalar("cadd", rows * 3 * k)
-    return np.concatenate([low, top], axis=-1)
+    return coeffs
 
 
 def dft_3k(p, k: int, ledger=None, label=None) -> Spectrum:

@@ -268,6 +268,39 @@ def test_2k_transform_of_grown_head_block_then_ensure():
     assert np.array_equal(cache.rows("x").spec, fresh.rows("x").spec)
 
 
+@pytest.mark.parametrize("stale", [[0, 1, 2, 3, 4, 5, 6], [2, 3, 4], [1, 3], [0, 4, 6], [6]])
+def test_stale_rows_are_made_as_a_fresh_cache_makes_them(stale):
+    """ensure and ensure_2k over a contiguous or scattered set of stale rows
+    (the short last block of a fixed series among them) leave the rows a
+    fresh cache makes, and record one event group per stale row."""
+    k, blocks = 8, 7
+    series = disk(np.random.default_rng(18), (blocks - 1) * k + 3)
+    fresh = BlockCache(k)
+    fresh.register("x", series)
+    fresh.ensure("x", blocks - 1, allow_partial=True)
+    want = fresh.rows("x").spec
+
+    def expected_events(orders):
+        led = CostLedger()
+        led.record_dfts(orders, len(stale), label="x")
+        return led.events
+
+    cache = BlockCache(k)
+    cache.register("x", series)
+    cache.ensure("x", blocks - 1, allow_partial=True)
+    rec = cache._series["x"]
+    rec.spec[stale] = np.nan
+    rec.row_known[stale] = rec.row_known_2k[stale] = -1
+    led = CostLedger()
+    assert cache.ensure_2k("x", blocks - 1, ledger=led, allow_partial=True) == len(stale)
+    assert led.events == expected_events((2 * k,))
+    assert np.array_equal(cache.rows("x", blocks).spec, want[:, : 2 * k])
+    led = CostLedger()
+    assert cache.ensure("x", blocks - 1, ledger=led, allow_partial=True) == len(stale)
+    assert led.events == expected_events((2 * k, k))
+    assert np.array_equal(cache.rows("x").spec, want)
+
+
 def test_spectra_2k_is_the_first_2k_columns():
     rng = np.random.default_rng(17)
     cache, *_ = _populated_cache(rng, 4, 8, 16)

@@ -202,6 +202,7 @@ def test_verify_passes():
     worst = run_verify([64, 128], seed=1, out=buf)
     assert worst <= 1e-8
     assert "verify result=ok" in buf.getvalue()
+    assert "\nlog N=64 max_err=" in buf.getvalue()
 
 
 def test_verify_cli_exit(tmp_path):

@@ -209,6 +209,10 @@ def test_overflowing_results_are_rejected():
                 fast_pow([1, -1.5], 0.5, N)
         with pytest.raises(DomainError, match="overflow"):
             fast_inverse([1, -1.5], 2048)
+        # 1/h overflows at once; the bootstrap's prefix inverse must say so
+        for N in (64, 1024):
+            with pytest.raises(DomainError, match="overflow"):
+                fast_pow([1, -1e200], 0.5, N)
 
 
 def test_fast_exp_odd_order_truncates():

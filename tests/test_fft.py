@@ -171,6 +171,92 @@ def test_out_arrays_give_the_same_bits(L):
     assert back is b and np.array_equal(b.view(float), inverse_dft(want).view(float))
 
 
+# The transforms as they were written before the leaf passed its scaling to
+# pocketfft: numpy's normalized transforms, then a second pass by L or 1/L.
+
+def _scaled_forward(c, L):
+    values = np.fft.ifft(np.asarray(c, dtype=complex), n=L, axis=-1)
+    values *= L
+    return values
+
+
+def _scaled_backward(v):
+    coeffs = np.fft.fft(np.asarray(v, dtype=complex), axis=-1)
+    coeffs /= coeffs.shape[-1]
+    return coeffs
+
+
+def _scaled_double(c, l, k):
+    fold_l = np.zeros(c.shape[:-1] + (l,), dtype=complex)
+    for t in range(0, c.shape[-1], l):
+        chunk = c[..., t : t + l]
+        fold_l[..., : chunk.shape[-1]] += chunk
+    fold_k = np.zeros(c.shape[:-1] + (k,), dtype=complex)
+    tw = 1.0 + 0j
+    for t in range(0, c.shape[-1], k):
+        chunk = c[..., t : t + k]
+        fold_k[..., : chunk.shape[-1]] += tw * chunk
+        tw *= 1j
+    fold_k *= zeta_for(k) ** np.arange(k)
+    return np.concatenate([_scaled_forward(fold_l, l), _scaled_forward(fold_k, k)], axis=-1)
+
+
+def _scaled_inverse_double(values, k):
+    r1 = _scaled_backward(values[..., : 2 * k])
+    r2 = _scaled_backward(values[..., 2 * k :]) * zeta_for(k) ** -np.arange(k)
+    top = -(r2 - (r1[..., :k] + 1j * r1[..., k:])) / 2
+    low = r1.copy()
+    low[..., :k] -= top
+    return np.concatenate([low, top], axis=-1)
+
+
+@pytest.mark.parametrize("L", [16, 1 << 12, 3 << 12, 1 << 16])
+def test_leaf_matches_the_scaled_transforms(L):
+    """Every transform, on one row, on a batch, in place and through a
+    strided column view, equals numpy's normalized transform followed by the
+    scaling pass: bit for bit at 2^a, where the scaling is exact, and to
+    one rounding at 3*2^a."""
+    def same(got, want):
+        if L & (L - 1):
+            assert rel_err(got, want) < 1e-15
+        else:
+            assert np.array_equal(np.asarray(got).view(float), np.asarray(want).view(float))
+
+    k = L // 2
+    rng = np.random.default_rng(L)
+    batch = rng.standard_normal((3, L + k)) + 1j * rng.standard_normal((3, L + k))
+    one = batch[0]
+    for p in (one, batch):
+        same(dft(p[..., :L], L).values, _scaled_forward(p[..., :L], L))
+        same(dft(p[..., :k], L).values, _scaled_forward(p[..., :k], L))
+        same(inverse_dft(Spectrum(p[..., :L], "plain")), _scaled_backward(p[..., :L]))
+        same(double_dft(p, L, k).values, _scaled_double(p, L, k))
+        same(double_dft(p[..., :k], L, k).values, _scaled_double(p[..., :k], L, k))
+        same(inverse_double_dft(Spectrum(p, "double", l=L, k=k)), _scaled_inverse_double(p, k))
+
+    # in place, as the Newton layer runs them
+    buf = one[:L].copy()
+    assert dft(buf, L, out=buf).values is buf
+    same(buf, _scaled_forward(one[:L], L))
+    assert inverse_dft(Spectrum(buf, "plain"), out=buf) is buf
+    same(buf, _scaled_backward(_scaled_forward(one[:L], L)))
+
+    # strided views: the first 2k columns of a block cache's rows, and a
+    # double spectrum written into rows of a wider array
+    spec = np.zeros((3, L + k), dtype=complex)
+    s = dft(batch[:, :k], L, out=spec[:, :L])
+    assert np.shares_memory(s.values, spec) and not spec[:, L:].any()
+    same(spec[:, :L], _scaled_forward(batch[:, :k], L))
+    same(inverse_dft(Spectrum(spec[:, :L], "plain"), out=spec[:, :L]),
+         _scaled_backward(_scaled_forward(batch[:, :k], L)))
+    wide = np.zeros((3, 2 * L), dtype=complex)
+    s = double_dft(batch, L, k, out=wide[:, :L + k])
+    assert np.shares_memory(s.values, wide) and not wide[:, L + k:].any()
+    same(wide[:, :L + k], _scaled_double(batch, L, k))
+    same(inverse_double_dft(Spectrum(wide[:, :L + k], "double", l=L, k=k)),
+         _scaled_inverse_double(_scaled_double(batch, L, k), k))
+
+
 def test_pointwise_kind_mismatch():
     a = dft([1, 2], 4)
     b = double_dft([1, 2], 2, 2)

@@ -1,8 +1,9 @@
 """Interleaved A/B wall time of one fast operation in two source trees.
 
-Usage:  python tools/ab_time.py PARENT_SRC CHANGE_SRC OP N [REPEATS]
+Usage:  python tools/ab_time.py PARENT_SRC CHANGE_SRC OP N [REPEATS] [--pinned]
 
-OP is exp, pow, inv or log.  Copies the fastseries package of each source
+OP is exp, pow, inv or log; --pinned runs exp and pow on cli.bench_plan's
+pinned k=16 plans instead of the default choose_plan ones.  Copies the fastseries package of each source
 tree (e.g. ``src`` of a second checkout of the parent commit, and ``src`` of
 this one) into a temporary directory under the names fastseries_parent and
 fastseries_change, and imports both into this one process.  It then draws
@@ -21,6 +22,7 @@ two separate runs.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 import shutil
@@ -44,9 +46,11 @@ def _load(src_dir, name, tmp):
     return (importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.fast_ops"))
 
 
-def _calls(cli, fast_ops, op, N, repeats):
+def _calls(cli, fast_ops, op, N, repeats, pinned):
     """One zero-argument call per input j < repeats."""
     fn = getattr(fast_ops, OPS[op])
+    if op in ("exp", "pow"):
+        fn = functools.partial(fn, plan=cli.bench_plan(op, N) if pinned else None)
     calls = []
     for j in range(repeats):
         rng = np.random.default_rng(j)
@@ -66,7 +70,7 @@ def _timed(call):
     return (time.perf_counter() - start) * 1e3, out
 
 
-def compare(parent_src, change_src, op, N, repeats):
+def compare(parent_src, change_src, op, N, repeats, pinned=False):
     """(ms per side, change/parent ratio per pair, largest scaled difference)."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -75,7 +79,7 @@ def compare(parent_src, change_src, op, N, repeats):
                      zip((parent_src, change_src), ("fastseries_" + s for s in SIDES))]
         finally:
             sys.path.remove(tmp)
-    calls = [_calls(cli, fast_ops, op, N, repeats) for cli, fast_ops in trees]
+    calls = [_calls(cli, fast_ops, op, N, repeats, pinned) for cli, fast_ops in trees]
     for side in calls:
         side[0]()
     ms = ([], [])
@@ -92,15 +96,17 @@ def compare(parent_src, change_src, op, N, repeats):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    pinned = "--pinned" in argv
+    argv = [a for a in argv if a != "--pinned"]
     if len(argv) not in (4, 5) or argv[2] not in OPS:
         sys.exit(__doc__.split("\n\n")[1])
     parent_src, change_src, op, N = argv[0], argv[1], argv[2], int(argv[3])
     repeats = int(argv[4]) if len(argv) == 5 else 12
     if N < 1 or repeats < 1:
         sys.exit("error: N and REPEATS must be positive")
-    ms, ratios, diff = compare(parent_src, change_src, op, N, repeats)
+    ms, ratios, diff = compare(parent_src, change_src, op, N, repeats, pinned)
     q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"{op} N={N} pairs={repeats}")
+    print(f"{op} N={N} pairs={repeats}{' pinned' if pinned else ''}")
     for side, times in zip(SIDES, ms):
         print(f"{side} median_ms={statistics.median(times):.2f}")
     print(f"ratio change/parent median={statistics.median(ratios):.3f} "
