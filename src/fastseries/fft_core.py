@@ -11,7 +11,7 @@ numpy call along the last axis and records one event group per row, the
 same events as that many single calls.  Each transform is one
 unnormalized pocketfft call (numpy's ``norm="forward"``, which applies the
 inverse's 1/L inside the transform) that writes its values once, straight
-into the destination array: ``dft``, ``double_dft``, ``inverse_dft`` and
+into the destination array: ``dft``, ``inverse_dft`` and
 ``Spectrum.pointwise`` take a caller's array (``out=``), which may be the
 input itself or a strided view; the values are the same bit for bit either
 way.
@@ -118,8 +118,6 @@ class Spectrum:
 
 
 # -- leaf kernels (no recording) ------------------------------------------
-# pocketfft applies the 1/L of the inverse inside the transform (no factor
-# on the forward one) and writes straight into ``out``, any strided view.
 
 def _forward(coeffs, L: int, out=None) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.complex128)
@@ -173,9 +171,9 @@ def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:
     return _backward(s.values, out)
 
 
-def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None, out=None) -> Spectrum:
+def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectrum:
     """Double DFT of order (l, k) of a polynomial with deg p < l + k, or of
-    each row of a batch, whose values are ``out`` when given.
+    each row of a batch.
 
     Costs one order-l and one order-k transform plus O(l+k) scalar work: the
     two segments are the residues of p modulo x**l - 1 and modulo x**k - i
@@ -206,7 +204,7 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None, out=None)
         ledger.add_scalar("cmul", rows * (l + 2 * k))
         ledger.add_scalar("cadd", c.size)
     _record(ledger, (l, k), rows, label, stage)
-    values = np.empty(c.shape[:-1] + (l + k,), dtype=np.complex128) if out is None else out
+    values = np.empty(c.shape[:-1] + (l + k,), dtype=np.complex128)
     _forward(fold_l, l, values[..., :l])
     _forward(fold_k, k, values[..., l:])
     return Spectrum(values, "double", l=l, k=k)

@@ -241,20 +241,13 @@ def test_leaf_matches_the_scaled_transforms(L):
     assert inverse_dft(Spectrum(buf, "plain"), out=buf) is buf
     same(buf, _scaled_backward(_scaled_forward(one[:L], L)))
 
-    # strided views: the first 2k columns of a block cache's rows, and a
-    # double spectrum written into rows of a wider array
+    # a strided view: the first 2k columns of a block cache's rows
     spec = np.zeros((3, L + k), dtype=complex)
     s = dft(batch[:, :k], L, out=spec[:, :L])
     assert np.shares_memory(s.values, spec) and not spec[:, L:].any()
     same(spec[:, :L], _scaled_forward(batch[:, :k], L))
     same(inverse_dft(Spectrum(spec[:, :L], "plain"), out=spec[:, :L]),
          _scaled_backward(_scaled_forward(batch[:, :k], L)))
-    wide = np.zeros((3, 2 * L), dtype=complex)
-    s = double_dft(batch, L, k, out=wide[:, :L + k])
-    assert np.shares_memory(s.values, wide) and not wide[:, L + k:].any()
-    same(wide[:, :L + k], _scaled_double(batch, L, k))
-    same(inverse_double_dft(Spectrum(wide[:, :L + k], "double", l=L, k=k)),
-         _scaled_inverse_double(_scaled_double(batch, L, k), k))
 
 
 def test_pointwise_kind_mismatch():

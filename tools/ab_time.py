@@ -2,22 +2,23 @@
 
 Usage:  python tools/ab_time.py PARENT_SRC CHANGE_SRC OP N [REPEATS] [--pinned]
 
-OP is exp, pow, inv or log; --pinned runs exp and pow on cli.bench_plan's
-pinned k=16 plans instead of the default choose_plan ones.  Copies the fastseries package of each source
-tree (e.g. ``src`` of a second checkout of the parent commit, and ``src`` of
-this one) into a temporary directory under the names fastseries_parent and
-fastseries_change, and imports both into this one process.  It then draws
-REPEATS inputs (default 12) with cli.exp_input (exp) or cli.pow_input (the
-others) from default_rng(j), and calls the operation at order N on each
-input in both trees, alternating which tree goes first; pow cycles through
+OP is exp, pow, inv or log; --pinned (exp and pow only) runs them on
+cli.bench_plan's pinned k=16 plans instead of the default choose_plan ones.
+Copies the fastseries package of each source tree (e.g. ``src`` of a second
+checkout of the parent commit, and ``src`` of this one) into a temporary
+directory under the names fastseries_parent and fastseries_change, and
+imports both into this one process.  It then draws REPEATS inputs (default
+12) with cli.exp_input (exp) or cli.pow_input (the others) from
+default_rng(j), and calls the operation at order N on each input in both
+trees, alternating which tree goes first; pow cycles through
 cli.VERIFY_POWERS.  One untimed call per tree comes first.
 
 It prints the median milliseconds of each tree, the median and quartiles of
-the paired ratios change/parent, and the largest difference between the two
-trees' outputs, scaled by 1 + max|parent output|.  Both trees share the
-process, its allocator and numpy's FFT plan cache, so whole-host drift moves
-both sides of a pair alike; that is what makes a paired ratio steadier than
-two separate runs.
+the paired ratios change/parent with the number of pairs the change won,
+and the largest difference between the two trees' outputs, scaled by
+1 + max|parent output|.  Both trees share the process, its allocator and
+numpy's FFT plan cache, so whole-host drift moves both sides of a pair
+alike; that is what makes a paired ratio steadier than two separate runs.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     pinned = "--pinned" in argv
     argv = [a for a in argv if a != "--pinned"]
-    if len(argv) not in (4, 5) or argv[2] not in OPS:
+    if (len(argv) not in (4, 5) or argv[2] not in OPS
+            or pinned and argv[2] not in ("exp", "pow")):
         sys.exit(__doc__.split("\n\n")[1])
     parent_src, change_src, op, N = argv[0], argv[1], argv[2], int(argv[3])
     repeats = int(argv[4]) if len(argv) == 5 else 12
@@ -110,7 +112,8 @@ def main(argv=None):
     for side, times in zip(SIDES, ms):
         print(f"{side} median_ms={statistics.median(times):.2f}")
     print(f"ratio change/parent median={statistics.median(ratios):.3f} "
-          f"q1={q[0]:.3f} q3={q[2]:.3f}")
+          f"q1={q[0]:.3f} q3={q[2]:.3f} "
+          f"change_faster={sum(r < 1 for r in ratios)}/{len(ratios)}")
     print(f"max_diff={diff:.3e}")
     return 0
 
