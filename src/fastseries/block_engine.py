@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fft_core
+from .cost_ledger import tally
 from .errors import DomainError, PlanError
 from .series_core import TruncatedSeries
 
@@ -309,8 +310,7 @@ def _axis_dft(rows: np.ndarray, chunk: int, out: np.ndarray, q0: int, ledger):
         blk[: len(part)] = part
         blk[len(part) : chunk] = 0
     np.fft.fft(out, axis=1, out=out)
-    if ledger is not None:
-        ledger.add_scalar("axis_dft", out.size)
+    tally(ledger, axis_dft=out.size)
 
 
 # Predicted cost, in ns, of the two ways _block_conv sums, fitted to both
@@ -377,14 +377,10 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger
         lo, hi = max(j0, s * chunk), min(j0 + count, s * chunk + L - 1)
         rows[lo - j0 : hi - j0] += back[g, lo - s * chunk : hi - s * chunk]
         landed += max(0, hi - lo)
-    if ledger is not None:
-        # each row asked for that some offset lands on takes one add per
-        # further offset
-        covered = (min(j0 + count, offsets[-1] * chunk + L - 1)
-                   - max(j0, offsets[0] * chunk))
-        ledger.add_scalar("axis_dft", back.size)
-        ledger.add_scalar("cmul", chunk_pairs * L * width)
-        ledger.add_scalar("cadd", ((chunk_pairs - len(spans)) * L + landed - covered) * width)
+    # each row asked for that some offset lands on takes one add per further offset
+    covered = min(j0 + count, offsets[-1] * chunk + L - 1) - max(j0, offsets[0] * chunk)
+    tally(ledger, axis_dft=back.size, cmul=chunk_pairs * L * width,
+          cadd=((chunk_pairs - len(spans)) * L + landed - covered) * width)
     return rows
 
 
@@ -417,9 +413,7 @@ def _block_conv(b, c, j0: int, count: int, ledger=None, live=None):
     rows = _axis_rows(b, c, j0, count, direct_ns, ledger) if direct_ns > _AXIS_FIXED_NS else None
     if rows is None:
         rows = _pairwise(b.spec, c.spec, j0, lo, hi)
-        if ledger is not None:
-            ledger.add_scalar("cmul", total * width)
-            ledger.add_scalar("cadd", (total - count + pairs.count(0)) * width)
+        tally(ledger, cmul=total * width, cadd=(total - count + pairs.count(0)) * width)
     elif 0 in pairs:
         rows[[i for i, p in enumerate(pairs) if not p]] = 0
     return rows, np.array(pairs, dtype=np.int64)
@@ -487,8 +481,7 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         lin = lin[block_shift // 2 : block_shift // 2 + (n_blocks + 1) // 2]
         res[1 : 2 * lin.shape[0] : 2] += coef * lin
         present[1 : 2 * lin.shape[0] : 2] = True
-        if ledger is not None:
-            ledger.add_scalar("cmul", lin.size)
+        tally(ledger, cmul=lin.size)
 
     # Straddling block: one inverse to read theta and the boundary value.
     straddle = _invert_live(res[:1], present[:1], ledger, "u-boundary", k)[0]
@@ -503,9 +496,8 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         acc, met = _block_conv(a, res[1:], 0, n_blocks, ledger, live=present[1:])
         with_theta = min(n_blocks, len(a.spec))
         acc[:with_theta] += a.spec[:with_theta] * theta_spec
-        if ledger is not None:
-            ledger.add_scalar("cmul", 3 * k * with_theta)
-            ledger.add_scalar("cadd", 3 * k * int(np.count_nonzero(met[:with_theta])))
+        tally(ledger, cmul=3 * k * with_theta,
+              cadd=3 * k * int(np.count_nonzero(met[:with_theta])))
         live = met > 0
         live[:with_theta] = True
         out_blocks = _invert_live(acc, live, ledger, "mp-restore", k)
@@ -560,7 +552,5 @@ def shifted_middle_product(cache: BlockCache, a_label: str, b_label: str, c_labe
     take = min(n, cache.known(a_label))
     out[:take] = v * a_arr[:take]
     out[1:] += q_aligned
-    if ledger is not None:
-        ledger.add_scalar("cmul", take)
-        ledger.add_scalar("cadd", n - 1)
+    tally(ledger, cmul=take, cadd=n - 1)
     return TruncatedSeries(out)

@@ -146,7 +146,7 @@ def run_bench(sizes, seed, k=None, n=None, report_path=None, out=sys.stdout):
 
 def _transform(args):
     series = load_series(args.input)
-    ledger = CostLedger()
+    ledger = CostLedger() if args.report else None
     plan = None
     options = {"ledger": ledger}
     if args.command in ("exp", "pow") and (args.block_size is not None

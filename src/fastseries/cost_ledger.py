@@ -9,7 +9,9 @@ are quoted per ``m/k``, i.e. in units of a hypothetical order-m transform.
 A ledger is an explicitly passed recording context; nothing here is global.
 Recording is meant to happen on a single thread per ledger.  A stage
 entered through ``CostLedger.stage`` shows in the reports even when it
-records no event.
+records no event.  ``ledger=None`` counts nothing, at every layer: the
+algorithms record only through ``in_stage``, ``tally`` and ``record_dfts``
+below, so a report needs a ``CostLedger`` handed in at the top.
 """
 
 from __future__ import annotations
@@ -120,6 +122,24 @@ class CostLedger:
 
     def event_count(self, stage: str | None = None, label: str | None = None) -> int:
         return len(self._select(stage, label))
+
+
+def in_stage(ledger, tag: str):
+    """The ledger's own ``stage(tag)``; a context counting nothing without one."""
+    return contextlib.nullcontext() if ledger is None else ledger.stage(tag)
+
+
+def tally(ledger, **counts):
+    """Add the scalar counts, in argument order; nothing without a ledger."""
+    if ledger is not None:
+        for kind, count in counts.items():
+            ledger.add_scalar(kind, count)
+
+
+def record_dfts(ledger, orders, count, label, stage=None):
+    """``ledger.record_dfts``; nothing without a ledger."""
+    if ledger is not None:
+        ledger.record_dfts(orders, count, stage=stage, label=label)
 
 
 def stage_table(ledger: CostLedger, plan) -> list[StageBudget]:

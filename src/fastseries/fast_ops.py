@@ -42,7 +42,7 @@ import numpy as np
 
 from . import block_engine, fft_core
 from .block_engine import BlockCache, BlockPlan, shifted_middle_product
-from .cost_ledger import CostLedger
+from .cost_ledger import in_stage, tally
 from .errors import DomainError, PlanError
 from .oracle import oracle_exp, oracle_inverse, oracle_pow
 from .series_core import TruncatedSeries, finite_coeffs, mul_mod, padded
@@ -99,8 +99,12 @@ def _pick_bootstrap(m: int, k: int, r: int):
 
 def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan:
     """Block plan for a final order N: frontier m = granted(ceil(N/2)), block
-    size near m divided by the square root of log2(m), bootstrap order the
-    closest divisor of m covering that block size times the same root.
+    size k the largest power of two up to m/r, r = ceil(sqrt(log2 m)), and
+    bootstrap order n the least multiple of 2k dividing m from k*r up, else
+    the largest up to m/2 (k halves until some n exists).  For N = 32..196608
+    that gives k = m/4, n = m/2 when m = 2^a and k = m/6, n = m/3 when
+    m = 3*2^a; above, through N = 2^20, m = 2^a gives k = m/8, n = m/2.  So r
+    decides only there and for a k= override, where n = 4k up to m = 2^16.
     Overrides are honored verbatim when the divisibility constraints hold;
     below the minimum order the plan flags the quadratic fallback path.
     """
@@ -163,14 +167,14 @@ def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> 
     f_arr = padded(f_n, m)
     cache.register("f", f_arr, known=n)
     cache.register("r", r_n)
-    with ledger.stage(stage):
+    with in_stage(ledger, stage):
         cache.ensure("r", n // k - 1, ledger=ledger)
         for fr in range(n, m, n):
             cache.ensure(b_label, (fr + n) // k - 1, ledger=ledger, stage=b_stage)
             cache.ensure("f", fr // k - 1, ledger=ledger)
             q = shifted_middle_product(cache, "r", b_label, "f", fr - 1, n, ledger=ledger)
             tail = q.coeffs / np.arange(fr, fr + n)
-            ledger.add_scalar("smul", n)
+            tally(ledger, smul=n)
             f_arr[fr : fr + n] = _window_product_2k(
                 cache, "f", n // k, tail, n, ledger, y_label="j-blocks", out_label="update-restore"
             )
@@ -184,9 +188,8 @@ def _final_stage(cache, f_arr, w_tail, plan, ledger, stage) -> np.ndarray:
     blockwise short product on the order-2k segments of f's cached blocks;
     w_tail is the upper half of the correction, divided by its powers."""
     m, k = plan.m, plan.k
-    with ledger.stage(stage):
-        ledger.add_scalar("smul", m)
-        ledger.add_scalar("cadd", m)
+    with in_stage(ledger, stage):
+        tally(ledger, smul=m, cadd=m)
         upper = _window_product_2k(
             cache, "f", m // k, w_tail, m, ledger, y_label="w-blocks", out_label="final-restore"
         )
@@ -267,9 +270,8 @@ def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
         raise DomainError("order must be positive")
     if c.size == 0 or c[0] == 0:
         raise DomainError("series with zero constant term is not invertible")
-    led = ledger if ledger is not None else CostLedger()
-    with led.stage("inverse"):
-        r = _newton_inverse(c, N, led)
+    with in_stage(ledger, "inverse"):
+        r = _newton_inverse(c, N, ledger)
     return _finite_result(r)
 
 
@@ -285,7 +287,6 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
         raise DomainError("order must be positive")
     if c.size == 0 or c[0] != 1:
         raise DomainError("log needs constant term 1")
-    led = ledger if ledger is not None else CostLedger()
     out = np.zeros(N, dtype=np.complex128)
     if N == 1:
         return TruncatedSeries(out)
@@ -294,18 +295,18 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     spec, prod, spare = _workspace(L)
     # q = f'/f mod x**M is built in out[1:], which holds f' until the
     # wrap-around step has read it
-    q, n = out[1:], min(c.size, N)
-    np.multiply(np.arange(1, n), c[1:n], out=q[: n - 1])
-    with led.stage("inverse"):
-        r = _newton_inverse(c, h, led)
-    r_spec = fft_core.dft(r, L, ledger=led, label="log", out=spec)
-    dr = fft_core.dft(q[:h], L, ledger=led, label="log", out=prod).pointwise(
-        r_spec, ledger=led, out=prod)
-    q[:h] = fft_core.inverse_dft(dr, ledger=led, label="log", out=prod)[:h]
+    q, n, powers = out[1:], min(c.size, N), np.arange(1, N)
+    np.multiply(powers[: n - 1], c[1:n], out=q[: n - 1])
+    with in_stage(ledger, "inverse"):
+        r = _newton_inverse(c, h, ledger)
+    r_spec = fft_core.dft(r, L, ledger=ledger, label="log", out=spec)
+    dr = fft_core.dft(q[:h], L, ledger=ledger, label="log", out=prod).pointwise(
+        r_spec, ledger=ledger, out=prod)
+    q[:h] = fft_core.inverse_dft(dr, ledger=ledger, label="log", out=prod)[:h]
     if M > h:
-        q_spec = fft_core.dft(q[:h], L, ledger=led, label="log", out=spare)
-        _wrap_step(c, q, q, h, M, r_spec, q_spec, (prod, spare), led, "log")
-    q /= np.arange(1, N)
+        q_spec = fft_core.dft(q[:h], L, ledger=ledger, label="log", out=spare)
+        _wrap_step(c, q, q, h, M, r_spec, q_spec, (prod, spare), ledger, "log")
+    q /= powers
     return _finite_result(out)
 
 
@@ -324,7 +325,7 @@ def _log_extend(cache, plan, ledger, stage, label, seed_label) -> np.ndarray:
     s_arr[: m - 1] = cache.series_array(seed_label)[: m - 1]
     cache.register(label, s_arr, known=m - 1)
     cache.alias(label, seed_label, m // k - 2)
-    with ledger.stage(stage):
+    with in_stage(ledger, stage):
         for fr in range(m, 2 * m, n):
             cache.ensure(label, fr // k - 1, ledger=ledger, allow_partial=True)
             q = shifted_middle_product(cache, "r", label, "f", fr - 1, n, ledger=ledger)
@@ -340,27 +341,26 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
         raise DomainError("order must be positive")
     if h_arr.size and h_arr[0] != 0:
         raise DomainError("exp needs a zero constant term")
-    led = ledger if ledger is not None else CostLedger()
     if plan is None:
         plan = choose_plan(N)
     if plan.fallback:
-        with led.stage("bootstrap.E"):
+        with in_stage(ledger, "bootstrap.E"):
             return _finite_result(oracle_exp(h_arr, N).coeffs)
     m, n = plan.m, plan.n
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
 
-    with led.stage("bootstrap.E"):
+    with in_stage(ledger, "bootstrap.E"):
         f_n = _prefix_exp(h2[:n], n)
-    with led.stage("bootstrap.I"):
+    with in_stage(ledger, "bootstrap.I"):
         r_n = _prefix_inverse(f_n, n)
     cache = BlockCache(plan.k)
     cache.register("dh", np.arange(1, 2 * m) * h2[1:])
-    f_arr = _first_half(cache, f_n, r_n, "dh", plan, led, "exp.stage1")
-    s = _log_extend(cache, plan, led, "exp.log", "s", "dh")
+    f_arr = _first_half(cache, f_n, r_n, "dh", plan, ledger, "exp.stage1")
+    s = _log_extend(cache, plan, ledger, "exp.log", "s", "dh")
     w_tail = h2[m:] - s[m - 1 :] / np.arange(m, 2 * m)
-    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, led, "exp.final")[:N])
+    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, ledger, "exp.final")[:N])
 
 
 # -- constant powers ----------------------------------------------------------
@@ -382,8 +382,7 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
         G = np.zeros(n, dtype=np.complex128)
         G[0] = C * dh[fr - 1] - u[0, k - 1]
         G[1:] = C * dh[fr : fr + n - 1] - window
-        ledger.add_scalar("cmul", n)
-        ledger.add_scalar("cadd", 2 * n)
+        tally(ledger, cmul=n, cadd=2 * n)
         q = _window_product_2k(
             cache, "rho", a, G, n, ledger, y_label="g-blocks", out_label="s2-restore"
         )
@@ -407,7 +406,7 @@ def _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, C) -> np.ndarray:
     s_arr[: n - 1] = seed
     cache.register("s", s_arr, known=n - 1)
 
-    with ledger.stage("pow.s.first"):
+    with in_stage(ledger, "pow.s.first"):
         cache.ensure("rho", n // k - 1, ledger=ledger)
         for fr in range(n, m, n):
             cache.ensure("h", (fr + n) // k - 1, ledger=ledger)
@@ -417,7 +416,7 @@ def _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, C) -> np.ndarray:
                                        linear=(C, "dh2"))
             s_arr[fr - 1 : fr + n - 1] = q.coeffs
             cache.extend_known("s", fr + n - 1)
-    with ledger.stage("pow.s.second"):
+    with in_stage(ledger, "pow.s.second"):
         _s_second_half(cache, s_arr, dh, C, plan, ledger)
     return s_arr
 
@@ -432,7 +431,6 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         raise DomainError("order must be positive")
     if h_arr.size == 0 or h_arr[0] != 1:
         raise DomainError("power runs need constant term 1")
-    led = ledger if ledger is not None else CostLedger()
     if Cc == 0:
         out = np.zeros(N, dtype=np.complex128)
         out[0] = 1.0
@@ -442,7 +440,7 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     if plan is None:
         plan = choose_plan(N)
     if plan.fallback:
-        with led.stage("bootstrap.P"):
+        with in_stage(ledger, "bootstrap.P"):
             return _finite_result(oracle_pow(h_arr, Cc, N).coeffs)
     m, n, k = plan.m, plan.n, plan.k
     if n % (2 * k):
@@ -451,21 +449,21 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
 
-    with led.stage("bootstrap.rho"):
+    with in_stage(ledger, "bootstrap.rho"):
         rho_n = _prefix_inverse(h2[:n], n)
     dh = np.arange(1, 2 * m) * h2[1:]
-    with led.stage("bootstrap.s"):
+    with in_stage(ledger, "bootstrap.s"):
         seed = Cc * mul_mod(dh[: n - 1], rho_n, n - 1).coeffs
-    with led.stage("bootstrap.P"):
+    with in_stage(ledger, "bootstrap.P"):
         # the seed is C*log(h)' mod x**(n-1), so h**C mod x**n = exp(integral)
         f_n = _prefix_exp(np.concatenate([[0], seed / np.arange(1, n)]), n)
-    with led.stage("bootstrap.I"):
+    with in_stage(ledger, "bootstrap.I"):
         r_n = _prefix_inverse(f_n, n)
 
     cache = BlockCache(k)
-    s_arr = _s_iteration(cache, plan, led, h2, dh, rho_n, seed, Cc)
+    s_arr = _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, Cc)
     # the blocks of s are charged to the stage that computed s
-    f_arr = _first_half(cache, f_n, r_n, "s", plan, led, "pow.f", b_stage="pow.s.first")
-    sf = _log_extend(cache, plan, led, "pow.log", "sf", "s")
+    f_arr = _first_half(cache, f_n, r_n, "s", plan, ledger, "pow.f", b_stage="pow.s.first")
+    sf = _log_extend(cache, plan, ledger, "pow.log", "sf", "s")
     w_tail = (s_arr[m - 1 :] - sf[m - 1 :]) / np.arange(m, 2 * m)
-    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, led, "pow.final")[:N])
+    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, ledger, "pow.final")[:N])

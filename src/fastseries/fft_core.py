@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cost_ledger import record_dfts, tally
 from .errors import KindMismatchError, UnsupportedLengthError
 
 
@@ -111,8 +112,7 @@ class Spectrum:
             raise KindMismatchError(
                 f"cannot combine {self._signature()} with {other._signature()}"
             )
-        if ledger is not None:
-            ledger.add_scalar("cmul", self.values.size)
+        tally(ledger, cmul=self.values.size)
         return Spectrum(np.multiply(self.values, other.values, out=out),
                         self.kind, self.l, self.k)
 
@@ -144,11 +144,6 @@ def _rows(a: np.ndarray) -> int:
     return a.shape[0] if a.ndim == 2 else 1
 
 
-def _record(ledger, orders, count, label, stage=None):
-    if ledger is not None:
-        ledger.record_dfts(orders, count, stage=stage, label=label)
-
-
 # -- public transforms -----------------------------------------------------
 
 def dft(p, L: int, ledger=None, label=None, out=None) -> Spectrum:
@@ -158,7 +153,7 @@ def dft(p, L: int, ledger=None, label=None, out=None) -> Spectrum:
     c = _polys(p)
     if c.shape[-1] > L:
         raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
-    _record(ledger, (L,), _rows(c), label)
+    record_dfts(ledger, (L,), _rows(c), label)
     return Spectrum(_forward(c, L, out), "plain")
 
 
@@ -167,7 +162,7 @@ def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:
     into ``out`` when given."""
     if s.kind != "plain":
         raise KindMismatchError(f"inverse_dft needs a plain spectrum, got {s.kind}")
-    _record(ledger, (s.length,), _rows(s.values), label)
+    record_dfts(ledger, (s.length,), _rows(s.values), label)
     return _backward(s.values, out)
 
 
@@ -200,10 +195,8 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
         tw *= 1j
     fold_k *= _zeta_table(k, 1)
     rows = _rows(c)
-    if ledger is not None:
-        ledger.add_scalar("cmul", rows * (l + 2 * k))
-        ledger.add_scalar("cadd", c.size)
-    _record(ledger, (l, k), rows, label, stage)
+    tally(ledger, cmul=rows * (l + 2 * k), cadd=c.size)
+    record_dfts(ledger, (l, k), rows, label, stage)
     values = np.empty(c.shape[:-1] + (l + k,), dtype=np.complex128)
     _forward(fold_l, l, values[..., :l])
     _forward(fold_k, k, values[..., l:])
@@ -224,7 +217,7 @@ def inverse_double_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:
     if l != 2 * k:
         raise KindMismatchError("double reconstruction is defined for l = 2k")
     rows = _rows(s.values)
-    _record(ledger, (l, k), rows, label)
+    record_dfts(ledger, (l, k), rows, label)
     coeffs = np.empty(s.values.shape, dtype=np.complex128)
     r1 = _backward(s.values[..., :l], coeffs[..., :l])
     top = _backward(s.values[..., l:], coeffs[..., l:])
@@ -232,9 +225,7 @@ def inverse_double_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:
     top -= r1[..., :k] + 1j * r1[..., k:]  # r1 modulo x**k - i
     top /= -2
     r1[..., :k] -= top
-    if ledger is not None:
-        ledger.add_scalar("cmul", rows * 2 * k)
-        ledger.add_scalar("cadd", rows * 3 * k)
+    tally(ledger, cmul=rows * 2 * k, cadd=rows * 3 * k)
     return coeffs
 
 
@@ -248,15 +239,13 @@ def dft_3k(p, k: int, ledger=None, label=None) -> Spectrum:
             f"polynomial with {c.size} coefficients exceeds order {3 * k}"
         )
     inner = [_forward(c[t::3], k) for t in range(3)]
-    _record(ledger, (k,), 3, label)
+    record_dfts(ledger, (k,), 3, label)
     j = np.arange(3 * k)
     twiddles = _outer3_table(k)
     values = np.zeros(3 * k, dtype=np.complex128)
     for t in range(3):
         values += twiddles[t] * inner[t][j % k]
-    if ledger is not None:
-        ledger.add_scalar("cmul", 6 * k)
-        ledger.add_scalar("cadd", 6 * k)
+    tally(ledger, cmul=6 * k, cadd=6 * k)
     return Spectrum(values, "triple", k=k)
 
 

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from fastseries import CostLedger, fast_exp, fast_pow
+from fastseries import CostLedger, fast_exp, fast_pow, stage_table
 from fastseries.cli import bench_plan, exp_input, pow_input
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -53,3 +53,23 @@ def test_every_block_engine_span_fires_on_pinned_runs():
     # every wrapped attribute is restored afterwards
     assert all(not hasattr(owner.__dict__[attr], "__wrapped__")
                for owner, attr, _ in spans.WRAPPED)
+
+
+def test_timing_ledger_opens_a_span_for_every_stage():
+    """perfbench's per-layer stage.<tag>.ms come from TimingLedger.stage; a
+    stage entered past it would read 0.0 there, not fail."""
+    spans = _load_spans()
+    N = 4096
+    rng = np.random.default_rng(N)
+    h, g = exp_input(rng, N), pow_input(rng, N)
+    runs = {"exp": lambda led, plan: fast_exp(h, N, plan=plan, ledger=led),
+            "pow": lambda led, plan: fast_pow(g, 0.3 + 0.7j, N, plan=plan, ledger=led)}
+    for op, run in runs.items():
+        tracer, plan = spans.Tracer(), bench_plan(op, N)
+        led = spans.TimingLedger(tracer)
+        run(led, plan)
+        tags = [row.stage for row in stage_table(led, plan)]
+        assert any(tag.startswith(op + ".") for tag in tags), tags
+        assert any(tag.startswith("bootstrap.") for tag in tags), tags
+        fired = tracer.totals()
+        assert all(fired["stage." + tag][0] > 0 for tag in tags), (op, tags)

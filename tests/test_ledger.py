@@ -8,13 +8,17 @@ from fastseries import (
     CostLedger,
     EXPECTED_STAGE_UNITS,
     fast_exp,
+    fast_inverse,
+    fast_log,
+    fast_ops,
     fast_pow,
     multiply,
     report_kv,
     report_text,
     stage_table,
 )
-from fastseries.cli import bench_plan, exp_input, pow_input
+from fastseries.cli import bench_plan, exp_input, main, pow_input
+from fastseries.series_core import dump_series
 
 
 def test_unit_rule():
@@ -163,3 +167,38 @@ def test_boundary_inverse_note():
     kv = report_kv(led, plan)
     assert "note.boundary_inverse.units=3" in kv
     assert "note.boundary_inverse.units_if_2k=2" in kv
+
+
+def test_no_ledger_counts_nothing(monkeypatch, tmp_path):
+    """Without a ledger no call builds one: not the entry points, not their
+    bootstrap calls into fast_exp and fast_inverse, not the CLI without
+    --report."""
+    built, init = [], CostLedger.__init__
+
+    def counting_init(self):
+        built.append(type(self))
+        init(self)
+
+    monkeypatch.setattr(CostLedger, "__init__", counting_init)
+    exp_orders, exp = [], fast_ops.fast_exp
+
+    def spy_exp(h, N, *args, **kwargs):
+        exp_orders.append(N)
+        return exp(h, N, *args, **kwargs)
+
+    monkeypatch.setattr(fast_ops, "fast_exp", spy_exp)
+    N, n, C = 1 << 14, 4096, 0.3 + 0.7j
+    rng = np.random.default_rng(N)
+    h, g = exp_input(rng, N), pow_input(rng, N)
+    fast_ops.fast_exp(h, N)
+    fast_pow(g, C, N)
+    # the default plans bootstrap through fast_exp at 4096 and 1024
+    assert exp_orders == [N, 4096, 1024, 4096, 1024]
+    fast_exp(h[:n], n, plan=bench_plan("exp", n))
+    fast_pow(g[:n], C, n, plan=bench_plan("pow", n))
+    fast_inverse(g, N)
+    fast_log(g, N)
+    src = tmp_path / "g.txt"
+    dump_series(g[:n], src)
+    assert main(["inv", str(src), str(tmp_path / "r.txt"), "--n", str(n)]) == 0
+    assert built == []

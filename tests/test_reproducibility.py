@@ -1,15 +1,18 @@
 """Results and ledger reports are bitwise reproducible, also when several
 threads run the pinned-plan fast paths at once and share the module-level
 root tables, and when they run the Newton layer, each in its own workspace
-(the README's "bitwise identical" claim)."""
+(the README's "bitwise identical" claim).  A ledger only counts: results
+with one and without one are the same bytes."""
 
+import functools
 import sys
 import threading
 
 import numpy as np
+import pytest
 
 from fastseries import CostLedger, fast_exp, fast_inverse, fast_log, fast_pow
-from fastseries.cli import bench_plan, exp_input, pow_input
+from fastseries.cli import VERIFY_POWERS, bench_plan, exp_input, pow_input
 from fastseries.cost_ledger import report_kv
 
 N = 4096
@@ -99,3 +102,21 @@ def test_newton_layer_in_threads_matches_sequential_runs():
     ]
     sequential = {job: run(job) for job in orders[0]}
     _assert_bitwise(sequential, _in_threads(orders, run), len(orders))
+
+
+@pytest.mark.parametrize("order", [1000, 4096, 16384])
+def test_results_without_a_ledger_match_ledgered_ones(order):
+    """The timed paths (perfbench, tools/ab_time.py) run without a ledger,
+    the fingerprint with one; both must compute the same bytes."""
+    rng = np.random.default_rng(order)
+    h, g = exp_input(rng, order), pow_input(rng, order)
+    calls = {"inv": functools.partial(fast_inverse, g, order),
+             "log": functools.partial(fast_log, g, order)}
+    for kind in ("default", "pinned"):
+        exp_plan = None if kind == "default" else bench_plan("exp", order)
+        pow_plan = None if kind == "default" else bench_plan("pow", order)
+        calls[f"exp {kind}"] = functools.partial(fast_exp, h, order, plan=exp_plan)
+        for C in VERIFY_POWERS:
+            calls[f"pow {kind} C={C}"] = functools.partial(fast_pow, g, C, order, plan=pow_plan)
+    for name, call in calls.items():
+        assert call(ledger=CostLedger()).coeffs.tobytes() == call().coeffs.tobytes(), name
