@@ -67,10 +67,11 @@ _newton_local = threading.local()
 
 
 def _finite_result(c: np.ndarray) -> TruncatedSeries:
-    """The result series, unless a coefficient overflowed complex128."""
+    """The result series over c, an array made for it, unless a coefficient
+    overflowed complex128."""
     if not np.all(np.isfinite(c)):
         raise DomainError("result coefficients overflow complex128")
-    return TruncatedSeries(c)
+    return TruncatedSeries._adopt(c)
 
 
 def _prefix_exp(h, n: int) -> np.ndarray:
@@ -220,22 +221,22 @@ def _workspace(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(b[:L] for b in bufs)
 
 
-def _wrap_step(c, q, a, h, t, r_spec, q_spec, work, ledger, label):
+def _wrap_step(q, a, h, t, r_spec, f_spec, q_spec, work, ledger, label):
     """Extend q = a/f from order h to order t <= 2h in place: q[:h] is known
-    and q[h:t] is written.  c holds the coefficients of f, a those of the
-    numerator (None for a = 1; a[h:t] is read before q[h:t] is written, so
-    a may be q itself), and r_spec, q_spec are the order-L spectra, L >= t,
-    of r = 1/f mod x**h and of q[:h].  work holds two arrays of length L;
-    q_spec may be the second, which the step overwrites once it has read it.
+    and q[h:t] is written.  a holds the coefficients of the numerator (None
+    for a = 1; a[h:t] is read before q[h:t] is written, so a may be q
+    itself), and r_spec, f_spec, q_spec are the order-L spectra, L >= t, of
+    r = 1/f mod x**h, of f[:t] and of q[:h].  work holds two arrays of
+    length L; f_spec may be the first and q_spec the second, which the step
+    overwrites once it has read them.
 
     The cyclic product f[:t]*q of length L is exact on coefficients h..t-1,
     because its terms past L wrap onto indices below t+h-1-L < h.  Those give
     the residual e = (f*q - a)/x**h mod x**(t-h), and q[h:t] = -(r*e) mod
-    x**(t-h): four transforms of order L next to the two spectra given."""
+    x**(t-h): three transforms of order L next to the three spectra given."""
     prod, spare = work
     L = r_spec.length
-    fq = fft_core.dft(c[:t], L, ledger=ledger, label=label, out=prod).pointwise(
-        q_spec, ledger=ledger, out=prod)
+    fq = f_spec.pointwise(q_spec, ledger=ledger, out=prod)
     e = fft_core.inverse_dft(fq, ledger=ledger, label=label, out=prod)[h:t]
     if a is not None:
         e -= a[h:t]
@@ -247,15 +248,17 @@ def _wrap_step(c, q, a, h, t, r_spec, q_spec, work, ledger, label):
 
 def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
     """1/f mod x**N for c[0] != 0, in a fresh array; the steps run in the
-    thread's workspace, and r's spectrum serves both products of a step."""
+    thread's workspace, r's spectrum serves both products of a step, and the
+    spectra of r[:h] and f[:t] are taken as one pair."""
     r = np.empty(N, dtype=np.complex128)
     r[0] = 1.0 / c[0]
     spec, prod, spare = _workspace(fft_core.granted_length(N))
     h = 1
     for t in _newton_orders(N):
         L = fft_core.granted_length(t)
-        r_spec = fft_core.dft(r[:h], L, ledger=ledger, label="newton", out=spec[:L])
-        _wrap_step(c, r, None, h, t, r_spec, r_spec, (prod[:L], spare[:L]), ledger, "newton")
+        r_spec, f_spec = fft_core.dft_pair(r[:h], c[:t], L, spec[:L], prod[:L],
+                                           ledger=ledger, label="newton")
+        _wrap_step(r, None, h, t, r_spec, f_spec, r_spec, (prod[:L], spare[:L]), ledger, "newton")
         h = t
     return r
 
@@ -299,13 +302,13 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     np.multiply(powers[: n - 1], c[1:n], out=q[: n - 1])
     with in_stage(ledger, "inverse"):
         r = _newton_inverse(c, h, ledger)
-    r_spec = fft_core.dft(r, L, ledger=ledger, label="log", out=spec)
-    dr = fft_core.dft(q[:h], L, ledger=ledger, label="log", out=prod).pointwise(
-        r_spec, ledger=ledger, out=prod)
+    r_spec, dq = fft_core.dft_pair(r, q[:h], L, spec, prod, ledger=ledger, label="log")
+    dr = dq.pointwise(r_spec, ledger=ledger, out=prod)
     q[:h] = fft_core.inverse_dft(dr, ledger=ledger, label="log", out=prod)[:h]
     if M > h:
-        q_spec = fft_core.dft(q[:h], L, ledger=ledger, label="log", out=spare)
-        _wrap_step(c, q, q, h, M, r_spec, q_spec, (prod, spare), ledger, "log")
+        q_spec, f_spec = fft_core.dft_pair(q[:h], c[:M], L, spare, prod,
+                                           ledger=ledger, label="log")
+        _wrap_step(q, q, h, M, r_spec, f_spec, q_spec, (prod, spare), ledger, "log")
     q /= powers
     return _finite_result(out)
 

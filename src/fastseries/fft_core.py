@@ -14,7 +14,11 @@ inverse's 1/L inside the transform) that writes its values once, straight
 into the destination array: ``dft``, ``inverse_dft`` and
 ``Spectrum.pointwise`` take a caller's array (``out=``), which may be the
 input itself or a strided view; the values are the same bit for bit either
-way.
+way.  ``dft_pair`` takes the transforms of two independent polynomials of
+one order; from order ``_PAIR_MIN_ORDER`` up, in a process that may use two
+CPUs, the second is handed to a helper thread while the first runs in the
+caller (pocketfft releases the GIL), with the same values and events as two
+``dft`` calls.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -24,7 +28,10 @@ orders k, 2k and 3k the block algorithms need.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -129,6 +136,74 @@ def _backward(values, out=None) -> np.ndarray:
     return np.fft.fft(v, axis=-1, norm="forward", out=out)
 
 
+# Shortest order at which dft_pair runs its two transforms at once.  Median
+# microseconds of one order-L transform of L inputs and one of L/2 inputs,
+# back to back and on two threads, with the paired ratio and its quartiles
+# (interleaved, 30 to 976 pairs, 2-vCPU Xeon, numpy 2.4.6):
+#       L   serial  threads   ratio
+#    4096      174      310   1.78 [1.61, 1.99]
+#    6144      282      366   1.45 [0.98, 2.23]
+#    8192      388      553   1.45 [0.96, 2.41]
+#   12288      648      541   0.84 [0.66, 1.36]
+#   16384      781      607   0.78 [0.70, 0.96]
+#   32768     3086     1709   0.54 [0.52, 0.61]
+#   65536     6418     3403   0.53 [0.51, 0.63]
+# Below 12288 waking the helper costs more than the overlap saves.
+_PAIR_MIN_ORDER = 16384
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(jobs: SimpleQueue):
+    """The helper thread: run each (claim, fn, args, reply) job that the
+    caller has not claimed back, and put (result, None) or (None, exception)
+    on its reply queue."""
+    while True:
+        claim, fn, args, reply = jobs.get()
+        if not claim.acquire(blocking=False):
+            continue
+        try:
+            reply.put((fn(*args), None))
+        except BaseException as exc:  # re-raised in the waiting caller
+            reply.put((None, exc))
+
+
+# The queue of this process's one helper thread, which is started on first
+# use and serves every caller thread in turn.  A forked child has no such
+# thread, so it drops the queue and starts its own.
+_helper_jobs = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper():
+    global _helper_jobs, _helper_lock
+    _helper_jobs, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _on_helper(fn, *args) -> tuple[threading.Lock, SimpleQueue]:
+    """Hand fn(*args) to the helper thread, starting it if need be.  Returns
+    the job's claim, which whoever runs the job takes first, and the queue
+    that gets (result, exception) once the helper has run it."""
+    global _helper_jobs
+    job = threading.Lock(), fn, args, SimpleQueue()
+    with _helper_lock:
+        if _helper_jobs is None:
+            _helper_jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper_jobs,), name="fastseries-dft",
+                             daemon=True).start()
+        _helper_jobs.put(job)
+    return job[0], job[3]
+
+
 def _check_length(L: int):
     if not is_supported_length(L):
         raise UnsupportedLengthError(f"transform length {L} not of the form 2^a*3^b, b<=1")
@@ -155,6 +230,35 @@ def dft(p, L: int, ledger=None, label=None, out=None) -> Spectrum:
         raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
     record_dfts(ledger, (L,), _rows(c), label)
     return Spectrum(_forward(c, L, out), "plain")
+
+
+def dft_pair(p, q, L: int, out_p, out_q, ledger=None, label=None) -> tuple[Spectrum, Spectrum]:
+    """Order-L DFTs of two polynomials (or batches) with degrees below L,
+    whose values are out_p and out_q: the same values and events as dft(p)
+    and then dft(q).  From order _PAIR_MIN_ORDER up, in a process that may
+    use at least 2 CPUs, q's transform is handed to the helper thread while
+    p's runs here, so neither output may overlap the other or an input."""
+    _check_length(L)
+    a, b = _polys(p), _polys(q)
+    for c in (a, b):
+        if c.shape[-1] > L:
+            raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
+        record_dfts(ledger, (L,), _rows(c), label)
+    if L < _PAIR_MIN_ORDER or _usable_cpus() < 2:
+        return Spectrum(_forward(a, L, out_p), "plain"), Spectrum(_forward(b, L, out_q), "plain")
+    claim, reply = _on_helper(_forward, b, L, out_q)
+    try:
+        first = _forward(a, L, out_p)
+    finally:
+        # a helper that has not started q's transform yet (busy, or still
+        # waking up) leaves it to this thread
+        if claim.acquire(blocking=False):
+            second, error = _forward(b, L, out_q), None
+        else:
+            second, error = reply.get()
+    if error is not None:
+        raise error
+    return Spectrum(first, "plain"), Spectrum(second, "plain")
 
 
 def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:

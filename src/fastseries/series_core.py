@@ -23,6 +23,14 @@ class TruncatedSeries:
         arr = np.array(coeffs, dtype=np.complex128).reshape(-1)
         self.coeffs = arr
 
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "TruncatedSeries":
+        """The series over ``coeffs``, a 1-d complex128 array the library has
+        just made and hands over, without the constructor's copy."""
+        series = cls.__new__(cls)
+        series.coeffs = coeffs
+        return series
+
     @property
     def order(self) -> int:
         return self.coeffs.size

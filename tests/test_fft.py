@@ -9,12 +9,13 @@ from fastseries import (
     dft,
     dft_3k,
     double_dft,
+    fft_core,
     granted_length,
     inverse_dft,
     inverse_double_dft,
     multiply,
 )
-from fastseries.fft_core import is_supported_length, zeta_for
+from fastseries.fft_core import dft_pair, is_supported_length, zeta_for
 
 from util import rel_err
 
@@ -169,6 +170,29 @@ def test_out_arrays_give_the_same_bits(L):
     assert got.values is b and np.array_equal(b.view(float), want.values.view(float))
     back = inverse_dft(got, out=b)
     assert back is b and np.array_equal(b.view(float), inverse_dft(want).view(float))
+
+
+@pytest.mark.parametrize("threads", [False, True])
+@pytest.mark.parametrize("L", [16, 3 << 12, 1 << 16])
+def test_dft_pair_is_two_dft_calls(L, threads, monkeypatch):
+    """dft_pair writes the values of dft(p) and dft(q) into the caller's
+    arrays and records their events, on one thread or on two (the crossover
+    patched below every length)."""
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fft_core, "_PAIR_MIN_ORDER", 1 if threads else 1 << 30)
+    rng = np.random.default_rng(L)
+    p, q = np.array([1, 1j]) @ rng.standard_normal((2, 2, L))
+    q = q[: L // 2]
+    want, got = CostLedger(), CostLedger()
+    wp, wq = dft(p, L, ledger=want, label="x"), dft(q, L, ledger=want, label="x")
+    a, b = np.empty(L, dtype=complex), np.empty(L, dtype=complex)
+    sp, sq = dft_pair(p, q, L, a, b, ledger=got, label="x")
+    assert sp.values is a and sq.values is b
+    assert np.array_equal(a.view(float), wp.values.view(float))
+    assert np.array_equal(b.view(float), wq.values.view(float))
+    assert got.events == want.events
+    with pytest.raises(UnsupportedLengthError):
+        dft_pair(p, np.zeros(L + 1), L, a, b)
 
 
 # The transforms as they were written before the leaf passed its scaling to

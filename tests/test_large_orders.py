@@ -21,7 +21,7 @@ from fastseries import (
 from fastseries.cli import bench_plan
 from fastseries.cost_ledger import BOOTSTRAP_PREFIX, report_kv
 
-from util import random_exp_arg, random_pow_arg, rel_err
+from util import binomial_series, random_exp_arg, random_pow_arg, rel_err
 
 N = 1 << 14
 TOL = 1e-8  # the identity tolerance of acceptance criterion 5
@@ -43,14 +43,6 @@ def product(a, b, n):
     b = np.asarray(b, dtype=np.complex128)
     L = 1 << (a.size + b.size - 2).bit_length()
     return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:n]
-
-
-def binomial_series(a, c, n):
-    """(1 - a*x)**c mod x**n from t_j = t_{j-1} * (j-1-c) * a / j."""
-    j = np.arange(1, n)
-    t = np.ones(n, dtype=np.complex128)
-    t[1:] = np.cumprod((j - 1 - c) * a / j)
-    return t
 
 
 def closed_form_check(got, want):

@@ -2,18 +2,23 @@
 threads run the pinned-plan fast paths at once and share the module-level
 root tables, and when they run the Newton layer, each in its own workspace
 (the README's "bitwise identical" claim).  A ledger only counts: results
-with one and without one are the same bytes."""
+with one and without one are the same bytes.  The Newton layer's transform
+pairs give the same bytes, events and scalars on one thread or two, its
+helper thread is started anew in a forked child, and never on one CPU."""
 
 import functools
+import multiprocessing
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from fastseries import CostLedger, fast_exp, fast_inverse, fast_log, fast_pow
+from fastseries import CostLedger, fast_exp, fast_inverse, fast_log, fast_pow, fft_core
 from fastseries.cli import VERIFY_POWERS, bench_plan, exp_input, pow_input
 from fastseries.cost_ledger import report_kv
+
+from util import binomial_series
 
 N = 4096
 C = 0.3 + 0.7j
@@ -120,3 +125,86 @@ def test_results_without_a_ledger_match_ledgered_ones(order):
             calls[f"pow {kind} C={C}"] = functools.partial(fast_pow, g, C, order, plan=pow_plan)
     for name, call in calls.items():
         assert call(ledger=CostLedger()).coeffs.tobytes() == call().coeffs.tobytes(), name
+
+
+def _newton_runs(order):
+    """fast_inverse and fast_log at ``order`` on a series with a live top
+    half: each result's bytes with a ledger and without one, and the
+    ledger's events and scalars in the order they were recorded."""
+    g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, order)
+    runs = []
+    for op in (fast_inverse, fast_log):
+        led = CostLedger()
+        out = op(g, order, ledger=led).coeffs.tobytes()
+        runs.append((out, op(g, order).coeffs.tobytes(),
+                     [(e.order, e.stage, e.label) for e in led.events], list(led.scalar.items())))
+    return runs
+
+
+@pytest.mark.parametrize("order", [1 << 14, 1 << 16, (1 << 16) - 1, 3 << 14])
+def test_transform_pairs_on_two_threads_match_serial_ones(order, monkeypatch):
+    """With the crossover patched above every length, every pair of the
+    Newton layer runs serially; patched below, every pair runs on two
+    threads.  Both give the same bytes, events and scalars, in order."""
+    jobs, on_helper = [], fft_core._on_helper
+
+    def counted(fn, coeffs, L, out):
+        jobs.append(L)
+        return on_helper(fn, coeffs, L, out)
+
+    monkeypatch.setattr(fft_core, "_on_helper", counted)
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fft_core, "_PAIR_MIN_ORDER", 1 << 30)
+    serial = _newton_runs(order)
+    assert not jobs
+    monkeypatch.setattr(fft_core, "_PAIR_MIN_ORDER", 1)
+    threaded = _newton_runs(order)
+    assert max(jobs) == fft_core.granted_length(order)
+    for want, got in zip(serial, threaded):
+        assert want[0] == want[1]
+        assert got == want
+
+
+def _log_bytes(g, order, conn):
+    out = fast_log(g, order).coeffs.tobytes()
+    conn.send((out, [t.name for t in threading.enumerate()]))
+    conn.close()
+
+
+def test_forked_child_runs_the_newton_layer(monkeypatch):
+    """A child forked after the parent's helper thread started has no such
+    thread; it starts its own (handing jobs to the parent's queue would leave
+    them to the caller, and keep them queued for good), and its fast_log
+    gives the parent's bytes."""
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
+    order = 1 << 16
+    g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, order)
+    want = fast_log(g, order).coeffs.tobytes()
+    assert fft_core._helper_jobs is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_log_bytes, args=(g, order, send), daemon=True)
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's fast_log did not finish"
+        got, threads = recv.recv()
+        assert got == want
+        assert "fastseries-dft" in threads
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+
+
+def test_one_cpu_starts_no_helper_thread(monkeypatch):
+    """A process that may use one CPU runs every pair serially and never
+    starts the helper thread."""
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fft_core, "_helper_jobs", None)
+    threads = threading.active_count()
+    g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, 1 << 16)
+    fast_inverse(g, 1 << 16)
+    fast_log(g, 1 << 16)
+    assert fft_core._helper_jobs is None
+    assert threading.active_count() == threads

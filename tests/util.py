@@ -35,3 +35,11 @@ def random_pow_arg(rng, size, rho=0.5):
     h[0] = 1.0
     h[1:] = disk(rng, size - 1, rho ** np.arange(1, size))
     return h
+
+
+def binomial_series(a, c, n):
+    """(1 - a*x)**c mod x**n from t_j = t_{j-1} * (j-1-c) * a / j."""
+    j = np.arange(1, n)
+    t = np.ones(n, dtype=np.complex128)
+    t[1:] = np.cumprod((j - 1 - c) * a / j)
+    return t

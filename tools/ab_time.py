@@ -13,7 +13,9 @@ default_rng(j), and calls the operation at order N on each input in both
 trees, alternating which tree goes first; pow cycles through
 cli.VERIFY_POWERS.  One untimed call per tree comes first.
 
-It prints the median milliseconds of each tree, the median and quartiles of
+It prints a header with the number of CPUs this process may use (the
+Newton layer runs transform pairs on two threads only when it may use
+two), the median milliseconds of each tree, the median and quartiles of
 the paired ratios change/parent with the number of pairs the change won,
 and the largest difference between the two trees' outputs, scaled by
 1 + max|parent output|.  Both trees share the process, its allocator and
@@ -108,7 +110,8 @@ def main(argv=None):
         sys.exit("error: N and REPEATS must be positive")
     ms, ratios, diff = compare(parent_src, change_src, op, N, repeats, pinned)
     q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"{op} N={N} pairs={repeats}{' pinned' if pinned else ''}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"{op} N={N} pairs={repeats}{' pinned' if pinned else ''} cpus={cpus}")
     for side, times in zip(SIDES, ms):
         print(f"{side} median_ms={statistics.median(times):.2f}")
     print(f"ratio change/parent median={statistics.median(ratios):.3f} "

@@ -12,10 +12,13 @@ call touched for the first time, e.g. a fresh array the allocator had
 handed back to the kernel.
 
 The "np.fft" column counts the faults taken inside np.fft.fft/ifft (wrapped
-for this process only).  np.fft allocates its own scratch on every call,
-and whether that scratch faults depends on what the process freed before:
-glibc hands a freed block back to the kernel unless a larger block was
-freed earlier.  So a process that only runs these calls can fault there,
+for this process only), each read with getrusage(RUSAGE_THREAD) in the
+thread that made the call: the Newton layer runs some transforms on a
+helper thread at the same time as the caller's, and a process-wide count
+would give the faults of both to each.  np.fft allocates its own scratch
+on every call, and whether that scratch faults depends on what the process
+freed before: glibc hands a freed block back to the kernel unless a larger
+block was freed earlier.  So a process that only runs these calls can fault there,
 where one that also runs larger work (the benchmark's) does not.
 """
 
@@ -25,22 +28,27 @@ import os
 import resource
 import statistics
 import sys
+import threading
 import time
 
 import numpy as np
 
 
-def _faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _faults(who=resource.RUSAGE_SELF) -> int:
+    return resource.getrusage(who).ru_minflt
 
 
 def _count_in(counter, fn):
+    lock = threading.Lock()
+
     def wrapper(*args, **kwargs):
-        before = _faults()
+        before = _faults(resource.RUSAGE_THREAD)
         try:
             return fn(*args, **kwargs)
         finally:
-            counter[0] += _faults() - before
+            faults = _faults(resource.RUSAGE_THREAD) - before
+            with lock:
+                counter[0] += faults
     return wrapper
 
 
