@@ -3,8 +3,8 @@
 Commands: exp, log, inv, pow transform a coefficient file; verify sweeps the
 fast algorithms against the quadratic references and fails on a tolerance
 breach; bench runs a pinned plan ladder and emits the stage budget table.
-Exit codes: 0 success, 1 domain/precondition error, 2 I/O or parse error,
-3 verification failure.
+Exit codes: 0 success, 1 domain/precondition error or an order too large to
+allocate, 2 I/O or parse error, 3 verification failure.
 
 Reports are deterministic byte-for-byte for a fixed configuration: wall
 clock never appears in them (timing, when requested, goes to stderr).
@@ -246,6 +246,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, PlanError, UnsupportedLengthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,6 +8,8 @@ Coefficient storage is dense complex128.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import fft_core
@@ -94,18 +96,195 @@ def mul_mod(f, g, n: int, ledger=None, label=None) -> TruncatedSeries:
 #     #order n
 #     index<TAB>re<TAB>im
 # Floats are written with 17 significant digits, which round-trips float64
-# exactly.
+# exactly: each is spelled byte for byte as '%.17g' % x spells it.
+#
+# '%.17g' goes through CPython's exact bignum conversion, about 1.5 us a
+# float.  The writer instead takes the fast path of Loitsch's Grisu3
+# ("Printing floating-point numbers quickly and accurately with integers",
+# PLDI 2010) over whole arrays: with D = floor(log10|x|) and p = 16 - D, the
+# 17 digits are N = round(V) for V = |x| * 10**p, one long double product
+# with a correctly rounded table entry 10**p.  Both roundings are relative
+# errors of at most u, the long double unit roundoff, so V is within
+# err = V * 2u(1 + 3u) of the exact |x| * 10**p.  N is then the correctly
+# rounded digit string whenever V is further than err from the nearest
+# half-integer, and D is the right exponent whenever V rounded to float64
+# lies strictly between 10**16 and 10**17, which keeps V at least 1 inside
+# (err is below 0.011 there for an 80-bit long double).  Every other value
+# goes to '%.17g' itself: those near a half-integer, those whose log10
+# missed D, those whose 17 digits round up to 10**17, inf and nan; zero is
+# laid out directly.  Where long double is a plain double, err exceeds 1/2
+# and every value takes the exact path.
+
+_LONG_DOUBLE_UNIT = float(np.finfo(np.longdouble).eps) / 2
+_P_MIN, _P_MAX = -292, 340  # p of every finite nonzero double
+_X_MIN, _X_MAX = -324, 308  # decimal exponents of finite nonzero doubles
+_LAYOUTS = 23  # fixed notation at exponents -4..16, scientific with 2 or 3 exponent digits
+_CHUNK_ROWS = 2048  # 4096 floats a chunk: no temporary passes 1 MB
+
+# Columns of the field template.  Every spelling is a subsequence of
+#     TAB - 0 . 0 0 0 d0 . d1 . d2 ... . d16 . e s x x x
+# (s the exponent sign, x its digits), so a field is its template row under
+# a mask that depends only on the layout class of the value.
+_TAB, _MINUS, _ZERO, _POINT, _ZEROS, _DIGIT0, _EXP, _FIELD = 0, 1, 2, 3, 4, 7, 41, 46
+
+
+class _G17Tables:
+    """The fast path's tables, built once on the first write."""
+
+    def __init__(self):
+        bits = np.finfo(np.longdouble).nmant + 1
+        mant_exp = [_round_pow10(p, bits) for p in range(_P_MIN, _P_MAX + 1)]
+        with np.errstate(over="ignore"):  # a plain double has no 10**309
+            self.pow10 = np.ldexp(np.array([_exact_longdouble(m) for m, _ in mant_exp]),
+                                  np.array([e for _, e in mant_exp]))
+        # 4-digit groups: their ASCII bytes, the same spread over the digit
+        # columns of the template, and, for group j of digits 4j+1..4j+4, the
+        # significant digits up to its last nonzero one (1, d0 alone, for 0000)
+        q = np.arange(10000)
+        digits = q[:, None] // 10 ** np.arange(3, -1, -1) % 10
+        quad = (ord("0") + digits).astype(np.uint8)
+        self.quad = quad.view(np.uint32).ravel()
+        spread = np.full((10000, 8), ord("."), dtype=np.uint8)
+        spread[:, 0::2] = quad
+        self.spread = spread.view(np.uint64).ravel()
+        last = np.where(q > 0, 4 - np.argmax(digits[:, ::-1] != 0, axis=1), 0)
+        self.sig = np.where(last > 0, last + 1 + 4 * np.arange(4)[:, None], 1)
+        self.exponent = np.frombuffer("".join(
+            f"{x:+04d}" for x in range(_X_MIN, _X_MAX + 1)).encode(), dtype=np.uint32)
+        # the template with its constant columns, and a newline after it
+        self.blank = np.frombuffer(b"\t-0.000" + b"0." * 17 + b"e+000\n", dtype=np.uint8)
+        # class (layout * 17 + significant digits - 1) * 2 + sign: the mask;
+        # class_base[X] + 2 * significant digits + sign is the class at exponent X
+        self.mask = np.zeros((_LAYOUTS * 17 * 2, _FIELD), dtype=bool)
+        x = np.arange(_X_MIN, _X_MAX + 1)
+        self.class_base = np.where((x >= -4) & (x <= 16), x + 4,
+                                   np.where(np.abs(x) < 100, 21, 22)) * 34 - 2
+        for layout in range(_LAYOUTS):
+            for sig in range(1, 18):
+                digits = [_DIGIT0 + 2 * j for j in range(sig)]
+                X = layout - 4
+                if layout >= 21:  # 2 or 3 exponent digits
+                    cols = digits[:1] + ([_DIGIT0 + 1] + digits[1:] if sig > 1 else [])
+                    cols += [_EXP, _EXP + 1] + list(range(_FIELD - (layout - 19), _FIELD))
+                elif X < 0:
+                    cols = [_ZERO, _POINT] + list(range(_ZEROS, _ZEROS - X - 1)) + digits
+                else:  # the integer part may run into the stripped zeros
+                    cols = [_DIGIT0 + 2 * j for j in range(X + 1)]
+                    cols += [_DIGIT0 + 2 * X + 1] + digits[X + 1:] if sig > X + 1 else []
+                for neg in (0, 1):
+                    cls = (layout * 17 + sig - 1) * 2 + neg
+                    self.mask[cls, [_TAB] + [_MINUS] * neg + cols] = True
+
+
+def _round_pow10(p: int, bits: int) -> tuple[int, int]:
+    """(m, e) with m * 2**e the nearest bits-bit binary value to 10**p,
+    from exact integers."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    e = num.bit_length() - den.bit_length() - bits
+    while True:
+        top, bottom = (num, den << e) if e >= 0 else (num << -e, den)
+        m, rest = divmod(top, bottom)
+        if m < 1 << bits:
+            break
+        e += 1
+    # 10**p is never a tie for p != 0; a carry to 2**bits is still exact
+    return m + (2 * rest > bottom), e
+
+
+def _exact_longdouble(m: int) -> np.longdouble:
+    """m as a long double, exactly when it fits the significand: whole
+    32-bit groups, each step exact."""
+    out = np.longdouble(0)
+    for shift in range(m.bit_length() // 32 * 32, -1, -32):
+        out = out * 2 ** 32 + ((m >> shift) & 0xFFFFFFFF)
+    return out
+
+
+@functools.cache
+def _g17_tables() -> _G17Tables:
+    return _G17Tables()
+
+
+def _g17_fields(v: np.ndarray, field: np.ndarray, keep: np.ndarray) -> int:
+    """Spell each float64 of v as '%.17g' does, after a TAB: fill its row
+    of field, a (v.size, 46) view holding the template's constant columns,
+    and mark the bytes it uses in keep.  Returns how many values took the
+    exact path."""
+    t = _g17_tables()
+    a = np.abs(v)
+    zero = a == 0
+    live = np.isfinite(a) & ~zero
+    a[~live] = 1.0
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    V = a.astype(np.longdouble) * np.take(t.pow10, p - _P_MIN, mode="clip")
+    Vf = V.astype(np.float64)
+    N = np.rint(V)
+    with np.errstate(invalid="ignore"):  # V is inf where a plain double overflows
+        frac = (V - N).astype(np.float64)  # within 2**-55; exact for 80-bit V, ulp >= 2**-10
+    # err, with the roundings of Vf, frac and this test
+    err = Vf * (2 * _LONG_DOUBLE_UNIT * (1 + 2.0 ** -30)) + 2.0 ** -54
+    good = (live & (Vf > 1e16) & (Vf < 1e17) & (np.abs(frac) < 0.5 - err)
+            & (p >= _P_MIN) & (p <= _P_MAX))
+    digits = np.where(good, N, 0).astype(np.int64)
+    X = np.where(good, 16 - p, 0)  # zero is laid out as '0' at exponent 0
+
+    lead = digits // 10 ** 16
+    rest = digits - lead * 10 ** 16
+    groups = []
+    high = rest // 10 ** 8
+    for half in (high, rest - high * 10 ** 8):
+        top = half // 10 ** 4
+        groups += [top, half - top * 10 ** 4]  # digits 1-4, 5-8, then 9-12, 13-16
+    spread = np.empty((v.size, 4), dtype=np.uint64)
+    sig = np.ones(v.size, dtype=np.intp)
+    for j, g in enumerate(groups):
+        spread[:, j] = np.take(t.spread, g)
+        np.maximum(sig, np.take(t.sig[j], g), out=sig)
+    field[:, _DIGIT0] = ord("0") + lead
+    field[:, _DIGIT0 + 2:_EXP] = spread.view(np.uint8)
+    field[:, _EXP + 1:] = np.take(t.exponent, X - _X_MIN).view(np.uint8).reshape(-1, 4)
+    keep[:] = np.take(t.mask, np.take(t.class_base, X - _X_MIN) + 2 * sig + np.signbit(v),
+                      axis=0)
+    slow = np.flatnonzero(~good & ~zero)
+    if slow.size:
+        texts = ["\t%.17g" % x for x in v[slow].tolist()]
+        field[slow, :25] = np.frombuffer("".join(s.ljust(25) for s in texts).encode(),
+                                         dtype=np.uint8).reshape(-1, 25)
+        keep[slow] = np.arange(_FIELD) < np.array([len(s) for s in texts])[:, None]
+    return slow.size
+
+
+def _text_lines(start: int, values: np.ndarray, width: int) -> str:
+    """Lines 'i<TAB>re<TAB>im' from index start on, for values holding re
+    and im of each coefficient in turn, with width, a multiple of 4, columns
+    for the index: one row per value, the index before re and the newline
+    after im."""
+    t = _g17_tables()
+    rows = values.size // 2
+    line = np.empty((values.size, width + _FIELD + 1), dtype=np.uint8)
+    keep = np.empty(line.shape, dtype=bool)
+    line[:, width:] = t.blank
+    index = np.arange(start, start + rows)
+    digits = 1 + np.searchsorted(10 ** np.arange(1, width), index, side="right")
+    keep[0::2, :width] = np.arange(width) >= width - digits[:, None]
+    for end in range(width, 0, -4):  # right-aligned, 4 digits at a time
+        line[0::2, end - 4:end] = np.take(t.quad, index % 10 ** 4).view(np.uint8).reshape(-1, 4)
+        index //= 10 ** 4
+    keep[1::2, :width] = False
+    keep[0::2, -1], keep[1::2, -1] = False, True
+    _g17_fields(values, line[:, width:-1], keep[:, width:-1])
+    return np.compress(keep.ravel(), line).tobytes().decode("ascii")
 
 
 def write_series(f, fp):
-    """Write f in the text format: one %-template pass over all fields, one write."""
+    """Write f in the text format, in one write."""
     c = coeffs_of(f)
-    n = c.size
-    fields = [None] * (3 * n)
-    fields[0::3] = range(n)
-    fields[1::3] = c.real.tolist()
-    fields[2::3] = c.imag.tolist()
-    fp.write(f"#order {n}\n" + "%d\t%.17g\t%.17g\n" * n % tuple(fields))
+    values = np.ascontiguousarray(c).view(np.float64)
+    width = -(-len(str(max(c.size - 1, 0))) // 4) * 4
+    parts = [f"#order {c.size}\n"]
+    for start in range(0, c.size, _CHUNK_ROWS):
+        parts.append(_text_lines(start, values[2 * start:2 * (start + _CHUNK_ROWS)], width))
+    fp.write("".join(parts))
 
 
 def read_series(fp) -> TruncatedSeries:
@@ -192,5 +371,11 @@ def dump_series(f, path):
 
 
 def load_series(path) -> TruncatedSeries:
-    with open(path) as fp:
-        return read_series(fp)
+    """Read a series file; bytes that are not UTF-8 are a FormatError at
+    their line."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return read_series(fp)
+    except UnicodeDecodeError as exc:  # read_series reads, and so decodes, the file at once
+        line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(f"byte {exc.start} is not UTF-8 text", line=line) from None

@@ -182,6 +182,28 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["exp", str(src), str(tmp_path / "f.txt"), "--n", "4"]) == 2
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"\xff\xfe\x00\x01")
+    assert main(["inv", str(src), str(tmp_path / "o.txt"), "--n", "4"]) == 2
+    assert "line 1: byte 0 is not UTF-8 text" in capsys.readouterr().err
+    src.write_bytes(b"#order 2\n0\t1\t0\r\n1\t0.5\xe9\t0\n")
+    assert main(["inv", str(src), str(tmp_path / "o.txt"), "--n", "4"]) == 2
+    assert "line 3: byte 21 is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_unallocatable_order_exit_code(tmp_path, capsys):
+    """An order numpy refuses at once (16 PB of coefficients) is an error
+    message and exit code 1, not a MemoryError traceback."""
+    src = tmp_path / "ok.txt"
+    dst = tmp_path / "o.txt"
+    write_input(src, [1, 0.5])
+    assert main(["inv", str(src), str(dst), "--n", "1000000000000000"]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["exp", str(tmp_path / "no.txt"), str(tmp_path / "f.txt"), "--n", "4"]) == 2
 

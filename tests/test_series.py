@@ -144,3 +144,100 @@ def test_bulk_read_matches_line_loop():
                  "#order 1\r\n0\t1\t2\r\n", "#order\t1\n0\t1\t2\n", "#order 1\n+0\t1\t2\n",
                  "#order 2\n0\t1.5\n1\t2.5\t1\t3\n", "#order 2\n0\t1\t2\n"):
         assert series_core._read_bulk(text) is None
+
+
+def _expected_text(values):
+    """The text format of the float64 values, read as re, im pairs, spelled
+    with format(x, '.17g') one by one."""
+    pairs = np.asarray(values, dtype=np.float64).reshape(-1, 2).tolist()
+    return f"#order {len(pairs)}\n" + "".join(
+        f"{i}\t{format(re, '.17g')}\t{format(im, '.17g')}\n" for i, (re, im) in enumerate(pairs))
+
+
+def _written_text(values):
+    buf = io.StringIO()
+    write_series(np.asarray(values, dtype=np.float64).view(np.complex128), buf)
+    return buf.getvalue()
+
+
+def _layout_class(text):
+    """(layout, significant digits, sign) of a '%.17g' spelling: the layout
+    is the exponent for fixed notation, 'e2' or 'e3' for scientific."""
+    neg, body = text.startswith("-"), text.lstrip("-")
+    if "e" in body:
+        mantissa, exp = body.split("e")
+        return ("e2" if abs(int(exp)) < 100 else "e3"), len(mantissa.replace(".", "")), neg
+    whole, _, frac = body.partition(".")
+    digits = (whole + frac).lstrip("0") or "0"
+    X = len(whole) - 1 if whole != "0" else -(len(frac) - len(frac.lstrip("0")) + 1)
+    return (0 if body == "0" else X), len(digits.rstrip("0") or "0"), neg
+
+
+def _edge_values():
+    """The writer's hard cases: +-1 ulp around every power of ten, exact
+    decimal ties, subnormals, integers from 2**53 to 2**63, signed zeros and
+    non-finite values, and a value in every layout class."""
+    rng = np.random.default_rng(2024)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)] + [10.0 ** k for k in range(-300, 300)])
+    around = [tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf)]
+    # x = j / 2**(p+1) with j odd and j * 5**p in [2e16, 2e17): x * 10**p is a
+    # half-integer, the tie '%.17g' breaks to even
+    ties = []
+    for p in range(1, 25):
+        lo, hi = -(-2 * 10 ** 16 // 5 ** p), min(2 * 10 ** 17 // 5 ** p, 2 ** 53)
+        if lo < hi:
+            ties += [float(j | 1) / 2 ** (p + 1) for j in rng.integers(lo, hi - 1, 40).tolist()]
+    subnormal = rng.integers(1, 2 ** 52, 4000, dtype=np.uint64).view(np.float64)
+    ints = [float(2 ** k + d) for k in range(53, 64) for d in range(-40, 41)]
+    ints += [float(i) for i in rng.integers(2 ** 53, 2 ** 63, 4000, dtype=np.uint64).tolist()]
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0 ** -1022, np.finfo(float).max]
+    # one value per layout class, from a pool of dyadic fractions j / 2**f,
+    # whose f fractional digits are exact, and of decimals with 1 to 17 digits
+    pool = []
+    for X in range(-4, 17):
+        for f in range(24):
+            lo, hi = int(np.ceil(10.0 ** X * 2 ** f)), min(int(10.0 ** (X + 1) * 2 ** f), 2 ** 53)
+            if lo < hi:
+                pool += [(j | 1) / 2 ** f for j in rng.integers(lo, hi, 4).tolist()]
+    for sig in range(1, 18):
+        for e in list(range(-25, 20)) + [60, 150, -60, -150, -320, 280]:
+            pool += [float(f"{D}e{e}") for D in rng.integers(10 ** (sig - 1), 10 ** sig, 40).tolist()]
+    classes = {}
+    for x in pool:
+        classes.setdefault(_layout_class(format(x, ".17g"))[:2], x)
+    layouts = np.array(list(classes.values()))
+    values = np.concatenate(around + [np.array(ties), subnormal, np.array(ints),
+                                      np.array(special), layouts])
+    return np.concatenate([values, -values])
+
+
+def test_writer_matches_format_on_random_bits_and_edge_values():
+    """Every field write_series writes is format(x, '.17g') byte for byte:
+    on 2**20 random finite bit patterns and on the hard cases, with every
+    layout class of the fast path met; the fast path covers nearly all of
+    the random values."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    edges = _edge_values()
+    # 21 fixed exponents and 2 exponent widths, 17 lengths, 2 signs
+    assert len({_layout_class(format(x, ".17g")) for x in edges.tolist()}) == 23 * 17 * 2
+    for values in (bits[: bits.size // 2 * 2], edges[: edges.size // 2 * 2]):
+        assert _written_text(values) == _expected_text(values)
+    field = np.empty((4096, 46), dtype=np.uint8)
+    slow = series_core._g17_fields(bits[:4096], field, np.empty(field.shape, dtype=bool))
+    if np.finfo(np.longdouble).nmant >= 63:  # 80-bit or wider long double
+        assert slow < 0.05 * 4096
+
+
+def test_writer_with_a_double_width_bound_takes_the_exact_path(monkeypatch):
+    """With the bound of a 53-bit long double every value but zero falls
+    back to '%.17g', and the bytes are still format's."""
+    monkeypatch.setattr(series_core, "_LONG_DOUBLE_UNIT", 2.0 ** -53)
+    rng = np.random.default_rng(5)
+    values = np.concatenate([rng.integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64),
+                             [0.0, -0.0, 1.0, 1e16, 0.5, -2.5e-310]])
+    field = np.empty((values.size, 46), dtype=np.uint8)
+    slow = series_core._g17_fields(values, field, np.empty(field.shape, dtype=bool))
+    assert slow == np.count_nonzero(values)
+    assert _written_text(values) == _expected_text(values)

@@ -2,8 +2,11 @@
 
 Usage:  python tools/ab_time.py PARENT_SRC CHANGE_SRC OP N [REPEATS] [--pinned]
 
-OP is exp, pow, inv or log; --pinned (exp and pow only) runs them on
+OP is exp, pow, inv, log or write; --pinned (exp and pow only) runs them on
 cli.bench_plan's pinned k=16 plans instead of the default choose_plan ones.
+write times series_core.write_series into a string of the fast_inverse
+output at order N, the outputs made once by the parent tree, untimed, and
+fails unless both trees write the same bytes.
 Copies the fastseries package of each source tree (e.g. ``src`` of a second
 checkout of the parent commit, and ``src`` of this one) into a temporary
 directory under the names fastseries_parent and fastseries_change, and
@@ -18,15 +21,19 @@ Newton layer runs transform pairs on two threads only when it may use
 two), the median milliseconds of each tree, the median and quartiles of
 the paired ratios change/parent with the number of pairs the change won,
 and the largest difference between the two trees' outputs, scaled by
-1 + max|parent output|.  Both trees share the process, its allocator and
-numpy's FFT plan cache, so whole-host drift moves both sides of a pair
-alike; that is what makes a paired ratio steadier than two separate runs.
+1 + max|parent output|.  For write it prints instead that the bytes are
+equal and, for each tree whose writer has the vectorized fast path, the
+share of floats that took its exact '%.17g' fallback.  Both trees share
+the process, its allocator and numpy's FFT plan cache, so whole-host drift
+moves both sides of a pair alike; that is what makes a paired ratio
+steadier than two separate runs.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import io
 import os
 import shutil
 import statistics
@@ -36,7 +43,8 @@ import time
 
 import numpy as np
 
-OPS = {"exp": "fast_exp", "pow": "fast_pow", "inv": "fast_inverse", "log": "fast_log"}
+OPS = {"exp": "fast_exp", "pow": "fast_pow", "inv": "fast_inverse", "log": "fast_log",
+       "write": "write_series"}
 SIDES = ("parent", "change")
 
 
@@ -46,11 +54,40 @@ def _load(src_dir, name, tmp):
     if not os.path.isfile(os.path.join(pkg, "__init__.py")):
         sys.exit(f"error: no fastseries package under {src_dir}")
     shutil.copytree(pkg, os.path.join(tmp, name), ignore=shutil.ignore_patterns("__pycache__"))
-    return (importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.fast_ops"))
+    return tuple(importlib.import_module(f"{name}.{module}")
+                 for module in ("cli", "fast_ops", "series_core"))
 
 
-def _calls(cli, fast_ops, op, N, repeats, pinned):
+def _written(series_core, coeffs):
+    buf = io.StringIO()
+    series_core.write_series(coeffs, buf)
+    return buf.getvalue()
+
+
+def _inverses(cli, fast_ops, N, repeats):
+    return [fast_ops.fast_inverse(cli.pow_input(np.random.default_rng(j), N), N).coeffs
+            for j in range(repeats)]
+
+
+def _fallback_share(series_core, outputs):
+    """Share of the floats in outputs that the writer's fast path sends to
+    '%.17g'; None for a writer without it."""
+    fields = getattr(series_core, "_g17_fields", None)
+    if fields is None:
+        return None
+    values = np.concatenate([c.view(np.float64) for c in outputs])
+    slow = 0
+    for start in range(0, values.size, 4096):
+        part = values[start:start + 4096]
+        shape = (part.size, series_core._FIELD)
+        slow += fields(part, np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=bool))
+    return slow / values.size
+
+
+def _calls(cli, fast_ops, series_core, op, N, repeats, pinned, outputs=None):
     """One zero-argument call per input j < repeats."""
+    if op == "write":
+        return [functools.partial(_written, series_core, c) for c in outputs]
     fn = getattr(fast_ops, OPS[op])
     if op in ("exp", "pow"):
         fn = functools.partial(fn, plan=cli.bench_plan(op, N) if pinned else None)
@@ -69,12 +106,14 @@ def _calls(cli, fast_ops, op, N, repeats, pinned):
 
 def _timed(call):
     start = time.perf_counter()
-    out = call().coeffs
+    out = call()
     return (time.perf_counter() - start) * 1e3, out
 
 
 def compare(parent_src, change_src, op, N, repeats, pinned=False):
-    """(ms per side, change/parent ratio per pair, largest scaled difference)."""
+    """(ms per side, change/parent ratio per pair, largest scaled difference,
+    the share of floats each tree's writer sent to '%.17g' for write).  For
+    write the difference is the number of pairs whose bytes differ."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
@@ -82,7 +121,8 @@ def compare(parent_src, change_src, op, N, repeats, pinned=False):
                      zip((parent_src, change_src), ("fastseries_" + s for s in SIDES))]
         finally:
             sys.path.remove(tmp)
-    calls = [_calls(cli, fast_ops, op, N, repeats, pinned) for cli, fast_ops in trees]
+    outputs = _inverses(*trees[0][:2], N, repeats) if op == "write" else None
+    calls = [_calls(*tree, op, N, repeats, pinned, outputs) for tree in trees]
     for side in calls:
         side[0]()
     ms = ([], [])
@@ -92,9 +132,13 @@ def compare(parent_src, change_src, op, N, repeats, pinned=False):
         for side in ((0, 1) if j % 2 == 0 else (1, 0)):
             t, outs[side] = _timed(calls[side][j])
             ms[side].append(t)
-        scale = 1.0 + float(np.max(np.abs(outs[0])))
-        diff = max(diff, float(np.max(np.abs(outs[1] - outs[0]))) / scale)
-    return ms, [b / a for a, b in zip(*ms)], diff
+        if op == "write":
+            diff += outs[0] != outs[1]
+        else:
+            scale = 1.0 + float(np.max(np.abs(outs[0].coeffs)))
+            diff = max(diff, float(np.max(np.abs(outs[1].coeffs - outs[0].coeffs))) / scale)
+    shares = [_fallback_share(tree[2], outputs) for tree in trees] if op == "write" else None
+    return ms, [b / a for a, b in zip(*ms)], diff, shares
 
 
 def main(argv=None):
@@ -108,7 +152,7 @@ def main(argv=None):
     repeats = int(argv[4]) if len(argv) == 5 else 12
     if N < 1 or repeats < 1:
         sys.exit("error: N and REPEATS must be positive")
-    ms, ratios, diff = compare(parent_src, change_src, op, N, repeats, pinned)
+    ms, ratios, diff, shares = compare(parent_src, change_src, op, N, repeats, pinned)
     q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"{op} N={N} pairs={repeats}{' pinned' if pinned else ''} cpus={cpus}")
@@ -117,7 +161,16 @@ def main(argv=None):
     print(f"ratio change/parent median={statistics.median(ratios):.3f} "
           f"q1={q[0]:.3f} q3={q[2]:.3f} "
           f"change_faster={sum(r < 1 for r in ratios)}/{len(ratios)}")
-    print(f"max_diff={diff:.3e}")
+    if op != "write":
+        print(f"max_diff={diff:.3e}")
+        return 0
+    for side, share in zip(SIDES, shares):
+        if share is not None:
+            print(f"{side} fallback_share={share:.4f}")
+    if diff:
+        print(f"error: the trees wrote different bytes in {diff} of {repeats} pairs")
+        return 1
+    print("bytes_equal=yes")
     return 0
 
 

@@ -9,21 +9,27 @@ pinned bench plans, plus fast_inverse and fast_log, at orders 64, 256, 1000,
 1024, 3000, 4096 and 16384, and triple and shifted middle products on small
 block caches whose products end before the output does.  Order 3000 is the
 one whose transforms are not all of length 2^a: its Newton steps run at
-3072 and its plans at m = 1536, so it shows the 3*2^a path.  It prints three
+3072 and its plans at m = 1536, so it shows the 3*2^a path.  It prints four
 sha256 digests: one over the raw bytes of every output, one over every
 ledger event (order, stage, label, in recording order) and scalar count,
-and one over the events alone.  A run whose plan is rejected records
-PlanError in all three; a last line names those runs.
+one over the events alone, and one over the text write_series makes of
+every output and of a fixed set of floats a '%.17g' writer finds hard
+(powers of ten and their neighbours, decimal ties, subnormals, large
+integers, signed zeros, inf, nan, short decimals at every exponent).  A run
+whose plan is rejected records PlanError in all four; a last line names
+those runs.
 
-A refactor meant to keep results bit for bit prints the same three lines as
+A refactor meant to keep results bit for bit prints the same four lines as
 its parent on the same machine; a change to how the scalar work is done or
-counted keeps the events line.  The output digest depends on numpy's FFT
-and the CPU, so compare trees on one host and do not pin it anywhere.
+counted keeps the events line, and a change to the writer alone keeps all
+four.  The output digest depends on numpy's FFT and the CPU, so compare
+trees on one host and do not pin it anywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import sys
 
@@ -39,13 +45,13 @@ def _import(src_dir):
         sys.exit(f"error: no fastseries package under {src}")
     sys.path.insert(0, src)
     import fastseries
-    from fastseries import cli, fast_ops
+    from fastseries import cli, fast_ops, series_core
     from fastseries.cost_ledger import CostLedger
     from fastseries.errors import PlanError
 
     if not os.path.abspath(fastseries.__file__).startswith(src + os.sep):
         sys.exit(f"error: fastseries imported from {fastseries.__file__}, not {src}")
-    return cli, fast_ops, CostLedger, PlanError
+    return cli, fast_ops, series_core, CostLedger, PlanError
 
 
 def _runs(cli, fast_ops, N):
@@ -95,35 +101,67 @@ def _edge_runs(block_engine):
     return out
 
 
+def _edge_floats():
+    """Floats a '%.17g' writer finds hard, as one array of even length."""
+    rng = np.random.default_rng(SEED)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # j / 2**(p+1) with j odd and j * 5**p in [2e16, 2e17) is a decimal tie at 17 digits
+    ties = [float(j | 1) / 2 ** (p + 1) for p in range(1, 24)
+            for j in rng.integers(-(-2 * 10 ** 16 // 5 ** p),
+                                  min(2 * 10 ** 17 // 5 ** p, 2 ** 53) - 1, 8).tolist()]
+    ints = [float(2 ** k + d) for k in range(53, 64) for d in range(-8, 9)]
+    short = [float(f"{D}e{e}") for sig in range(1, 18) for e in range(-330, 310, 7)
+             for D in rng.integers(10 ** (sig - 1), 10 ** sig, 2).tolist()]
+    values = np.concatenate([tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf),
+                             ties, ints, short, [0.0, np.inf, np.nan, 2.0 ** -1022],
+                             rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)])
+    values = np.concatenate([values, -values])
+    return values[: values.size // 2 * 2]
+
+
+def _written(series_core, coeffs):
+    buf = io.StringIO()
+    series_core.write_series(coeffs, buf)
+    return buf.getvalue().encode()
+
+
 def fingerprint(src_dir):
-    cli, fast_ops, CostLedger, PlanError = _import(src_dir)
+    cli, fast_ops, series_core, CostLedger, PlanError = _import(src_dir)
     outputs, ledgers, events = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    texts = hashlib.sha256()
     raised = []
     runs = [run for N in SIZES for run in _runs(cli, fast_ops, N)]
     for name, run in runs + _edge_runs(fast_ops.block_engine):
         led = CostLedger()
         try:
-            result, status = run(led).coeffs.tobytes(), "ok"
+            coeffs = run(led).coeffs
+            result, written, status = coeffs.tobytes(), _written(series_core, coeffs), "ok"
         except PlanError:  # a plan the size rejects is part of the fingerprint
-            result, status = b"PlanError", "PlanError"
+            result = written = b"PlanError"
+            status = "PlanError"
             raised.append(name)
         outputs.update(name.encode() + b"\0" + result)
+        texts.update(name.encode() + b"\0" + written)
         text = f"{name} {status}\n"
         text += "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
         events.update(text.encode())
         text += "".join(f"{kind}={n}\n" for kind, n in sorted(led.scalar.items()))
         ledgers.update(text.encode())
-    return outputs.hexdigest(), ledgers.hexdigest(), events.hexdigest(), raised
+    edges = _written(series_core, _edge_floats().view(np.complex128))
+    texts.update(b"edge floats\0" + edges)
+    return (outputs.hexdigest(), ledgers.hexdigest(), events.hexdigest(), texts.hexdigest(),
+            raised)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         sys.exit(__doc__.split("\n\n")[1])
-    out_hash, ledger_hash, event_hash, raised = fingerprint(argv[0])
+    out_hash, ledger_hash, event_hash, text_hash, raised = fingerprint(argv[0])
     print(f"outputs {out_hash}")
     print(f"ledgers {ledger_hash}")
     print(f"events {event_hash}")
+    print(f"text {text_hash}")
     print(f"raised {len(raised)}: {', '.join(raised)}")
     return 0
 
