@@ -209,7 +209,7 @@ class BlockCache:
             blocks[r, :avail] = arr[lo : lo + avail]
         return idx, states, blocks
 
-    def ensure(self, label: str, upto: int, ledger=None, stage=None, allow_partial=False) -> int:
+    def ensure(self, label: str, upto: int, ledger=None, allow_partial=False) -> int:
         """Make double spectra for blocks 0..upto current, all stale blocks in
         one batch; returns the number of transforms performed (3 order-k
         units each).
@@ -217,9 +217,7 @@ class BlockCache:
         The label's block size only controls slicing; every spectrum lives in
         the same order-(2k, k) space so blocks of different sizes can be
         combined pointwise (a double-sized block still fits: its degree is
-        below 2k while the space holds degrees below 3k).  The transforms
-        are charged to ``stage`` when given, else to the ledger's current
-        stage.
+        below 2k while the space holds degrees below 3k).
         """
         s = self._series[label]
         if s.block > 2 * self.k:
@@ -227,7 +225,7 @@ class BlockCache:
         stale, states, blocks = self._stale(label, upto, allow_partial, s.row_known)
         if stale.size:
             s.spec[stale] = fft_core.double_dft(blocks, 2 * self.k, self.k, ledger=ledger,
-                                                stage=stage, label=label).values
+                                                label=label).values
             s.row_known[stale] = s.row_known_2k[stale] = states
             s.written = max(s.written, int(stale[-1]) + 1)
         return int(stale.size)

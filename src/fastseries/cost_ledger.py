@@ -124,9 +124,10 @@ class CostLedger:
         return len(self._select(stage, label))
 
 
-def in_stage(ledger, tag: str):
-    """The ledger's own ``stage(tag)``; a context counting nothing without one."""
-    return contextlib.nullcontext() if ledger is None else ledger.stage(tag)
+def in_stage(ledger, tag: str | None):
+    """The ledger's own ``stage(tag)``; a context changing nothing without a
+    ledger or a tag."""
+    return contextlib.nullcontext() if ledger is None or tag is None else ledger.stage(tag)
 
 
 def tally(ledger, **counts):
@@ -136,10 +137,10 @@ def tally(ledger, **counts):
             ledger.add_scalar(kind, count)
 
 
-def record_dfts(ledger, orders, count, label, stage=None):
+def record_dfts(ledger, orders, count, label):
     """``ledger.record_dfts``; nothing without a ledger."""
     if ledger is not None:
-        ledger.record_dfts(orders, count, stage=stage, label=label)
+        ledger.record_dfts(orders, count, label=label)
 
 
 def stage_table(ledger: CostLedger, plan) -> list[StageBudget]:

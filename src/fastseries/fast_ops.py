@@ -171,7 +171,8 @@ def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> 
     with in_stage(ledger, stage):
         cache.ensure("r", n // k - 1, ledger=ledger)
         for fr in range(n, m, n):
-            cache.ensure(b_label, (fr + n) // k - 1, ledger=ledger, stage=b_stage)
+            with in_stage(ledger, b_stage):
+                cache.ensure(b_label, (fr + n) // k - 1, ledger=ledger)
             cache.ensure("f", fr // k - 1, ledger=ledger)
             q = shifted_middle_product(cache, "r", b_label, "f", fr - 1, n, ledger=ledger)
             tail = q.coeffs / np.arange(fr, fr + n)

@@ -16,9 +16,9 @@ into the destination array: ``dft``, ``inverse_dft`` and
 input itself or a strided view; the values are the same bit for bit either
 way.  ``dft_pair`` takes the transforms of two independent polynomials of
 one order; from order ``_PAIR_MIN_ORDER`` up, in a process that may use two
-CPUs, the second is handed to a helper thread while the first runs in the
-caller (pocketfft releases the GIL), with the same values and events as two
-``dft`` calls.
+CPUs, the second is submitted to a one-worker ``ThreadPoolExecutor`` while
+the first runs in the caller (pocketfft releases the GIL), with the same
+values and events as two ``dft`` calls.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -31,7 +31,6 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -159,49 +158,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(jobs: SimpleQueue):
-    """The helper thread: run each (claim, fn, args, reply) job that the
-    caller has not claimed back, and put (result, None) or (None, exception)
-    on its reply queue."""
-    while True:
-        claim, fn, args, reply = jobs.get()
-        if not claim.acquire(blocking=False):
-            continue
-        try:
-            reply.put((fn(*args), None))
-        except BaseException as exc:  # re-raised in the waiting caller
-            reply.put((None, exc))
-
-
-# The queue of this process's one helper thread, which is started on first
-# use and serves every caller thread in turn.  A forked child has no such
-# thread, so it drops the queue and starts its own.
-_helper_jobs = None
+# This process's one helper thread, a one-worker executor made on first use
+# that serves every caller thread in turn.  A forked child has no such
+# thread, so it drops the executor and makes its own.
+_helper = None
 _helper_lock = threading.Lock()
 
 
 def _forget_helper():
-    global _helper_jobs, _helper_lock
-    _helper_jobs, _helper_lock = None, threading.Lock()
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _on_helper(fn, *args) -> tuple[threading.Lock, SimpleQueue]:
-    """Hand fn(*args) to the helper thread, starting it if need be.  Returns
-    the job's claim, which whoever runs the job takes first, and the queue
-    that gets (result, exception) once the helper has run it."""
-    global _helper_jobs
-    job = threading.Lock(), fn, args, SimpleQueue()
+def _on_helper(fn, *args):
+    """Hand fn(*args) to the helper thread, starting it if need be, and
+    return its concurrent.futures.Future; None when no thread can take it."""
+    global _helper
     with _helper_lock:
-        if _helper_jobs is None:
-            _helper_jobs = SimpleQueue()
-            threading.Thread(target=_serve, args=(_helper_jobs,), name="fastseries-dft",
-                             daemon=True).start()
-        _helper_jobs.put(job)
-    return job[0], job[3]
+        try:
+            if _helper is None:
+                # imported here: concurrent.futures adds about 10 ms to the
+                # import of a process that never pairs
+                from concurrent.futures import ThreadPoolExecutor
+                _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastseries-dft")
+            return _helper.submit(fn, *args)
+        except RuntimeError:
+            # the interpreter is shutting down, or no thread could start: drop
+            # the executor with any job it queued, so none runs later
+            if _helper is not None:
+                _helper.shutdown(wait=False, cancel_futures=True)
+            _helper = None
+            return None
 
 
 def _check_length(L: int):
@@ -237,27 +228,24 @@ def dft_pair(p, q, L: int, out_p, out_q, ledger=None, label=None) -> tuple[Spect
     whose values are out_p and out_q: the same values and events as dft(p)
     and then dft(q).  From order _PAIR_MIN_ORDER up, in a process that may
     use at least 2 CPUs, q's transform is handed to the helper thread while
-    p's runs here, so neither output may overlap the other or an input."""
+    p's runs here, so neither output may overlap the other or an input.
+    Without a helper (the interpreter is shutting down) both run here."""
     _check_length(L)
     a, b = _polys(p), _polys(q)
-    for c in (a, b):
-        if c.shape[-1] > L:
-            raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
-        record_dfts(ledger, (L,), _rows(c), label)
-    if L < _PAIR_MIN_ORDER or _usable_cpus() < 2:
+    width = max(a.shape[-1], b.shape[-1])
+    if width > L:
+        raise UnsupportedLengthError(f"polynomial with {width} coefficients exceeds order {L}")
+    record_dfts(ledger, (L,), _rows(a) + _rows(b), label)
+    paired = L >= _PAIR_MIN_ORDER and _usable_cpus() >= 2
+    job = _on_helper(_forward, b, L, out_q) if paired else None
+    if job is None:
         return Spectrum(_forward(a, L, out_p), "plain"), Spectrum(_forward(b, L, out_q), "plain")
-    claim, reply = _on_helper(_forward, b, L, out_q)
     try:
         first = _forward(a, L, out_p)
     finally:
         # a helper that has not started q's transform yet (busy, or still
-        # waking up) leaves it to this thread
-        if claim.acquire(blocking=False):
-            second, error = _forward(b, L, out_q), None
-        else:
-            second, error = reply.get()
-    if error is not None:
-        raise error
+        # waking up) leaves it to this thread; result() re-raises its error
+        second = _forward(b, L, out_q) if job.cancel() else job.result()
     return Spectrum(first, "plain"), Spectrum(second, "plain")
 
 
@@ -270,14 +258,13 @@ def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:
     return _backward(s.values, out)
 
 
-def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectrum:
+def double_dft(p, l: int, k: int, ledger=None, label=None) -> Spectrum:
     """Double DFT of order (l, k) of a polynomial with deg p < l + k, or of
     each row of a batch.
 
     Costs one order-l and one order-k transform plus O(l+k) scalar work: the
     two segments are the residues of p modulo x**l - 1 and modulo x**k - i
     (the latter carried as the plain DFT of the zeta-rotated residue).
-    The events go to ``stage`` when given, else to the ledger's current one.
     """
     _check_length(l)
     _check_length(k)
@@ -300,7 +287,7 @@ def double_dft(p, l: int, k: int, ledger=None, stage=None, label=None) -> Spectr
     fold_k *= _zeta_table(k, 1)
     rows = _rows(c)
     tally(ledger, cmul=rows * (l + 2 * k), cadd=c.size)
-    record_dfts(ledger, (l, k), rows, label, stage)
+    record_dfts(ledger, (l, k), rows, label)
     values = np.empty(c.shape[:-1] + (l + k,), dtype=np.complex128)
     _forward(fold_l, l, values[..., :l])
     _forward(fold_k, k, values[..., l:])

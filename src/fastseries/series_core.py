@@ -2,7 +2,10 @@
 product modulo x**n the fast operations share, and the coefficient text
 format.
 
-Values are immutable after construction and safe to share across threads.
+A series owns its coefficient array, which the constructor copies, and the
+library never writes to an array once a series holds it, so series can be
+shared across threads; the array itself is writable, and a caller who
+writes to it changes that series.
 Coefficient storage is dense complex128.
 """
 

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,93 @@ def test_dft_pair_is_two_dft_calls(L, threads, monkeypatch):
     assert got.events == want.events
     with pytest.raises(UnsupportedLengthError):
         dft_pair(p, np.zeros(L + 1), L, a, b)
+
+
+def test_dft_pair_records_nothing_it_rejects():
+    """A pair whose second polynomial does not fit raises before either
+    transform is recorded."""
+    led = CostLedger()
+    a, b = np.empty(8, dtype=complex), np.empty(8, dtype=complex)
+    with pytest.raises(UnsupportedLengthError):
+        dft_pair(np.ones(4), np.ones(9), 8, a, b, ledger=led)
+    assert led.events == []
+
+
+def _paired(monkeypatch):
+    """Patch the crossover below every length and record each helper job."""
+    jobs, on_helper = [], fft_core._on_helper
+
+    def recorded(fn, *args):
+        jobs.append(on_helper(fn, *args))
+        return jobs[-1]
+
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fft_core, "_PAIR_MIN_ORDER", 1)
+    monkeypatch.setattr(fft_core, "_on_helper", recorded)
+    return jobs
+
+
+def test_dft_pair_takes_back_a_job_the_busy_helper_has_not_started(monkeypatch):
+    """With the helper held by another job, the caller takes q's transform
+    back and returns dft's values and events without waiting for it."""
+    jobs = _paired(monkeypatch)
+    L = 64
+    p, q = np.arange(L) + 1j, np.arange(L // 2) - 2j
+    want, got = CostLedger(), CostLedger()
+    wp, wq = dft(p, L, ledger=want), dft(q, L, ledger=want)
+    started, release = threading.Event(), threading.Event()
+    busy = fft_core._on_helper(lambda: (started.set(), release.wait(60)))
+    try:
+        assert started.wait(30)
+        sp, sq = dft_pair(p, q, L, np.empty(L, complex), np.empty(L, complex), ledger=got)
+        assert not busy.done()
+    finally:
+        release.set()
+        busy.result(30)
+    assert jobs[-1].cancelled()
+    assert np.array_equal(sp.values.view(float), wp.values.view(float))
+    assert np.array_equal(sq.values.view(float), wq.values.view(float))
+    assert got.events == want.events
+
+
+def test_dft_pair_runs_alone_when_no_thread_can_start(monkeypatch):
+    """A helper thread that cannot start leaves both transforms to the
+    caller, and its executor is shut down with the job it had queued."""
+    _paired(monkeypatch)
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(fft_core, "_helper", pool)
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    p, q = np.arange(16) + 1j, np.ones(8)
+    sp, sq = dft_pair(p, q, 16, np.empty(16, complex), np.empty(16, complex))
+    assert np.array_equal(sp.values, dft(p, 16).values)
+    assert np.array_equal(sq.values, dft(q, 16).values)
+    assert fft_core._helper is None
+    with pytest.raises(RuntimeError, match="after shutdown"):
+        pool.submit(int)
+
+
+def test_dft_pair_raises_the_helpers_error(monkeypatch):
+    """An error in the transform the helper runs reaches the caller, who
+    waited until the helper had started it."""
+    jobs = _paired(monkeypatch)
+    started, forward = threading.Event(), fft_core._forward
+
+    def failing(coeffs, L, out=None):
+        if threading.current_thread().name.startswith("fastseries-dft"):
+            started.set()
+            raise RuntimeError("helper transform failed")
+        assert started.wait(30)
+        return forward(coeffs, L, out)
+
+    monkeypatch.setattr(fft_core, "_forward", failing)
+    a, b = np.empty(16, dtype=complex), np.empty(16, dtype=complex)
+    with pytest.raises(RuntimeError, match="helper transform failed"):
+        dft_pair(np.ones(16), np.ones(8), 16, a, b)
+    assert not jobs[-1].cancelled()
 
 
 # The transforms as they were written before the leaf passed its scaling to

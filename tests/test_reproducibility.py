@@ -4,10 +4,13 @@ root tables, and when they run the Newton layer, each in its own workspace
 (the README's "bitwise identical" claim).  A ledger only counts: results
 with one and without one are the same bytes.  The Newton layer's transform
 pairs give the same bytes, events and scalars on one thread or two, its
-helper thread is started anew in a forked child, and never on one CPU."""
+helper thread is started anew in a forked child, and never on one CPU, and
+a process that started it exits."""
 
 import functools
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 
@@ -173,14 +176,14 @@ def _log_bytes(g, order, conn):
 
 def test_forked_child_runs_the_newton_layer(monkeypatch):
     """A child forked after the parent's helper thread started has no such
-    thread; it starts its own (handing jobs to the parent's queue would leave
-    them to the caller, and keep them queued for good), and its fast_log
-    gives the parent's bytes."""
+    thread; it starts its own (handing jobs to the parent's executor would
+    leave them to the caller, and keep them queued for good), and its
+    fast_log gives the parent's bytes."""
     monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
     order = 1 << 16
     g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, order)
     want = fast_log(g, order).coeffs.tobytes()
-    assert fft_core._helper_jobs is not None
+    assert fft_core._helper is not None
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_log_bytes, args=(g, order, send), daemon=True)
@@ -189,7 +192,7 @@ def test_forked_child_runs_the_newton_layer(monkeypatch):
         assert recv.poll(60), "the forked child's fast_log did not finish"
         got, threads = recv.recv()
         assert got == want
-        assert "fastseries-dft" in threads
+        assert any(name.startswith("fastseries-dft") for name in threads)
         child.join(60)
         assert child.exitcode == 0
     finally:
@@ -197,14 +200,72 @@ def test_forked_child_runs_the_newton_layer(monkeypatch):
             child.kill()
 
 
+_HELPER_RUN = """
+import threading
+import numpy as np
+from fastseries import fft_core
+fft_core._usable_cpus = lambda: 2
+fft_core._PAIR_MIN_ORDER = 1
+out = np.empty(16, dtype=complex), np.empty(16, dtype=complex)
+fft_core.dft_pair(np.ones(16), np.ones(8), 16, *out)
+print(" ".join(t.name for t in threading.enumerate()))
+"""
+
+
+_LATE_PAIR = """
+import threading
+import numpy as np
+from fastseries import dft, fft_core
+fft_core._usable_cpus = lambda: 2
+fft_core._PAIR_MIN_ORDER = 1
+p, q = np.arange(16) + 1j, np.ones(8)
+out = np.empty(16, dtype=complex), np.empty(16, dtype=complex)
+
+def late():
+    threading.main_thread().join()
+    sp, sq = fft_core.dft_pair(p, q, 16, *out)
+    same = [np.array_equal(s.values, dft(c, 16).values) for s, c in ((sp, p), (sq, q))]
+    print("late pair", same)
+
+if WARM:
+    fft_core.dft_pair(p, q, 16, *out)
+threading.Thread(target=late).start()
+"""
+
+
+def _python(code):
+    src = os.path.dirname(os.path.dirname(fft_core.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_process_with_a_started_helper_exits():
+    """The helper thread is not a daemon; a process that started it still
+    exits, with status 0, once its main thread is done."""
+    done = _python(_HELPER_RUN)
+    assert done.returncode == 0, done.stderr
+    assert "fastseries-dft" in done.stdout
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_pair_during_interpreter_shutdown_runs_serially(warm):
+    """A thread that pairs after the main thread ended, when
+    concurrent.futures takes no new work, gets dft's values from the caller
+    alone, whether or not the helper had started before."""
+    done = _python(f"WARM = {warm}\n" + _LATE_PAIR)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "late pair [True, True]", done.stderr
+
+
 def test_one_cpu_starts_no_helper_thread(monkeypatch):
     """A process that may use one CPU runs every pair serially and never
     starts the helper thread."""
     monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(fft_core, "_helper_jobs", None)
+    monkeypatch.setattr(fft_core, "_helper", None)
     threads = threading.active_count()
     g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, 1 << 16)
     fast_inverse(g, 1 << 16)
     fast_log(g, 1 << 16)
-    assert fft_core._helper_jobs is None
+    assert fft_core._helper is None
     assert threading.active_count() == threads

@@ -2,11 +2,13 @@
 
 Usage:  python tools/ab_time.py PARENT_SRC CHANGE_SRC OP N [REPEATS] [--pinned]
 
-OP is exp, pow, inv, log or write; --pinned (exp and pow only) runs them on
-cli.bench_plan's pinned k=16 plans instead of the default choose_plan ones.
-write times series_core.write_series into a string of the fast_inverse
-output at order N, the outputs made once by the parent tree, untimed, and
-fails unless both trees write the same bytes.
+OP is exp, pow, inv, log, write or read; --pinned (exp and pow only) runs
+them on cli.bench_plan's pinned k=16 plans instead of the default
+choose_plan ones.  write times series_core.write_series into a string of
+the fast_inverse output at order N, the outputs made once by the parent
+tree, untimed, and fails unless both trees write the same bytes.  read
+times series_core.read_series of the parent's text of those outputs, also
+made once and untimed, and fails unless both trees read the same bytes.
 Copies the fastseries package of each source tree (e.g. ``src`` of a second
 checkout of the parent commit, and ``src`` of this one) into a temporary
 directory under the names fastseries_parent and fastseries_change, and
@@ -21,12 +23,12 @@ Newton layer runs transform pairs on two threads only when it may use
 two), the median milliseconds of each tree, the median and quartiles of
 the paired ratios change/parent with the number of pairs the change won,
 and the largest difference between the two trees' outputs, scaled by
-1 + max|parent output|.  For write it prints instead that the bytes are
-equal and, for each tree whose writer has the vectorized fast path, the
-share of floats that took its exact '%.17g' fallback.  Both trees share
-the process, its allocator and numpy's FFT plan cache, so whole-host drift
-moves both sides of a pair alike; that is what makes a paired ratio
-steadier than two separate runs.
+1 + max|parent output|.  For write and read it prints instead that the
+bytes are equal and, for write, for each tree whose writer has the
+vectorized fast path, the share of floats that took its exact '%.17g'
+fallback.  Both trees share the process, its allocator and numpy's FFT
+plan cache, so whole-host drift moves both sides of a pair alike; that is
+what makes a paired ratio steadier than two separate runs.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ import time
 import numpy as np
 
 OPS = {"exp": "fast_exp", "pow": "fast_pow", "inv": "fast_inverse", "log": "fast_log",
-       "write": "write_series"}
+       "write": "write_series", "read": "read_series"}
+TEXT_OPS = ("write", "read")
 SIDES = ("parent", "change")
 
 
@@ -62,6 +65,10 @@ def _written(series_core, coeffs):
     buf = io.StringIO()
     series_core.write_series(coeffs, buf)
     return buf.getvalue()
+
+
+def _read(series_core, text):
+    return series_core.read_series(io.StringIO(text)).coeffs.tobytes()
 
 
 def _inverses(cli, fast_ops, N, repeats):
@@ -88,6 +95,8 @@ def _calls(cli, fast_ops, series_core, op, N, repeats, pinned, outputs=None):
     """One zero-argument call per input j < repeats."""
     if op == "write":
         return [functools.partial(_written, series_core, c) for c in outputs]
+    if op == "read":
+        return [functools.partial(_read, series_core, text) for text in outputs]
     fn = getattr(fast_ops, OPS[op])
     if op in ("exp", "pow"):
         fn = functools.partial(fn, plan=cli.bench_plan(op, N) if pinned else None)
@@ -113,7 +122,7 @@ def _timed(call):
 def compare(parent_src, change_src, op, N, repeats, pinned=False):
     """(ms per side, change/parent ratio per pair, largest scaled difference,
     the share of floats each tree's writer sent to '%.17g' for write).  For
-    write the difference is the number of pairs whose bytes differ."""
+    write and read the difference is the number of pairs whose bytes differ."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
@@ -121,18 +130,19 @@ def compare(parent_src, change_src, op, N, repeats, pinned=False):
                      zip((parent_src, change_src), ("fastseries_" + s for s in SIDES))]
         finally:
             sys.path.remove(tmp)
-    outputs = _inverses(*trees[0][:2], N, repeats) if op == "write" else None
-    calls = [_calls(*tree, op, N, repeats, pinned, outputs) for tree in trees]
+    outputs = _inverses(*trees[0][:2], N, repeats) if op in TEXT_OPS else None
+    texts = [_written(trees[0][2], c) for c in outputs] if op == "read" else None
+    calls = [_calls(*tree, op, N, repeats, pinned, texts or outputs) for tree in trees]
     for side in calls:
         side[0]()
     ms = ([], [])
-    diff = 0.0
+    diff = 0
     for j in range(repeats):
         outs = [None, None]
         for side in ((0, 1) if j % 2 == 0 else (1, 0)):
             t, outs[side] = _timed(calls[side][j])
             ms[side].append(t)
-        if op == "write":
+        if op in TEXT_OPS:
             diff += outs[0] != outs[1]
         else:
             scale = 1.0 + float(np.max(np.abs(outs[0].coeffs)))
@@ -161,14 +171,15 @@ def main(argv=None):
     print(f"ratio change/parent median={statistics.median(ratios):.3f} "
           f"q1={q[0]:.3f} q3={q[2]:.3f} "
           f"change_faster={sum(r < 1 for r in ratios)}/{len(ratios)}")
-    if op != "write":
+    if op not in TEXT_OPS:
         print(f"max_diff={diff:.3e}")
         return 0
-    for side, share in zip(SIDES, shares):
+    for side, share in zip(SIDES, shares or ()):
         if share is not None:
             print(f"{side} fallback_share={share:.4f}")
     if diff:
-        print(f"error: the trees wrote different bytes in {diff} of {repeats} pairs")
+        print(f"error: the trees {'wrote' if op == 'write' else 'read'} different bytes "
+              f"in {diff} of {repeats} pairs")
         return 1
     print("bytes_equal=yes")
     return 0
