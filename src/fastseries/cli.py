@@ -13,6 +13,7 @@ clock never appears in them (timing, when requested, goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -220,8 +221,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command in ("exp", "log", "inv", "pow"):

@@ -12,6 +12,7 @@ Coefficient storage is dense complex128.
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 
@@ -257,7 +258,7 @@ def _g17_fields(v: np.ndarray, field: np.ndarray, keep: np.ndarray) -> int:
     return slow.size
 
 
-def _text_lines(start: int, values: np.ndarray, width: int) -> str:
+def _text_lines(start: int, values: np.ndarray, width: int) -> bytes:
     """Lines 'i<TAB>re<TAB>im' from index start on, for values holding re
     and im of each coefficient in turn, with width, a multiple of 4, columns
     for the index: one row per value, the index before re and the newline
@@ -276,57 +277,76 @@ def _text_lines(start: int, values: np.ndarray, width: int) -> str:
     keep[1::2, :width] = False
     keep[0::2, -1], keep[1::2, -1] = False, True
     _g17_fields(values, line[:, width:-1], keep[:, width:-1])
-    return np.compress(keep.ravel(), line).tobytes().decode("ascii")
+    return np.compress(keep.ravel(), line).tobytes()
+
+
+def _series_bytes(f) -> bytes:
+    """f in the text format, as ASCII bytes."""
+    c = coeffs_of(f)
+    values = np.ascontiguousarray(c).view(np.float64)
+    width = -(-len(str(max(c.size - 1, 0))) // 4) * 4
+    parts = [b"#order %d\n" % c.size]
+    for start in range(0, c.size, _CHUNK_ROWS):
+        parts.append(_text_lines(start, values[2 * start:2 * (start + _CHUNK_ROWS)], width))
+    return b"".join(parts)
 
 
 def write_series(f, fp):
     """Write f in the text format, in one write."""
-    c = coeffs_of(f)
-    values = np.ascontiguousarray(c).view(np.float64)
-    width = -(-len(str(max(c.size - 1, 0))) // 4) * 4
-    parts = [f"#order {c.size}\n"]
-    for start in range(0, c.size, _CHUNK_ROWS):
-        parts.append(_text_lines(start, values[2 * start:2 * (start + _CHUNK_ROWS)], width))
-    fp.write("".join(parts))
+    fp.write(_series_bytes(f).decode("ascii"))
 
 
 def read_series(fp) -> TruncatedSeries:
     """Parse the text format: in bulk when the text is exactly the writer's
     layout, else line by line, so every FormatError names its line."""
     text = fp.read()
-    coeffs = _read_bulk(text)
-    return TruncatedSeries(coeffs) if coeffs is not None else _read_lines(text)
+    coeffs = _read_bulk(text.encode("ascii")) if text.isascii() else None
+    return TruncatedSeries._adopt(coeffs) if coeffs is not None else _read_lines(text)
 
 
-def _read_bulk(text: str) -> np.ndarray | None:
+_BULK_HEADER = re.compile(rb"#order ([0-9]{1,18})")
+_LINE_SEPARATORS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
+
+
+def _read_bulk(data: bytes) -> np.ndarray | None:
     """The coefficients of a text holding '#order n' and then exactly n lines
-    'i<TAB>re<TAB>im' for i = 0..n-1 (ASCII, no other control characters),
-    with one split over the body and one array conversion per part; None
-    for any other text, which the line loop parses or rejects."""
-    head, _, body = text.partition("\n")
-    words = head.split()
-    if (not (head.isascii() and head.isprintable()) or len(words) != 2
-            or words[0] != "#order" or not words[1].isdigit()):
+    'i<TAB>re<TAB>im' for i = 0..n-1 (ASCII, no spaces or other control
+    characters), with i spelled as str(i); None for any other text, which
+    the line loop parses or rejects.  The indices are checked digit by digit
+    over whole columns, and numpy's C text parser reads both float columns
+    through PyOS_string_to_double, as float() does."""
+    head, _, body = data.partition(b"\n")
+    match = _BULK_HEADER.fullmatch(head)
+    if match is None:
         return None
-    order = int(words[1])
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
-    tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
-    lines = ends.size + (raw.size > 0 and raw[-1] != 10)  # the last may lack its newline
-    if (lines != order or tabs.size != 2 * order or raw.max(initial=0) > 127
-            or np.count_nonzero(raw < 32) != tabs.size + ends.size
-            # two tabs on every line
-            or not np.array_equal(np.searchsorted(ends, tabs), np.arange(2 * order) // 2)):
+    order = int(match[1])
+    if body and not body.endswith(b"\n"):  # the last line may lack its newline
+        body += b"\n"
+    raw = np.frombuffer(body, dtype=np.uint8)
+    # the bytes up to space are a tab, a tab and a newline on every line
+    sep = np.flatnonzero(raw <= 32)
+    if (sep.size != 3 * order or raw.max(initial=0) > 127
+            or not (raw[sep].reshape(-1, 3) == _LINE_SEPARATORS).all()):
         return None
-    fields = body.split()
-    if len(fields) != 3 * order or fields[0::3] != [str(i) for i in range(order)]:
+    if order == 0:
+        return np.empty(0, dtype=np.complex128)
+    # the index field of line i runs from the line's start to its first tab
+    index = np.arange(order)
+    first = sep[0::3]
+    starts = np.concatenate(([0], sep[2:-1:3] + 1))
+    digits = 1 + np.searchsorted(10 ** np.arange(1, 19), index, side="right")
+    if not np.array_equal(first - starts, digits):
         return None
-    out = np.empty(order, dtype=np.complex128)
+    for j in range(int(digits[-1])):  # digit j from the right, on lines with more than j
+        rows = slice(10 ** j if j else 0, order)
+        if not np.array_equal(raw[first[rows] - 1 - j], ord("0") + index[rows] // 10 ** j % 10):
+            return None
     try:
-        out.real = np.array(fields[1::3], dtype=np.float64)
-        out.imag = np.array(fields[2::3], dtype=np.float64)
+        values = np.loadtxt(body.decode("ascii").splitlines(), dtype=np.float64,
+                            delimiter="\t", comments=None, usecols=(1, 2), ndmin=2)
     except ValueError:
         return None
-    return out
+    return values.view(np.complex128).reshape(-1)
 
 
 def _read_lines(source: str) -> TruncatedSeries:
@@ -334,12 +354,12 @@ def _read_lines(source: str) -> TruncatedSeries:
     lines = source.splitlines()
     if not lines:
         raise FormatError("empty file; expected '#order n' header", line=1)
-    header = lines[0].strip()
-    if not header.startswith("#order"):
+    words = lines[0].split()
+    if not words or words[0] != "#order":
         raise FormatError("expected '#order n' header", line=1)
     try:
-        order = int(header.split()[1])
-    except (IndexError, ValueError):
+        (order,) = (int(word) for word in words[1:])  # exactly one integer
+    except ValueError:
         raise FormatError("malformed '#order n' header", line=1) from None
     if order < 0:
         raise FormatError("negative order", line=1)
@@ -369,16 +389,22 @@ def _read_lines(source: str) -> TruncatedSeries:
 
 
 def dump_series(f, path):
-    with open(path, "w") as fp:
-        write_series(f, fp)
+    with open(path, "wb") as fp:
+        fp.write(_series_bytes(f))
 
 
 def load_series(path) -> TruncatedSeries:
-    """Read a series file; bytes that are not UTF-8 are a FormatError at
-    their line."""
+    """Read a series file: its bytes in bulk when they are exactly the
+    writer's layout, else as UTF-8 text line by line; bytes that are not
+    UTF-8 are a FormatError at their line."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    coeffs = _read_bulk(data)
+    if coeffs is not None:
+        return TruncatedSeries._adopt(coeffs)
     try:
-        with open(path, encoding="utf-8") as fp:
-            return read_series(fp)
-    except UnicodeDecodeError as exc:  # read_series reads, and so decodes, the file at once
-        line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise FormatError(f"byte {exc.start} is not UTF-8 text", line=line) from None
+    return _read_lines(text)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fastseries import BlockPlan, load_series, oracle_pow
+from fastseries import cli
 from fastseries.cli import bench_plan, main, pow_input, run_bench, run_verify
 
 from util import rel_err
@@ -35,6 +36,25 @@ def test_pow_command(tmp_path):
     write_input(src, [1, 1, 0, 0])
     assert main(["pow", str(src), str(dst), "--n", "4", "--power-re", "2"]) == 0
     assert np.allclose(load_series(dst).coeffs, [1, 2, 1, 0])
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """The parser is built once: an option one call gives does not carry
+    over to the next, and a usage error leaves the next call working."""
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    write_input(src, [1, 1, 0, 0])
+    args = ["pow", str(src), str(dst), "--n", "4", "--power-re", "2"]
+    assert main(args + ["--power-im", "1"]) == 0
+    assert rel_err(load_series(dst).coeffs, oracle_pow([1, 1], 2 + 1j, 4).coeffs) < 1e-12
+    assert main(args) == 0
+    assert np.allclose(load_series(dst).coeffs, [1, 2, 1, 0])
+    with pytest.raises(SystemExit) as exc:
+        main(args[:-2])
+    assert exc.value.code == 2 and "--power-re" in capsys.readouterr().err
+    assert main(["log", str(src), str(dst), "--n", "4"]) == 0
+    assert np.allclose(load_series(dst).coeffs, [0, 1, -0.5, 1 / 3])
+    assert cli._parser() is cli._parser()
 
 
 def test_log_and_inv_commands(tmp_path):

@@ -136,14 +136,99 @@ def test_bulk_read_matches_line_loop():
         write_series(c, buf)
         texts.append(buf.getvalue())
     for text in texts:
-        bulk = series_core._read_bulk(text)
+        bulk = series_core._read_bulk(text.encode())
         assert bulk is not None
         assert bulk.tobytes() == series_core._read_lines(text).coeffs.tobytes()
         assert read_series(io.StringIO(text)).coeffs.tobytes() == bulk.tobytes()
     for text in ("#order 1\n# comment\n0\t1\t2\n", "#order 1\n0\t1\t2\n\n",
                  "#order 1\r\n0\t1\t2\r\n", "#order\t1\n0\t1\t2\n", "#order 1\n+0\t1\t2\n",
-                 "#order 2\n0\t1.5\n1\t2.5\t1\t3\n", "#order 2\n0\t1\t2\n"):
-        assert series_core._read_bulk(text) is None
+                 "#order 2\n0\t1.5\n1\t2.5\t1\t3\n", "#order 2\n0\t1\t2\n",
+                 # a second index digit out of place
+                 texts[-1].replace("\n11\t", "\n21\t", 1)):
+        assert series_core._read_bulk(text.encode()) is None
+
+
+def _read_outcome(read, source):
+    """The coefficient bits a reader gives, or its FormatError's message
+    and line."""
+    try:
+        return read(source).coeffs.tobytes()
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+# Float spellings: those numpy's text parser reads as float() does, which
+# the bulk path takes, and those it leaves to the line loop: a space or an
+# underscore, non-ASCII digits, and what neither reads.
+BULK_FLOATS = ["+1", "1e5", ".5", "5.", "infinity", "-inf", "nan", "-nan", "-0", "3" * 400,
+               "2.4703282292062328e-324"]
+LINE_LOOP_FLOATS = ["1_0", " 1", "1#", "0x10", "1d5", "１"]
+INDEX_SPELLINGS = ["01", "+1", "1_0", " 1", "2"]
+
+
+@pytest.mark.parametrize("text, bulk", [
+    (f"#order 3\n0\t1\t0\n1\t{s}\t-2\n2\t0.5\t{s}\n", s in BULK_FLOATS)
+    for s in BULK_FLOATS + LINE_LOOP_FLOATS
+] + [
+    (f"#order 3\n0\t1\t0\n{s}\t2\t-2\n2\t0.5\t3\n", False) for s in INDEX_SPELLINGS
+], ids=[f"float[{s[:8]!r}]" for s in BULK_FLOATS + LINE_LOOP_FLOATS]
+    + [f"index[{s!r}]" for s in INDEX_SPELLINGS])
+def test_reader_paths_agree_with_the_line_loop(tmp_path, text, bulk):
+    """Whichever path reads a spelling, read_series and load_series give the
+    line loop's bits (nan payload and sign included) or its FormatError."""
+    want = _read_outcome(series_core._read_lines, text)
+    assert _read_outcome(read_series, io.StringIO(text)) == want
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode())
+    assert _read_outcome(fastseries.load_series, path) == want
+    assert (series_core._read_bulk(text.encode()) is not None) == bulk
+
+
+@pytest.mark.parametrize("header, message", [
+    ("#orders 2", "expected '#order n' header"),
+    ("order 2", "expected '#order n' header"),
+    ("#order", "malformed '#order n' header"),
+    ("#order 2 junk", "malformed '#order n' header"),
+    ("#order 2 3", "malformed '#order n' header"),
+    ("#order two", "malformed '#order n' header"),
+    ("#order " + "1" * 5000, "malformed '#order n' header"),  # past int()'s digit limit
+    ("#order -1", "negative order"),
+])
+def test_header_is_the_word_order_and_one_integer(header, message):
+    with pytest.raises(FormatError, match=message) as exc:
+        read_series(io.StringIO(f"{header}\n0\t1\t0\n1\t2\t0\n"))
+    assert exc.value.line == 1
+
+
+def test_dump_series_writes_the_writer_text_as_bytes(tmp_path):
+    path = tmp_path / "s.txt"
+    rng = np.random.default_rng(12)
+    golden = [complex(-0.0, 0.0), complex(5e-324, -2.5e-310), complex(5e40, -1.0),
+              complex(2.0, -3.0), complex(0.1, -0.0), complex(-7, 1 / 3)]
+    for f in (golden, [], rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)):
+        buf = io.StringIO()
+        write_series(f, buf)
+        series_core.dump_series(f, path)
+        assert path.read_bytes() == buf.getvalue().encode("ascii")
+    series_core.dump_series(golden, path)
+    assert path.read_bytes() == GOLDEN_TEXT.encode("ascii")
+
+
+def test_load_series_matches_read_series(tmp_path):
+    """On writer text (bulk path) and on a UTF-8 file with a non-ASCII
+    comment line (line loop), the file reader and the text reader agree."""
+    path = tmp_path / "s.txt"
+    rng = np.random.default_rng(13)
+    c = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+    buf = io.StringIO()
+    write_series(c, buf)
+    texts = [GOLDEN_TEXT, buf.getvalue(), "#order 2\n# résumé ✓\n0\t1\t2\n1\t-0.5\t3\n"]
+    for text in texts:
+        path.write_bytes(text.encode("utf-8"))
+        got = fastseries.load_series(path).coeffs
+        assert got.tobytes() == read_series(io.StringIO(text)).coeffs.tobytes()
+        assert (series_core._read_bulk(text.encode("utf-8")) is None) == (not text.isascii())
+    assert np.array_equal(fastseries.load_series(path).coeffs, [1 + 2j, -0.5 + 3j])
 
 
 def _expected_text(values):

@@ -2,13 +2,17 @@
 
 Usage:  python tools/ab_time.py PARENT_SRC CHANGE_SRC OP N [REPEATS] [--pinned]
 
-OP is exp, pow, inv, log, write or read; --pinned (exp and pow only) runs
-them on cli.bench_plan's pinned k=16 plans instead of the default
+OP is exp, pow, inv, log, write, read or cli; --pinned (exp and pow only)
+runs them on cli.bench_plan's pinned k=16 plans instead of the default
 choose_plan ones.  write times series_core.write_series into a string of
 the fast_inverse output at order N, the outputs made once by the parent
 tree, untimed, and fails unless both trees write the same bytes.  read
 times series_core.read_series of the parent's text of those outputs, also
 made once and untimed, and fails unless both trees read the same bytes.
+cli times one in-process cli.main round trip, file in and file out,
+alternating inv (even j) and log (odd j) at order N as the benchmark does,
+on the file of cli.pow_input written once by the parent tree's
+series_core.dump_series, and fails unless both trees write the same bytes.
 Copies the fastseries package of each source tree (e.g. ``src`` of a second
 checkout of the parent commit, and ``src`` of this one) into a temporary
 directory under the names fastseries_parent and fastseries_change, and
@@ -37,6 +41,7 @@ import functools
 import importlib
 import io
 import os
+import pathlib
 import shutil
 import statistics
 import sys
@@ -46,8 +51,8 @@ import time
 import numpy as np
 
 OPS = {"exp": "fast_exp", "pow": "fast_pow", "inv": "fast_inverse", "log": "fast_log",
-       "write": "write_series", "read": "read_series"}
-TEXT_OPS = ("write", "read")
+       "write": "write_series", "read": "read_series", "cli": "main"}
+TEXT_OPS = ("write", "read", "cli")  # compared by their bytes
 SIDES = ("parent", "change")
 
 
@@ -71,6 +76,13 @@ def _read(series_core, text):
     return series_core.read_series(io.StringIO(text)).coeffs.tobytes()
 
 
+def _round_trip(cli, argv):
+    """Run cli.main on argv; the output file's path."""
+    if cli.main(argv) != 0:
+        sys.exit(f"error: {cli.__name__} failed on {argv}")
+    return argv[2]
+
+
 def _inverses(cli, fast_ops, N, repeats):
     return [fast_ops.fast_inverse(cli.pow_input(np.random.default_rng(j), N), N).coeffs
             for j in range(repeats)]
@@ -92,7 +104,12 @@ def _fallback_share(series_core, outputs):
 
 
 def _calls(cli, fast_ops, series_core, op, N, repeats, pinned, outputs=None):
-    """One zero-argument call per input j < repeats."""
+    """One zero-argument call per input j < repeats; for cli, outputs are
+    the input paths."""
+    if op == "cli":
+        out = os.path.join(os.path.dirname(outputs[0]), f"{cli.__package__}.out")
+        return [functools.partial(_round_trip, cli, [("inv", "log")[j % 2], path, out, "--n", str(N)])
+                for j, path in enumerate(outputs)]
     if op == "write":
         return [functools.partial(_written, series_core, c) for c in outputs]
     if op == "read":
@@ -122,7 +139,8 @@ def _timed(call):
 def compare(parent_src, change_src, op, N, repeats, pinned=False):
     """(ms per side, change/parent ratio per pair, largest scaled difference,
     the share of floats each tree's writer sent to '%.17g' for write).  For
-    write and read the difference is the number of pairs whose bytes differ."""
+    write, read and cli the difference is the number of pairs whose bytes
+    differ."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
@@ -130,23 +148,31 @@ def compare(parent_src, change_src, op, N, repeats, pinned=False):
                      zip((parent_src, change_src), ("fastseries_" + s for s in SIDES))]
         finally:
             sys.path.remove(tmp)
-    outputs = _inverses(*trees[0][:2], N, repeats) if op in TEXT_OPS else None
-    texts = [_written(trees[0][2], c) for c in outputs] if op == "read" else None
-    calls = [_calls(*tree, op, N, repeats, pinned, texts or outputs) for tree in trees]
-    for side in calls:
-        side[0]()
-    ms = ([], [])
-    diff = 0
-    for j in range(repeats):
-        outs = [None, None]
-        for side in ((0, 1) if j % 2 == 0 else (1, 0)):
-            t, outs[side] = _timed(calls[side][j])
-            ms[side].append(t)
-        if op in TEXT_OPS:
-            diff += outs[0] != outs[1]
-        else:
-            scale = 1.0 + float(np.max(np.abs(outs[0].coeffs)))
-            diff = max(diff, float(np.max(np.abs(outs[1].coeffs - outs[0].coeffs))) / scale)
+        outputs = texts = None
+        if op in ("write", "read"):
+            outputs = _inverses(*trees[0][:2], N, repeats)
+            texts = [_written(trees[0][2], c) for c in outputs] if op == "read" else None
+        elif op == "cli":
+            outputs = [os.path.join(tmp, f"in{j}.txt") for j in range(repeats)]
+            for j, path in enumerate(outputs):
+                trees[0][2].dump_series(trees[0][0].pow_input(np.random.default_rng(j), N), path)
+        calls = [_calls(*tree, op, N, repeats, pinned, texts or outputs) for tree in trees]
+        for side in calls:
+            side[0]()
+        ms = ([], [])
+        diff = 0
+        for j in range(repeats):
+            outs = [None, None]
+            for side in ((0, 1) if j % 2 == 0 else (1, 0)):
+                t, outs[side] = _timed(calls[side][j])
+                ms[side].append(t)
+            if op == "cli":
+                outs = [pathlib.Path(path).read_bytes() for path in outs]
+            if op in TEXT_OPS:
+                diff += outs[0] != outs[1]
+            else:
+                scale = 1.0 + float(np.max(np.abs(outs[0].coeffs)))
+                diff = max(diff, float(np.max(np.abs(outs[1].coeffs - outs[0].coeffs))) / scale)
     shares = [_fallback_share(tree[2], outputs) for tree in trees] if op == "write" else None
     return ms, [b / a for a, b in zip(*ms)], diff, shares
 
@@ -178,7 +204,7 @@ def main(argv=None):
         if share is not None:
             print(f"{side} fallback_share={share:.4f}")
     if diff:
-        print(f"error: the trees {'wrote' if op == 'write' else 'read'} different bytes "
+        print(f"error: the trees {'read' if op == 'read' else 'wrote'} different bytes "
               f"in {diff} of {repeats} pairs")
         return 1
     print("bytes_equal=yes")
