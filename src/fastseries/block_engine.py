@@ -63,7 +63,7 @@ from .series_core import TruncatedSeries
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Parameter triple (k, n, m) plus the final order the run aims for.
+    """Parameter triple (k, n, m), or the flag of the quadratic fallback path.
 
     k is the block size, n the bootstrap/extension order, m the first-half
     frontier; extension steps grow a series by n, so k | n and n | m.
@@ -72,7 +72,6 @@ class BlockPlan:
     k: int
     n: int
     m: int
-    target: int = 0
     fallback: bool = False
 
     def __post_init__(self):
@@ -89,8 +88,11 @@ class BlockPlan:
             raise PlanError(f"bootstrap order {self.n} must divide frontier {self.m}")
         if self.m < 2 * self.n:
             raise PlanError("frontier must be at least twice the bootstrap order")
-        if self.target == 0:
-            object.__setattr__(self, "target", 2 * self.m)
+
+    @property
+    def target(self) -> int:
+        """2m, the final order the first half's frontier serves."""
+        return 2 * self.m
 
     @property
     def ratio(self) -> int:

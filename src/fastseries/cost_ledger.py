@@ -89,13 +89,11 @@ class CostLedger:
         tag = stage if stage is not None else self.current_stage
         self.events.append(DftEvent(int(order), tag, label or ""))
 
-    def record_dfts(self, orders, count: int, stage: str | None = None,
-                    label: str | None = None):
+    def record_dfts(self, orders, count: int, label: str | None = None):
         """Record ``count`` repetitions of the event group ``orders`` (one
         event per order, in that order), as ``count`` separate transforms of
         one batch would have; the same list as that many record_dft calls."""
-        tag = stage if stage is not None else self.current_stage
-        group = [DftEvent(int(order), tag, label or "") for order in orders]
+        group = [DftEvent(int(order), self.current_stage, label or "") for order in orders]
         self.events.extend(group * int(count))
 
     def add_scalar(self, kind: str, count: int):

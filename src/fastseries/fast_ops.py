@@ -112,7 +112,7 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
     if N < 1:
         raise DomainError("order must be positive")
     if N < FAST_MIN_ORDER and k is None and n is None:
-        return BlockPlan(k=0, n=0, m=0, target=N, fallback=True)
+        return BlockPlan(k=0, n=0, m=0, fallback=True)
     if k is not None and k < 2:
         raise PlanError("block size must be at least 2")
     m = fft_core.granted_length(max(8, (N + 1) // 2))

@@ -297,56 +297,47 @@ def write_series(f, fp):
 
 
 def read_series(fp) -> TruncatedSeries:
-    """Parse the text format: in bulk when the text is exactly the writer's
-    layout, else line by line, so every FormatError names its line."""
+    """Parse the text format: in bulk when numpy's text parser reads the
+    text as the line loop would, else line by line, so every FormatError
+    names its line."""
     text = fp.read()
     coeffs = _read_bulk(text.encode("ascii")) if text.isascii() else None
     return TruncatedSeries._adopt(coeffs) if coeffs is not None else _read_lines(text)
 
 
 _BULK_HEADER = re.compile(rb"#order ([0-9]{1,18})")
-_LINE_SEPARATORS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
+# printable ASCII, tab and newline: numpy skips some control characters
+# next to a field (\x1f among them) that float() and int() reject
+_BULK_BYTES = b"\t\n" + bytes(range(0x20, 0x7F))
+_BULK_ROW = np.dtype([("i", np.int64), ("re", np.float64), ("im", np.float64)])
 
 
 def _read_bulk(data: bytes) -> np.ndarray | None:
-    """The coefficients of a text holding '#order n' and then exactly n lines
-    'i<TAB>re<TAB>im' for i = 0..n-1 (ASCII, no spaces or other control
-    characters), with i spelled as str(i); None for any other text, which
-    the line loop parses or rejects.  The indices are checked digit by digit
-    over whole columns, and numpy's C text parser reads both float columns
-    through PyOS_string_to_double, as float() does."""
+    """The coefficients of a text holding '#order n' and then n lines
+    'i<TAB>re<TAB>im' for i = 0..n-1, in printable ASCII, tabs and newlines;
+    None for any other text, which the line loop parses or rejects.  numpy's
+    C text parser reads all three columns, each field as int() or float()
+    reads it where both accept it (spaces around it and a sign included;
+    the floats through PyOS_string_to_double), and skips blank lines, as the
+    line loop does; comments, CR and underscores fail it."""
     head, _, body = data.partition(b"\n")
     match = _BULK_HEADER.fullmatch(head)
-    if match is None:
+    if match is None or body.translate(None, _BULK_BYTES):
         return None
     order = int(match[1])
-    if body and not body.endswith(b"\n"):  # the last line may lack its newline
-        body += b"\n"
-    raw = np.frombuffer(body, dtype=np.uint8)
-    # the bytes up to space are a tab, a tab and a newline on every line
-    sep = np.flatnonzero(raw <= 32)
-    if (sep.size != 3 * order or raw.max(initial=0) > 127
-            or not (raw[sep].reshape(-1, 3) == _LINE_SEPARATORS).all()):
-        return None
-    if order == 0:
-        return np.empty(0, dtype=np.complex128)
-    # the index field of line i runs from the line's start to its first tab
-    index = np.arange(order)
-    first = sep[0::3]
-    starts = np.concatenate(([0], sep[2:-1:3] + 1))
-    digits = 1 + np.searchsorted(10 ** np.arange(1, 19), index, side="right")
-    if not np.array_equal(first - starts, digits):
-        return None
-    for j in range(int(digits[-1])):  # digit j from the right, on lines with more than j
-        rows = slice(10 ** j if j else 0, order)
-        if not np.array_equal(raw[first[rows] - 1 - j], ord("0") + index[rows] // 10 ** j % 10):
-            return None
+    if not body.strip():  # np.loadtxt warns on a text with no rows
+        return np.empty(0, dtype=np.complex128) if order == 0 else None
     try:
-        values = np.loadtxt(body.decode("ascii").splitlines(), dtype=np.float64,
-                            delimiter="\t", comments=None, usecols=(1, 2), ndmin=2)
+        rows = np.loadtxt(body.decode("ascii").splitlines(), dtype=_BULK_ROW,
+                          delimiter="\t", comments=None, ndmin=1)
     except ValueError:
         return None
-    return values.view(np.complex128).reshape(-1)
+    # the count first: arange of a huge declared order would not fit
+    if rows.size != order or not np.array_equal(rows["i"], np.arange(order)):
+        return None
+    coeffs = np.empty(order, dtype=np.complex128)
+    coeffs.real, coeffs.imag = rows["re"], rows["im"]
+    return coeffs
 
 
 def _read_lines(source: str) -> TruncatedSeries:
@@ -394,9 +385,9 @@ def dump_series(f, path):
 
 
 def load_series(path) -> TruncatedSeries:
-    """Read a series file: its bytes in bulk when they are exactly the
-    writer's layout, else as UTF-8 text line by line; bytes that are not
-    UTF-8 are a FormatError at their line."""
+    """Read a series file: its bytes in bulk when numpy's text parser reads
+    them as the line loop would, else as UTF-8 text line by line; bytes that
+    are not UTF-8 are a FormatError at their line."""
     with open(path, "rb") as fp:
         data = fp.read()
     coeffs = _read_bulk(data)

@@ -1,6 +1,7 @@
 import io
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -125,10 +126,12 @@ GOLDEN_TEXT = (
 
 
 def test_bulk_read_matches_line_loop():
-    """Files in the writer's layout are parsed in bulk, to the same bytes as
-    the line loop; any other text goes to the line loop."""
+    """Files in the writer's layout, and those numpy's parser reads as the
+    line loop does, are parsed in bulk to the same bytes as the line loop;
+    any other text goes to the line loop."""
     rng = np.random.default_rng(11)
-    texts = [GOLDEN_TEXT, GOLDEN_TEXT[:-1], "#order 0\n"]
+    texts = [GOLDEN_TEXT, GOLDEN_TEXT[:-1], "#order 0\n", "#order 1\n0\t1\t2\n\n",
+             "#order 1\n+0\t1\t2\n"]
     for n in (1, 7, 300, 4096):
         c = rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
         c = c + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
@@ -140,8 +143,8 @@ def test_bulk_read_matches_line_loop():
         assert bulk is not None
         assert bulk.tobytes() == series_core._read_lines(text).coeffs.tobytes()
         assert read_series(io.StringIO(text)).coeffs.tobytes() == bulk.tobytes()
-    for text in ("#order 1\n# comment\n0\t1\t2\n", "#order 1\n0\t1\t2\n\n",
-                 "#order 1\r\n0\t1\t2\r\n", "#order\t1\n0\t1\t2\n", "#order 1\n+0\t1\t2\n",
+    for text in ("#order 1\n# comment\n0\t1\t2\n",
+                 "#order 1\r\n0\t1\t2\r\n", "#order\t1\n0\t1\t2\n",
                  "#order 2\n0\t1.5\n1\t2.5\t1\t3\n", "#order 2\n0\t1\t2\n",
                  # a second index digit out of place
                  texts[-1].replace("\n11\t", "\n21\t", 1)):
@@ -157,22 +160,25 @@ def _read_outcome(read, source):
         return str(exc), exc.line
 
 
-# Float spellings: those numpy's text parser reads as float() does, which
-# the bulk path takes, and those it leaves to the line loop: a space or an
-# underscore, non-ASCII digits, and what neither reads.
+# Float and index spellings: those numpy's text parser reads as float() and
+# int() do, which the bulk path takes, and those it leaves to the line loop:
+# an underscore, a control byte numpy would skip, non-ASCII digits, and what
+# neither reads.
 BULK_FLOATS = ["+1", "1e5", ".5", "5.", "infinity", "-inf", "nan", "-nan", "-0", "3" * 400,
-               "2.4703282292062328e-324"]
-LINE_LOOP_FLOATS = ["1_0", " 1", "1#", "0x10", "1d5", "１"]
-INDEX_SPELLINGS = ["01", "+1", "1_0", " 1", "2"]
+               "2.4703282292062328e-324", " 1"]
+LINE_LOOP_FLOATS = ["1_0", "1#", "0x10", "1d5", "１", "\x1f1"]
+BULK_INDICES = ["01", "+1", " 1"]
+LINE_LOOP_INDICES = ["1_0", "2", "0\x1f", "1\x1f"]
 
 
 @pytest.mark.parametrize("text, bulk", [
     (f"#order 3\n0\t1\t0\n1\t{s}\t-2\n2\t0.5\t{s}\n", s in BULK_FLOATS)
     for s in BULK_FLOATS + LINE_LOOP_FLOATS
 ] + [
-    (f"#order 3\n0\t1\t0\n{s}\t2\t-2\n2\t0.5\t3\n", False) for s in INDEX_SPELLINGS
+    (f"#order 3\n0\t1\t0\n{s}\t2\t-2\n2\t0.5\t3\n", s in BULK_INDICES)
+    for s in BULK_INDICES + LINE_LOOP_INDICES
 ], ids=[f"float[{s[:8]!r}]" for s in BULK_FLOATS + LINE_LOOP_FLOATS]
-    + [f"index[{s!r}]" for s in INDEX_SPELLINGS])
+    + [f"index[{s!r}]" for s in BULK_INDICES + LINE_LOOP_INDICES])
 def test_reader_paths_agree_with_the_line_loop(tmp_path, text, bulk):
     """Whichever path reads a spelling, read_series and load_series give the
     line loop's bits (nan payload and sign included) or its FormatError."""
@@ -182,6 +188,59 @@ def test_reader_paths_agree_with_the_line_loop(tmp_path, text, bulk):
     path.write_bytes(text.encode())
     assert _read_outcome(fastseries.load_series, path) == want
     assert (series_core._read_bulk(text.encode()) is not None) == bulk
+
+
+def test_order_zero_reads_empty_without_a_warning(tmp_path):
+    path = tmp_path / "s.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("#order 0", "#order 0\n", "#order 0\n\n"):
+            assert read_series(io.StringIO(text)).order == 0
+            path.write_bytes(text.encode())
+            assert fastseries.load_series(path).order == 0
+
+
+def test_order_zero_with_a_coefficient_line_is_an_error(tmp_path):
+    text = "#order 0\n0\t1\t2\n"
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode())
+    for read, source in ((read_series, io.StringIO(text)), (fastseries.load_series, path)):
+        with pytest.raises(FormatError, match="index 0 beyond declared order 0") as exc:
+            read(source)
+        assert exc.value.line == 2
+
+
+# The bytes the mutation test draws from: field and line syntax, what
+# float() spells, control bytes (\x1f is one numpy skips beside a field and
+# float() does not) and non-ASCII characters.
+MUTATION_BYTES = [" ", "\t", "\r", "\n", "+", "-", ".", "_", "#", *"0123456789", "e", "x", "n",
+                  "i", "f", "\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f", "é", "١"]
+
+
+def test_readers_agree_on_mutated_writer_text(tmp_path):
+    """Seeded insert, replace and delete edits of writer text: read_series,
+    load_series and the line loop give the same bits or the same
+    FormatError, whichever path each takes."""
+    rng = np.random.default_rng(14)
+    bases = []
+    for n in (0, 1, 3, 12):
+        buf = io.StringIO()
+        write_series(rng.standard_normal(2 * n).view(np.complex128)
+                     * 10.0 ** rng.integers(-5, 20, n), buf)
+        bases.append(buf.getvalue())
+    path = tmp_path / "s.txt"
+    for trial in range(5000):
+        text = bases[trial % len(bases)]
+        for _ in range(rng.integers(1, 4)):
+            at = int(rng.integers(0, len(text) + 1))
+            char = MUTATION_BYTES[rng.integers(len(MUTATION_BYTES))]
+            # insert, replace or delete
+            insert, drop = [(char, 0), (char, 1), ("", 1)][rng.integers(3)]
+            text = text[:at] + insert + text[at + drop:]
+        want = _read_outcome(series_core._read_lines, text)
+        assert _read_outcome(read_series, io.StringIO(text)) == want, repr(text)
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(fastseries.load_series, path) == want, repr(text)
 
 
 @pytest.mark.parametrize("header, message", [

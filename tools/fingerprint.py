@@ -1,4 +1,4 @@
-"""Output and ledger fingerprint of a fastseries source tree.
+"""Output, ledger, text and reader fingerprint of a fastseries source tree.
 
 Usage:  python tools/fingerprint.py SRC_DIR
 
@@ -9,20 +9,26 @@ pinned bench plans, plus fast_inverse and fast_log, at orders 64, 256, 1000,
 1024, 3000, 4096 and 16384, and triple and shifted middle products on small
 block caches whose products end before the output does.  Order 3000 is the
 one whose transforms are not all of length 2^a: its Newton steps run at
-3072 and its plans at m = 1536, so it shows the 3*2^a path.  It prints four
+3072 and its plans at m = 1536, so it shows the 3*2^a path.  It prints five
 sha256 digests: one over the raw bytes of every output, one over every
 ledger event (order, stage, label, in recording order) and scalar count,
-one over the events alone, and one over the text write_series makes of
-every output and of a fixed set of floats a '%.17g' writer finds hard
-(powers of ten and their neighbours, decimal ties, subnormals, large
-integers, signed zeros, inf, nan, short decimals at every exponent).  A run
-whose plan is rejected records PlanError in all four; a last line names
-those runs.
+one over the events alone, one over the text write_series makes of every
+output and of a fixed set of floats a '%.17g' writer finds hard (powers of
+ten and their neighbours, decimal ties, subnormals, large integers, signed
+zeros, inf, nan, short decimals at every exponent), and one over what
+read_series and load_series make of that text and of a fixed table of
+other texts (float and index spellings, blank lines, spaces, CRLF, a
+comment, '#order 0' with and without a coefficient line, a huge declared
+order, a control byte, and, for load_series alone, a byte that is not
+UTF-8): the coefficient bytes, or the FormatError's message and line.  A
+run whose plan is rejected records PlanError in the first four; a last
+line names those runs.
 
-A refactor meant to keep results bit for bit prints the same four lines as
+A refactor meant to keep results bit for bit prints the same five lines as
 its parent on the same machine; a change to how the scalar work is done or
-counted keeps the events line, and a change to the writer alone keeps all
-four.  The output digest depends on numpy's FFT and the CPU, so compare
+counted keeps the events line, a change to the writer alone keeps all but
+the text line, and a change to the readers alone keeps all but the read
+line.  The output digest depends on numpy's FFT and the CPU, so compare
 trees on one host and do not pin it anywhere.
 """
 
@@ -31,7 +37,9 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
@@ -47,11 +55,11 @@ def _import(src_dir):
     import fastseries
     from fastseries import cli, fast_ops, series_core
     from fastseries.cost_ledger import CostLedger
-    from fastseries.errors import PlanError
+    from fastseries.errors import FormatError, PlanError
 
     if not os.path.abspath(fastseries.__file__).startswith(src + os.sep):
         sys.exit(f"error: fastseries imported from {fastseries.__file__}, not {src}")
-    return cli, fast_ops, series_core, CostLedger, PlanError
+    return cli, fast_ops, series_core, CostLedger, PlanError, FormatError
 
 
 def _runs(cli, fast_ops, N):
@@ -119,6 +127,41 @@ def _edge_floats():
     return values[: values.size // 2 * 2]
 
 
+def _read_table():
+    """(name, bytes) of texts other than writer output that a reader must
+    parse or reject as the line loop does."""
+    floats = ["+1", "1e5", ".5", "5.", "infinity", "-inf", "nan", "-nan", "-0", "3" * 400,
+              "2.4703282292062328e-324", " 1", "1_0", "1#", "0x10", "1d5", "\uff11", "\x1f1"]
+    indices = ["01", "+1", " 1", "1_0", "2", "0\x1f", "1\x1f"]
+    texts = [f"#order 3\n0\t1\t0\n1\t{s}\t-2\n2\t0.5\t{s}\n" for s in floats]
+    texts += [f"#order 3\n0\t1\t0\n{s}\t2\t-2\n2\t0.5\t3\n" for s in indices]
+    texts += ["#order 2\n\n0\t1\t2\n\n1\t3\t4\n\n", "#order 2\n 0 \t 1 \t 2 \n1\t 3\t4 \n",
+              "#order 2\r\n0\t1\t2\r\n1\t3\t4\r\n", "#order 2\n# comment\n0\t1\t2\n1\t3\t4\n",
+              "#order 0", "#order 0\n", "#order 0\n\n", "#order 0\n0\t1\t2\n",
+              "#order 1000000000000\n0\t1\t0\n", "#order 1\n0\t1\x1f\t2\n"]
+    table = [(repr(text), text.encode()) for text in texts]
+    return table + [("not UTF-8", b"#order 1\n0\t1\t2\xff\n")]
+
+
+def _read_outcomes(series_core, FormatError, name, data, path):
+    """name, then what read_series (when data is UTF-8) and load_series make
+    of data: the coefficient bytes, or the FormatError's message and line."""
+    path.write_bytes(data)
+    readers = [lambda: series_core.load_series(path)]
+    try:
+        text = data.decode("utf-8")
+        readers.insert(0, lambda: series_core.read_series(io.StringIO(text)))
+    except UnicodeDecodeError:
+        pass
+    out = name.encode()
+    for read in readers:
+        try:
+            out += b"\0" + read().coeffs.tobytes()
+        except FormatError as exc:
+            out += f"\0FormatError {exc} line {exc.line}".encode()
+    return out
+
+
 def _written(series_core, coeffs):
     buf = io.StringIO()
     series_core.write_series(coeffs, buf)
@@ -126,9 +169,10 @@ def _written(series_core, coeffs):
 
 
 def fingerprint(src_dir):
-    cli, fast_ops, series_core, CostLedger, PlanError = _import(src_dir)
+    cli, fast_ops, series_core, CostLedger, PlanError, FormatError = _import(src_dir)
     outputs, ledgers, events = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    texts = hashlib.sha256()
+    texts, reads = hashlib.sha256(), hashlib.sha256()
+    to_read = []
     raised = []
     runs = [run for N in SIZES for run in _runs(cli, fast_ops, N)]
     for name, run in runs + _edge_runs(fast_ops.block_engine):
@@ -136,6 +180,7 @@ def fingerprint(src_dir):
         try:
             coeffs = run(led).coeffs
             result, written, status = coeffs.tobytes(), _written(series_core, coeffs), "ok"
+            to_read.append((name, written))
         except PlanError:  # a plan the size rejects is part of the fingerprint
             result = written = b"PlanError"
             status = "PlanError"
@@ -149,19 +194,24 @@ def fingerprint(src_dir):
         ledgers.update(text.encode())
     edges = _written(series_core, _edge_floats().view(np.complex128))
     texts.update(b"edge floats\0" + edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "series.txt")
+        for name, data in to_read + [("edge floats", edges)] + _read_table():
+            reads.update(_read_outcomes(series_core, FormatError, name, data, path))
     return (outputs.hexdigest(), ledgers.hexdigest(), events.hexdigest(), texts.hexdigest(),
-            raised)
+            reads.hexdigest(), raised)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         sys.exit(__doc__.split("\n\n")[1])
-    out_hash, ledger_hash, event_hash, text_hash, raised = fingerprint(argv[0])
+    out_hash, ledger_hash, event_hash, text_hash, read_hash, raised = fingerprint(argv[0])
     print(f"outputs {out_hash}")
     print(f"ledgers {ledger_hash}")
     print(f"events {event_hash}")
     print(f"text {text_hash}")
+    print(f"read {read_hash}")
     print(f"raised {len(raised)}: {', '.join(raised)}")
     return 0
 
