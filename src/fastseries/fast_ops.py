@@ -28,8 +28,9 @@ seed s_n = C*h'/h mod x**(n-1), so it never calls itself or the quadratic
 power reference.  The prefixes come from oracle_exp up to ORACLE_MAX_ORDER
 (oracle_inverse up to ORACLE_INVERSE_MAX_ORDER) and, above it, from fast_exp
 (fast_inverse) on its default plan, whose own bootstrap order is about n/4;
-the recursion reaches the references after a few levels.  Those inner calls
-get no ledger, so the bootstrap stages of the caller's report stay empty.
+the recursion reaches the references within a level or two (at N = 2**14,
+16384 -> fast_exp at 4096 -> oracle_exp at 1024).  Those inner calls get no
+ledger, so the bootstrap stages of the caller's report stay empty.
 """
 
 from __future__ import annotations
@@ -48,19 +49,25 @@ from .oracle import oracle_exp, oracle_inverse, oracle_pow
 from .series_core import TruncatedSeries, finite_coeffs, mul_mod, padded
 
 FAST_MIN_ORDER = 32
-# Largest bootstrap order computed by the quadratic references.  Best-of-5 ms,
-# reference vs fast, on a 2-vCPU Xeon with numpy's np.fft:
-#   order   exp         inverse
-#    256    -           1.1 / 0.9
-#    512    2.2 / 4.1   1.2 / 0.65
-#   1024    4.3 / 5.1   4.0 / 0.9
-#   4096    30.7 / 12.7 24.2 / 2.4
-# The inverse column is for the wrap-around Newton inverse, on an exp prefix;
-# the two inverses tie at order 256, so the bootstrap inverses have their own
-# crossover there.  Power prefixes are exponentials (see fast_pow), so no
-# bootstrap runs oracle_pow.
-ORACLE_MAX_ORDER = 512
-ORACLE_INVERSE_MAX_ORDER = 256
+# Largest bootstrap orders computed by the quadratic references, against
+# fast_exp on its default plan and fast_inverse on an exp prefix, as printed
+# by ``python tools/crossover.py src``:
+# Intel(R) Xeon(R) Processor, 2 usable CPUs, numpy 2.4.6, Python 3.11.7
+# median ms of 15 interleaved pairs, reference / fast, and pairs the reference won
+#   order   exp                        inverse
+#     256     0.55 /   2.64  15/15     0.36 /   0.68  15/15
+#     512     0.85 /   2.79  15/15     0.61 /   0.79  15/15
+#     768     1.32 /   3.97  15/15     0.93 /   1.01  12/15
+#    1024     1.62 /   3.14  15/15     1.17 /   0.96   0/15
+#    1536     2.50 /   4.20  15/15     1.95 /   1.19   0/15
+#    2048     3.62 /   4.31  13/15     2.98 /   1.31   0/15
+#    3072     6.27 /   5.79   2/15     5.81 /   1.67   0/15
+#    4096     6.82 /   4.68   0/15     6.31 /   1.16   0/15
+# The inverses tie at 768, so their crossover stays at the power of two
+# below.  Power prefixes are exponentials (see fast_pow), so no bootstrap
+# runs oracle_pow.
+ORACLE_MAX_ORDER = 2048
+ORACLE_INVERSE_MAX_ORDER = 512
 
 # Per-thread work arrays of the Newton layer, see _workspace.
 _newton_local = threading.local()

@@ -319,10 +319,12 @@ def _read_bulk(data: bytes) -> np.ndarray | None:
     C text parser reads all three columns, each field as int() or float()
     reads it where both accept it (spaces around it and a sign included;
     the floats through PyOS_string_to_double), and skips blank lines, as the
-    line loop does; comments, CR and underscores fail it."""
+    line loop does; CR and underscores fail it.  A body holding '#' (a
+    comment line, or a field the line loop rejects) goes to the line loop
+    before numpy parses it."""
     head, _, body = data.partition(b"\n")
     match = _BULK_HEADER.fullmatch(head)
-    if match is None or body.translate(None, _BULK_BYTES):
+    if match is None or b"#" in body or body.translate(None, _BULK_BYTES):
         return None
     order = int(match[1])
     if not body.strip():  # np.loadtxt warns on a text with no rows

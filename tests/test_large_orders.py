@@ -132,11 +132,10 @@ def test_pow_bootstrap_calls_no_power(monkeypatch, pinned):
     assert inner == []
 
 
-def test_pinned_pow_bootstrap_inverses_skip_the_reference(monkeypatch):
-    """The pinned N = 4096 pow plan bootstraps at order 512, above the
-    inverse crossover: both reciprocal prefixes (bootstrap.I and
-    bootstrap.rho) come from the Newton inverse, none from the quadratic
-    reference."""
+def test_pinned_pow_bootstrap_inverses_come_from_the_reference(monkeypatch):
+    """The pinned N = 4096 pow plan bootstraps at order 512, at the inverse
+    crossover: both reciprocal prefixes (bootstrap.I and bootstrap.rho)
+    come from the quadratic reference, none from the Newton inverse."""
     calls = {"oracle_inverse": [], "fast_inverse": []}
     for name in calls:
         def spy(f, n, *args, _real=getattr(fast_ops, name), _name=name, **kwargs):
@@ -145,9 +144,9 @@ def test_pinned_pow_bootstrap_inverses_skip_the_reference(monkeypatch):
         monkeypatch.setattr(fast_ops, name, spy)
     n4 = 4096
     fast_pow(random_pow_arg(np.random.default_rng(29), n4), C, n4, plan=bench_plan("pow", n4))
-    assert fast_ops.ORACLE_INVERSE_MAX_ORDER == 256
-    assert max(calls["oracle_inverse"], default=0) <= 256
-    assert calls["fast_inverse"] == [512, 512]
+    assert fast_ops.ORACLE_INVERSE_MAX_ORDER == 512
+    assert calls["oracle_inverse"] == [512, 512]
+    assert calls["fast_inverse"] == []
 
 
 def test_bootstrap_stages_stay_out_of_the_ledger():

@@ -12,7 +12,22 @@ from fastseries import (
     oracle_pow,
 )
 
-from util import disk, rel_err
+from util import (
+    binomial_series,
+    disk,
+    loop_exp,
+    loop_inverse,
+    random_exp_arg,
+    random_pow_arg,
+    rel_err,
+)
+
+# the blocked recurrences take b = 32 coefficients a block up to order 512,
+# 64 above; the recurrence runs alone up to 2b (inverse) and 4b (exp): around
+# one block, past each threshold, and two orders in 64-blocks
+BLOCK_ORDERS = [1, 2, 31, 32, 33, 67, 129, 131, 1000, 2048]
+# |a| = 1 keeps every coefficient of the closed forms live
+CLOSED_FORM_A = np.exp(0.6j * np.pi)
 
 
 def test_inverse_examples():
@@ -113,3 +128,44 @@ def test_exp_satisfies_its_ode():
     lhs = derivative(f).coeffs
     rhs = np.convolve(f.coeffs, derivative(h).coeffs)[: n - 1]
     assert rel_err(lhs, rhs) < 1e-10
+
+
+@pytest.mark.parametrize("n", BLOCK_ORDERS)
+def test_blocked_exp_matches_the_plain_recurrence(n):
+    h = random_exp_arg(np.random.default_rng(n), n)
+    got, want = oracle_exp(h, n).coeffs, loop_exp(h, n)
+    if n <= 32:  # the first block is the recurrence itself
+        assert np.array_equal(got, want)
+    assert rel_err(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("n", BLOCK_ORDERS)
+def test_blocked_inverse_matches_the_plain_recurrence(n):
+    f = random_pow_arg(np.random.default_rng(n), n, rho=0.9)
+    f[0] = 2 - 1j
+    got, want = oracle_inverse(f, n).coeffs, loop_inverse(f, n)
+    if n <= 32:
+        assert np.array_equal(got, want)
+    assert rel_err(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("size, n", [(1, 200), (5, 200), (40, 1000), (3000, 1000)])
+def test_blocked_recurrences_take_inputs_shorter_and_longer_than_n(size, n):
+    rng = np.random.default_rng(size)
+    h = random_exp_arg(rng, size)
+    assert rel_err(oracle_exp(h, n).coeffs, loop_exp(h[:n], n)) < 1e-13
+    f = random_pow_arg(rng, size, rho=0.9)
+    f[0] = -0.5 + 1.5j
+    assert rel_err(oracle_inverse(f, n).coeffs, loop_inverse(f[:n], n)) < 1e-13
+
+
+@pytest.mark.parametrize("c", [0.5 + 0.3j, 0.25 - 0.4j, -1.2])
+def test_blocked_recurrences_closed_forms(c):
+    """1/(1 - a*x)**c and exp(c * sum a**j x**j / j) are (1 - a*x)**(-c)."""
+    n = 2048
+    want = binomial_series(CLOSED_FORM_A, -c, n)
+    inv = oracle_inverse(binomial_series(CLOSED_FORM_A, c, n), n).coeffs
+    assert rel_err(inv, want) < 1e-13
+    h = np.zeros(n, dtype=complex)
+    h[1:] = c * CLOSED_FORM_A ** np.arange(1, n) / np.arange(1, n)
+    assert rel_err(oracle_exp(h, n).coeffs, want) < 1e-13

@@ -151,6 +151,25 @@ def test_bulk_read_matches_line_loop():
         assert series_core._read_bulk(text.encode()) is None
 
 
+def test_text_with_a_comment_skips_the_bulk_parse(monkeypatch, tmp_path):
+    """A body holding '#' is line-loop syntax: both readers give the bits of
+    the text without it and never hand it to numpy's parser."""
+    c = np.random.default_rng(12).standard_normal(1 << 14) * (1 + 1j)
+    buf = io.StringIO()
+    write_series(c, buf)
+    want = read_series(io.StringIO(buf.getvalue())).coeffs.tobytes()
+    text = buf.getvalue() + "# end\n"
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode())
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a text holding '#'")
+
+    monkeypatch.setattr(series_core.np, "loadtxt", no_loadtxt)
+    assert read_series(io.StringIO(text)).coeffs.tobytes() == want
+    assert fastseries.load_series(path).coeffs.tobytes() == want
+
+
 def _read_outcome(read, source):
     """The coefficient bits a reader gives, or its FormatError's message
     and line."""

@@ -43,3 +43,25 @@ def binomial_series(a, c, n):
     t = np.ones(n, dtype=np.complex128)
     t[1:] = np.cumprod((j - 1 - c) * a / j)
     return t
+
+
+def loop_inverse(c, n):
+    """1/c mod x**n by the plain per-coefficient recurrence."""
+    c = np.asarray(c, dtype=np.complex128)
+    r = np.zeros(n, dtype=np.complex128)
+    r[:1] = 1 / c[0]
+    for j in range(1, n):
+        t = min(j, c.size - 1)
+        r[j] = -np.dot(c[1 : t + 1], r[j - t : j][::-1]) / c[0]
+    return r
+
+
+def loop_exp(h, n):
+    """exp(h) mod x**n by the plain recurrence j*f_j = sum_i i*h_i*f_{j-i}."""
+    ih = np.arange(len(h)) * np.asarray(h, dtype=np.complex128)
+    f = np.zeros(n, dtype=np.complex128)
+    f[:1] = 1
+    for j in range(1, n):
+        t = min(j, ih.size - 1)
+        f[j] = np.dot(ih[1 : t + 1], f[j - t : j][::-1]) / j
+    return f

@@ -1,0 +1,111 @@
+"""Wall time of the quadratic references against the fast paths, per order:
+the measurement behind fast_ops.ORACLE_MAX_ORDER and ORACLE_INVERSE_MAX_ORDER.
+
+Usage:  python tools/crossover.py SRC_DIR [SIZES]
+
+Imports fastseries from SRC_DIR and, at each order n of SIZES (a comma
+list; default 256,512,768,1024,1536,2048,3072,4096), times oracle_exp
+against fast_exp on its default plan, on the exp argument cli.exp_input, and
+oracle_inverse against fast_inverse on that argument's exponential, the
+input a bootstrap.I prefix gets.  These are the two ways the bootstrap can
+make an order-n prefix.  Each order draws REPEATS = 15 inputs from
+default_rng(n + j) and calls both functions of a pair on each, alternating
+which goes first, after one untimed call of each.
+
+It prints a host header (CPU model, usable CPUs, numpy, Python) and one row
+per order: the median milliseconds of each reference and of its fast path,
+and the number of pairs the reference won.  The rows are written as the
+comment beside the constants in fast_ops, so they can be pasted there.
+Running it on the parent's SRC_DIR as well compares the references of two
+trees, one process each.
+"""
+
+from __future__ import annotations
+
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+SIZES = (256, 512, 768, 1024, 1536, 2048, 3072, 4096)
+REPEATS = 15
+
+
+def _import(src_dir):
+    src = os.path.abspath(src_dir)
+    if not os.path.isfile(os.path.join(src, "fastseries", "__init__.py")):
+        sys.exit(f"error: no fastseries package under {src}")
+    sys.path.insert(0, src)
+    from fastseries import cli, fast_ops, oracle
+    return cli, fast_ops, oracle
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _pair(ref, fast, j):
+    """Milliseconds of ref() and fast(), alternating which runs first."""
+    ms = {}
+    for call in ((ref, fast) if j % 2 == 0 else (fast, ref)):
+        start = time.perf_counter()
+        call()
+        ms[call] = (time.perf_counter() - start) * 1e3
+    return ms[ref], ms[fast]
+
+
+def _row(pairs):
+    """'ref / fast  won' over a list of (ref ms, fast ms)."""
+    ref, fast = zip(*pairs)
+    won = sum(r < f for r, f in pairs)
+    return f"{statistics.median(ref):6.2f} / {statistics.median(fast):6.2f} {won:3d}/{len(pairs)}"
+
+
+def measure(cli, fast_ops, oracle, n):
+    """(exp pairs, inverse pairs) of (reference ms, fast ms) at order n."""
+    exp_pairs, inv_pairs = [], []
+    for j in range(-1, REPEATS):
+        h = cli.exp_input(np.random.default_rng(n + max(j, 0)), n)
+        f = fast_ops.fast_exp(h, n).coeffs
+        e = _pair(lambda: oracle.oracle_exp(h, n), lambda: fast_ops.fast_exp(h, n), j)
+        i = _pair(lambda: oracle.oracle_inverse(f, n), lambda: fast_ops.fast_inverse(f, n), j)
+        if j >= 0:  # j = -1 is the untimed warm-up
+            exp_pairs.append(e)
+            inv_pairs.append(i)
+    return exp_pairs, inv_pairs
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (1, 2):
+        sys.exit(__doc__.split("\n\n")[1])
+    try:
+        sizes = [int(s) for s in argv[1].split(",")] if len(argv) == 2 else SIZES
+    except ValueError:
+        sys.exit("error: SIZES must be a comma list of orders")
+    if any(n < 1 for n in sizes):
+        sys.exit("error: orders must be positive")
+    cli, fast_ops, oracle = _import(argv[0])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"# {_cpu_model()}, {cpus} usable CPUs, numpy {np.__version__}, "
+          f"Python {platform.python_version()}")
+    print(f"# median ms of {REPEATS} interleaved pairs, reference / fast, and pairs the reference won")
+    print("#   order   exp                        inverse")
+    for n in sizes:
+        exp_pairs, inv_pairs = measure(cli, fast_ops, oracle, n)
+        print(f"#   {n:5d}   {_row(exp_pairs)}   {_row(inv_pairs)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
