@@ -55,18 +55,17 @@ FAST_MIN_ORDER = 32
 # Intel(R) Xeon(R) Processor, 2 usable CPUs, numpy 2.4.6, Python 3.11.7
 # median ms of 15 interleaved pairs, reference / fast, and pairs the reference won
 #   order   exp                        inverse
-#     256     0.55 /   2.64  15/15     0.36 /   0.68  15/15
-#     512     0.85 /   2.79  15/15     0.61 /   0.79  15/15
-#     768     1.32 /   3.97  15/15     0.93 /   1.01  12/15
-#    1024     1.62 /   3.14  15/15     1.17 /   0.96   0/15
-#    1536     2.50 /   4.20  15/15     1.95 /   1.19   0/15
-#    2048     3.62 /   4.31  13/15     2.98 /   1.31   0/15
-#    3072     6.27 /   5.79   2/15     5.81 /   1.67   0/15
-#    4096     6.82 /   4.68   0/15     6.31 /   1.16   0/15
-# The inverses tie at 768, so their crossover stays at the power of two
-# below.  Power prefixes are exponentials (see fast_pow), so no bootstrap
-# runs oracle_pow.
-ORACLE_MAX_ORDER = 2048
+#     256     0.74 /   2.45  15/15     0.44 /   0.68  15/15
+#     512     1.24 /   3.12  15/15     0.86 /   0.92  11/15
+#     768     2.29 /   4.65  15/15     1.42 /   1.10   1/15
+#    1024     2.72 /   3.79  14/15     1.66 /   1.10   0/15
+#    1536     4.04 /   4.62  15/15     2.54 /   1.21   0/15
+#    2048     5.43 /   4.95   3/15     3.74 /   1.42   0/15
+#    3072     9.66 /   6.78   0/15     6.96 /   1.83   0/15
+#    4096    14.49 /   7.02   0/15    11.02 /   2.04   0/15
+# Each constant is the largest order its reference won.  Power prefixes
+# are exponentials (see fast_pow), so no bootstrap runs oracle_pow.
+ORACLE_MAX_ORDER = 1536
 ORACLE_INVERSE_MAX_ORDER = 512
 
 # Per-thread work arrays of the Newton layer, see _workspace.

@@ -147,6 +147,17 @@ def test_fast_exp_known_series():
     assert np.max(np.abs(out.coeffs - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("N, a", [(2048, 15), (2048, 20), (4096, 12)])
+def test_fast_exp_large_linear_exponent(N, a):
+    """exp(a*x) = sum a**j/j! x**j on the default plan, whose bootstrap
+    prefix comes from oracle_exp.  Larger a at N = 4096 overflows in
+    fast_exp's own reciprocal of that prefix, 1/exp(a*x)."""
+    h = np.zeros(N, dtype=complex)
+    h[1] = a
+    want = np.cumprod(np.r_[1, a / np.arange(1, N)])
+    assert rel_err(fast_exp(h, N).coeffs, want) < 1e-14
+
+
 def test_fast_exp_random_vs_oracle():
     rng = np.random.default_rng(2)
     h = random_exp_arg(rng, 1024)

@@ -169,3 +169,46 @@ def test_blocked_recurrences_closed_forms(c):
     h = np.zeros(n, dtype=complex)
     h[1:] = c * CLOSED_FORM_A ** np.arange(1, n) / np.arange(1, n)
     assert rel_err(oracle_exp(h, n).coeffs, want) < 1e-13
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("a", [15, 20, 30, -30, 30j, 100])
+def test_blocked_exp_large_linear_exponent(a, n):
+    """exp(a*x) = sum a**j/j! x**j: the recurrence meets no cancellation
+    there, so the blocks must add none, however large the coefficients."""
+    h = np.zeros(n, dtype=complex)
+    h[1] = a
+    want = np.cumprod(np.r_[1, a / np.arange(1, n)])
+    assert rel_err(oracle_exp(h, n).coeffs, want) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [10, 20, 30, 40])
+def test_blocked_exp_matches_the_recurrence_on_large_random_exponents(scale):
+    """Five complex coefficients of size about scale: the blocks agree with
+    the recurrence where a factored block solve would overflow."""
+    n = 1024
+    h = np.zeros(n, dtype=complex)
+    h[1:6] = scale * disk(np.random.default_rng(scale), 5)
+    assert rel_err(oracle_exp(h, n).coeffs, loop_exp(h, n)) < 1e-13
+
+
+@pytest.mark.parametrize("C", [40, -40, 40.5])
+def test_blocked_exp_large_power_of_a_binomial(C):
+    """exp(C*log(1 + x)) = (1 + x)**C, with coefficients up to about 1e11
+    and alternating log coefficients."""
+    n = 1024
+    j = np.arange(1, n)
+    h = np.zeros(n, dtype=complex)
+    h[1:] = C * (-1.0) ** (j + 1) / j
+    assert rel_err(oracle_exp(h, n).coeffs, binomial_series(-1, C, n)) < 1e-13
+
+
+@pytest.mark.parametrize("a", [12, 14])
+def test_blocked_inverse_loses_no_more_than_the_recurrence(a):
+    """1/exp(a*x) cancels in every coefficient, and the recurrence loses
+    digits to it; the blocks may lose as many, not more."""
+    n = 512
+    c = np.cumprod(np.r_[1, a / np.arange(1, n)])
+    want = np.cumprod(np.r_[1, -a / np.arange(1, n)])
+    loop = rel_err(loop_inverse(c, n), want)
+    assert rel_err(oracle_inverse(c, n).coeffs, want) <= 10 * loop
