@@ -43,7 +43,7 @@ import numpy as np
 
 from . import block_engine, fft_core
 from .block_engine import BlockCache, BlockPlan, shifted_middle_product
-from .cost_ledger import in_stage, tally
+from .cost_ledger import in_stage, record_dfts, tally
 from .errors import DomainError, PlanError
 from .oracle import oracle_exp, oracle_inverse, oracle_pow
 from .series_core import TruncatedSeries, finite_coeffs, mul_mod, padded
@@ -228,44 +228,44 @@ def _workspace(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(b[:L] for b in bufs)
 
 
-def _wrap_step(q, a, h, t, r_spec, f_spec, q_spec, work, ledger, label):
+def _wrap_step(q, a, h, t, r_spec, f_spec, q_spec, work):
     """Extend q = a/f from order h to order t <= 2h in place: q[:h] is known
     and q[h:t] is written.  a holds the coefficients of the numerator (None
     for a = 1; a[h:t] is read before q[h:t] is written, so a may be q
-    itself), and r_spec, f_spec, q_spec are the order-L spectra, L >= t, of
+    itself), and r_spec, f_spec, q_spec are the order-L values, L >= t, of
     r = 1/f mod x**h, of f[:t] and of q[:h].  work holds two arrays of
     length L; f_spec may be the first and q_spec the second, which the step
-    overwrites once it has read them.
+    overwrites once it has read them.  The caller records the step's three
+    transforms and two products.
 
     The cyclic product f[:t]*q of length L is exact on coefficients h..t-1,
     because its terms past L wrap onto indices below t+h-1-L < h.  Those give
     the residual e = (f*q - a)/x**h mod x**(t-h), and q[h:t] = -(r*e) mod
     x**(t-h): three transforms of order L next to the three spectra given."""
     prod, spare = work
-    L = r_spec.length
-    fq = f_spec.pointwise(q_spec, ledger=ledger, out=prod)
-    e = fft_core.inverse_dft(fq, ledger=ledger, label=label, out=prod)[h:t]
+    e = fft_core._backward(np.multiply(f_spec, q_spec, out=prod), prod)[h:t]
     if a is not None:
         e -= a[h:t]
-    re = r_spec.pointwise(fft_core.dft(e, L, ledger=ledger, label=label, out=spare),
-                          ledger=ledger, out=spare)
-    np.negative(fft_core.inverse_dft(re, ledger=ledger, label=label, out=spare)[: t - h],
-                out=q[h:t])
+    re = np.multiply(r_spec, fft_core._forward(e, r_spec.size, spare), out=spare)
+    np.negative(fft_core._backward(re, spare)[: t - h], out=q[h:t])
 
 
 def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
     """1/f mod x**N for c[0] != 0, in a fresh array; the steps run in the
     thread's workspace, r's spectrum serves both products of a step, and the
-    spectra of r[:h] and f[:t] are taken as one pair."""
+    spectra of r[:h] and f[:t] are taken as one pair.  Each step records its
+    five transforms and two products at once."""
     r = np.empty(N, dtype=np.complex128)
     r[0] = 1.0 / c[0]
     spec, prod, spare = _workspace(fft_core.granted_length(N))
     h = 1
     for t in _newton_orders(N):
         L = fft_core.granted_length(t)
-        r_spec, f_spec = fft_core.dft_pair(r[:h], c[:t], L, spec[:L], prod[:L],
-                                           ledger=ledger, label="newton")
-        _wrap_step(r, None, h, t, r_spec, f_spec, r_spec, (prod[:L], spare[:L]), ledger, "newton")
+        r_spec, f_spec, work = spec[:L], prod[:L], (prod[:L], spare[:L])
+        fft_core.dft_pair(r[:h], c[:t], L, r_spec, f_spec)
+        _wrap_step(r, None, h, t, r_spec, f_spec, r_spec, work)
+        record_dfts(ledger, (L,), 5, "newton")
+        tally(ledger, cmul=2 * L)
         h = t
     return r
 
@@ -309,13 +309,16 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     np.multiply(powers[: n - 1], c[1:n], out=q[: n - 1])
     with in_stage(ledger, "inverse"):
         r = _newton_inverse(c, h, ledger)
-    r_spec, dq = fft_core.dft_pair(r, q[:h], L, spec, prod, ledger=ledger, label="log")
-    dr = dq.pointwise(r_spec, ledger=ledger, out=prod)
-    q[:h] = fft_core.inverse_dft(dr, ledger=ledger, label="log", out=prod)[:h]
+    # r's spectrum stays in spec for both products
+    fft_core.dft_pair(r, q[:h], L, spec, prod)
+    q[:h] = fft_core._backward(np.multiply(prod, spec, out=prod), prod)[:h]
+    record_dfts(ledger, (L,), 3, "log")
+    tally(ledger, cmul=L)
     if M > h:
-        q_spec, f_spec = fft_core.dft_pair(q[:h], c[:M], L, spare, prod,
-                                           ledger=ledger, label="log")
-        _wrap_step(q, q, h, M, r_spec, f_spec, q_spec, (prod, spare), ledger, "log")
+        fft_core.dft_pair(q[:h], c[:M], L, spare, prod)
+        _wrap_step(q, q, h, M, spec, prod, spare, (prod, spare))
+        record_dfts(ledger, (L,), 5, "log")
+        tally(ledger, cmul=2 * L)
     q /= powers
     return _finite_result(out)
 

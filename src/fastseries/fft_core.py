@@ -15,10 +15,12 @@ into the destination array: ``dft``, ``inverse_dft`` and
 ``Spectrum.pointwise`` take a caller's array (``out=``), which may be the
 input itself or a strided view; the values are the same bit for bit either
 way.  ``dft_pair`` takes the transforms of two independent polynomials of
-one order; from order ``_PAIR_MIN_ORDER`` up, in a process that may use two
-CPUs, the second is submitted to a one-worker ``ThreadPoolExecutor`` while
-the first runs in the caller (pocketfft releases the GIL), with the same
-values and events as two ``dft`` calls.
+one order into the caller's arrays; from order ``_PAIR_MIN_ORDER`` up, in a
+process that may use two CPUs, the second is submitted to a one-worker
+``ThreadPoolExecutor`` while the first runs in the caller (pocketfft
+releases the GIL), with the same values as two ``dft`` calls.  It is a leaf
+like ``_forward`` and ``_backward``: it neither checks nor records, and the
+Newton layer that calls it records one event group per step itself.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -223,30 +225,26 @@ def dft(p, L: int, ledger=None, label=None, out=None) -> Spectrum:
     return Spectrum(_forward(c, L, out), "plain")
 
 
-def dft_pair(p, q, L: int, out_p, out_q, ledger=None, label=None) -> tuple[Spectrum, Spectrum]:
-    """Order-L DFTs of two polynomials (or batches) with degrees below L,
-    whose values are out_p and out_q: the same values and events as dft(p)
-    and then dft(q).  From order _PAIR_MIN_ORDER up, in a process that may
-    use at least 2 CPUs, q's transform is handed to the helper thread while
-    p's runs here, so neither output may overlap the other or an input.
-    Without a helper (the interpreter is shutting down) both run here."""
-    _check_length(L)
-    a, b = _polys(p), _polys(q)
-    width = max(a.shape[-1], b.shape[-1])
-    if width > L:
-        raise UnsupportedLengthError(f"polynomial with {width} coefficients exceeds order {L}")
-    record_dfts(ledger, (L,), _rows(a) + _rows(b), label)
+def dft_pair(p, q, L: int, out_p, out_q) -> tuple[np.ndarray, np.ndarray]:
+    """The values of dft(p, L) and dft(q, L), for polynomials with degrees
+    below L and a supported L, written into out_p and out_q and returned.
+    Like the leaf kernels it checks and records nothing: the Newton layer,
+    its caller, computes the lengths itself and records the events.  From
+    order _PAIR_MIN_ORDER up, in a process that may use at least 2 CPUs,
+    q's transform is handed to the helper thread while p's runs here, so
+    neither output may overlap the other or an input.  Without a helper
+    (the interpreter is shutting down) both run here."""
     paired = L >= _PAIR_MIN_ORDER and _usable_cpus() >= 2
-    job = _on_helper(_forward, b, L, out_q) if paired else None
+    job = _on_helper(_forward, q, L, out_q) if paired else None
     if job is None:
-        return Spectrum(_forward(a, L, out_p), "plain"), Spectrum(_forward(b, L, out_q), "plain")
+        return _forward(p, L, out_p), _forward(q, L, out_q)
     try:
-        first = _forward(a, L, out_p)
+        first = _forward(p, L, out_p)
     finally:
         # a helper that has not started q's transform yet (busy, or still
         # waking up) leaves it to this thread; result() re-raises its error
-        second = _forward(b, L, out_q) if job.cancel() else job.result()
-    return Spectrum(first, "plain"), Spectrum(second, "plain")
+        second = _forward(q, L, out_q) if job.cancel() else job.result()
+    return first, second
 
 
 def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:

@@ -5,8 +5,8 @@ Usage:  python tools/fingerprint.py SRC_DIR
 Imports fastseries from SRC_DIR (e.g. ``src`` of this checkout, or of a
 second checkout of the parent commit) and runs a fixed matrix: fast_exp and
 fast_pow (every exponent in cli.VERIFY_POWERS) on the default and on the
-pinned bench plans, plus fast_inverse and fast_log, at orders 64, 256, 1000,
-1024, 3000, 4096 and 16384, and triple and shifted middle products on small
+pinned bench plans, plus fast_inverse and fast_log, at orders 16, 64, 256,
+1000, 1024, 3000, 4096 and 16384, and triple and shifted middle products on small
 block caches whose products end before the output does.  Order 3000 is the
 one whose transforms are not all of length 2^a: its Newton steps run at
 3072 and its plans at m = 1536, so it shows the 3*2^a path.  It prints five
@@ -43,7 +43,7 @@ import tempfile
 
 import numpy as np
 
-SIZES = (64, 256, 1000, 1024, 3000, 4096, 16384)
+SIZES = (16, 64, 256, 1000, 1024, 3000, 4096, 16384)
 SEED = 7
 
 
