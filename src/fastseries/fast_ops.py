@@ -50,23 +50,38 @@ from .series_core import TruncatedSeries, finite_coeffs, mul_mod, padded
 
 FAST_MIN_ORDER = 32
 # Largest bootstrap orders computed by the quadratic references, against
-# fast_exp on its default plan and fast_inverse on an exp prefix, as printed
-# by ``python tools/crossover.py src``:
+# fast_exp on its default plan and fast_inverse on an exp prefix, and the
+# order the Newton steps start from, as printed by
+# ``python tools/crossover.py src``:
 # Intel(R) Xeon(R) Processor, 2 usable CPUs, numpy 2.4.6, Python 3.11.7
 # median ms of 15 interleaved pairs, reference / fast, and pairs the reference won
 #   order   exp                        inverse
-#     256     0.74 /   2.45  15/15     0.44 /   0.68  15/15
-#     512     1.24 /   3.12  15/15     0.86 /   0.92  11/15
-#     768     2.29 /   4.65  15/15     1.42 /   1.10   1/15
-#    1024     2.72 /   3.79  14/15     1.66 /   1.10   0/15
-#    1536     4.04 /   4.62  15/15     2.54 /   1.21   0/15
-#    2048     5.43 /   4.95   3/15     3.74 /   1.42   0/15
-#    3072     9.66 /   6.78   0/15     6.96 /   1.83   0/15
-#    4096    14.49 /   7.02   0/15    11.02 /   2.04   0/15
-# Each constant is the largest order its reference won.  Power prefixes
+#     256     0.64 /   2.24  15/15     0.41 /   0.40   7/15
+#     512     1.08 /   2.68  15/15     0.74 /   0.52   0/15
+#     768     1.50 /   3.62  15/15     1.05 /   0.60   0/15
+#    1024     1.44 /   1.90  15/15     0.89 /   0.42   0/15
+#    1536     2.28 /   2.67  15/15     1.53 /   0.52   0/15
+#    2048     3.30 /   2.66   1/15     2.32 /   0.56   0/15
+#    3072     5.54 /   3.67   0/15     4.02 /   0.82   0/15
+#    4096     8.38 /   3.87   0/15     6.23 /   0.91   0/15
+# fast_inverse at order 256, median ms of 100 interleaved pairs, Newton from
+# the recurrence's order-b prefix / from order 1, pairs the prefix won, median ratio
+#   b =   8     0.22 /   0.29 100/100   0.751
+#   b =  16     0.22 /   0.30  99/100   0.705
+#   b =  32     0.23 /   0.32  98/100   0.711
+#   b =  64     0.27 /   0.33  91/100   0.819
+#   b = 128     0.30 /   0.33  87/100   0.892
+# ORACLE_MAX_ORDER is the largest order its reference won.  Power prefixes
 # are exponentials (see fast_pow), so no bootstrap runs oracle_pow.
+# ORACLE_INVERSE_MAX_ORDER stays at 512, where the reference no longer wins
+# on time: pinned fast_pow bootstraps at order 512, and when those prefixes
+# last came from the Newton inverse its closed-form error read 1.4e-11
+# against 6.5e-13 (seed 7).  NEWTON_BASE_ORDER is the base of least ratio;
+# 16 and 32 trade places between runs, and 16 keeps the smaller quadratic
+# prefix.
 ORACLE_MAX_ORDER = 1536
 ORACLE_INVERSE_MAX_ORDER = 512
+NEWTON_BASE_ORDER = 16
 
 # Per-thread work arrays of the Newton layer, see _workspace.
 _newton_local = threading.local()
@@ -251,15 +266,24 @@ def _wrap_step(q, a, h, t, r_spec, f_spec, q_spec, work):
 
 
 def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
-    """1/f mod x**N for c[0] != 0, in a fresh array; the steps run in the
-    thread's workspace, r's spectrum serves both products of a step, and the
-    spectra of r[:h] and f[:t] are taken as one pair.  Each step records its
-    five transforms and two products at once."""
+    """1/f mod x**N for c[0] != 0, in a fresh array.  The coefficient
+    recurrence makes r to b, the largest Newton order up to
+    NEWTON_BASE_ORDER (1 when there is none), and Newton steps take it on
+    from there.  They run in the thread's workspace, r's spectrum serves both
+    products of a step, and the spectra of r[:h] and f[:t] are taken as one
+    pair.  Each step records its five transforms and two products at once."""
+    orders = _newton_orders(N)
+    base = [t for t in orders if t <= NEWTON_BASE_ORDER]
+    b = base[-1] if base else 1
     r = np.empty(N, dtype=np.complex128)
-    r[0] = 1.0 / c[0]
+    r[:b] = oracle_inverse(c[:b], b).coeffs
+    # coefficient j of the recurrence is a dot product of min(j, d) terms
+    d = min(c.size, b) - 1
+    macs = d * (2 * b - d - 1) // 2
+    tally(ledger, cmul=macs, cadd=macs)
     spec, prod, spare = _workspace(fft_core.granted_length(N))
-    h = 1
-    for t in _newton_orders(N):
+    h = b
+    for t in orders[len(base) :]:
         L = fft_core.granted_length(t)
         r_spec, f_spec, work = spec[:L], prod[:L], (prod[:L], spare[:L])
         fft_core.dft_pair(r[:h], c[:t], L, r_spec, f_spec)
@@ -273,8 +297,11 @@ def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
 def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
     """1/f mod x**N by Newton doubling r <- r - r*(f*r - 1), with the
     residual read off a wrap-around product of length granted(t) and r's
-    spectrum shared by both products of a step: 5 transforms per step, so
-    80 order-2**j ones up to N = 2**16."""
+    spectrum shared by both products of a step: 5 transforms per step.  The
+    steps start from the coefficient recurrence's prefix of order up to
+    NEWTON_BASE_ORDER, so up to that order the result is oracle_inverse's
+    bit for bit, with no transform, and up to N = 2**16 there are 60
+    transforms, all of order 2**j."""
     c = finite_coeffs(f)
     if N < 1:
         raise DomainError("order must be positive")
@@ -288,9 +315,10 @@ def fast_inverse(f, N: int, ledger=None) -> TruncatedSeries:
 def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     """log(f) mod x**N for f[0] = 1, as the integral of q = f'/f.
 
-    The reciprocal r is computed only to order h = ceil((N-1)/2); q comes
-    from q = f'*r mod x**h and one wrap-around step with numerator f'
-    (Karp-Markstein), which reuses r's spectrum: 8 transforms of order
+    The reciprocal r is computed only to order h = ceil((N-1)/2), as
+    fast_inverse does (by the recurrence alone when h <= NEWTON_BASE_ORDER);
+    q comes from q = f'*r mod x**h and one wrap-around step with numerator
+    f' (Karp-Markstein), which reuses r's spectrum: 8 transforms of order
     granted(N-1) next to the half-order inverse."""
     c = finite_coeffs(f)
     if N < 1:

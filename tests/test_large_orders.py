@@ -220,19 +220,22 @@ def _is_power_of_two(n):
 
 
 def test_newton_layer_transform_counts_at_2_16():
-    """Five transforms per Newton step, all of power-of-two order: 80 for the
-    inverse to 2**16; the logarithm inverts to 2**15 (75) and adds 8 at 2**16."""
+    """Five transforms per Newton step, all of power-of-two order, from the
+    quadratic base at order 16 on: 60 for the inverse to 2**16; the logarithm
+    inverts to 2**15 (55) and adds 8 at 2**16."""
+    assert fast_ops.NEWTON_BASE_ORDER == 16
     g = random_pow_arg(np.random.default_rng(28), 1 << 16)
     led = CostLedger()
     fast_inverse(g, 1 << 16, ledger=led)
-    assert led.event_count(label="newton") == len(led.events) == 80
+    assert led.event_count(label="newton") == len(led.events) == 60
     assert all(_is_power_of_two(e.order) for e in led.events)
+    assert min(e.order for e in led.events) == 32
     assert max(e.order for e in led.events) == 1 << 16
 
     led = CostLedger()
     fast_log(g, 1 << 16, ledger=led)
-    assert led.event_count(label="newton") == 75
+    assert led.event_count(label="newton") == 55
     assert max(e.order for e in led.events if e.label == "newton") == 1 << 15
     assert [e.order for e in led.events if e.label == "log"] == [1 << 16] * 8
-    assert len(led.events) == 83
+    assert len(led.events) == 63
     assert all(_is_power_of_two(e.order) for e in led.events)

@@ -1,5 +1,6 @@
 """Wall time of the quadratic references against the fast paths, per order:
-the measurement behind fast_ops.ORACLE_MAX_ORDER and ORACLE_INVERSE_MAX_ORDER.
+the measurement behind fast_ops.ORACLE_MAX_ORDER, ORACLE_INVERSE_MAX_ORDER
+and NEWTON_BASE_ORDER.
 
 Usage:  python tools/crossover.py SRC_DIR [SIZES]
 
@@ -14,8 +15,19 @@ which goes first, after one untimed call of each.
 
 It prints a host header (CPU model, usable CPUs, numpy, Python) and one row
 per order: the median milliseconds of each reference and of its fast path,
-and the number of pairs the reference won.  The rows are written as the
-comment beside the constants in fast_ops, so they can be pasted there.
+and the number of pairs the reference won.
+
+A second table times where fast_inverse's Newton steps start.  For each
+base b of BASES (8 to 128) it calls fast_inverse at BASE_PROBE_ORDER = 256,
+on the same kind of input, with fast_ops.NEWTON_BASE_ORDER set to b (the
+coefficient recurrence makes the prefix of order b, Newton goes on from
+there) and set to 1 (Newton from order 1), BASE_REPEATS = 100 pairs
+alternating as above, and prints both medians, the pairs the recurrence's
+prefix won and the median of the paired ratios, prefix / from 1; the base
+with the least ratio is the one to take.
+A tree without NEWTON_BASE_ORDER gets a note in its place.  Both tables are
+written as the comment beside the constants in fast_ops, so they can be
+pasted there.
 Running it on the parent's SRC_DIR as well compares the references of two
 trees, one process each.
 """
@@ -32,6 +44,9 @@ import numpy as np
 
 SIZES = (256, 512, 768, 1024, 1536, 2048, 3072, 4096)
 REPEATS = 15
+BASES = (8, 16, 32, 64, 128)
+BASE_PROBE_ORDER = 256
+BASE_REPEATS = 100
 
 
 def _import(src_dir):
@@ -85,6 +100,27 @@ def measure(cli, fast_ops, oracle, n):
     return exp_pairs, inv_pairs
 
 
+def measure_base(cli, fast_ops, b):
+    """(recurrence prefix ms, Newton from 1 ms) pairs of fast_inverse at
+    BASE_PROBE_ORDER, with the Newton steps started at base b and at 1."""
+    n, pairs = BASE_PROBE_ORDER, []
+    saved = fast_ops.NEWTON_BASE_ORDER
+
+    def inverse(f, base):
+        fast_ops.NEWTON_BASE_ORDER = base
+        fast_ops.fast_inverse(f, n)
+
+    try:
+        for j in range(-1, BASE_REPEATS):
+            f = fast_ops.fast_exp(cli.exp_input(np.random.default_rng(n + max(j, 0)), n), n).coeffs
+            pair = _pair(lambda: inverse(f, b), lambda: inverse(f, 1), j)
+            if j >= 0:
+                pairs.append(pair)
+    finally:
+        fast_ops.NEWTON_BASE_ORDER = saved
+    return pairs
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (1, 2):
@@ -104,6 +140,16 @@ def main(argv=None):
     for n in sizes:
         exp_pairs, inv_pairs = measure(cli, fast_ops, oracle, n)
         print(f"#   {n:5d}   {_row(exp_pairs)}   {_row(inv_pairs)}", flush=True)
+    if not hasattr(fast_ops, "NEWTON_BASE_ORDER"):
+        print("# no NEWTON_BASE_ORDER in this tree: its Newton steps start at order 1")
+        return 0
+    print(f"# fast_inverse at order {BASE_PROBE_ORDER}, median ms of {BASE_REPEATS} interleaved "
+          "pairs, Newton from")
+    print("# the recurrence's order-b prefix / from order 1, pairs the prefix won, median ratio")
+    for b in BASES:
+        pairs = measure_base(cli, fast_ops, b)
+        ratio = statistics.median(p / one for p, one in pairs)
+        print(f"#   b = {b:3d}   {_row(pairs)}   {ratio:.3f}", flush=True)
     return 0
 
 
