@@ -13,10 +13,12 @@ from fastseries import (
     PlanError,
     choose_plan,
     derivative,
+    dft,
     fast_exp,
     fast_inverse,
     fast_log,
     fast_pow,
+    inverse_dft,
     mul_mod,
     oracle_exp,
     oracle_inverse,
@@ -24,7 +26,7 @@ from fastseries import (
     oracle_pow,
 )
 from fastseries import fast_ops
-from fastseries.cost_ledger import main_term_units
+from fastseries.cost_ledger import main_term_units, tally
 
 from util import random_exp_arg, random_pow_arg, rel_err
 
@@ -66,6 +68,44 @@ def test_newton_layer_matches_oracle(N):
     assert rel_err(fast_inverse(g, N).coeffs, oracle_inverse(g, N).coeffs) < 1e-10
     assert rel_err(fast_inverse(f, N).coeffs, oracle_inverse(f, N).coeffs) < 1e-10
     assert rel_err(fast_log(f, N).coeffs, oracle_log(f, N).coeffs) < 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 12, 16])
+def test_newton_base_is_the_reference(N):
+    """Up to NEWTON_BASE_ORDER the inverse is the coefficient recurrence
+    alone: oracle_inverse's bits, and no transform event."""
+    assert N <= fast_ops.NEWTON_BASE_ORDER
+    g = random_pow_arg(np.random.default_rng(N), 40)
+    g[0] = 2.0 - 1.5j
+    for f in (g, [1, -1]):
+        led = CostLedger()
+        got = fast_inverse(f, N, ledger=led).coeffs
+        assert got.tobytes() == oracle_inverse(f, N).coeffs.tobytes()
+        assert led.events == []
+
+
+def test_one_newton_step_is_five_transforms_and_two_products():
+    """At order 32 one Newton step follows the base of order 16.  It gives
+    the bits, events and scalar counts of the same step written with dft,
+    pointwise and inverse_dft calls."""
+    n, b = 32, fast_ops.NEWTON_BASE_ORDER
+    assert b == 16
+    g = random_pow_arg(np.random.default_rng(32), n)
+    g[0] = 0.5 + 1j
+    led = CostLedger()
+    got = fast_inverse(g, n, ledger=led).coeffs
+
+    want, ref = CostLedger(), oracle_inverse(g, b).coeffs
+    with want.stage("inverse"):
+        tally(want, cmul=(b - 1) * b // 2, cadd=(b - 1) * b // 2)
+        r_spec = dft(ref, n, ledger=want, label="newton")
+        f_spec = dft(g, n, ledger=want, label="newton")
+        e = inverse_dft(f_spec.pointwise(r_spec, ledger=want), ledger=want, label="newton")
+        e_spec = dft(e[b:n], n, ledger=want, label="newton")
+        upper = -inverse_dft(r_spec.pointwise(e_spec, ledger=want), ledger=want, label="newton")
+    assert got.tobytes() == np.concatenate([ref, upper[: n - b]]).tobytes()
+    assert led.events == want.events
+    assert led.scalar == want.scalar
 
 
 def test_exp_first_half_known_series(monkeypatch):

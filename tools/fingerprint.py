@@ -5,11 +5,13 @@ Usage:  python tools/fingerprint.py SRC_DIR
 Imports fastseries from SRC_DIR (e.g. ``src`` of this checkout, or of a
 second checkout of the parent commit) and runs a fixed matrix: fast_exp and
 fast_pow (every exponent in cli.VERIFY_POWERS) on the default and on the
-pinned bench plans, plus fast_inverse and fast_log, at orders 16, 64, 256,
-1000, 1024, 3000, 4096 and 16384, and triple and shifted middle products on small
-block caches whose products end before the output does.  Order 3000 is the
-one whose transforms are not all of length 2^a: its Newton steps run at
-3072 and its plans at m = 1536, so it shows the 3*2^a path.  It prints five
+pinned bench plans, plus fast_inverse and fast_log, at orders 16, 64,
+256, 1000, 1024, 3000, 4096 and 16384, and triple and shifted middle
+products on small block caches whose products end before the output does.
+Order 16 is at fast_ops.NEWTON_BASE_ORDER, so its inverses come from the
+coefficient recurrence alone.  Order 3000 is the one whose transforms are
+not all of length 2^a: its Newton steps run at 3072 and its plans at
+m = 1536, so it shows the 3*2^a path.  It prints five
 sha256 digests: one over the raw bytes of every output, one over every
 ledger event (order, stage, label, in recording order) and scalar count,
 one over the events alone, one over the text write_series makes of every
