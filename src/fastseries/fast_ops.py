@@ -29,8 +29,10 @@ power reference.  The prefixes come from oracle_exp up to ORACLE_MAX_ORDER
 (oracle_inverse up to ORACLE_INVERSE_MAX_ORDER) and, above it, from fast_exp
 (fast_inverse) on its default plan, whose own bootstrap order is about n/4;
 the recursion reaches the references within a level or two (at N = 2**14,
-16384 -> fast_exp at 4096 -> oracle_exp at 1024).  Those inner calls get no
-ledger, so the bootstrap stages of the caller's report stay empty.
+16384 -> fast_exp at 4096 -> oracle_exp at 1024).  The reciprocal of an
+exp prefix f_n = exp(g) whose inversion would cancel is taken as exp(-g)
+instead (_exp_reciprocal).  Those inner calls get no ledger, so the
+bootstrap stages of the caller's report stay empty.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ ORACLE_MAX_ORDER = 1536
 ORACLE_INVERSE_MAX_ORDER = 512
 NEWTON_BASE_ORDER = 16
 
+# Largest max|f_n| * max|r_n| of a bootstrap reciprocal prefix r_n = 1/f_n
+# taken from the inverse; above it r_n is exp(-g) for f_n = exp(g), see
+# _exp_reciprocal.  exp(a*x) passes it from about a = 9 on.
+RECIPROCAL_GROWTH_MAX = 1e6
+
 # Per-thread work arrays of the Newton layer, see _workspace.
 _newton_local = threading.local()
 
@@ -107,6 +114,24 @@ def _prefix_inverse(f, n: int) -> np.ndarray:
     if n <= ORACLE_INVERSE_MAX_ORDER:
         return _finite_result(oracle_inverse(f, n).coeffs).coeffs
     return fast_inverse(f, n).coeffs
+
+
+def _exp_reciprocal(f_n: np.ndarray, g, n: int) -> np.ndarray:
+    """1/f_n mod x**n for the bootstrap prefix f_n = exp(g) mod x**n.
+
+    It is _prefix_inverse(f_n), unless that overflows or its growth
+    max|f_n| * max|r_n| passes RECIPROCAL_GROWTH_MAX: inverting f_n then
+    cancels in every coefficient (on g = a*x both factors grow like e**|a|),
+    and r_n comes from exp(-g) mod x**n, the same series, whose reference
+    does not cancel."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_n = _prefix_inverse(f_n, n)
+        if np.max(np.abs(f_n)) * np.max(np.abs(r_n)) <= RECIPROCAL_GROWTH_MAX:
+            return r_n
+    except DomainError:  # the inverse overflowed complex128
+        pass
+    return _prefix_exp(np.negative(g), n)
 
 
 # -- plan selection -----------------------------------------------------------
@@ -395,7 +420,7 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
     with in_stage(ledger, "bootstrap.E"):
         f_n = _prefix_exp(h2[:n], n)
     with in_stage(ledger, "bootstrap.I"):
-        r_n = _prefix_inverse(f_n, n)
+        r_n = _exp_reciprocal(f_n, h2[:n], n)
     cache = BlockCache(plan.k)
     cache.register("dh", np.arange(1, 2 * m) * h2[1:])
     f_arr = _first_half(cache, f_n, r_n, "dh", plan, ledger, "exp.stage1")
@@ -497,9 +522,10 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         seed = Cc * mul_mod(dh[: n - 1], rho_n, n - 1).coeffs
     with in_stage(ledger, "bootstrap.P"):
         # the seed is C*log(h)' mod x**(n-1), so h**C mod x**n = exp(integral)
-        f_n = _prefix_exp(np.concatenate([[0], seed / np.arange(1, n)]), n)
+        g_n = np.concatenate([[0], seed / np.arange(1, n)])
+        f_n = _prefix_exp(g_n, n)
     with in_stage(ledger, "bootstrap.I"):
-        r_n = _prefix_inverse(f_n, n)
+        r_n = _exp_reciprocal(f_n, g_n, n)
 
     cache = BlockCache(k)
     s_arr = _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, Cc)

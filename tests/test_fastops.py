@@ -187,15 +187,51 @@ def test_fast_exp_known_series():
     assert np.max(np.abs(out.coeffs - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("N, a", [(2048, 15), (2048, 20), (4096, 12)])
+LARGE_AMPLITUDES = [(2048, 15), (2048, 20), (4096, 12)]
+LARGE_AMPLITUDES += [(N, a) for N in (2048, 4096, 16384) for a in (10, 15, 20, 30, 30j)
+                     if (N, a) not in LARGE_AMPLITUDES]
+
+
+@pytest.mark.parametrize("N, a", LARGE_AMPLITUDES)
 def test_fast_exp_large_linear_exponent(N, a):
     """exp(a*x) = sum a**j/j! x**j on the default plan, whose bootstrap
-    prefix comes from oracle_exp.  Larger a at N = 4096 overflows in
-    fast_exp's own reciprocal of that prefix, 1/exp(a*x)."""
+    prefix comes from oracle_exp.  From a = 10 on, its reciprocal prefix
+    comes from exp(-a*x): inverting the prefix would cancel."""
     h = np.zeros(N, dtype=complex)
     h[1] = a
     want = np.cumprod(np.r_[1, a / np.arange(1, N)])
     assert rel_err(fast_exp(h, N).coeffs, want) < 1e-14
+
+
+@pytest.mark.parametrize("a, tripped", [(8, False), (10, True)])
+def test_reciprocal_gate_on_each_side(a, tripped, monkeypatch):
+    """fast_exp's bootstrap takes 1/exp(a*x) mod x**n from the inverse
+    while max|f_n| * max|r_n| stays within RECIPROCAL_GROWTH_MAX, and from
+    exp(-a*x) above it."""
+    N = 2048
+    n = choose_plan(N).n
+    h = np.zeros(N, dtype=complex)
+    h[1] = a
+    f_n = oracle_exp(h, n).coeffs
+    growth = np.max(np.abs(f_n)) * np.max(np.abs(oracle_inverse(f_n, n).coeffs))
+    assert (growth > fast_ops.RECIPROCAL_GROWTH_MAX) == tripped
+    calls = _spy(monkeypatch, "_prefix_exp")
+    got = fast_exp(h, N).coeffs
+    assert [args[1] for args, _ in calls] == [n, n] if tripped else [n]
+    if tripped:
+        assert np.array_equal(calls[1][0][0], -h[:n])
+    assert rel_err(got, np.cumprod(np.r_[1, a / np.arange(1, N)])) < 1e-14
+
+
+@pytest.mark.parametrize("N", [2048, 4096, 16384])
+@pytest.mark.parametrize("C", [10, 15, 20])
+def test_fast_pow_large_exponent_of_exp(N, C):
+    """exp(x)**C = exp(C*x): the prefix h**C mod x**n is exp(C*x), and its
+    reciprocal comes from exp(-C*x) above the growth gate."""
+    e = np.zeros(N, dtype=complex)
+    e[:171] = np.cumprod(np.r_[1, 1 / np.arange(1, 171)])  # 1/170! is the last normal
+    want = np.cumprod(np.r_[1, C / np.arange(1, N)])
+    assert rel_err(fast_pow(e, C, N).coeffs, want) < 1e-14
 
 
 def test_fast_exp_random_vs_oracle():
