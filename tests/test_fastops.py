@@ -217,7 +217,7 @@ def test_reciprocal_gate_on_each_side(a, tripped, monkeypatch):
     assert (growth > fast_ops.RECIPROCAL_GROWTH_MAX) == tripped
     calls = _spy(monkeypatch, "_prefix_exp")
     got = fast_exp(h, N).coeffs
-    assert [args[1] for args, _ in calls] == [n, n] if tripped else [n]
+    assert [args[1] for args, _ in calls] == ([n, n] if tripped else [n])
     if tripped:
         assert np.array_equal(calls[1][0][0], -h[:n])
     assert rel_err(got, np.cumprod(np.r_[1, a / np.arange(1, N)])) < 1e-14
