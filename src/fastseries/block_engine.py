@@ -21,8 +21,8 @@ count, and its block spectra stacked as the rows of one array, the double
 spectrum in all 3k columns and the order-2k spectrum in the first 2k.
 ``BlockCache.rows`` hands out either kind as a view of those rows.  Every
 block-pair sum, sum over mu of B[mu] * C[j - mu] (a residual image, an
-output block of a middle or short product), comes from one primitive,
-``_block_conv``, which takes it one of two ways:
+output block of a middle or short product, ``short_product_2k``), comes
+from one primitive, ``_block_conv``, which takes it one of two ways:
 
 - directly, one numpy reduction per row over row slices of the two stacks;
 - along the block axis (van der Hoeven's FFT trading): both stacks are cut
@@ -98,6 +98,11 @@ class BlockPlan:
     def ratio(self) -> int:
         """m/k, the normalization all stage budgets are quoted in."""
         return self.m // self.k
+
+
+def frontier(N: int) -> int:
+    """The first-half frontier m of the plans for final order N."""
+    return fft_core.granted_length(max(8, (N + 1) // 2))
 
 
 class _Series:
@@ -446,6 +451,17 @@ def _overlap_rows(rows: np.ndarray, k: int, n: int) -> np.ndarray:
     for s in range(width // k):
         out[s : s + count] += rows[:, s * k : (s + 1) * k]
     return out.reshape(-1)[:n]
+
+
+def short_product_2k(b, c, j0: int, count: int, ledger, label: str) -> np.ndarray:
+    """Blocks j0..j0+count-1 of b*c, for order-2k block spectra b and c, as
+    count*k coefficients, block j0+i at x**(i*k): ``_block_conv``'s sums, the
+    rows some pair reaches inverted in one batch under label, overlap-added.
+    With j0 = 0 that is the short product (b*c) mod x**(count*k)."""
+    rows, pairs = _block_conv(b, c, j0, count, ledger)
+    rows = _invert_live(rows, pairs > 0, ledger, label)
+    k = rows.shape[1] // 2
+    return _overlap_rows(rows, k, count * k)
 
 
 def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,

@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from . import fast_ops, oracle
+from .block_engine import BlockPlan, frontier
 from .cost_ledger import CostLedger, report_kv, report_text
 from .errors import DomainError, FormatError, PlanError, UnsupportedLengthError
 from .series_core import TruncatedSeries, load_series, dump_series
@@ -72,9 +73,10 @@ def _run(command, algorithm, head, n, **options):
     return getattr(fast_ops, "fast_" + _OPS[command])(*head, n, **options)
 
 
-def run_verify(sizes, seed, report_path=None, out=sys.stdout):
+def run_verify(sizes, seed, report_path=None, out=None):
     """Fast-vs-reference sweep; returns the worst normalized error and writes
-    one line per check."""
+    one line per check to out, sys.stdout when None."""
+    out = sys.stdout if out is None else out
     lines = [f"verify seed={seed} tol={VERIFY_TOL:g}"]
     worst = 0.0
     for size in sizes:
@@ -106,9 +108,9 @@ def bench_plan(algorithm, size, k=None, n=None):
     Valid means k | n (2k | n for pow) and n | m.  Where k = 16 allows no
     such order (m < 128), k is halved until one does; at m = 8 and 12, where
     no k does, the bound is raised to the order k = 2 needs."""
-    m = fast_ops.fft_core.granted_length(max(8, (size + 1) // 2))
+    m = frontier(size)
     if n is not None:
-        return fast_ops.BlockPlan(k=16 if k is None else k, n=n, m=m)
+        return BlockPlan(k=16 if k is None else k, n=n, m=m)
     if k is not None and k < 2:
         raise PlanError("block size must be at least 2")
     step = 1 if algorithm == "exp" else 2
@@ -116,12 +118,13 @@ def bench_plan(algorithm, size, k=None, n=None):
     for kk in [k] if k is not None else [16, 8, 4, 2]:
         orders = [d for d in range(step * kk, cap + 1, step * kk) if m % d == 0]
         if orders:
-            return fast_ops.BlockPlan(k=kk, n=max(orders), m=m)
+            return BlockPlan(k=kk, n=max(orders), m=m)
     raise PlanError(f"no valid bootstrap order for k={kk}, m={m}")
 
 
-def run_bench(sizes, seed, k=None, n=None, report_path=None, out=sys.stdout):
-    """Stage budget tables for exp and pow across a size ladder."""
+def run_bench(sizes, seed, k=None, n=None, report_path=None, out=None):
+    """Stage budget tables for exp and pow across a size ladder, to out."""
+    out = sys.stdout if out is None else out
     kv_parts = [f"bench seed={seed}"]
     for size in sizes:
         for algorithm in ("exp", "pow"):
@@ -245,10 +248,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             return 0
         parser.error(f"unknown command {args.command}")
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, PlanError, UnsupportedLengthError) as exc:

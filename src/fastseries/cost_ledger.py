@@ -70,10 +70,6 @@ class CostLedger:
 
     # -- recording ---------------------------------------------------------
 
-    @property
-    def current_stage(self) -> str:
-        return self._stage_stack[-1] if self._stage_stack else ""
-
     @contextlib.contextmanager
     def stage(self, tag: str):
         """Scope all events recorded inside to the given stage tag."""
@@ -85,15 +81,12 @@ class CostLedger:
         finally:
             self._stage_stack.pop()
 
-    def record_dft(self, order: int, stage: str | None = None, label: str | None = None):
-        tag = stage if stage is not None else self.current_stage
-        self.events.append(DftEvent(int(order), tag, label or ""))
-
     def record_dfts(self, orders, count: int, label: str | None = None):
         """Record ``count`` repetitions of the event group ``orders`` (one
-        event per order, in that order), as ``count`` separate transforms of
-        one batch would have; the same list as that many record_dft calls."""
-        group = [DftEvent(int(order), self.current_stage, label or "") for order in orders]
+        event per order, in that order) under the current stage, as
+        ``count`` separate transforms of one batch would have."""
+        stage = self._stage_stack[-1] if self._stage_stack else ""
+        group = [DftEvent(int(order), stage, label or "") for order in orders]
         self.events.extend(group * int(count))
 
     def add_scalar(self, kind: str, count: int):
@@ -143,7 +136,7 @@ def record_dfts(ledger, orders, count, label):
 
 def stage_table(ledger: CostLedger, plan) -> list[StageBudget]:
     """Per-stage measured units normalized by m/k, next to the expected constants."""
-    mk = Fraction(plan.m, plan.k)
+    mk = plan.ratio
     rows = []
     for tag, units in sorted(ledger.units_by_stage(plan.k).items()):
         rows.append(
@@ -169,7 +162,7 @@ def _fmt(x) -> str:
 
 def report_text(ledger: CostLedger, plan) -> str:
     """Human-readable budget table: one stage per line."""
-    mk = Fraction(plan.m, plan.k)
+    mk = plan.ratio
     lines = [
         f"plan k={plan.k} n={plan.n} m={plan.m} target={plan.target} m/k={_fmt(mk)}",
         f"{'stage':<16} {'expected':>9} {'per-mk':>9} {'units':>9} {'events':>7}",
@@ -193,7 +186,7 @@ def report_text(ledger: CostLedger, plan) -> str:
 
 def report_kv(ledger: CostLedger, plan) -> str:
     """Machine-readable key=value form of the same report."""
-    mk = Fraction(plan.m, plan.k)
+    mk = plan.ratio
     lines = [
         f"plan.k={plan.k}",
         f"plan.n={plan.n}",

@@ -44,7 +44,7 @@ import threading
 import numpy as np
 
 from . import block_engine, fft_core
-from .block_engine import BlockCache, BlockPlan, shifted_middle_product
+from .block_engine import BlockCache, BlockPlan, frontier, shifted_middle_product
 from .cost_ledger import in_stage, record_dfts, tally
 from .errors import DomainError, PlanError
 from .oracle import oracle_exp, oracle_inverse, oracle_pow
@@ -73,14 +73,18 @@ FAST_MIN_ORDER = 32
 #   b =  32     0.23 /   0.32  98/100   0.711
 #   b =  64     0.27 /   0.33  91/100   0.819
 #   b = 128     0.30 /   0.33  87/100   0.892
+# closed-form family at N = 4096, pinned plans, error of seeds 7/8/9/10,
+# bootstrap inverses from oracle_inverse up to 512 / from fast_inverse
+#   exp  6.7e-13/1.8e-13/6.0e-14/7.8e-13
+#        3.0e-12/1.6e-12/2.8e-13/9.6e-13
+#   pow  1.6e-12/6.8e-13/2.8e-13/6.3e-13
+#        1.5e-11/6.3e-12/2.9e-13/1.4e-12
 # ORACLE_MAX_ORDER is the largest order its reference won.  Power prefixes
 # are exponentials (see fast_pow), so no bootstrap runs oracle_pow.
 # ORACLE_INVERSE_MAX_ORDER stays at 512, where the reference no longer wins
-# on time: pinned fast_pow bootstraps at order 512, and when those prefixes
-# last came from the Newton inverse its closed-form error read 1.4e-11
-# against 6.5e-13 (seed 7).  NEWTON_BASE_ORDER is the base of least ratio;
-# 16 and 32 trade places between runs, and 16 keeps the smaller quadratic
-# prefix.
+# on time but keeps the family's error lower on every seed, up to 9x.
+# NEWTON_BASE_ORDER is the base of least ratio; 16 and 32 trade places
+# between runs, and 16 keeps the smaller quadratic prefix.
 ORACLE_MAX_ORDER = 1536
 ORACLE_INVERSE_MAX_ORDER = 512
 NEWTON_BASE_ORDER = 16
@@ -161,7 +165,7 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
         return BlockPlan(k=0, n=0, m=0, fallback=True)
     if k is not None and k < 2:
         raise PlanError("block size must be at least 2")
-    m = fft_core.granted_length(max(8, (N + 1) // 2))
+    m = frontier(N)
     if k is not None and n is not None:
         return BlockPlan(k=k, n=n, m=m)
     lb = m.bit_length() - 1
@@ -193,15 +197,12 @@ def _window_product_2k(cache, x_label, x_count, y, out_len, ledger,
                        y_label, out_label):
     """Short product (x * y) mod x**out_len where x is given by the order-2k
     segments of cached blocks 0..x_count-1 and y is a fresh coefficient
-    window of whole blocks, transformed here in one batch.  Each output
-    block is one reduction over the two stacks; all are inverted at once."""
+    window of out_len/k whole blocks, transformed here in one batch."""
     k = cache.k
     y_blocks = np.asarray(y, dtype=np.complex128).reshape(-1, k)
     y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
-    x_rows = cache.rows(x_label, x_count)
-    acc, pairs = block_engine._block_conv(x_rows, y_specs, 0, -(-out_len // k), ledger)
-    acc = block_engine._invert_live(acc, pairs > 0, ledger, out_label)
-    return block_engine._overlap_rows(acc, k, out_len)
+    return block_engine.short_product_2k(cache.rows(x_label, x_count), y_specs, 0,
+                                         out_len // k, ledger, out_label)
 
 
 def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> np.ndarray:
@@ -268,35 +269,38 @@ def _workspace(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(b[:L] for b in bufs)
 
 
-def _wrap_step(q, a, h, t, r_spec, f_spec, q_spec, work):
+def _wrap_step(q, a, f, h, t, r_spec, q_spec, work, ledger, label):
     """Extend q = a/f from order h to order t <= 2h in place: q[:h] is known
-    and q[h:t] is written.  a holds the coefficients of the numerator (None
-    for a = 1; a[h:t] is read before q[h:t] is written, so a may be q
-    itself), and r_spec, f_spec, q_spec are the order-L values, L >= t, of
-    r = 1/f mod x**h, of f[:t] and of q[:h].  work holds two arrays of
-    length L; f_spec may be the first and q_spec the second, which the step
-    overwrites once it has read them.  The caller records the step's three
-    transforms and two products.
+    and q[h:t] is written.  a and f hold the coefficients of the numerator
+    (None for a = 1; a[h:t] is read before q[h:t] is written, so a may be q)
+    and the denominator, r_spec the order-L values, L >= t, of r = 1/f mod
+    x**h, and work two arrays of length L.  One dft_pair takes the values of
+    q[:h] into q_spec, which may be r_spec (when r is q[:h]) or work[1], and
+    of f[:t] into work[0].  The step records its five transforms and two
+    products under label.
 
     The cyclic product f[:t]*q of length L is exact on coefficients h..t-1,
     because its terms past L wrap onto indices below t+h-1-L < h.  Those give
     the residual e = (f*q - a)/x**h mod x**(t-h), and q[h:t] = -(r*e) mod
-    x**(t-h): three transforms of order L next to the three spectra given."""
+    x**(t-h): three transforms of order L after the pair."""
     prod, spare = work
-    e = fft_core._backward(np.multiply(f_spec, q_spec, out=prod), prod)[h:t]
+    L = r_spec.size
+    fft_core.dft_pair(q[:h], f[:t], L, q_spec, prod)
+    e = fft_core._backward(np.multiply(prod, q_spec, out=prod), prod)[h:t]
     if a is not None:
         e -= a[h:t]
-    re = np.multiply(r_spec, fft_core._forward(e, r_spec.size, spare), out=spare)
+    re = np.multiply(r_spec, fft_core._forward(e, L, spare), out=spare)
     np.negative(fft_core._backward(re, spare)[: t - h], out=q[h:t])
+    record_dfts(ledger, (L,), 5, label)
+    tally(ledger, cmul=2 * L)
 
 
 def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
     """1/f mod x**N for c[0] != 0, in a fresh array.  The coefficient
     recurrence makes r to b, the largest Newton order up to
     NEWTON_BASE_ORDER (1 when there is none), and Newton steps take it on
-    from there.  They run in the thread's workspace, r's spectrum serves both
-    products of a step, and the spectra of r[:h] and f[:t] are taken as one
-    pair.  Each step records its five transforms and two products at once."""
+    from there.  They run in the thread's workspace, and r's spectrum serves
+    both products of a step."""
     orders = _newton_orders(N)
     base = [t for t in orders if t <= NEWTON_BASE_ORDER]
     b = base[-1] if base else 1
@@ -310,11 +314,7 @@ def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
     h = b
     for t in orders[len(base) :]:
         L = fft_core.granted_length(t)
-        r_spec, f_spec, work = spec[:L], prod[:L], (prod[:L], spare[:L])
-        fft_core.dft_pair(r[:h], c[:t], L, r_spec, f_spec)
-        _wrap_step(r, None, h, t, r_spec, f_spec, r_spec, work)
-        record_dfts(ledger, (L,), 5, "newton")
-        tally(ledger, cmul=2 * L)
+        _wrap_step(r, None, c, h, t, spec[:L], spec[:L], (prod[:L], spare[:L]), ledger, "newton")
         h = t
     return r
 
@@ -342,8 +342,8 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
 
     The reciprocal r is computed only to order h = ceil((N-1)/2), as
     fast_inverse does (by the recurrence alone when h <= NEWTON_BASE_ORDER);
-    q comes from q = f'*r mod x**h and one wrap-around step with numerator
-    f' (Karp-Markstein), which reuses r's spectrum: 8 transforms of order
+    q comes from q = f'*r mod x**h and one _wrap_step with numerator f'
+    (Karp-Markstein), which reuses r's spectrum: 8 transforms of order
     granted(N-1) next to the half-order inverse."""
     c = finite_coeffs(f)
     if N < 1:
@@ -368,10 +368,7 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     record_dfts(ledger, (L,), 3, "log")
     tally(ledger, cmul=L)
     if M > h:
-        fft_core.dft_pair(q[:h], c[:M], L, spare, prod)
-        _wrap_step(q, q, h, M, spec, prod, spare, (prod, spare))
-        record_dfts(ledger, (L,), 5, "log")
-        tally(ledger, cmul=2 * L)
+        _wrap_step(q, q, c, h, M, spec, spare, (prod, spare), ledger, "log")
     q /= powers
     return _finite_result(out)
 
@@ -439,15 +436,13 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
     for fr in range(m, 2 * m, n):
         cache.ensure_2k("h", (fr + n) // k - 1, ledger=ledger)
         cache.ensure_2k("s", fr // k - 1, ledger=ledger, allow_partial=True)
-        # row 0 is the straddling block below the cut, rows 1..a the window's
-        u, pairs = block_engine._block_conv(cache.rows("s", fr // k),
-                                            cache.rows("h", (fr + n) // k),
-                                            fr // k - 1, a + 1, ledger)
-        u = block_engine._invert_live(u, pairs > 0, ledger, "u2k-restore")
-        window = block_engine._overlap_rows(u, k, n - 1 + k)[k:]
+        # block 0 straddles the cut: coefficients fr-1.. of s*h are u[k-1:]
+        u = block_engine.short_product_2k(cache.rows("s", fr // k),
+                                          cache.rows("h", (fr + n) // k),
+                                          fr // k - 1, a + 1, ledger, "u2k-restore")
         G = np.zeros(n, dtype=np.complex128)
-        G[0] = C * dh[fr - 1] - u[0, k - 1]
-        G[1:] = C * dh[fr : fr + n - 1] - window
+        G[0] = C * dh[fr - 1] - u[k - 1]
+        G[1:] = C * dh[fr : fr + n - 1] - u[k : n + k - 1]
         tally(ledger, cmul=n, cadd=2 * n)
         q = _window_product_2k(
             cache, "rho", a, G, n, ledger, y_label="g-blocks", out_label="s2-restore"

@@ -10,17 +10,16 @@ also take a 2-d array of polynomials, one per row: the batch runs as one
 numpy call along the last axis and records one event group per row, the
 same events as that many single calls.  Each transform is one
 unnormalized pocketfft call (numpy's ``norm="forward"``, which applies the
-inverse's 1/L inside the transform) that writes its values once, straight
-into the destination array: ``dft``, ``inverse_dft`` and
-``Spectrum.pointwise`` take a caller's array (``out=``), which may be the
-input itself or a strided view; the values are the same bit for bit either
-way.  ``dft_pair`` takes the transforms of two independent polynomials of
-one order into the caller's arrays; from order ``_PAIR_MIN_ORDER`` up, in a
-process that may use two CPUs, the second is submitted to a one-worker
-``ThreadPoolExecutor`` while the first runs in the caller (pocketfft
-releases the GIL), with the same values as two ``dft`` calls.  It is a leaf
-like ``_forward`` and ``_backward``: it neither checks nor records, and the
-Newton layer that calls it records one event group per step itself.
+inverse's 1/L inside the transform) that writes its values once.  The leaf
+kernels ``_forward`` and ``_backward`` alone write into a caller's array
+(``out=``), the input itself or a strided view, with the same bits.
+``dft_pair``, a leaf too, takes the transforms of two independent
+polynomials of one order into the caller's arrays; from order
+``_PAIR_MIN_ORDER`` up, in a process that may use two CPUs, the second is
+submitted to a one-worker ``ThreadPoolExecutor`` while the first runs in
+the caller (pocketfft releases the GIL), with the same values as two
+``dft`` calls.  The leaves neither check nor record; the Newton step that
+calls ``dft_pair`` records its own event group.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -112,17 +111,15 @@ class Spectrum:
     def _signature(self):
         return (self.kind, self.l, self.k, self.values.shape[-1])
 
-    def pointwise(self, other: "Spectrum", ledger=None, out=None) -> "Spectrum":
-        """The product spectrum self * other, in ``out`` when given; the
-        operand order is kept because complex products are not bitwise
-        commutative."""
+    def pointwise(self, other: "Spectrum", ledger=None) -> "Spectrum":
+        """The product spectrum self * other; the operand order is kept
+        because complex products are not bitwise commutative."""
         if self._signature() != other._signature():
             raise KindMismatchError(
                 f"cannot combine {self._signature()} with {other._signature()}"
             )
         tally(ledger, cmul=self.values.size)
-        return Spectrum(np.multiply(self.values, other.values, out=out),
-                        self.kind, self.l, self.k)
+        return Spectrum(self.values * other.values, self.kind, self.l, self.k)
 
 
 # -- leaf kernels (no recording) ------------------------------------------
@@ -214,15 +211,15 @@ def _rows(a: np.ndarray) -> int:
 
 # -- public transforms -----------------------------------------------------
 
-def dft(p, L: int, ledger=None, label=None, out=None) -> Spectrum:
+def dft(p, L: int, ledger=None, label=None) -> Spectrum:
     """Order-L DFT of a polynomial with deg p < L, or of each row of a
-    batch, whose values are ``out`` when given.  Empty input is zero."""
+    batch.  Empty input is zero."""
     _check_length(L)
     c = _polys(p)
     if c.shape[-1] > L:
         raise UnsupportedLengthError(f"polynomial with {c.shape[-1]} coefficients exceeds order {L}")
     record_dfts(ledger, (L,), _rows(c), label)
-    return Spectrum(_forward(c, L, out), "plain")
+    return Spectrum(_forward(c, L), "plain")
 
 
 def dft_pair(p, q, L: int, out_p, out_q) -> tuple[np.ndarray, np.ndarray]:
@@ -247,13 +244,12 @@ def dft_pair(p, q, L: int, out_p, out_q) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def inverse_dft(s: Spectrum, ledger=None, label=None, out=None) -> np.ndarray:
-    """Recover the coefficients of a plain spectrum (row by row for a batch),
-    into ``out`` when given."""
+def inverse_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:
+    """Recover the coefficients of a plain spectrum (row by row for a batch)."""
     if s.kind != "plain":
         raise KindMismatchError(f"inverse_dft needs a plain spectrum, got {s.kind}")
     record_dfts(ledger, (s.length,), _rows(s.values), label)
-    return _backward(s.values, out)
+    return _backward(s.values)
 
 
 def double_dft(p, l: int, k: int, ledger=None, label=None) -> Spectrum:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 from math import factorial
@@ -293,6 +294,19 @@ def test_bench_stdout_contains_tables():
     text = buf.getvalue()
     assert "== exp N=256 ==" in text and "== pow N=256 ==" in text
     assert "exp.stage1" in text and "pow.s.first" in text
+
+
+@pytest.mark.parametrize("args, marker", [
+    (["verify", "--sizes", "64"], "verify result=ok"),
+    (["bench", "--sizes", "256"], "== pow N=256 =="),
+])
+def test_commands_write_to_the_stdout_of_the_call(args, marker):
+    """verify and bench write where sys.stdout points when they run, so a
+    redirect made after import takes their text."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(args) == 0
+    assert marker in buf.getvalue()
 
 
 def test_bench_runs_at_small_sizes(tmp_path):

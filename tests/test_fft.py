@@ -156,25 +156,6 @@ def test_convolution_theorem():
         assert rel_err(prod, np.convolve(a, b)) < 1e-12
 
 
-@pytest.mark.parametrize("L", [1 << 12, 3 << 12, 1 << 16])
-def test_out_arrays_give_the_same_bits(L):
-    """dft, pointwise and inverse_dft into a caller's arrays (in place for
-    the last two, as the Newton layer runs them) equal the fresh-array
-    results bit for bit."""
-    rng = np.random.default_rng(L)
-    p, q = np.array([1, 1j]) @ rng.standard_normal((2, 2, L // 2))
-    a, b = np.empty(L, dtype=complex), np.empty(L, dtype=complex)
-    sp = dft(p, L, out=a)
-    sq = dft(q, L, out=b)
-    assert sp.values is a and sq.values is b
-    want = dft(p, L).pointwise(dft(q, L))
-    assert np.array_equal(a.view(float), dft(p, L).values.view(float))
-    got = sp.pointwise(sq, out=b)
-    assert got.values is b and np.array_equal(b.view(float), want.values.view(float))
-    back = inverse_dft(got, out=b)
-    assert back is b and np.array_equal(b.view(float), inverse_dft(want).view(float))
-
-
 @pytest.mark.parametrize("threads", [False, True])
 @pytest.mark.parametrize("L", [16, 3 << 12, 1 << 16])
 def test_dft_pair_is_two_dft_calls(L, threads, monkeypatch):
@@ -310,10 +291,10 @@ def _scaled_inverse_double(values, k):
 
 @pytest.mark.parametrize("L", [16, 1 << 12, 3 << 12, 1 << 16])
 def test_leaf_matches_the_scaled_transforms(L):
-    """Every transform, on one row, on a batch, in place and through a
-    strided column view, equals numpy's normalized transform followed by the
-    scaling pass: bit for bit at 2^a, where the scaling is exact, and to
-    one rounding at 3*2^a."""
+    """Every transform, on one row and on a batch, and the leaf kernels in
+    place and through a strided column view, equal numpy's normalized
+    transform followed by the scaling pass: bit for bit at 2^a, where the
+    scaling is exact, and to one rounding at 3*2^a."""
     def same(got, want):
         if L & (L - 1):
             assert rel_err(got, want) < 1e-15
@@ -334,17 +315,17 @@ def test_leaf_matches_the_scaled_transforms(L):
 
     # in place, as the Newton layer runs them
     buf = one[:L].copy()
-    assert dft(buf, L, out=buf).values is buf
+    assert fft_core._forward(buf, L, buf) is buf
     same(buf, _scaled_forward(one[:L], L))
-    assert inverse_dft(Spectrum(buf, "plain"), out=buf) is buf
+    assert fft_core._backward(buf, buf) is buf
     same(buf, _scaled_backward(_scaled_forward(one[:L], L)))
 
     # a strided view: the first 2k columns of a block cache's rows
     spec = np.zeros((3, L + k), dtype=complex)
-    s = dft(batch[:, :k], L, out=spec[:, :L])
-    assert np.shares_memory(s.values, spec) and not spec[:, L:].any()
+    values = fft_core._forward(batch[:, :k], L, spec[:, :L])
+    assert np.shares_memory(values, spec) and not spec[:, L:].any()
     same(spec[:, :L], _scaled_forward(batch[:, :k], L))
-    same(inverse_dft(Spectrum(spec[:, :L], "plain"), out=spec[:, :L]),
+    same(fft_core._backward(spec[:, :L], spec[:, :L]),
          _scaled_backward(_scaled_forward(batch[:, :k], L)))
 
 

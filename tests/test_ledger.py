@@ -24,20 +24,21 @@ from fastseries.series_core import dump_series
 def test_unit_rule():
     led = CostLedger()
     k = 8
-    led.record_dft(3 * k, stage="s", label="x")
-    assert led.units_total(k) == 3
-    led.record_dft(k, stage="s")
-    assert led.units_total(k) == 4
-    led.record_dft(2 * k, stage="s")
-    assert led.units_total(k) == 6
+    with led.stage("s"):
+        led.record_dfts((3 * k,), 1, label="x")
+        assert led.units_total(k) == 3
+        led.record_dfts((k,), 1)
+        assert led.units_total(k) == 4
+        led.record_dfts((2 * k,), 1)
+        assert led.units_total(k) == 6
 
 
 def test_bulk_records_equal_single_records():
     one, bulk = CostLedger(), CostLedger()
     with one.stage("s"), bulk.stage("s"):
         for _ in range(3):
-            one.record_dft(8, label="x")
-            one.record_dft(4, label="x")
+            one.record_dfts((8,), 1, label="x")
+            one.record_dfts((4,), 1, label="x")
         bulk.record_dfts((8, 4), 3, label="x")
         bulk.record_dfts((8,), 0, label="x")
     assert bulk.events == one.events
@@ -88,9 +89,11 @@ def test_event_sequence_of_pinned_runs():
 
 def test_additivity_and_filtering():
     led = CostLedger()
-    led.record_dft(8, stage="a", label="x")
-    led.record_dft(8, stage="a", label="x")
-    led.record_dft(16, stage="b", label="y")
+    with led.stage("a"):
+        led.record_dfts((8,), 1, label="x")
+        led.record_dfts((8,), 1, label="x")
+    with led.stage("b"):
+        led.record_dfts((16,), 1, label="y")
     assert led.units_for(8, stage="a") == 2
     assert led.units_for(8, label="y") == 2
     assert led.event_count(stage="a", label="x") == 2
@@ -98,25 +101,28 @@ def test_additivity_and_filtering():
 
 def test_fractional_units_are_exact():
     led = CostLedger()
-    led.record_dft(12, stage="s")
+    with led.stage("s"):
+        led.record_dfts((12,), 1)
     assert led.units_total(8) == Fraction(3, 2)
 
 
 def test_stage_scoping():
     led = CostLedger()
     with led.stage("outer"):
-        led.record_dft(4)
+        led.record_dfts((4,), 1)
         with led.stage("inner"):
-            led.record_dft(4)
-        led.record_dft(4)
+            led.record_dfts((4,), 1)
+        led.record_dfts((4,), 1)
     assert led.units_for(4, stage="outer") == 2
     assert led.units_for(4, stage="inner") == 1
 
 
 def test_bootstrap_exclusion():
     led = CostLedger()
-    led.record_dft(8, stage="bootstrap.E")
-    led.record_dft(8, stage="exp.stage1")
+    with led.stage("bootstrap.E"):
+        led.record_dfts((8,), 1)
+    with led.stage("exp.stage1"):
+        led.record_dfts((8,), 1)
     assert led.units_total(8, include_bootstrap=False) == 1
     assert led.units_total(8) == 2
 
@@ -133,8 +139,8 @@ def test_report_rows_and_expected_constants():
     plan = BlockPlan(k=4, n=8, m=32)
     led = CostLedger()
     with led.stage("exp.stage1"):
-        led.record_dft(8, label="f")
-        led.record_dft(4, label="f")
+        led.record_dfts((8,), 1, label="f")
+        led.record_dfts((4,), 1, label="f")
     rows = stage_table(led, plan)
     assert [r.stage for r in rows] == ["exp.stage1"]
     assert rows[0].expected == EXPECTED_STAGE_UNITS["exp.stage1"] == 13.0
@@ -162,8 +168,8 @@ def test_boundary_inverse_note():
     plan = BlockPlan(k=4, n=8, m=32)
     led = CostLedger()
     with led.stage("exp.log"):
-        led.record_dft(8, label="u-boundary")
-        led.record_dft(4, label="u-boundary")
+        led.record_dfts((8,), 1, label="u-boundary")
+        led.record_dfts((4,), 1, label="u-boundary")
     kv = report_kv(led, plan)
     assert "note.boundary_inverse.units=3" in kv
     assert "note.boundary_inverse.units_if_2k=2" in kv

@@ -1,6 +1,6 @@
-"""Wall time of the quadratic references against the fast paths, per order:
-the measurement behind fast_ops.ORACLE_MAX_ORDER, ORACLE_INVERSE_MAX_ORDER
-and NEWTON_BASE_ORDER.
+"""Wall time of the quadratic references against the fast paths, per order,
+and the accuracy of the two bootstrap inverses: the measurements behind
+fast_ops.ORACLE_MAX_ORDER, ORACLE_INVERSE_MAX_ORDER and NEWTON_BASE_ORDER.
 
 Usage:  python tools/crossover.py SRC_DIR [SIZES]
 
@@ -25,9 +25,22 @@ there) and set to 1 (Newton from order 1), BASE_REPEATS = 100 pairs
 alternating as above, and prints both medians, the pairs the recurrence's
 prefix won and the median of the paired ratios, prefix / from 1; the base
 with the least ratio is the one to take.
-A tree without NEWTON_BASE_ORDER gets a note in its place.  Both tables are
-written as the comment beside the constants in fast_ops, so they can be
-pasted there.
+A tree without NEWTON_BASE_ORDER gets a note in its place.
+
+A third table gives the error of fast_exp and fast_pow on the closed-form
+family of ROADMAP.md at FAMILY_ORDER = 4096, seeds 7 to 10, on the pinned
+plans of cli.bench_plan, whose bootstraps invert at orders 256 (exp) and
+512 (pow).  Each is run twice: with the bootstrap inverses from
+oracle_inverse up to ORACLE_INVERSE_MAX_ORDER as the tree sets it, and
+with ORACLE_INVERSE_MAX_ORDER = 0, so that fast_inverse makes them at every
+order.  The family is g = prod over i of (1 - a_i x)**c_i, its factors
+multiplied by direct convolution; exp takes log g and is checked against
+g, pow takes g with C = 0.3+0.7j and is checked against the factors with
+exponents C*c_i.  The error is max|err| / max|reference|.  A tree without
+ORACLE_INVERSE_MAX_ORDER gets a note in its place.
+
+The tables are written as the comment beside the constants in fast_ops, so
+they can be pasted there.
 Running it on the parent's SRC_DIR as well compares the references of two
 trees, one process each.
 """
@@ -47,6 +60,11 @@ REPEATS = 15
 BASES = (8, 16, 32, 64, 128)
 BASE_PROBE_ORDER = 256
 BASE_REPEATS = 100
+FAMILY_ORDER = 4096
+FAMILY_SEEDS = (7, 8, 9, 10)
+# (r, c) of the family's factors, each with a = r*exp(2*pi*i*rng.uniform())
+FAMILY_FACTORS = ((1.0, 0.5 + 0.3j), (0.999, -1.2), (1.0, 0.25 - 0.4j))
+FAMILY_POWER = 0.3 + 0.7j
 
 
 def _import(src_dir):
@@ -121,6 +139,64 @@ def measure_base(cli, fast_ops, b):
     return pairs
 
 
+def _binomial(a, c, n):
+    """(1 - a*x)**c mod x**n from t_j = t_{j-1} * (j-1-c) * a / j."""
+    j = np.arange(1, n)
+    t = np.ones(n, dtype=np.complex128)
+    t[1:] = np.cumprod((j - 1 - c) * a / j)
+    return t
+
+
+def family(seed, n):
+    """(log g, g, g**FAMILY_POWER) mod x**n for the family member of seed."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(1, n)
+    log_g = np.zeros(n, dtype=np.complex128)
+    g, g_pow = np.ones(1, dtype=np.complex128), np.ones(1, dtype=np.complex128)
+    for r, c in FAMILY_FACTORS:
+        a = r * np.exp(2j * np.pi * rng.uniform())
+        log_g[1:] -= c * a ** j / j
+        g = np.convolve(g, _binomial(a, c, n))[:n]
+        g_pow = np.convolve(g_pow, _binomial(a, FAMILY_POWER * c, n))[:n]
+    g[0] = g_pow[0] = 1.0
+    return log_g, g, g_pow
+
+
+def _error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def family_errors(cli, fast_ops, inverse_max):
+    """{op: [error per seed]} of fast_exp and fast_pow on the family at
+    FAMILY_ORDER on the pinned plans, with ORACLE_INVERSE_MAX_ORDER set to
+    inverse_max."""
+    n, errors = FAMILY_ORDER, {"exp": [], "pow": []}
+    saved = fast_ops.ORACLE_INVERSE_MAX_ORDER
+    fast_ops.ORACLE_INVERSE_MAX_ORDER = inverse_max
+    try:
+        for seed in FAMILY_SEEDS:
+            log_g, g, g_pow = family(seed, n)
+            f = fast_ops.fast_exp(log_g, n, plan=cli.bench_plan("exp", n)).coeffs
+            p = fast_ops.fast_pow(g, FAMILY_POWER, n, plan=cli.bench_plan("pow", n)).coeffs
+            errors["exp"].append(_error(f, g))
+            errors["pow"].append(_error(p, g_pow))
+    finally:
+        fast_ops.ORACLE_INVERSE_MAX_ORDER = saved
+    return errors
+
+
+def print_bases(cli, fast_ops):
+    """The table of Newton bases."""
+    print(f"# fast_inverse at order {BASE_PROBE_ORDER}, median ms of {BASE_REPEATS} interleaved "
+          "pairs, Newton from")
+    print("# the recurrence's order-b prefix / from order 1, pairs the prefix won, median ratio")
+    for b in BASES:
+        pairs = measure_base(cli, fast_ops, b)
+        ratio = statistics.median(p / one for p, one in pairs)
+        print(f"#   b = {b:3d}   {_row(pairs)}   {ratio:.3f}", flush=True)
+
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (1, 2):
@@ -142,14 +218,19 @@ def main(argv=None):
         print(f"#   {n:5d}   {_row(exp_pairs)}   {_row(inv_pairs)}", flush=True)
     if not hasattr(fast_ops, "NEWTON_BASE_ORDER"):
         print("# no NEWTON_BASE_ORDER in this tree: its Newton steps start at order 1")
+    else:
+        print_bases(cli, fast_ops)
+    if not hasattr(fast_ops, "ORACLE_INVERSE_MAX_ORDER"):
+        print("# no ORACLE_INVERSE_MAX_ORDER in this tree: no bootstrap inverse table")
         return 0
-    print(f"# fast_inverse at order {BASE_PROBE_ORDER}, median ms of {BASE_REPEATS} interleaved "
-          "pairs, Newton from")
-    print("# the recurrence's order-b prefix / from order 1, pairs the prefix won, median ratio")
-    for b in BASES:
-        pairs = measure_base(cli, fast_ops, b)
-        ratio = statistics.median(p / one for p, one in pairs)
-        print(f"#   b = {b:3d}   {_row(pairs)}   {ratio:.3f}", flush=True)
+    cap = fast_ops.ORACLE_INVERSE_MAX_ORDER
+    reference, newton = family_errors(cli, fast_ops, cap), family_errors(cli, fast_ops, 0)
+    seeds = "/".join(map(str, FAMILY_SEEDS))
+    print(f"# closed-form family at N = {FAMILY_ORDER}, pinned plans, error of seeds {seeds},")
+    print(f"# bootstrap inverses from oracle_inverse up to {cap} / from fast_inverse")
+    for op in ("exp", "pow"):
+        print(f"#   {op}  " + "/".join(f"{e:.1e}" for e in reference[op]))
+        print("#        " + "/".join(f"{e:.1e}" for e in newton[op]))
     return 0
 
 
