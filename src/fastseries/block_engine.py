@@ -314,7 +314,7 @@ def _axis_dft(rows: np.ndarray, chunk: int, out: np.ndarray, q0: int, ledger):
         part = rows[(q0 + i) * chunk : (q0 + i + 1) * chunk]
         blk[: len(part)] = part
         blk[len(part) : chunk] = 0
-    np.fft.fft(out, axis=1, out=out)
+    fft_core._axis_forward(out, out)
     tally(ledger, axis_dft=out.size)
 
 
@@ -374,7 +374,7 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger
     back = np.empty((len(spans), L, width), dtype=np.complex128)
     for g, (s, (ql, qh)) in enumerate(zip(offsets, spans)):
         np.add.reduce(B[ql : qh + 1] * C[s - qh : s - ql + 1][::-1], axis=0, out=back[g])
-    np.fft.ifft(back, axis=1, out=back)
+    fft_core._axis_backward(back, back)
     # offset s lands back[g, t] on row s*chunk + t, t <= 2*chunk - 2
     rows = np.zeros((count, width), dtype=np.complex128)
     landed = 0

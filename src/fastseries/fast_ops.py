@@ -47,7 +47,7 @@ from . import block_engine, fft_core
 from .block_engine import BlockCache, BlockPlan, frontier, shifted_middle_product
 from .cost_ledger import in_stage, record_dfts, tally
 from .errors import DomainError, PlanError
-from .oracle import oracle_exp, oracle_inverse, oracle_pow
+from .oracle import _inverse_loop, oracle_exp, oracle_inverse, oracle_pow
 from .series_core import TruncatedSeries, finite_coeffs, mul_mod, padded
 
 FAST_MIN_ORDER = 32
@@ -58,21 +58,21 @@ FAST_MIN_ORDER = 32
 # Intel(R) Xeon(R) Processor, 2 usable CPUs, numpy 2.4.6, Python 3.11.7
 # median ms of 15 interleaved pairs, reference / fast, and pairs the reference won
 #   order   exp                        inverse
-#     256     0.64 /   2.24  15/15     0.41 /   0.40   7/15
-#     512     1.08 /   2.68  15/15     0.74 /   0.52   0/15
-#     768     1.50 /   3.62  15/15     1.05 /   0.60   0/15
-#    1024     1.44 /   1.90  15/15     0.89 /   0.42   0/15
-#    1536     2.28 /   2.67  15/15     1.53 /   0.52   0/15
-#    2048     3.30 /   2.66   1/15     2.32 /   0.56   0/15
-#    3072     5.54 /   3.67   0/15     4.02 /   0.82   0/15
-#    4096     8.38 /   3.87   0/15     6.23 /   0.91   0/15
+#     256     0.37 /   1.19  15/15     0.24 /   0.16   0/15
+#     512     0.63 /   1.44  15/15     0.43 /   0.20   0/15
+#     768     0.91 /   1.94  15/15     0.66 /   0.25   0/15
+#    1024     1.46 /   1.76  15/15     0.93 /   0.30   0/15
+#    1536     2.40 /   2.43   8/15     1.55 /   0.40   0/15
+#    2048     3.32 /   2.65   0/15     2.33 /   0.48   0/15
+#    3072     5.75 /   3.57   0/15     4.34 /   0.66   0/15
+#    4096     8.70 /   3.82   0/15     6.74 /   0.81   0/15
 # fast_inverse at order 256, median ms of 100 interleaved pairs, Newton from
 # the recurrence's order-b prefix / from order 1, pairs the prefix won, median ratio
-#   b =   8     0.22 /   0.29 100/100   0.751
-#   b =  16     0.22 /   0.30  99/100   0.705
-#   b =  32     0.23 /   0.32  98/100   0.711
-#   b =  64     0.27 /   0.33  91/100   0.819
-#   b = 128     0.30 /   0.33  87/100   0.892
+#   b =   8     0.15 /   0.18  90/100   0.808
+#   b =  16     0.15 /   0.18  94/100   0.833
+#   b =  32     0.17 /   0.18  53/100   0.897
+#   b =  64     0.23 /   0.19  12/100   1.244
+#   b = 128     0.33 /   0.18   0/100   1.877
 # closed-form family at N = 4096, pinned plans, error of seeds 7/8/9/10,
 # bootstrap inverses from oracle_inverse up to 512 / from fast_inverse
 #   exp  6.7e-13/1.8e-13/6.0e-14/7.8e-13
@@ -83,8 +83,9 @@ FAST_MIN_ORDER = 32
 # are exponentials (see fast_pow), so no bootstrap runs oracle_pow.
 # ORACLE_INVERSE_MAX_ORDER stays at 512, where the reference no longer wins
 # on time but keeps the family's error lower on every seed, up to 9x.
-# NEWTON_BASE_ORDER is the base of least ratio; 16 and 32 trade places
-# between runs, and 16 keeps the smaller quadratic prefix.
+# NEWTON_BASE_ORDER is the base of least ratio; 16 and 32 traded places
+# between runs when it was chosen, and 16 keeps the smaller quadratic
+# prefix.  Since the leaves call pocketfft directly, 8 and 16 trade places.
 ORACLE_MAX_ORDER = 1536
 ORACLE_INVERSE_MAX_ORDER = 512
 NEWTON_BASE_ORDER = 16
@@ -305,7 +306,7 @@ def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
     base = [t for t in orders if t <= NEWTON_BASE_ORDER]
     b = base[-1] if base else 1
     r = np.empty(N, dtype=np.complex128)
-    r[:b] = oracle_inverse(c[:b], b).coeffs
+    r[:b] = _inverse_loop(c[:b], b)  # c is checked; oracle_inverse runs this up to 64
     # coefficient j of the recurrence is a dot product of min(j, d) terms
     d = min(c.size, b) - 1
     macs = d * (2 * b - d - 1) // 2

@@ -8,11 +8,13 @@ transform reports a DFT event to the ledger it is handed (the leaf kernels
 themselves do not record anything).  The forward and inverse transforms
 also take a 2-d array of polynomials, one per row: the batch runs as one
 numpy call along the last axis and records one event group per row, the
-same events as that many single calls.  Each transform is one
-unnormalized pocketfft call (numpy's ``norm="forward"``, which applies the
-inverse's 1/L inside the transform) that writes its values once.  The leaf
-kernels ``_forward`` and ``_backward`` alone write into a caller's array
-(``out=``), the input itself or a strided view, with the same bits.
+same events as that many single calls.  Each transform, the block
+engine's included, is one direct call of numpy's pocketfft gufunc, made
+from this module alone, that writes its values once: ``ifft`` with factor
+1 forward and ``fft`` with factor 1/L back, the factors ``numpy.fft``
+passes for ``norm="forward"``.  The leaf kernels ``_forward`` and ``_backward``
+alone write into a caller's array (``out=``), the input itself or a
+strided view, with the same bits.
 ``dft_pair``, a leaf too, takes the transforms of two independent
 polynomials of one order into the caller's arrays; from order
 ``_PAIR_MIN_ORDER`` up, in a process that may use two CPUs, the second is
@@ -34,6 +36,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+# numpy's own pocketfft gufuncs, called directly: numpy.fft.fft/ifft, which
+# call them too, spend about 4 us a call working out the same norm factor,
+# dtype, axis and output shape again, as much as a whole order-32 transform.
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .cost_ledger import record_dfts, tally
 from .errors import KindMismatchError, UnsupportedLengthError
@@ -126,12 +132,29 @@ class Spectrum:
 
 def _forward(coeffs, L: int, out=None) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.complex128)
-    return np.fft.ifft(c, n=L, axis=-1, norm="forward", out=out)
+    if out is None:
+        out = np.empty(c.shape[:-1] + (L,), dtype=np.complex128)
+    return _pocketfft.ifft(c, 1.0, out=out)
 
 
 def _backward(values, out=None) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
-    return np.fft.fft(v, axis=-1, norm="forward", out=out)
+    if out is None:
+        out = np.empty(v.shape, dtype=np.complex128)
+    return _pocketfft.fft(v, 1 / v.shape[-1], out=out)
+
+
+# The block engine's transforms along axis 1 of a (chunks, L, width) stack,
+# numpy's own pairing: unscaled w**-1 forward, and the inverse scaled by 1/L.
+_AXIS_1 = [(1,), (), (1,)]
+
+
+def _axis_forward(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return _pocketfft.fft(x, 1.0, axes=_AXIS_1, out=out)
+
+
+def _axis_backward(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return _pocketfft.ifft(x, 1 / out.shape[1], axes=_AXIS_1, out=out)
 
 
 # Shortest order at which dft_pair runs its two transforms at once.  Median

@@ -329,6 +329,26 @@ def test_leaf_matches_the_scaled_transforms(L):
          _scaled_backward(_scaled_forward(batch[:, :k], L)))
 
 
+@pytest.mark.parametrize("L", [4, 32, 256])
+def test_block_axis_leaves_keep_numpys_bits(L):
+    """The block engine's transforms along axis 1 of a (chunks, L, width)
+    stack, in place, equal np.fft.fft/ifft along that axis byte for byte;
+    so does a short input written into a strided view of a wider stack."""
+    rng = np.random.default_rng(L)
+    x = rng.standard_normal((3, L, 5)) + 1j * rng.standard_normal((3, L, 5))
+    for leaf, numpy_transform in ((fft_core._axis_forward, np.fft.fft),
+                                  (fft_core._axis_backward, np.fft.ifft)):
+        got = x.copy()
+        assert leaf(got, got) is got
+        assert got.tobytes() == numpy_transform(x, axis=1).tobytes()
+
+        wide = np.zeros((3, L, 10), dtype=complex)
+        view = wide[:, :, ::2]
+        assert leaf(x[:, : L // 2], view) is view
+        assert view.tobytes() == numpy_transform(x[:, : L // 2], n=L, axis=1).tobytes()
+        assert not wide[:, :, 1::2].any()
+
+
 def test_pointwise_kind_mismatch():
     a = dft([1, 2], 4)
     b = double_dft([1, 2], 2, 2)

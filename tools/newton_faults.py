@@ -11,15 +11,17 @@ after each call, so they count this process alone; a fault is a page the
 call touched for the first time, e.g. a fresh array the allocator had
 handed back to the kernel.
 
-The "np.fft" column counts the faults taken inside np.fft.fft/ifft (wrapped
-for this process only), each read with getrusage(RUSAGE_THREAD) in the
-thread that made the call: the Newton layer runs some transforms on a
-helper thread at the same time as the caller's, and a process-wide count
-would give the faults of both to each.  np.fft allocates its own scratch
-on every call, and whether that scratch faults depends on what the process
-freed before: glibc hands a freed block back to the kernel unless a larger
-block was freed earlier.  So a process that only runs these calls can fault there,
-where one that also runs larger work (the benchmark's) does not.
+The "transform faults" column counts the faults taken inside the leaf
+transforms fft_core._forward/_backward (wrapped for this process only),
+which make every pocketfft call of the Newton layer; each is read with
+getrusage(RUSAGE_THREAD) in the thread that made the call: the Newton
+layer runs some transforms on a helper thread at the same time as the
+caller's, and a process-wide count would give the faults of both to each.
+pocketfft allocates its own scratch on every call, and whether that
+scratch faults depends on what the process freed before: glibc hands a
+freed block back to the kernel unless a larger block was freed earlier.
+So a process that only runs these calls can fault there, where one that
+also runs larger work (the benchmark's) does not.
 """
 
 from __future__ import annotations
@@ -64,27 +66,27 @@ def main(argv=None):
     if len(argv) not in (2, 3):
         sys.exit(__doc__.split("\n\n")[1])
     sys.path.insert(0, os.path.abspath(argv[0]))
-    from fastseries import fast_inverse, fast_log
+    from fastseries import fast_inverse, fast_log, fft_core
     from fastseries.cli import pow_input
 
     N, repeats = int(argv[1]), int(argv[2]) if len(argv) == 3 else 20
     g = pow_input(np.random.default_rng(5), N)
     in_fft = [0]
-    saved = np.fft.fft, np.fft.ifft
-    np.fft.fft, np.fft.ifft = (_count_in(in_fft, fn) for fn in saved)
+    saved = fft_core._forward, fft_core._backward
+    fft_core._forward, fft_core._backward = (_count_in(in_fft, fn) for fn in saved)
     try:
         print(f"N={N} repeats={repeats}")
         for name, fn in (("fast_inverse", fast_inverse), ("fast_log", fast_log)):
             ms, faults, fft_faults = _measure(lambda: fn(g, N), in_fft)
-            print(f"{name} first: {ms:.2f} ms, {faults} faults, {fft_faults} in np.fft")
+            print(f"{name} first: {ms:.2f} ms, {faults} faults, {fft_faults} in transforms")
             runs = [_measure(lambda: fn(g, N), in_fft) for _ in range(repeats)]
             for col, label, fmt in ((0, "ms", ".2f"), (1, "faults", ".0f"),
-                                    (2, "np.fft faults", ".0f")):
+                                    (2, "transform faults", ".0f")):
                 values = [run[col] for run in runs]
                 print(f"{name} repeated {label}: median {statistics.median(values):{fmt}}"
                       f" min {min(values):{fmt}} max {max(values):{fmt}}")
     finally:
-        np.fft.fft, np.fft.ifft = saved
+        fft_core._forward, fft_core._backward = saved
     return 0
 
 
