@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fft_core
-from .cost_ledger import tally
+from .cost_ledger import BOUNDARY_INVERSE_LABEL, tally
 from .errors import DomainError, PlanError
 from .series_core import TruncatedSeries
 
@@ -500,7 +500,7 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         tally(ledger, cmul=lin.size)
 
     # Straddling block: one inverse to read theta and the boundary value.
-    straddle = _invert_live(res[:1], present[:1], ledger, "u-boundary", k)[0]
+    straddle = _invert_live(res[:1], present[:1], ledger, BOUNDARY_INVERSE_LABEL, k)[0]
     theta = straddle[k : 2 * k]
 
     out_blocks = np.zeros((0, 3 * k), dtype=np.complex128)

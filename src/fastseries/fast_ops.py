@@ -31,7 +31,7 @@ power reference.  The prefixes come from oracle_exp up to ORACLE_MAX_ORDER
 the recursion reaches the references within a level or two (at N = 2**14,
 16384 -> fast_exp at 4096 -> oracle_exp at 1024).  The reciprocal of an
 exp prefix f_n = exp(g) whose inversion would cancel is taken as exp(-g)
-instead (_exp_reciprocal).  Those inner calls get no ledger, so the
+instead (_exp_prefixes).  Those inner calls get no ledger, so the
 bootstrap stages of the caller's report stay empty.
 """
 
@@ -92,7 +92,7 @@ NEWTON_BASE_ORDER = 16
 
 # Largest max|f_n| * max|r_n| of a bootstrap reciprocal prefix r_n = 1/f_n
 # taken from the inverse; above it r_n is exp(-g) for f_n = exp(g), see
-# _exp_reciprocal.  exp(a*x) passes it from about a = 9 on.
+# _exp_prefixes.  exp(a*x) passes it from about a = 9 on.
 RECIPROCAL_GROWTH_MAX = 1e6
 
 # Per-thread work arrays of the Newton layer, see _workspace.
@@ -121,22 +121,26 @@ def _prefix_inverse(f, n: int) -> np.ndarray:
     return fast_inverse(f, n).coeffs
 
 
-def _exp_reciprocal(f_n: np.ndarray, g, n: int) -> np.ndarray:
-    """1/f_n mod x**n for the bootstrap prefix f_n = exp(g) mod x**n.
+def _exp_prefixes(g, n: int, ledger, stage) -> tuple[np.ndarray, np.ndarray]:
+    """The bootstrap prefix f_n = exp(g) mod x**n, made under stage, and
+    its reciprocal r_n = 1/f_n mod x**n, made under bootstrap.I.
 
-    It is _prefix_inverse(f_n), unless that overflows or its growth
+    r_n is _prefix_inverse(f_n), unless that overflows or its growth
     max|f_n| * max|r_n| passes RECIPROCAL_GROWTH_MAX: inverting f_n then
     cancels in every coefficient (on g = a*x both factors grow like e**|a|),
     and r_n comes from exp(-g) mod x**n, the same series, whose reference
     does not cancel."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_n = _prefix_inverse(f_n, n)
-        if np.max(np.abs(f_n)) * np.max(np.abs(r_n)) <= RECIPROCAL_GROWTH_MAX:
-            return r_n
-    except DomainError:  # the inverse overflowed complex128
-        pass
-    return _prefix_exp(np.negative(g), n)
+    with in_stage(ledger, stage):
+        f_n = _prefix_exp(g, n)
+    with in_stage(ledger, "bootstrap.I"):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_n = _prefix_inverse(f_n, n)
+            if np.max(np.abs(f_n)) * np.max(np.abs(r_n)) <= RECIPROCAL_GROWTH_MAX:
+                return f_n, r_n
+        except DomainError:  # the inverse overflowed complex128
+            pass
+        return f_n, _prefix_exp(np.negative(g), n)
 
 
 # -- plan selection -----------------------------------------------------------
@@ -194,15 +198,14 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
 
 # -- shared machinery --------------------------------------------------------
 
-def _window_product_2k(cache, x_label, x_count, y, out_len, ledger,
-                       y_label, out_label):
+def _window_product_2k(cache, x_label, y, out_len, ledger, y_label, out_label):
     """Short product (x * y) mod x**out_len where x is given by the order-2k
-    segments of cached blocks 0..x_count-1 and y is a fresh coefficient
+    segments of its cached blocks 0..out_len/k-1 and y is a fresh coefficient
     window of out_len/k whole blocks, transformed here in one batch."""
     k = cache.k
     y_blocks = np.asarray(y, dtype=np.complex128).reshape(-1, k)
     y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
-    return block_engine.short_product_2k(cache.rows(x_label, x_count), y_specs, 0,
+    return block_engine.short_product_2k(cache.rows(x_label, out_len // k), y_specs, 0,
                                          out_len // k, ledger, out_label)
 
 
@@ -226,7 +229,7 @@ def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> 
             tail = q.coeffs / np.arange(fr, fr + n)
             tally(ledger, smul=n)
             f_arr[fr : fr + n] = _window_product_2k(
-                cache, "f", n // k, tail, n, ledger, y_label="j-blocks", out_label="update-restore"
+                cache, "f", tail, n, ledger, y_label="j-blocks", out_label="update-restore"
             )
             cache.extend_known("f", fr + n)
         cache.ensure("f", m // k - 1, ledger=ledger)
@@ -241,7 +244,7 @@ def _final_stage(cache, f_arr, w_tail, plan, ledger, stage) -> np.ndarray:
     with in_stage(ledger, stage):
         tally(ledger, smul=m, cadd=m)
         upper = _window_product_2k(
-            cache, "f", m // k, w_tail, m, ledger, y_label="w-blocks", out_label="final-restore"
+            cache, "f", w_tail, m, ledger, y_label="w-blocks", out_label="final-restore"
         )
     return np.concatenate([f_arr, upper])
 
@@ -409,16 +412,13 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
         plan = choose_plan(N)
     if plan.fallback:
         with in_stage(ledger, "bootstrap.E"):
-            return _finite_result(oracle_exp(h_arr, N).coeffs)
+            return TruncatedSeries._adopt(_prefix_exp(h_arr, N))
     m, n = plan.m, plan.n
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
 
-    with in_stage(ledger, "bootstrap.E"):
-        f_n = _prefix_exp(h2[:n], n)
-    with in_stage(ledger, "bootstrap.I"):
-        r_n = _exp_reciprocal(f_n, h2[:n], n)
+    f_n, r_n = _exp_prefixes(h2[:n], n, ledger, "bootstrap.E")
     cache = BlockCache(plan.k)
     cache.register("dh", np.arange(1, 2 * m) * h2[1:])
     f_arr = _first_half(cache, f_n, r_n, "dh", plan, ledger, "exp.stage1")
@@ -446,7 +446,7 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
         G[1:] = C * dh[fr : fr + n - 1] - u[k : n + k - 1]
         tally(ledger, cmul=n, cadd=2 * n)
         q = _window_product_2k(
-            cache, "rho", a, G, n, ledger, y_label="g-blocks", out_label="s2-restore"
+            cache, "rho", G, n, ledger, y_label="g-blocks", out_label="s2-restore"
         )
         s_arr[fr - 1 : fr + n - 1] = q
         cache.extend_known("s", fr + n - 1)
@@ -516,12 +516,9 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     dh = np.arange(1, 2 * m) * h2[1:]
     with in_stage(ledger, "bootstrap.s"):
         seed = Cc * mul_mod(dh[: n - 1], rho_n, n - 1).coeffs
-    with in_stage(ledger, "bootstrap.P"):
-        # the seed is C*log(h)' mod x**(n-1), so h**C mod x**n = exp(integral)
-        g_n = np.concatenate([[0], seed / np.arange(1, n)])
-        f_n = _prefix_exp(g_n, n)
-    with in_stage(ledger, "bootstrap.I"):
-        r_n = _exp_reciprocal(f_n, g_n, n)
+    # the seed is C*log(h)' mod x**(n-1), so h**C mod x**n = exp(integral)
+    g_n = np.concatenate([[0], seed / np.arange(1, n)])
+    f_n, r_n = _exp_prefixes(g_n, n, ledger, "bootstrap.P")
 
     cache = BlockCache(k)
     s_arr = _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, Cc)

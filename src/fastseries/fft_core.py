@@ -17,11 +17,11 @@ alone write into a caller's array (``out=``), the input itself or a
 strided view, with the same bits.
 ``dft_pair``, a leaf too, takes the transforms of two independent
 polynomials of one order into the caller's arrays; from order
-``_PAIR_MIN_ORDER`` up, in a process that may use two CPUs, the second is
-submitted to a one-worker ``ThreadPoolExecutor`` while the first runs in
-the caller (pocketfft releases the GIL), with the same values as two
-``dft`` calls.  The leaves neither check nor record; the Newton step that
-calls ``dft_pair`` records its own event group.
+``_PAIR_MIN_ORDER`` up, in a process that may use two CPUs, the second runs
+on a thread started for it while the first runs in the caller (pocketfft
+releases the GIL), with the same values as two ``dft`` calls.  No thread,
+lock or executor is kept between calls.  The leaves neither check nor
+record; the Newton step that calls ``dft_pair`` records its own event group.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
 granted/requested overshoot at 3/2 or better and directly provides the
@@ -30,9 +30,10 @@ orders k, 2k and 3k the block algorithms need.
 
 from __future__ import annotations
 
+import _thread
 import functools
 import os
-import threading
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,19 +158,20 @@ def _axis_backward(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _pocketfft.ifft(x, 1 / out.shape[1], axes=_AXIS_1, out=out)
 
 
-# Shortest order at which dft_pair runs its two transforms at once.  Median
-# microseconds of one order-L transform of L inputs and one of L/2 inputs,
-# back to back and on two threads, with the paired ratio and its quartiles
-# (interleaved, 30 to 976 pairs, 2-vCPU Xeon, numpy 2.4.6):
+# Shortest order at which dft_pair runs its two transforms at once, beside
+# the fourth table of ``python tools/crossover.py src``:
+# Intel(R) Xeon(R) Processor, 2 usable CPUs, numpy 2.4.6, Python 3.11.7
+# dft_pair of L and L/2 coefficients, median us of 300 interleaved pairs,
+# serial / two threads, and the ratio two threads / serial [q1, q3]
 #       L   serial  threads   ratio
-#    4096      174      310   1.78 [1.61, 1.99]
-#    6144      282      366   1.45 [0.98, 2.23]
-#    8192      388      553   1.45 [0.96, 2.41]
-#   12288      648      541   0.84 [0.66, 1.36]
-#   16384      781      607   0.78 [0.70, 0.96]
-#   32768     3086     1709   0.54 [0.52, 0.61]
-#   65536     6418     3403   0.53 [0.51, 0.63]
-# Below 12288 waking the helper costs more than the overlap saves.
+#    4096       95      141   1.48 [1.31, 1.93]
+#    6144      173      213   1.17 [0.98, 1.43]
+#    8192      324      273   0.87 [0.75, 0.98]
+#   12288      508      407   0.81 [0.72, 0.92]
+#   16384      632      494   0.79 [0.71, 0.88]
+#   32768     1327      773   0.58 [0.55, 0.62]
+#   65536     2219     1531   0.63 [0.56, 0.80]
+# Two threads win from 8192-12288 on; 16384 stays until end-to-end runs.
 _PAIR_MIN_ORDER = 16384
 
 
@@ -178,43 +180,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-# This process's one helper thread, a one-worker executor made on first use
-# that serves every caller thread in turn.  A forked child has no such
-# thread, so it drops the executor and makes its own.
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _forget_helper():
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _on_helper(fn, *args):
-    """Hand fn(*args) to the helper thread, starting it if need be, and
-    return its concurrent.futures.Future; None when no thread can take it."""
-    global _helper
-    with _helper_lock:
-        try:
-            if _helper is None:
-                # imported here: concurrent.futures adds about 10 ms to the
-                # import of a process that never pairs
-                from concurrent.futures import ThreadPoolExecutor
-                _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastseries-dft")
-            return _helper.submit(fn, *args)
-        except RuntimeError:
-            # the interpreter is shutting down, or no thread could start: drop
-            # the executor with any job it queued, so none runs later
-            if _helper is not None:
-                _helper.shutdown(wait=False, cancel_futures=True)
-            _helper = None
-            return None
 
 
 def _check_length(L: int):
@@ -251,20 +216,35 @@ def dft_pair(p, q, L: int, out_p, out_q) -> tuple[np.ndarray, np.ndarray]:
     Like the leaf kernels it checks and records nothing: the Newton layer,
     its caller, computes the lengths itself and records the events.  From
     order _PAIR_MIN_ORDER up, in a process that may use at least 2 CPUs,
-    q's transform is handed to the helper thread while p's runs here, so
-    neither output may overlap the other or an input.  Without a helper
-    (the interpreter is shutting down) both run here."""
-    paired = L >= _PAIR_MIN_ORDER and _usable_cpus() >= 2
-    job = _on_helper(_forward, q, L, out_q) if paired else None
-    if job is None:
+    q's transform runs on a thread started for it while p's runs here, so
+    neither output may overlap the other or an input; the call returns once
+    that thread has written out_q and let go of it.  While the interpreter
+    finalizes (a thread started then may never run), or when no thread can
+    start, both run here."""
+    if L < _PAIR_MIN_ORDER or _usable_cpus() < 2 or sys.is_finalizing():
+        return _forward(p, L, out_p), _forward(q, L, out_q)
+    done, error = _thread.allocate_lock(), []
+    done.acquire()
+
+    def second():
+        try:
+            _forward(q, L, out_q)
+        except BaseException as exc:
+            error.append(exc)
+        finally:
+            done.release()
+
+    try:
+        _thread.start_new_thread(second, ())
+    except RuntimeError:  # no thread can start
         return _forward(p, L, out_p), _forward(q, L, out_q)
     try:
-        first = _forward(p, L, out_p)
+        _forward(p, L, out_p)
     finally:
-        # a helper that has not started q's transform yet (busy, or still
-        # waking up) leaves it to this thread; result() re-raises its error
-        second = _forward(q, L, out_q) if job.cancel() else job.result()
-    return first, second
+        done.acquire()
+    if error:
+        raise error[0]
+    return out_p, out_q
 
 
 def inverse_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:

@@ -1,5 +1,6 @@
+import _thread
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fastseries import (
 )
 from fastseries.fft_core import dft_pair, is_supported_length, zeta_for
 
-from util import rel_err
+from util import record_thread_starts, rel_err
 
 
 SUPPORTED_SMALL = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128]
@@ -176,68 +177,46 @@ def test_dft_pair_is_two_dft_calls(L, threads, monkeypatch):
 
 
 def _paired(monkeypatch):
-    """Patch the crossover below every length and record each helper job."""
-    jobs, on_helper = [], fft_core._on_helper
-
-    def recorded(fn, *args):
-        jobs.append(on_helper(fn, *args))
-        return jobs[-1]
-
+    """Patch the crossover below every length and record each thread start."""
     monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(fft_core, "_PAIR_MIN_ORDER", 1)
-    monkeypatch.setattr(fft_core, "_on_helper", recorded)
-    return jobs
-
-
-def test_dft_pair_takes_back_a_job_the_busy_helper_has_not_started(monkeypatch):
-    """With the helper held by another job, the caller takes q's transform
-    back and returns dft's values without waiting for it."""
-    jobs = _paired(monkeypatch)
-    L = 64
-    p, q = np.arange(L) + 1j, np.arange(L // 2) - 2j
-    wp, wq = dft(p, L), dft(q, L)
-    started, release = threading.Event(), threading.Event()
-    busy = fft_core._on_helper(lambda: (started.set(), release.wait(60)))
-    try:
-        assert started.wait(30)
-        sp, sq = dft_pair(p, q, L, np.empty(L, complex), np.empty(L, complex))
-        assert not busy.done()
-    finally:
-        release.set()
-        busy.result(30)
-    assert jobs[-1].cancelled()
-    assert np.array_equal(sp.view(float), wp.values.view(float))
-    assert np.array_equal(sq.view(float), wq.values.view(float))
+    return record_thread_starts(monkeypatch)
 
 
 def test_dft_pair_runs_alone_when_no_thread_can_start(monkeypatch):
-    """A helper thread that cannot start leaves both transforms to the
-    caller, and its executor is shut down with the job it had queued."""
+    """A thread that cannot start leaves both transforms to the caller."""
     _paired(monkeypatch)
-    pool = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(fft_core, "_helper", pool)
 
-    def refuse(thread):
+    def refuse(fn, args):
         raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(_thread, "start_new_thread", refuse)
     p, q = np.arange(16) + 1j, np.ones(8)
     sp, sq = dft_pair(p, q, 16, np.empty(16, complex), np.empty(16, complex))
     assert np.array_equal(sp, dft(p, 16).values)
     assert np.array_equal(sq, dft(q, 16).values)
-    assert fft_core._helper is None
-    with pytest.raises(RuntimeError, match="after shutdown"):
-        pool.submit(int)
+
+
+def test_dft_pair_starts_no_thread_while_the_interpreter_finalizes(monkeypatch):
+    """While the interpreter finalizes, a started thread may never run, so
+    both transforms run in the caller and no thread starts."""
+    starts = _paired(monkeypatch)
+    monkeypatch.setattr(sys, "is_finalizing", lambda: True)
+    p, q = np.arange(16) + 1j, np.ones(8)
+    sp, sq = dft_pair(p, q, 16, np.empty(16, complex), np.empty(16, complex))
+    assert not starts
+    assert np.array_equal(sp, dft(p, 16).values)
+    assert np.array_equal(sq, dft(q, 16).values)
 
 
 def test_dft_pair_raises_the_helpers_error(monkeypatch):
-    """An error in the transform the helper runs reaches the caller, who
-    waited until the helper had started it."""
-    jobs = _paired(monkeypatch)
-    started, forward = threading.Event(), fft_core._forward
+    """An error in the transform the started thread runs reaches the caller,
+    who waited until that thread had started it."""
+    starts = _paired(monkeypatch)
+    caller, started, forward = threading.get_ident(), threading.Event(), fft_core._forward
 
     def failing(coeffs, L, out=None):
-        if threading.current_thread().name.startswith("fastseries-dft"):
+        if threading.get_ident() != caller:
             started.set()
             raise RuntimeError("helper transform failed")
         assert started.wait(30)
@@ -247,7 +226,7 @@ def test_dft_pair_raises_the_helpers_error(monkeypatch):
     a, b = np.empty(16, dtype=complex), np.empty(16, dtype=complex)
     with pytest.raises(RuntimeError, match="helper transform failed"):
         dft_pair(np.ones(16), np.ones(8), 16, a, b)
-    assert not jobs[-1].cancelled()
+    assert len(starts) == 1 and starts[0]["ident"] != caller
 
 
 # The transforms as they were written before the leaf passed its scaling to

@@ -3,10 +3,11 @@ threads run the pinned-plan fast paths at once and share the module-level
 root tables, and when they run the Newton layer, each in its own workspace
 (the README's "bitwise identical" claim).  A ledger only counts: results
 with one and without one are the same bytes.  The Newton layer's transform
-pairs give the same bytes, events and scalars on one thread or two, its
-helper thread is started anew in a forked child, and never on one CPU, and
-a process that started it exits."""
+pairs give the same bytes, events and scalars on one thread or two, also
+in a forked child; each thread a pair starts is done when the pair returns,
+and none starts on one CPU."""
 
+import _thread
 import functools
 import multiprocessing
 import os
@@ -21,7 +22,7 @@ from fastseries import CostLedger, fast_exp, fast_inverse, fast_log, fast_pow, f
 from fastseries.cli import VERIFY_POWERS, bench_plan, exp_input, pow_input
 from fastseries.cost_ledger import report_kv
 
-from util import binomial_series
+from util import binomial_series, record_thread_starts
 
 N = 4096
 C = 0.3 + 0.7j
@@ -144,72 +145,81 @@ def _newton_runs(order):
     return runs
 
 
+def _recorded_pairs(monkeypatch):
+    """Record the order of each dft_pair call and each thread it starts."""
+    orders, pair = [], fft_core.dft_pair
+
+    def recorded(p, q, L, out_p, out_q):
+        orders.append(L)
+        return pair(p, q, L, out_p, out_q)
+
+    monkeypatch.setattr(fft_core, "dft_pair", recorded)
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
+    return orders, record_thread_starts(monkeypatch)
+
+
 @pytest.mark.parametrize("order", [1 << 14, 1 << 16, (1 << 16) - 1, 3 << 14])
 def test_transform_pairs_on_two_threads_match_serial_ones(order, monkeypatch):
     """With the crossover patched above every length, every pair of the
     Newton layer runs serially; patched below, every pair runs on two
     threads.  Both give the same bytes, events and scalars, in order."""
-    jobs, on_helper = [], fft_core._on_helper
-
-    def counted(fn, coeffs, L, out):
-        jobs.append(L)
-        return on_helper(fn, coeffs, L, out)
-
-    monkeypatch.setattr(fft_core, "_on_helper", counted)
-    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
+    orders, starts = _recorded_pairs(monkeypatch)
     monkeypatch.setattr(fft_core, "_PAIR_MIN_ORDER", 1 << 30)
     serial = _newton_runs(order)
-    assert not jobs
+    assert orders and not starts
+    orders.clear()
     monkeypatch.setattr(fft_core, "_PAIR_MIN_ORDER", 1)
     threaded = _newton_runs(order)
-    assert max(jobs) == fft_core.granted_length(order)
+    assert max(orders) == fft_core.granted_length(order)
+    assert len(starts) == len(orders)
     for want, got in zip(serial, threaded):
         assert want[0] == want[1]
         assert got == want
 
 
+def test_paired_fast_log_leaves_no_thread_alive(monkeypatch):
+    """Every thread that fast_log's transform pairs start has run its
+    target to the end when fast_log returns."""
+    orders, starts = _recorded_pairs(monkeypatch)
+    g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, 1 << 16)
+    # a thread is done a few bytecodes after it lets the caller go; the
+    # long switch interval keeps the caller from taking the GIL before that
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        alive = _thread._count()
+        fast_log(g, 1 << 16)
+        assert _thread._count() <= alive
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(starts) == sum(L >= fft_core._PAIR_MIN_ORDER for L in orders) > 0
+    assert all(start["done"] for start in starts)
+
+
 def _log_bytes(g, order, conn):
-    out = fast_log(g, order).coeffs.tobytes()
-    conn.send((out, [t.name for t in threading.enumerate()]))
+    conn.send(fast_log(g, order).coeffs.tobytes())
     conn.close()
 
 
 def test_forked_child_runs_the_newton_layer(monkeypatch):
-    """A child forked after the parent's helper thread started has no such
-    thread; it starts its own (handing jobs to the parent's executor would
-    leave them to the caller, and keep them queued for good), and its
-    fast_log gives the parent's bytes."""
+    """A child forked after the parent ran paired transforms runs its own,
+    and its fast_log gives the parent's bytes."""
     monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
     order = 1 << 16
     g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, order)
     want = fast_log(g, order).coeffs.tobytes()
-    assert fft_core._helper is not None
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_log_bytes, args=(g, order, send), daemon=True)
     child.start()
     try:
         assert recv.poll(60), "the forked child's fast_log did not finish"
-        got, threads = recv.recv()
-        assert got == want
-        assert any(name.startswith("fastseries-dft") for name in threads)
+        assert recv.recv() == want
         child.join(60)
         assert child.exitcode == 0
     finally:
         if child.is_alive():
             child.kill()
-
-
-_HELPER_RUN = """
-import threading
-import numpy as np
-from fastseries import fft_core
-fft_core._usable_cpus = lambda: 2
-fft_core._PAIR_MIN_ORDER = 1
-out = np.empty(16, dtype=complex), np.empty(16, dtype=complex)
-fft_core.dft_pair(np.ones(16), np.ones(8), 16, *out)
-print(" ".join(t.name for t in threading.enumerate()))
-"""
 
 
 _LATE_PAIR = """
@@ -240,32 +250,22 @@ def _python(code):
                           text=True, timeout=60)
 
 
-def test_process_with_a_started_helper_exits():
-    """The helper thread is not a daemon; a process that started it still
-    exits, with status 0, once its main thread is done."""
-    done = _python(_HELPER_RUN)
-    assert done.returncode == 0, done.stderr
-    assert "fastseries-dft" in done.stdout
-
-
 @pytest.mark.parametrize("warm", [False, True])
 def test_pair_during_interpreter_shutdown_runs_serially(warm):
-    """A thread that pairs after the main thread ended, when
-    concurrent.futures takes no new work, gets dft's values from the caller
-    alone, whether or not the helper had started before."""
+    """A thread that pairs after the main thread ended, while the
+    interpreter waits for its threads before it finalizes, gets dft's
+    values, and the process exits, whether or not a pair ran before."""
     done = _python(f"WARM = {warm}\n" + _LATE_PAIR)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "late pair [True, True]", done.stderr
 
 
 def test_one_cpu_starts_no_helper_thread(monkeypatch):
-    """A process that may use one CPU runs every pair serially and never
-    starts the helper thread."""
+    """A process that may use one CPU runs every pair serially and starts
+    no thread."""
+    starts = record_thread_starts(monkeypatch)
     monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(fft_core, "_helper", None)
-    threads = threading.active_count()
     g = binomial_series(np.exp(0.4j), 0.5 + 0.3j, 1 << 16)
     fast_inverse(g, 1 << 16)
     fast_log(g, 1 << 16)
-    assert fft_core._helper is None
-    assert threading.active_count() == threads
+    assert not starts

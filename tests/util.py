@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import _thread
+
 import numpy as np
 
 
@@ -65,3 +67,26 @@ def loop_exp(h, n):
         t = min(j, ih.size - 1)
         f[j] = np.dot(ih[1 : t + 1], f[j - t : j][::-1]) / j
     return f
+
+
+def record_thread_starts(monkeypatch):
+    """Wrap _thread.start_new_thread, with which dft_pair starts the thread
+    of a pair, and return the list of starts: one dict per thread, with the
+    target's thread ident and "done", which the target's finally sets."""
+    starts, start = [], _thread.start_new_thread
+
+    def recorded(fn, args):
+        record = {"done": False}
+        starts.append(record)
+
+        def target():
+            record["ident"] = _thread.get_ident()
+            try:
+                fn(*args)
+            finally:
+                record["done"] = True
+
+        return start(target, ())
+
+    monkeypatch.setattr(_thread, "start_new_thread", recorded)
+    return starts

@@ -28,11 +28,11 @@ two), the median milliseconds of each tree, the median and quartiles of
 the paired ratios change/parent with the number of pairs the change won,
 and the largest difference between the two trees' outputs, scaled by
 1 + max|parent output|.  For write and read it prints instead that the
-bytes are equal and, for write, for each tree whose writer has the
-vectorized fast path, the share of floats that took its exact '%.17g'
-fallback.  Both trees share the process, its allocator and numpy's FFT
-plan cache, so whole-host drift moves both sides of a pair alike; that is
-what makes a paired ratio steadier than two separate runs.
+bytes are equal and, for write, for each tree the share of floats that
+took the writer's exact '%.17g' fallback.  Both trees share the process,
+its allocator and numpy's FFT plan cache, so whole-host drift moves both
+sides of a pair alike; that is what makes a paired ratio steadier than two
+separate runs.
 """
 
 from __future__ import annotations
@@ -90,10 +90,8 @@ def _inverses(cli, fast_ops, N, repeats):
 
 def _fallback_share(series_core, outputs):
     """Share of the floats in outputs that the writer's fast path sends to
-    '%.17g'; None for a writer without it."""
-    fields = getattr(series_core, "_g17_fields", None)
-    if fields is None:
-        return None
+    '%.17g'."""
+    fields = series_core._g17_fields
     values = np.concatenate([c.view(np.float64) for c in outputs])
     slow = 0
     for start in range(0, values.size, 4096):
@@ -201,8 +199,7 @@ def main(argv=None):
         print(f"max_diff={diff:.3e}")
         return 0
     for side, share in zip(SIDES, shares or ()):
-        if share is not None:
-            print(f"{side} fallback_share={share:.4f}")
+        print(f"{side} fallback_share={share:.4f}")
     if diff:
         print(f"error: the trees {'read' if op == 'read' else 'wrote'} different bytes "
               f"in {diff} of {repeats} pairs")

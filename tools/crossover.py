@@ -1,6 +1,8 @@
 """Wall time of the quadratic references against the fast paths, per order,
-and the accuracy of the two bootstrap inverses: the measurements behind
-fast_ops.ORACLE_MAX_ORDER, ORACLE_INVERSE_MAX_ORDER and NEWTON_BASE_ORDER.
+the accuracy of the two bootstrap inverses, and the wall time of a transform
+pair on one thread and on two: the measurements behind
+fast_ops.ORACLE_MAX_ORDER, ORACLE_INVERSE_MAX_ORDER and NEWTON_BASE_ORDER,
+and fft_core._PAIR_MIN_ORDER.
 
 Usage:  python tools/crossover.py SRC_DIR [SIZES]
 
@@ -25,7 +27,6 @@ there) and set to 1 (Newton from order 1), BASE_REPEATS = 100 pairs
 alternating as above, and prints both medians, the pairs the recurrence's
 prefix won and the median of the paired ratios, prefix / from 1; the base
 with the least ratio is the one to take.
-A tree without NEWTON_BASE_ORDER gets a note in its place.
 
 A third table gives the error of fast_exp and fast_pow on the closed-form
 family of ROADMAP.md at FAMILY_ORDER = 4096, seeds 7 to 10, on the pinned
@@ -36,10 +37,19 @@ with ORACLE_INVERSE_MAX_ORDER = 0, so that fast_inverse makes them at every
 order.  The family is g = prod over i of (1 - a_i x)**c_i, its factors
 multiplied by direct convolution; exp takes log g and is checked against
 g, pow takes g with C = 0.3+0.7j and is checked against the factors with
-exponents C*c_i.  The error is max|err| / max|reference|.  A tree without
-ORACLE_INVERSE_MAX_ORDER gets a note in its place.
+exponents C*c_i.  The error is max|err| / max|reference|.
 
-The tables are written as the comment beside the constants in fast_ops, so
+A fourth table times fft_core.dft_pair, the transform pair of the Newton
+layer, at each order L of PAIR_ORDERS on p of L and q of L/2 coefficients,
+as a Newton step pairs them: serially (fft_core._PAIR_MIN_ORDER set above
+L) and on two threads (set to 1), PAIR_REPEATS = 300 pairs alternating as
+above.  It prints the median microseconds of each and the median of the
+paired ratios, two threads / serial, with its quartiles.  On a host with
+one usable CPU dft_pair runs serially at every order, and a note takes the
+table's place.
+
+The first three tables are written as the comment beside the constants in
+fast_ops, and the fourth as the one beside _PAIR_MIN_ORDER in fft_core, so
 they can be pasted there.
 Running it on the parent's SRC_DIR as well compares the references of two
 trees, one process each.
@@ -65,6 +75,8 @@ FAMILY_SEEDS = (7, 8, 9, 10)
 # (r, c) of the family's factors, each with a = r*exp(2*pi*i*rng.uniform())
 FAMILY_FACTORS = ((1.0, 0.5 + 0.3j), (0.999, -1.2), (1.0, 0.25 - 0.4j))
 FAMILY_POWER = 0.3 + 0.7j
+PAIR_ORDERS = (4096, 6144, 8192, 12288, 16384, 32768, 65536)
+PAIR_REPEATS = 300
 
 
 def _import(src_dir):
@@ -72,8 +84,8 @@ def _import(src_dir):
     if not os.path.isfile(os.path.join(src, "fastseries", "__init__.py")):
         sys.exit(f"error: no fastseries package under {src}")
     sys.path.insert(0, src)
-    from fastseries import cli, fast_ops, oracle
-    return cli, fast_ops, oracle
+    from fastseries import cli, fast_ops, fft_core, oracle
+    return cli, fast_ops, fft_core, oracle
 
 
 def _cpu_model() -> str:
@@ -196,6 +208,43 @@ def print_bases(cli, fast_ops):
         print(f"#   b = {b:3d}   {_row(pairs)}   {ratio:.3f}", flush=True)
 
 
+def measure_pair(fft_core, L):
+    """(serial us, two threads us) pairs of dft_pair at order L."""
+    rng = np.random.default_rng(L)
+    p, q = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
+    q = q[: L // 2]
+    out = np.empty((2, L), dtype=np.complex128)
+    saved, pairs = fft_core._PAIR_MIN_ORDER, []
+
+    def pair(min_order):
+        fft_core._PAIR_MIN_ORDER = min_order
+        fft_core.dft_pair(p, q, L, out[0], out[1])
+
+    try:
+        for j in range(-1, PAIR_REPEATS):
+            serial, paired = _pair(lambda: pair(L + 1), lambda: pair(1), j)
+            if j >= 0:
+                pairs.append((serial * 1e3, paired * 1e3))
+    finally:
+        fft_core._PAIR_MIN_ORDER = saved
+    return pairs
+
+
+def print_pairs(fft_core):
+    """The table of transform pairs."""
+    if fft_core._usable_cpus() < 2:
+        print("# one usable CPU: dft_pair runs serially at every order")
+        return
+    print(f"# dft_pair of L and L/2 coefficients, median us of {PAIR_REPEATS} interleaved pairs,")
+    print("# serial / two threads, and the ratio two threads / serial [q1, q3]")
+    print("#       L   serial  threads   ratio")
+    for L in PAIR_ORDERS:
+        pairs = measure_pair(fft_core, L)
+        serial, paired = zip(*pairs)
+        q1, q2, q3 = statistics.quantiles([b / a for a, b in pairs], n=4)
+        print(f"#   {L:5d}   {statistics.median(serial):6.0f}   {statistics.median(paired):6.0f}"
+              f"   {q2:.2f} [{q1:.2f}, {q3:.2f}]", flush=True)
+
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
@@ -207,7 +256,7 @@ def main(argv=None):
         sys.exit("error: SIZES must be a comma list of orders")
     if any(n < 1 for n in sizes):
         sys.exit("error: orders must be positive")
-    cli, fast_ops, oracle = _import(argv[0])
+    cli, fast_ops, fft_core, oracle = _import(argv[0])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"# {_cpu_model()}, {cpus} usable CPUs, numpy {np.__version__}, "
           f"Python {platform.python_version()}")
@@ -216,13 +265,7 @@ def main(argv=None):
     for n in sizes:
         exp_pairs, inv_pairs = measure(cli, fast_ops, oracle, n)
         print(f"#   {n:5d}   {_row(exp_pairs)}   {_row(inv_pairs)}", flush=True)
-    if not hasattr(fast_ops, "NEWTON_BASE_ORDER"):
-        print("# no NEWTON_BASE_ORDER in this tree: its Newton steps start at order 1")
-    else:
-        print_bases(cli, fast_ops)
-    if not hasattr(fast_ops, "ORACLE_INVERSE_MAX_ORDER"):
-        print("# no ORACLE_INVERSE_MAX_ORDER in this tree: no bootstrap inverse table")
-        return 0
+    print_bases(cli, fast_ops)
     cap = fast_ops.ORACLE_INVERSE_MAX_ORDER
     reference, newton = family_errors(cli, fast_ops, cap), family_errors(cli, fast_ops, 0)
     seeds = "/".join(map(str, FAMILY_SEEDS))
@@ -231,6 +274,7 @@ def main(argv=None):
     for op in ("exp", "pow"):
         print(f"#   {op}  " + "/".join(f"{e:.1e}" for e in reference[op]))
         print("#        " + "/".join(f"{e:.1e}" for e in newton[op]))
+    print_pairs(fft_core)
     return 0
 
 

@@ -15,8 +15,10 @@ The "transform faults" column counts the faults taken inside the leaf
 transforms fft_core._forward/_backward (wrapped for this process only),
 which make every pocketfft call of the Newton layer; each is read with
 getrusage(RUSAGE_THREAD) in the thread that made the call: the Newton
-layer runs some transforms on a helper thread at the same time as the
-caller's, and a process-wide count would give the faults of both to each.
+layer runs some transforms on a thread it starts for a transform pair, at
+the same time as the caller's, and a process-wide count would give the
+faults of both to each.  The process-wide count also holds the faults of
+those threads' own stacks.
 pocketfft allocates its own scratch on every call, and whether that
 scratch faults depends on what the process freed before: glibc hands a
 freed block back to the kernel unless a larger block was freed earlier.
