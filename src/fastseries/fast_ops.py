@@ -412,7 +412,7 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
         plan = choose_plan(N)
     if plan.fallback:
         with in_stage(ledger, "bootstrap.E"):
-            return TruncatedSeries._adopt(_prefix_exp(h_arr, N))
+            return _finite_result(oracle_exp(h_arr, N).coeffs)
     m, n = plan.m, plan.n
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")

@@ -320,9 +320,8 @@ def _read_bulk(data: bytes) -> np.ndarray | None:
     reads it where both accept it (spaces around it and a sign included;
     the floats through PyOS_string_to_double), and skips blank lines, as the
     line loop does; CR and underscores fail it.  A body holding '#' (a
-    comment line, or a field the line loop rejects), or whose last non-blank
-    line does not hold two tabs, goes to the line loop before numpy parses
-    it."""
+    comment line, or a field the line loop rejects) goes to the line loop
+    before numpy parses it."""
     head, _, body = data.partition(b"\n")
     match = _BULK_HEADER.fullmatch(head)
     if match is None or b"#" in body or body.translate(None, _BULK_BYTES):
@@ -330,11 +329,6 @@ def _read_bulk(data: bytes) -> np.ndarray | None:
     order = int(match[1])
     if not body.strip():  # np.loadtxt warns on a text with no rows
         return np.empty(0, dtype=np.complex128) if order == 0 else None
-    # numpy would parse the whole text before failing on a last row that
-    # cannot be one: its last non-blank line must hold exactly two tabs
-    end = len(body.rstrip())
-    if body[body.rfind(b"\n", 0, end) + 1:].partition(b"\n")[0].count(b"\t") != 2:
-        return None
     try:
         rows = np.loadtxt(body.decode("ascii").splitlines(), dtype=_BULK_ROW,
                           delimiter="\t", comments=None, ndmin=1)

@@ -409,6 +409,20 @@ def test_choose_plan_small_orders_fall_back():
     assert rel_err(out.coeffs, want) < 1e-12
 
 
+def test_fallback_plan_is_the_quadratic_reference_at_any_order():
+    """A fallback plan means the quadratic reference in both ops, also when
+    passed by hand at an order above ORACLE_MAX_ORDER."""
+    rng = np.random.default_rng(23)
+    N = fast_ops.ORACLE_MAX_ORDER + 512
+    plan = BlockPlan(k=0, n=0, m=0, fallback=True)
+    h = random_exp_arg(rng, N)
+    got = fast_exp(h, N, plan=plan).coeffs
+    assert got.tobytes() == oracle_exp(h, N).coeffs.tobytes()
+    h = random_pow_arg(rng, N)
+    got = fast_pow(h, 0.5, N, plan=plan).coeffs
+    assert got.tobytes() == oracle_pow(h, 0.5, N).coeffs.tobytes()
+
+
 def test_choose_plan_overrides_verbatim():
     plan = choose_plan(1024, k=16, n=128)
     assert (plan.k, plan.n, plan.m) == (16, 128, 512)

@@ -170,27 +170,6 @@ def test_text_with_a_comment_skips_the_bulk_parse(monkeypatch, tmp_path):
     assert fastseries.load_series(path).coeffs.tobytes() == want
 
 
-def test_text_whose_last_line_is_no_row_skips_the_bulk_parse(monkeypatch, tmp_path):
-    """A body whose last non-blank line does not hold two tabs cannot be
-    read in bulk: both readers raise the line loop's FormatError at that
-    line without handing the text to numpy's parser."""
-    c = np.random.default_rng(13).standard_normal(1 << 14) * (1 + 1j)
-    buf = io.StringIO()
-    write_series(c, buf)
-    text = buf.getvalue() + "16384\t1\n\n"
-    want = _read_outcome(series_core._read_lines, text)
-    assert want == ("line 16386: expected 'index<TAB>re<TAB>im'", 16386)
-    path = tmp_path / "s.txt"
-    path.write_bytes(text.encode())
-
-    def no_loadtxt(*args, **kwargs):
-        raise AssertionError("np.loadtxt called on a text whose last line is no row")
-
-    monkeypatch.setattr(series_core.np, "loadtxt", no_loadtxt)
-    assert _read_outcome(read_series, io.StringIO(text)) == want
-    assert _read_outcome(fastseries.load_series, path) == want
-
-
 def _read_outcome(read, source):
     """The coefficient bits a reader gives, or its FormatError's message
     and line."""
