@@ -325,6 +325,7 @@ def _axis_dft(rows: np.ndarray, chunk: int, out: np.ndarray, q0: int, ledger):
 # Block-axis: its extra fixed cost, per multiply-add of the chunk-pair
 # products and per transform point and doubling of length.  The fit picks
 # the faster path on 117 of the 128 shapes; the 11 misses are near ties.
+# Fitted before the axis leaves called pocketfft directly; ROADMAP item 9 refits it.
 _ROW_NS = 7400
 _MAC_NS = 2.3
 _AXIS_FIXED_NS = 44000

@@ -257,7 +257,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -79,13 +79,13 @@ FAST_MIN_ORDER = 32
 #        3.0e-12/1.6e-12/2.8e-13/9.6e-13
 #   pow  1.6e-12/6.8e-13/2.8e-13/6.3e-13
 #        1.5e-11/6.3e-12/2.9e-13/1.4e-12
-# ORACLE_MAX_ORDER is the largest order its reference won.  Power prefixes
+# ORACLE_MAX_ORDER and NEWTON_BASE_ORDER were the largest order the reference
+# won and the base of least ratio when chosen; in this run 1024 is the former
+# (the 1536 row is a coin flip, 8/15) and b = 8 the latter (0.808 against
+# 0.833).  Both wait for end-to-end runs (ROADMAP item 11).  Power prefixes
 # are exponentials (see fast_pow), so no bootstrap runs oracle_pow.
 # ORACLE_INVERSE_MAX_ORDER stays at 512, where the reference no longer wins
 # on time but keeps the family's error lower on every seed, up to 9x.
-# NEWTON_BASE_ORDER is the base of least ratio; 16 and 32 traded places
-# between runs when it was chosen, and 16 keeps the smaller quadratic
-# prefix.  Since the leaves call pocketfft directly, 8 and 16 trade places.
 ORACLE_MAX_ORDER = 1536
 ORACLE_INVERSE_MAX_ORDER = 512
 NEWTON_BASE_ORDER = 16
@@ -121,9 +121,9 @@ def _prefix_inverse(f, n: int) -> np.ndarray:
     return fast_inverse(f, n).coeffs
 
 
-def _exp_prefixes(g, n: int, ledger, stage) -> tuple[np.ndarray, np.ndarray]:
-    """The bootstrap prefix f_n = exp(g) mod x**n, made under stage, and
-    its reciprocal r_n = 1/f_n mod x**n, made under bootstrap.I.
+def _exp_prefixes(g, ledger, stage) -> tuple[np.ndarray, np.ndarray]:
+    """The bootstrap prefix f_n = exp(g) mod x**n, n = len(g), made under
+    stage, and its reciprocal r_n = 1/f_n mod x**n, made under bootstrap.I.
 
     r_n is _prefix_inverse(f_n), unless that overflows or its growth
     max|f_n| * max|r_n| passes RECIPROCAL_GROWTH_MAX: inverting f_n then
@@ -131,16 +131,16 @@ def _exp_prefixes(g, n: int, ledger, stage) -> tuple[np.ndarray, np.ndarray]:
     and r_n comes from exp(-g) mod x**n, the same series, whose reference
     does not cancel."""
     with in_stage(ledger, stage):
-        f_n = _prefix_exp(g, n)
+        f_n = _prefix_exp(g, len(g))
     with in_stage(ledger, "bootstrap.I"):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                r_n = _prefix_inverse(f_n, n)
+                r_n = _prefix_inverse(f_n, len(g))
             if np.max(np.abs(f_n)) * np.max(np.abs(r_n)) <= RECIPROCAL_GROWTH_MAX:
                 return f_n, r_n
         except DomainError:  # the inverse overflowed complex128
             pass
-        return f_n, _prefix_exp(np.negative(g), n)
+        return f_n, _prefix_exp(np.negative(g), len(g))
 
 
 # -- plan selection -----------------------------------------------------------
@@ -198,15 +198,15 @@ def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan
 
 # -- shared machinery --------------------------------------------------------
 
-def _window_product_2k(cache, x_label, y, out_len, ledger, y_label, out_label):
-    """Short product (x * y) mod x**out_len where x is given by the order-2k
-    segments of its cached blocks 0..out_len/k-1 and y is a fresh coefficient
-    window of out_len/k whole blocks, transformed here in one batch."""
+def _window_product_2k(cache, x_label, y, ledger, y_label, out_label):
+    """Short product (x * y) mod x**len(y) where x is given by the order-2k
+    segments of its cached blocks 0..len(y)/k-1 and y is a fresh coefficient
+    window of whole blocks, transformed here in one batch."""
     k = cache.k
     y_blocks = np.asarray(y, dtype=np.complex128).reshape(-1, k)
     y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
-    return block_engine.short_product_2k(cache.rows(x_label, out_len // k), y_specs, 0,
-                                         out_len // k, ledger, out_label)
+    return block_engine.short_product_2k(cache.rows(x_label, len(y_blocks)), y_specs, 0,
+                                         len(y_blocks), ledger, out_label)
 
 
 def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> np.ndarray:
@@ -229,22 +229,22 @@ def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> 
             tail = q.coeffs / np.arange(fr, fr + n)
             tally(ledger, smul=n)
             f_arr[fr : fr + n] = _window_product_2k(
-                cache, "f", tail, n, ledger, y_label="j-blocks", out_label="update-restore"
+                cache, "f", tail, ledger, y_label="j-blocks", out_label="update-restore"
             )
             cache.extend_known("f", fr + n)
         cache.ensure("f", m // k - 1, ledger=ledger)
     return f_arr
 
 
-def _final_stage(cache, f_arr, w_tail, plan, ledger, stage) -> np.ndarray:
-    """f + x**m * (f * w_tail mod x**m) for the order-m prefix f, as one
-    blockwise short product on the order-2k segments of f's cached blocks;
-    w_tail is the upper half of the correction, divided by its powers."""
-    m, k = plan.m, plan.k
+def _final_stage(cache, f_arr, w_tail, ledger, stage) -> np.ndarray:
+    """f + x**m * (f * w_tail mod x**m) for the order-m prefix f, m =
+    len(w_tail), as one blockwise short product on the order-2k segments of
+    f's cached blocks; w_tail is the correction's upper half over its powers."""
+    m = len(w_tail)
     with in_stage(ledger, stage):
         tally(ledger, smul=m, cadd=m)
         upper = _window_product_2k(
-            cache, "f", w_tail, m, ledger, y_label="w-blocks", out_label="final-restore"
+            cache, "f", w_tail, ledger, y_label="w-blocks", out_label="final-restore"
         )
     return np.concatenate([f_arr, upper])
 
@@ -263,31 +263,31 @@ def _newton_orders(N: int) -> list[int]:
 
 def _workspace(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three complex work arrays of length L for the Newton layer: views of
-    the calling thread's own arrays, which are replaced only when a larger L
-    comes.  Steps transform and multiply in them, so repeated calls allocate
-    no transform-sized arrays; a thread keeps 3 * 16 * L bytes for the
-    largest L it has used (3 MB at L = 2**16)."""
+    the calling thread's own arrays, replaced only when a larger L comes, so
+    repeated calls allocate no transform-sized arrays; a thread keeps
+    3 * 16 * L bytes for the largest L it has used (3 MB at L = 2**16)."""
     bufs = getattr(_newton_local, "bufs", None)
     if bufs is None or bufs[0].size < L:
         bufs = _newton_local.bufs = tuple(np.empty(L, dtype=np.complex128) for _ in range(3))
     return tuple(b[:L] for b in bufs)
 
 
-def _wrap_step(q, a, f, h, t, r_spec, q_spec, work, ledger, label):
+def _wrap_step(q, a, f, h, t, work, ledger, label):
     """Extend q = a/f from order h to order t <= 2h in place: q[:h] is known
     and q[h:t] is written.  a and f hold the coefficients of the numerator
     (None for a = 1; a[h:t] is read before q[h:t] is written, so a may be q)
-    and the denominator, r_spec the order-L values, L >= t, of r = 1/f mod
-    x**h, and work two arrays of length L.  One dft_pair takes the values of
-    q[:h] into q_spec, which may be r_spec (when r is q[:h]) or work[1], and
-    of f[:t] into work[0].  The step records its five transforms and two
-    products under label.
+    and the denominator, and work = (r_spec, prod, spare) three arrays of
+    one length L >= t.  One dft_pair takes the order-L values of f[:t] into
+    prod and those of q[:h] into spare, or into r_spec when a is None: q[:h]
+    is then r = 1/f mod x**h itself.  Otherwise r_spec must hold r's values.
+    The step records its five transforms and two products under label.
 
     The cyclic product f[:t]*q of length L is exact on coefficients h..t-1,
     because its terms past L wrap onto indices below t+h-1-L < h.  Those give
     the residual e = (f*q - a)/x**h mod x**(t-h), and q[h:t] = -(r*e) mod
     x**(t-h): three transforms of order L after the pair."""
-    prod, spare = work
+    r_spec, prod, spare = work
+    q_spec = r_spec if a is None else spare
     L = r_spec.size
     fft_core.dft_pair(q[:h], f[:t], L, q_spec, prod)
     e = fft_core._backward(np.multiply(prod, q_spec, out=prod), prod)[h:t]
@@ -314,11 +314,11 @@ def _newton_inverse(c: np.ndarray, N: int, ledger) -> np.ndarray:
     d = min(c.size, b) - 1
     macs = d * (2 * b - d - 1) // 2
     tally(ledger, cmul=macs, cadd=macs)
-    spec, prod, spare = _workspace(fft_core.granted_length(N))
+    work = _workspace(fft_core.granted_length(N))
     h = b
     for t in orders[len(base) :]:
         L = fft_core.granted_length(t)
-        _wrap_step(r, None, c, h, t, spec[:L], spec[:L], (prod[:L], spare[:L]), ledger, "newton")
+        _wrap_step(r, None, c, h, t, [w[:L] for w in work], ledger, "newton")
         h = t
     return r
 
@@ -359,7 +359,7 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
         return TruncatedSeries(out)
     M, h = N - 1, N // 2
     L = fft_core.granted_length(M)
-    spec, prod, spare = _workspace(L)
+    spec, prod, _ = work = _workspace(L)
     # q = f'/f mod x**M is built in out[1:], which holds f' until the
     # wrap-around step has read it
     q, n, powers = out[1:], min(c.size, N), np.arange(1, N)
@@ -372,7 +372,7 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
     record_dfts(ledger, (L,), 3, "log")
     tally(ledger, cmul=L)
     if M > h:
-        _wrap_step(q, q, c, h, M, spec, spare, (prod, spare), ledger, "log")
+        _wrap_step(q, q, c, h, M, work, ledger, "log")
     q /= powers
     return _finite_result(out)
 
@@ -418,21 +418,22 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
 
-    f_n, r_n = _exp_prefixes(h2[:n], n, ledger, "bootstrap.E")
+    f_n, r_n = _exp_prefixes(h2[:n], ledger, "bootstrap.E")
     cache = BlockCache(plan.k)
     cache.register("dh", np.arange(1, 2 * m) * h2[1:])
     f_arr = _first_half(cache, f_n, r_n, "dh", plan, ledger, "exp.stage1")
     s = _log_extend(cache, plan, ledger, "exp.log", "s", "dh")
     w_tail = h2[m:] - s[m - 1 :] / np.arange(m, 2 * m)
-    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, ledger, "exp.final")[:N])
+    return _finite_result(_final_stage(cache, f_arr, w_tail, ledger, "exp.final")[:N])
 
 
 # -- constant powers ----------------------------------------------------------
 
-def _s_second_half(cache, s_arr, dh, C, plan, ledger):
-    """Upper half of s = C*h'/h: each extension is two plain order-2k short
-    products (the s*h window and the reciprocal correction)."""
+def _s_second_half(cache, dh, C, plan, ledger):
+    """Upper half of the cached s = C*h'/h: each extension is two plain
+    order-2k short products (the s*h window and the reciprocal correction)."""
     m, n, k = plan.m, plan.n, plan.k
+    s_arr = cache.series_array("s")
     a = n // k
     for fr in range(m, 2 * m, n):
         cache.ensure_2k("h", (fr + n) // k - 1, ledger=ledger)
@@ -445,10 +446,9 @@ def _s_second_half(cache, s_arr, dh, C, plan, ledger):
         G[0] = C * dh[fr - 1] - u[k - 1]
         G[1:] = C * dh[fr : fr + n - 1] - u[k : n + k - 1]
         tally(ledger, cmul=n, cadd=2 * n)
-        q = _window_product_2k(
-            cache, "rho", G, n, ledger, y_label="g-blocks", out_label="s2-restore"
+        s_arr[fr - 1 : fr + n - 1] = _window_product_2k(
+            cache, "rho", G, ledger, y_label="g-blocks", out_label="s2-restore"
         )
-        s_arr[fr - 1 : fr + n - 1] = q
         cache.extend_known("s", fr + n - 1)
 
 
@@ -479,7 +479,7 @@ def _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, C) -> np.ndarray:
             s_arr[fr - 1 : fr + n - 1] = q.coeffs
             cache.extend_known("s", fr + n - 1)
     with in_stage(ledger, "pow.s.second"):
-        _s_second_half(cache, s_arr, dh, C, plan, ledger)
+        _s_second_half(cache, dh, C, plan, ledger)
     return s_arr
 
 
@@ -518,7 +518,7 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
         seed = Cc * mul_mod(dh[: n - 1], rho_n, n - 1).coeffs
     # the seed is C*log(h)' mod x**(n-1), so h**C mod x**n = exp(integral)
     g_n = np.concatenate([[0], seed / np.arange(1, n)])
-    f_n, r_n = _exp_prefixes(g_n, n, ledger, "bootstrap.P")
+    f_n, r_n = _exp_prefixes(g_n, ledger, "bootstrap.P")
 
     cache = BlockCache(k)
     s_arr = _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, Cc)
@@ -526,4 +526,4 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     f_arr = _first_half(cache, f_n, r_n, "s", plan, ledger, "pow.f", b_stage="pow.s.first")
     sf = _log_extend(cache, plan, ledger, "pow.log", "sf", "s")
     w_tail = (s_arr[m - 1 :] - sf[m - 1 :]) / np.arange(m, 2 * m)
-    return _finite_result(_final_stage(cache, f_arr, w_tail, plan, ledger, "pow.final")[:N])
+    return _finite_result(_final_stage(cache, f_arr, w_tail, ledger, "pow.final")[:N])

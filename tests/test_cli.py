@@ -6,9 +6,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from fastseries import BlockPlan, load_series, oracle_pow
+from fastseries import (
+    BlockPlan, CostLedger, choose_plan, fast_exp, fast_pow, load_series, oracle_pow,
+)
 from fastseries import cli
-from fastseries.cli import bench_plan, main, pow_input, run_bench, run_verify
+from fastseries.cli import bench_plan, exp_input, main, pow_input, run_bench, run_verify
+from fastseries.cost_ledger import report_kv
 
 from util import rel_err
 
@@ -81,6 +84,26 @@ def test_plan_overrides_and_report(tmp_path):
     assert code == 0
     text = rep.read_text()
     assert "plan.k=4" in text and "stage.exp.stage1.units=" in text
+
+
+@pytest.mark.parametrize("cmd, N", [("exp", 256), ("exp", 3072), ("pow", 256), ("pow", 1024)])
+def test_default_plan_report_is_the_plan_that_ran(tmp_path, cmd, N):
+    """Without plan flags the CLI names the plan after the call; its report
+    must be the one the library call on the same file makes on its default
+    plan, so a change of the default route cannot leave a wrong report."""
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "f.txt"
+    rep = tmp_path / "rep.txt"
+    rng = np.random.default_rng(N)
+    write_input(src, exp_input(rng, N) if cmd == "exp" else pow_input(rng, N))
+    extra = ["--power-re", "0.3", "--power-im", "0.7"] if cmd == "pow" else []
+    assert main([cmd, str(src), str(dst), "--n", str(N), "--report", str(rep), *extra]) == 0
+    series, led = load_series(src), CostLedger()
+    if cmd == "exp":
+        fast_exp(series, N, ledger=led)
+    else:
+        fast_pow(series, 0.3 + 0.7j, N, ledger=led)
+    assert rep.read_text() == report_kv(led, choose_plan(N))
 
 
 def test_bootstrap_order_alone_gives_a_power_plan(tmp_path):
@@ -316,6 +339,34 @@ def test_bench_runs_at_small_sizes(tmp_path):
     sizes = "1,3,16,17,33,64,65,128,192,193,200,257,384"
     assert main(["bench", "--sizes", sizes, "--seed", "3", "--report", str(rep)]) == 0
     assert rep.read_text().count("plan.k=") == 2 * len(sizes.split(","))
+
+
+def test_bench_bootstrap_order_alone_keeps_block_size_16(tmp_path):
+    rep = tmp_path / "r.txt"
+    assert main(["bench", "--bootstrap-order", "64", "--sizes", "1024", "--report", str(rep)]) == 0
+    text = rep.read_text()
+    assert text.count("plan.k=16\nplan.n=64\n") == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--block-size", "1"], "error: block size must be at least 2\n"),
+    (["--sizes", "256", "--block-size", "1024"], "error: no valid bootstrap order for k=1024, m=128\n"),
+])
+def test_bench_block_size_without_a_plan_exits_1(flags, message, capsys):
+    assert main(["bench", *flags]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_bench_timing_only_adds_a_stderr_line(tmp_path, capsys):
+    runs = []
+    for extra in ([], ["--timing"]):
+        rep = tmp_path / f"r{len(runs)}.txt"
+        assert main(["bench", "--sizes", "256", "--report", str(rep), *extra]) == 0
+        out, err = capsys.readouterr()
+        runs.append((out, rep.read_bytes(), err))
+    assert runs[1][:2] == runs[0][:2] and runs[0][2] == ""
+    lines = runs[1][2].splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bench wall clock: ")
 
 
 def test_bench_plans_keep_k16_where_it_fits():

@@ -251,7 +251,7 @@ def _python(code):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_pair_during_interpreter_shutdown_runs_serially(warm):
+def test_pair_after_the_main_thread_ends_gives_dft_values_and_exits(warm):
     """A thread that pairs after the main thread ended, while the
     interpreter waits for its threads before it finalizes, gets dft's
     values, and the process exits, whether or not a pair ran before."""

@@ -14,19 +14,20 @@ algorithms run inside the bootstrap stages and are counted there.
 from __future__ import annotations
 
 import contextlib
-import os
 import sys
 import time
 from collections import Counter
 
 import numpy as np
 
+from source_tree import import_fastseries
+
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (2, 3):
         sys.exit(__doc__.split("\n\n")[1])
-    sys.path.insert(0, os.path.abspath(argv[0]))
+    import_fastseries(argv[0])
     from fastseries import CostLedger, block_engine, fast_exp, fast_pow
     from fastseries.cli import bench_plan, exp_input, pow_input
 

@@ -65,6 +65,8 @@ import time
 
 import numpy as np
 
+from source_tree import import_fastseries
+
 SIZES = (256, 512, 768, 1024, 1536, 2048, 3072, 4096)
 REPEATS = 15
 BASES = (8, 16, 32, 64, 128)
@@ -80,10 +82,7 @@ PAIR_REPEATS = 300
 
 
 def _import(src_dir):
-    src = os.path.abspath(src_dir)
-    if not os.path.isfile(os.path.join(src, "fastseries", "__init__.py")):
-        sys.exit(f"error: no fastseries package under {src}")
-    sys.path.insert(0, src)
+    import_fastseries(src_dir)
     from fastseries import cli, fast_ops, fft_core, oracle
     return cli, fast_ops, fft_core, oracle
 

@@ -38,29 +38,24 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
 import pathlib
 import sys
 import tempfile
 
 import numpy as np
 
+from source_tree import import_fastseries
+
 SIZES = (16, 64, 256, 1000, 1024, 3000, 4096, 16384)
 SEED = 7
 
 
 def _import(src_dir):
-    src = os.path.abspath(src_dir)
-    if not os.path.isfile(os.path.join(src, "fastseries", "__init__.py")):
-        sys.exit(f"error: no fastseries package under {src}")
-    sys.path.insert(0, src)
-    import fastseries
+    import_fastseries(src_dir)
     from fastseries import cli, fast_ops, series_core
     from fastseries.cost_ledger import CostLedger
     from fastseries.errors import FormatError, PlanError
 
-    if not os.path.abspath(fastseries.__file__).startswith(src + os.sep):
-        sys.exit(f"error: fastseries imported from {fastseries.__file__}, not {src}")
     return cli, fast_ops, series_core, CostLedger, PlanError, FormatError
 
 

@@ -28,7 +28,6 @@ also runs larger work (the benchmark's) does not.
 
 from __future__ import annotations
 
-import os
 import resource
 import statistics
 import sys
@@ -36,6 +35,8 @@ import threading
 import time
 
 import numpy as np
+
+from source_tree import import_fastseries
 
 
 def _faults(who=resource.RUSAGE_SELF) -> int:
@@ -67,7 +68,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (2, 3):
         sys.exit(__doc__.split("\n\n")[1])
-    sys.path.insert(0, os.path.abspath(argv[0]))
+    import_fastseries(argv[0])
     from fastseries import fast_inverse, fast_log, fft_core
     from fastseries.cli import pow_input
 
