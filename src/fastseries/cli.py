@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from . import fast_ops, oracle
-from .block_engine import BlockPlan, frontier
 from .cost_ledger import CostLedger, report_kv, report_text
 from .errors import DomainError, FormatError, PlanError, UnsupportedLengthError
+from .fast_ops import bench_plan
 from .series_core import TruncatedSeries, load_series, dump_series
 
 VERIFY_TOL = 1e-8
@@ -100,28 +100,6 @@ def run_verify(sizes, seed, report_path=None, out=None):
     return worst
 
 
-def bench_plan(algorithm, size, k=None, n=None):
-    """Pinned bench plans: block size 16 by default, with the bootstrap order
-    chosen so the measured stage constants decrease toward their limits as
-    the ladder grows: the largest valid order up to m/8 for exp, m/4 for pow.
-
-    Valid means k | n (2k | n for pow) and n | m.  Where k = 16 allows no
-    such order (m < 128), k is halved until one does; at m = 8 and 12, where
-    no k does, the bound is raised to the order k = 2 needs."""
-    m = frontier(size)
-    if n is not None:
-        return BlockPlan(k=16 if k is None else k, n=n, m=m)
-    if k is not None and k < 2:
-        raise PlanError("block size must be at least 2")
-    step = 1 if algorithm == "exp" else 2
-    cap = max(m // 8 if algorithm == "exp" else m // 4, 2 * step)  # <= m/2
-    for kk in [k] if k is not None else [16, 8, 4, 2]:
-        orders = [d for d in range(step * kk, cap + 1, step * kk) if m % d == 0]
-        if orders:
-            return BlockPlan(k=kk, n=max(orders), m=m)
-    raise PlanError(f"no valid bootstrap order for k={kk}, m={m}")
-
-
 def run_bench(sizes, seed, k=None, n=None, report_path=None, out=None):
     """Stage budget tables for exp and pow across a size ladder, to out."""
     out = sys.stdout if out is None else out
@@ -151,23 +129,21 @@ def run_bench(sizes, seed, k=None, n=None, report_path=None, out=None):
 def _transform(args):
     series = load_series(args.input)
     ledger = CostLedger() if args.report else None
+    # inv and log run no block plan; an oracle run checks an override but runs none
     plan = None
-    options = {"ledger": ledger}
-    if args.command in ("exp", "pow") and (args.block_size is not None
-                                           or args.bootstrap_order is not None):
-        plan = fast_ops.choose_plan(args.n, k=args.block_size, n=args.bootstrap_order)
-        options["plan"] = plan
+    if args.command in ("exp", "pow"):
+        if args.block_size is not None or args.bootstrap_order is not None:
+            plan = bench_plan(args.command, args.n, k=args.block_size, n=args.bootstrap_order)
+        elif args.algorithm == "fast":
+            plan = fast_ops.choose_plan(args.n)
+    options = {"ledger": ledger} if plan is None else {"ledger": ledger, "plan": plan}
     head = (series, complex(args.power_re, args.power_im)) if args.command == "pow" else (series,)
     result = _run(args.command, args.algorithm, head, args.n, **options)
 
     dump_series(result, args.output)
     if args.report:
-        # inv and log run no block plan, nor does the oracle
-        runs_plan = args.algorithm == "fast" and args.command in ("exp", "pow")
-        if runs_plan and plan is None:
-            plan = fast_ops.choose_plan(args.n)
         with open(args.report, "w") as fp:
-            if not runs_plan or plan.fallback:
+            if args.algorithm == "oracle" or plan is None or plan.fallback:
                 fp.write(f"plan.fallback=1\nplan.target={args.n}\n")
             else:
                 fp.write(report_kv(ledger, plan))
@@ -231,23 +207,19 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command in ("exp", "log", "inv", "pow"):
             return _transform(args)
         if args.command == "verify":
             worst = run_verify(args.sizes, args.seed, report_path=args.report)
             return 0 if worst <= VERIFY_TOL else 3
-        if args.command == "bench":
-            start = time.perf_counter()
-            run_bench(args.sizes, args.seed, k=args.block_size, n=args.bootstrap_order,
-                      report_path=args.report)
-            if args.timing:
-                print(f"bench wall clock: {time.perf_counter() - start:.2f}s",
-                      file=sys.stderr)
-            return 0
-        parser.error(f"unknown command {args.command}")
+        start = time.perf_counter()  # bench, the last command
+        run_bench(args.sizes, args.seed, k=args.block_size, n=args.bootstrap_order,
+                  report_path=args.report)
+        if args.timing:
+            print(f"bench wall clock: {time.perf_counter() - start:.2f}s", file=sys.stderr)
+        return 0
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

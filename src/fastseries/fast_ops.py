@@ -38,7 +38,6 @@ bootstrap stages of the caller's report stay empty.
 from __future__ import annotations
 
 import cmath
-import math
 import threading
 
 import numpy as np
@@ -145,55 +144,48 @@ def _exp_prefixes(g, ledger, stage) -> tuple[np.ndarray, np.ndarray]:
 
 # -- plan selection -----------------------------------------------------------
 
-def _pick_bootstrap(m: int, k: int, r: int):
-    cands = [d for d in range(2 * k, m // 2 + 1, 2 * k) if m % d == 0]
-    if not cands:
-        return None
-    geq = [d for d in cands if d >= k * r]
-    return min(geq) if geq else max(cands)
-
-
-def choose_plan(N: int, k: int | None = None, n: int | None = None) -> BlockPlan:
-    """Block plan for a final order N: frontier m = granted(ceil(N/2)), block
-    size k the largest power of two up to m/r, r = ceil(sqrt(log2 m)), and
-    bootstrap order n the least multiple of 2k dividing m from k*r up, else
-    the largest up to m/2 (k halves until some n exists).  For N = 32..196608
-    that gives k = m/4, n = m/2 when m = 2^a and k = m/6, n = m/3 when
-    m = 3*2^a; above, through N = 2^20, m = 2^a gives k = m/8, n = m/2.  So r
-    decides only there and for a k= override, where n = 4k up to m = 2^16.
-    Overrides are honored verbatim when the divisibility constraints hold;
-    below the minimum order the plan flags the quadratic fallback path.
-    """
+def choose_plan(N: int) -> BlockPlan:
+    """Block plan for a final order N.  The frontier m = frontier(N) is 2^a
+    or 3*2^a: m = 2^a gives k = m/4 (m/8 once m > 2^16) and n = m/2, m = 3*2^a
+    gives k = m/6 and n = m/3.  Below FAST_MIN_ORDER the plan flags the
+    quadratic fallback path."""
     if N < 1:
         raise DomainError("order must be positive")
-    if N < FAST_MIN_ORDER and k is None and n is None:
+    if N < FAST_MIN_ORDER:
         return BlockPlan(k=0, n=0, m=0, fallback=True)
+    m = frontier(N)
+    if m & (m - 1):
+        return BlockPlan(k=m // 6, n=m // 3, m=m)
+    return BlockPlan(k=m // 8 if m > 1 << 16 else m // 4, n=m // 2, m=m)
+
+
+def bench_plan(op: str, N: int, k: int | None = None, n: int | None = None) -> BlockPlan:
+    """Pinned plan of op ("exp" or "pow") at final order N, with the block
+    size k and the bootstrap order n overridden where given.  Valid means
+    step*k | n and n | m, step being 1 for exp and 2 for pow.
+
+    k is 16 by default, halved where no valid plan has it, and n the
+    largest valid order up to m/8 for exp, m/4 for pow, so the measured
+    stage constants decrease toward their limits as the ladder grows.  k =
+    16 fits from m = 128 on; at m = 8 and 12, where no k does, the bound is
+    raised to the order k = 2 needs.  A given n takes the first k that fits
+    it."""
     if k is not None and k < 2:
         raise PlanError("block size must be at least 2")
     m = frontier(N)
-    if k is not None and n is not None:
-        return BlockPlan(k=k, n=n, m=m)
-    lb = m.bit_length() - 1
-    r = math.isqrt(lb)
-    if r * r < lb:
-        r += 1
-    r = max(r, 2)
-    if k is not None:
-        nn = _pick_bootstrap(m, k, r)
-        if nn is None:
-            raise PlanError(f"no valid bootstrap order for k={k}, m={m}")
-        return BlockPlan(k=k, n=nn, m=m)
+    step = 1 if op == "exp" else 2
+    sizes = [16, 8, 4, 2] if k is None else [k]
     if n is not None:
-        # the largest power of two k <= min(m/r, n/2) with 2k | n, which power runs need
-        kk = min(1 << max(0, min(m // r, n // 2).bit_length() - 1), (n & -n) // 2)
-        if kk < 2:
+        fits = [kk for kk in sizes if n % (step * kk) == 0]
+        if not fits:
             raise PlanError(f"no valid block size for n={n}, m={m}")
-        return BlockPlan(k=kk, n=n, m=m)
-    kk = 1 << max(0, (max(1, m // r)).bit_length() - 1)
-    # m >= 16 is 2^a or 3*2^a, so kk = 2 always finds n = 4
-    while (nn := _pick_bootstrap(m, kk, r)) is None:
-        kk //= 2
-    return BlockPlan(k=kk, n=nn, m=m)
+        return BlockPlan(k=fits[0], n=n, m=m)
+    cap = max(m // 8 if op == "exp" else m // 4, 2 * step)  # <= m/2
+    for kk in sizes:
+        orders = [d for d in range(step * kk, cap + 1, step * kk) if m % d == 0]
+        if orders:
+            return BlockPlan(k=kk, n=max(orders), m=m)
+    raise PlanError(f"no valid bootstrap order for k={kk}, m={m}")
 
 
 # -- shared machinery --------------------------------------------------------

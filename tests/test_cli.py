@@ -155,10 +155,15 @@ def test_negative_order_exit_code(tmp_path):
     ("exp", ["--block-size", "0"]),
     ("exp", ["--bootstrap-order", "0"]),
     ("pow", ["--block-size", "0", "--power-re", "0.5"]),
+    ("exp", ["--block-size", "0", "--algorithm", "oracle"]),
+    ("pow", ["--bootstrap-order", "6", "--power-re", "0.5", "--algorithm", "oracle"]),
+    ("pow", ["--block-size", "16", "--bootstrap-order", "16", "--power-re", "0.5",
+             "--algorithm", "oracle"]),
 ])
 def test_zero_plan_flags_are_rejected(tmp_path, cmd, flags):
     """A zero plan flag is an override like any other: it must reach
-    choose_plan and fail there, not fall through to the default plan."""
+    bench_plan and fail there, not fall through to the default plan, and an
+    override no plan fits fails on the oracle engine too."""
     src = tmp_path / "h.txt"
     dst = tmp_path / "f.txt"
     write_input(src, [1 if cmd == "pow" else 0, 1] + [0] * 62)
@@ -346,6 +351,33 @@ def test_bench_bootstrap_order_alone_keeps_block_size_16(tmp_path):
     assert main(["bench", "--bootstrap-order", "64", "--sizes", "1024", "--report", str(rep)]) == 0
     text = rep.read_text()
     assert text.count("plan.k=16\nplan.n=64\n") == 2
+
+
+def test_bench_bootstrap_order_alone_halves_k_for_pow(tmp_path):
+    """n = 16 alone: exp keeps k = 16, pow halves it to 8 so that 2k | n."""
+    rep = tmp_path / "r.txt"
+    assert main(["bench", "--bootstrap-order", "16", "--sizes", "1024", "--report", str(rep)]) == 0
+    text = rep.read_text()
+    assert "[exp N=1024]\nplan.k=16\nplan.n=16\n" in text
+    assert "[pow N=1024]\nplan.k=8\nplan.n=16\n" in text
+
+
+@pytest.mark.parametrize("cmd", ["exp", "pow"])
+def test_block_size_override_runs_the_bench_plan(tmp_path, cmd):
+    """--block-size means the same plan on exp and pow as on bench."""
+    N = 4096
+    src, dst = tmp_path / "h.txt", tmp_path / "f.txt"
+    rep, bench_rep = tmp_path / "rep.txt", tmp_path / "bench.txt"
+    rng = np.random.default_rng(N)
+    write_input(src, exp_input(rng, N) if cmd == "exp" else pow_input(rng, N))
+    extra = ["--power-re", "0.3", "--power-im", "0.7"] if cmd == "pow" else []
+    assert main([cmd, str(src), str(dst), "--n", str(N), "--block-size", "16",
+                 "--report", str(rep), *extra]) == 0
+    assert main(["bench", "--sizes", str(N), "--block-size", "16", "--report", str(bench_rep)]) == 0
+    plan_lines = [line for line in rep.read_text().splitlines() if line.startswith("plan.")]
+    section = bench_rep.read_text().split(f"[{cmd} N={N}]\n")[1]
+    assert plan_lines == section.splitlines()[: len(plan_lines)]
+    assert plan_lines[:3] == ["plan.k=16", f"plan.n={256 if cmd == 'exp' else 512}", "plan.m=2048"]
 
 
 @pytest.mark.parametrize("flags, message", [

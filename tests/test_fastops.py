@@ -26,7 +26,9 @@ from fastseries import (
     oracle_pow,
 )
 from fastseries import fast_ops
+from fastseries.block_engine import frontier
 from fastseries.cost_ledger import main_term_units, tally
+from fastseries.fast_ops import bench_plan
 
 from util import random_exp_arg, random_pow_arg, rel_err
 
@@ -392,13 +394,24 @@ def test_pow_exponent_must_be_finite():
 
 
 def test_choose_plan_rule():
+    """choose_plan(N) is a table of the frontier m: m/k and m/n are 4 and 2
+    for m = 2^a up to 2^16, 8 and 2 above, 6 and 3 for m = 3*2^a.  Checked
+    at the least and the greatest order of every frontier up to 2^20."""
     plan = choose_plan(1024)
     assert (plan.k, plan.n, plan.m) == (128, 256, 512)
     assert plan.target == 1024
-    # from the crossover on, the default rule always finds a fast plan
-    for N in range(fast_ops.FAST_MIN_ORDER, (1 << 16) + 1):
-        plan = choose_plan(N)
-        assert not plan.fallback and plan.n % (2 * plan.k) == 0, N
+    frontiers = sorted(c << a for c in (1, 3) for a in range(3, 21) if c << a <= 1 << 20)
+    for below, m in zip(frontiers, frontiers[1:]):
+        if m & (m - 1):
+            mk, mn = 6, 3
+        else:
+            mk, mn = (8, 2) if m > 1 << 16 else (4, 2)
+        for N in (2 * below + 1, 2 * m):
+            if N < fast_ops.FAST_MIN_ORDER:
+                continue
+            assert frontier(N) == m
+            assert choose_plan(N) == BlockPlan(k=m // mk, n=m // mn, m=m), N
+            assert choose_plan(N).n % (2 * choose_plan(N).k) == 0, N
 
 
 def test_choose_plan_small_orders_fall_back():
@@ -423,27 +436,38 @@ def test_fallback_plan_is_the_quadratic_reference_at_any_order():
     assert got.tobytes() == oracle_pow(h, 0.5, N).coeffs.tobytes()
 
 
-def test_choose_plan_overrides_verbatim():
-    plan = choose_plan(1024, k=16, n=128)
-    assert (plan.k, plan.n, plan.m) == (16, 128, 512)
-    with pytest.raises(PlanError):
-        choose_plan(1024, k=16, n=100)
-    for k in (-2, 0, 1):  # below 2, as BlockPlan requires, with or without n
-        for n in (None, 16):
-            with pytest.raises(PlanError):
-                choose_plan(64, k=k, n=n)
-    with pytest.raises(PlanError):
-        choose_plan(16, k=0)  # an override leaves the small-order fallback
+def test_bench_plan_overrides_verbatim():
+    for op in ("exp", "pow"):
+        assert bench_plan(op, 1024, k=16, n=128) == BlockPlan(k=16, n=128, m=512)
+        with pytest.raises(PlanError):
+            bench_plan(op, 1024, k=16, n=100)
+        for k in (-2, 0, 1):  # below 2, as BlockPlan requires, with or without n
+            for n in (None, 16):
+                with pytest.raises(PlanError):
+                    bench_plan(op, 64, k=k, n=n)
+        with pytest.raises(PlanError):
+            bench_plan(op, 16, k=0)  # an override has no small-order fallback
+    assert bench_plan("exp", 1024, k=16, n=16) == BlockPlan(k=16, n=16, m=512)
+    with pytest.raises(PlanError, match="no valid block size"):
+        bench_plan("pow", 1024, k=16, n=16)  # 2k must divide n
 
 
-def test_choose_plan_bootstrap_only_override():
-    plan = choose_plan(1024, n=128)
-    assert plan.n == 128 and plan.m == 512 and plan.n % plan.k == 0
-    with pytest.raises(PlanError):
-        choose_plan(1024, n=100)  # does not divide the frontier
-    for kw in ({"n": -4}, {"k": 4, "n": 0}):
-        with pytest.raises(PlanError, match="must be positive"):
-            choose_plan(1024, **kw)
+def test_bench_plan_bootstrap_only_override():
+    """With n alone, k halves from 16 until it divides n (2k for pow)."""
+    assert bench_plan("exp", 1024, n=128) == BlockPlan(k=16, n=128, m=512)
+    assert bench_plan("exp", 1024, n=16) == BlockPlan(k=16, n=16, m=512)
+    assert bench_plan("pow", 1024, n=16) == BlockPlan(k=8, n=16, m=512)
+    assert bench_plan("pow", 384, n=96) == BlockPlan(k=16, n=96, m=192)
+    assert bench_plan("exp", 1024, n=4) == BlockPlan(k=4, n=4, m=512)
+    with pytest.raises(PlanError, match="must divide frontier"):
+        bench_plan("exp", 1024, n=96)
+    for op, n in (("exp", 3), ("pow", 6)):
+        with pytest.raises(PlanError, match="no valid block size"):
+            bench_plan(op, 1024, n=n)
+    for op in ("exp", "pow"):
+        for kw in ({"n": -4}, {"k": 4, "n": 0}):
+            with pytest.raises(PlanError, match="must be positive"):
+                bench_plan(op, 1024, **kw)
 
 
 def test_plan_below_the_order_is_rejected():
@@ -465,24 +489,16 @@ SMOOTH = [2**a * b for a in range(9) for b in (1, 3) if 2**a * b <= 256]
        k=st.one_of(st.none(), st.integers(1, 64), st.sampled_from(SMOOTH[:12])),
        n=st.one_of(st.none(), st.integers(1, 256), st.sampled_from(SMOOTH)))
 def test_plan_overrides_give_exactly_n_coefficients(N, k, n):
-    """choose_plan(N, k, n) either refuses the override or gives a plan on
-    which fast_exp returns exactly N correct coefficients.  A block size it
-    picks for a given n also suits fast_pow (2k divides n)."""
+    """bench_plan("exp", N, k, n) either refuses the override or gives a
+    plan on which fast_exp returns exactly N correct coefficients."""
     try:
-        plan = choose_plan(N, k=k, n=n)
+        plan = bench_plan("exp", N, k=k, n=n)
     except PlanError:
         return
     h = random_exp_arg(np.random.default_rng(N), N)
     got = fast_exp(h, N, plan=plan).coeffs
     assert got.size == N
     assert rel_err(got, oracle_exp(h, N).coeffs) < 1e-10
-    if k is None and n is not None:
-        assert plan.n % (2 * plan.k) == 0
-        C = 0.3 + 0.7j
-        g = random_pow_arg(np.random.default_rng(N), N)
-        got = fast_pow(g, C, N, plan=plan).coeffs
-        assert got.size == N
-        assert rel_err(got, oracle_pow(g, C, N).coeffs) < 1e-10
 
 
 @settings(max_examples=100, deadline=None)
@@ -490,15 +506,15 @@ def test_plan_overrides_give_exactly_n_coefficients(N, k, n):
        k=st.one_of(st.none(), st.integers(1, 64), st.sampled_from(SMOOTH[:12])),
        n=st.one_of(st.none(), st.integers(1, 256), st.sampled_from(SMOOTH)))
 def test_plan_overrides_give_exactly_n_power_coefficients(N, k, n):
-    """choose_plan(N, k, n) either refuses the override, or fast_pow refuses
-    the plan (its n % 2k rule), or fast_pow returns exactly N correct
-    coefficients on it."""
-    C = 0.3 + 0.7j
-    h = random_pow_arg(np.random.default_rng(N), N)
+    """bench_plan("pow", N, k, n) either refuses the override or gives a
+    plan on which fast_pow returns exactly N correct coefficients."""
     try:
-        got = fast_pow(h, C, N, plan=choose_plan(N, k=k, n=n)).coeffs
+        plan = bench_plan("pow", N, k=k, n=n)
     except PlanError:
         return
+    C = 0.3 + 0.7j
+    h = random_pow_arg(np.random.default_rng(N), N)
+    got = fast_pow(h, C, N, plan=plan).coeffs
     assert got.size == N
     assert rel_err(got, oracle_pow(h, C, N).coeffs) < 1e-10
 

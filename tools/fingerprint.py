@@ -7,11 +7,14 @@ second checkout of the parent commit) and runs a fixed matrix: fast_exp and
 fast_pow (every exponent in cli.VERIFY_POWERS) on the default and on the
 pinned bench plans, plus fast_inverse and fast_log, at orders 16, 64,
 256, 1000, 1024, 3000, 4096 and 16384, and triple and shifted middle
-products on small block caches whose products end before the output does.
+products on small block caches whose products end before the output does,
+plus the plans fast_ops.choose_plan and cli.bench_plan (exp and pow) give at
+the least and the greatest order of every frontier up to 2^22 and at every
+order below 64.
 Order 16 is at fast_ops.NEWTON_BASE_ORDER, so its inverses come from the
 coefficient recurrence alone.  Order 3000 is the one whose transforms are
 not all of length 2^a: its Newton steps run at 3072 and its plans at
-m = 1536, so it shows the 3*2^a path.  It prints five
+m = 1536, so it shows the 3*2^a path.  It prints six
 sha256 digests: one over the raw bytes of every output, one over every
 ledger event (order, stage, label, in recording order) and scalar count,
 one over the events alone, one over the text write_series makes of every
@@ -22,11 +25,12 @@ read_series and load_series make of that text and of a fixed table of
 other texts (float and index spellings, blank lines, spaces, CRLF, a
 comment, '#order 0' with and without a coefficient line, a huge declared
 order, a control byte, and, for load_series alone, a byte that is not
-UTF-8): the coefficient bytes, or the FormatError's message and line.  A
-run whose plan is rejected records PlanError in the first four; a last
-line names those runs.
+UTF-8): the coefficient bytes, or the FormatError's message and line,
+and one over those plans, each (k, n, m, fallback) or the PlanError's
+message.  A run whose plan is rejected records PlanError in the first four;
+a last line names those runs.
 
-A refactor meant to keep results bit for bit prints the same five lines as
+A refactor meant to keep results bit for bit prints the same six lines as
 its parent on the same machine; a change to how the scalar work is done or
 counted keeps the events line, a change to the writer alone keeps all but
 the text line, and a change to the readers alone keeps all but the read
@@ -77,6 +81,31 @@ def _runs(cli, fast_ops, N):
     out.append((f"inv N={N}", lambda led: fast_ops.fast_inverse(g, N, ledger=led)))
     out.append((f"log N={N}", lambda led: fast_ops.fast_log(g, N, ledger=led)))
     return out
+
+
+def _plan_orders():
+    """Every order below 64, and the least and the greatest order of every
+    frontier up to 2^22."""
+    frontiers = sorted(c << a for c in (1, 3) for a in range(2, 23) if 8 <= c << a <= 1 << 22)
+    ends = [N for below, m in zip(frontiers, frontiers[1:]) for N in (2 * below + 1, 2 * m)]
+    return sorted(set(range(1, 64)) | set(ends))
+
+
+def _plans(cli, fast_ops, PlanError):
+    """sha256 over choose_plan(N) and the exp and pow bench_plan(N) at every
+    _plan_orders order."""
+    digest = hashlib.sha256()
+    rules = {"choose": fast_ops.choose_plan,
+             "exp": lambda N: cli.bench_plan("exp", N), "pow": lambda N: cli.bench_plan("pow", N)}
+    for N in _plan_orders():
+        for name, rule in rules.items():
+            try:
+                plan = rule(N)
+                text = f"{plan.k} {plan.n} {plan.m} {plan.fallback}"
+            except PlanError as exc:
+                text = f"PlanError {exc}"
+            digest.update(f"{name} N={N} {text}\n".encode())
+    return digest.hexdigest()
 
 
 def _edge_runs(block_engine):
@@ -196,19 +225,16 @@ def fingerprint(src_dir):
         for name, data in to_read + [("edge floats", edges)] + _read_table():
             reads.update(_read_outcomes(series_core, FormatError, name, data, path))
     return (outputs.hexdigest(), ledgers.hexdigest(), events.hexdigest(), texts.hexdigest(),
-            reads.hexdigest(), raised)
+            reads.hexdigest(), _plans(cli, fast_ops, PlanError), raised)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         sys.exit(__doc__.split("\n\n")[1])
-    out_hash, ledger_hash, event_hash, text_hash, read_hash, raised = fingerprint(argv[0])
-    print(f"outputs {out_hash}")
-    print(f"ledgers {ledger_hash}")
-    print(f"events {event_hash}")
-    print(f"text {text_hash}")
-    print(f"read {read_hash}")
+    *digests, raised = fingerprint(argv[0])
+    for name, digest in zip(("outputs", "ledgers", "events", "text", "read", "plans"), digests):
+        print(f"{name} {digest}")
     print(f"raised {len(raised)}: {', '.join(raised)}")
     return 0
 
