@@ -50,7 +50,6 @@ block transform, in block order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,13 +389,11 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger
     return rows
 
 
-def _block_conv(b, c, j0: int, count: int, ledger=None, live=None):
+def _block_conv(b, c, j0: int, count: int, ledger=None) -> np.ndarray:
     """Rows j0..j0+count-1 of the block-axis convolution of two operands
     (``BlockCache.rows`` views or plain spectrum arrays): row i is the sum
-    over mu of b[mu] * c[j0+i-mu] for every row pair both hold, zero where
-    no pair reaches it.  ``live`` flags the rows of c that can be nonzero; a
-    pair meeting another row is not counted.  Returns the rows and each
-    row's count of counted pairs.
+    over mu of b[mu] * c[j0+i-mu] for every row pair both hold, exactly zero
+    where no pair reaches it.
 
     The rows come from one reduction per row over the pairs (the direct
     sum), or from products of block-axis chunk transforms (``_axis_rows``),
@@ -410,38 +407,23 @@ def _block_conv(b, c, j0: int, count: int, ledger=None, live=None):
     lo = [max(0, j - nc + 1) for j in js]
     hi = [min(nb - 1, j) for j in js]
     pairs = [max(0, h - l + 1) for l, h in zip(lo, hi)]
-    if live is not None:
-        seen = [0, *itertools.accumulate(live.tolist())]
-        pairs = [p and seen[j - l + 1] - seen[j - h] for j, l, h, p in zip(js, lo, hi, pairs)]
-    total = sum(pairs)
-    direct_ns = _ROW_NS * (count - pairs.count(0)) + _MAC_NS * total * width
+    total, empty = sum(pairs), pairs.count(0)
+    direct_ns = _ROW_NS * (count - empty) + _MAC_NS * total * width
     # below the block-axis path's fixed cost there is nothing to weigh
     rows = _axis_rows(b, c, j0, count, direct_ns, ledger) if direct_ns > _AXIS_FIXED_NS else None
     if rows is None:
         rows = _pairwise(b.spec, c.spec, j0, lo, hi)
-        tally(ledger, cmul=total * width, cadd=(total - count + pairs.count(0)) * width)
-    elif 0 in pairs:
+        tally(ledger, cmul=total * width, cadd=(total - count + empty) * width)
+    elif empty:
         rows[[i for i, p in enumerate(pairs) if not p]] = 0
-    return rows, np.array(pairs, dtype=np.int64)
+    return rows
 
 
-def _invert_live(rows: np.ndarray, live: np.ndarray, ledger, label: str, k: int | None = None):
-    """Coefficients of the spectrum rows where the boolean mask live is set,
-    inverted in one batch (double spectra of order (2k, k) when k is given,
-    else plain ones); the other rows come back zero and record no event."""
-    def invert(values):
-        if k is None:
-            return fft_core.inverse_dft(fft_core.Spectrum(values, "plain"),
-                                        ledger=ledger, label=label)
-        spec = fft_core.Spectrum(values, "double", l=2 * k, k=k)
-        return fft_core.inverse_double_dft(spec, ledger=ledger, label=label)
-
-    if live.all():
-        return invert(rows)
-    out = np.zeros_like(rows)
-    if live.any():
-        out[live] = invert(rows[live])
-    return out
+def _invert_double(rows: np.ndarray, k: int, ledger, label: str) -> np.ndarray:
+    """Coefficients of double spectra of order (2k, k), one per row, inverted
+    in one batch under label."""
+    spec = fft_core.Spectrum(rows, "double", l=2 * k, k=k)
+    return fft_core.inverse_double_dft(spec, ledger=ledger, label=label)
 
 
 def _overlap_rows(rows: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -456,11 +438,11 @@ def _overlap_rows(rows: np.ndarray, k: int, n: int) -> np.ndarray:
 
 def short_product_2k(b, c, j0: int, count: int, ledger, label: str) -> np.ndarray:
     """Blocks j0..j0+count-1 of b*c, for order-2k block spectra b and c, as
-    count*k coefficients, block j0+i at x**(i*k): ``_block_conv``'s sums, the
-    rows some pair reaches inverted in one batch under label, overlap-added.
-    With j0 = 0 that is the short product (b*c) mod x**(count*k)."""
-    rows, pairs = _block_conv(b, c, j0, count, ledger)
-    rows = _invert_live(rows, pairs > 0, ledger, label)
+    count*k coefficients, block j0+i at x**(i*k): ``_block_conv``'s sums,
+    inverted in one batch under label, overlap-added.  With j0 = 0 that is
+    the short product (b*c) mod x**(count*k)."""
+    rows = _block_conv(b, c, j0, count, ledger)
+    rows = fft_core.inverse_dft(fft_core.Spectrum(rows, "plain"), ledger=ledger, label=label)
     k = rows.shape[1] // 2
     return _overlap_rows(rows, k, count * k)
 
@@ -487,9 +469,8 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         raise PlanError("a folded linear term needs an even block shift")
 
     # Residual images of the straddling block (row 0) and the output blocks.
-    res, pairs = _block_conv(cache.rows(b_label), cache.rows(c_label),
-                             block_shift - 1, n_blocks + 1, ledger)
-    present = pairs > 0  # an absent image is zero and costs nothing
+    res = _block_conv(cache.rows(b_label), cache.rows(c_label), block_shift - 1, n_blocks + 1,
+                      ledger)
     if linear is not None:
         # the even residual blocks j = block_shift-1+i, i = 1, 3, ..., gain
         # coef times the double-sized block j/2 = block_shift/2 + (i-1)/2
@@ -497,27 +478,23 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         np.negative(res, out=res)
         lin = lin[block_shift // 2 : block_shift // 2 + (n_blocks + 1) // 2]
         res[1 : 2 * lin.shape[0] : 2] += coef * lin
-        present[1 : 2 * lin.shape[0] : 2] = True
         tally(ledger, cmul=lin.size)
 
     # Straddling block: one inverse to read theta and the boundary value.
-    straddle = _invert_live(res[:1], present[:1], ledger, BOUNDARY_INVERSE_LABEL, k)[0]
+    straddle = _invert_double(res[:1], k, ledger, BOUNDARY_INVERSE_LABEL)[0]
     theta = straddle[k : 2 * k]
 
     out_blocks = np.zeros((0, 3 * k), dtype=np.complex128)
     if n_blocks > 0:
         theta_spec = fft_core.double_dft(theta, 2 * k, k, ledger=ledger, label="theta").values
         a = cache.rows(a_label)
-        # output block t: a[t]*theta plus a[lam]*u[t-lam]; an absent image
-        # adds nothing and costs nothing
-        acc, met = _block_conv(a, res[1:], 0, n_blocks, ledger, live=present[1:])
+        # output block t: a[t]*theta plus a[lam]*u[t-lam]; each t below
+        # with_theta already holds the pair a[0]*u[t], so theta adds one term
+        acc = _block_conv(a, res[1:], 0, n_blocks, ledger)
         with_theta = min(n_blocks, len(a.spec))
         acc[:with_theta] += a.spec[:with_theta] * theta_spec
-        tally(ledger, cmul=3 * k * with_theta,
-              cadd=3 * k * int(np.count_nonzero(met[:with_theta])))
-        live = met > 0
-        live[:with_theta] = True
-        out_blocks = _invert_live(acc, live, ledger, "mp-restore", k)
+        tally(ledger, cmul=3 * k * with_theta, cadd=3 * k * with_theta)
+        out_blocks = _invert_double(acc, k, ledger, "mp-restore")
     q = _overlap_rows(out_blocks, k, max(out_len, 0))
     return q, straddle, out_blocks
 

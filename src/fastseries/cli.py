@@ -23,7 +23,7 @@ from . import fast_ops, oracle
 from .cost_ledger import CostLedger, report_kv, report_text
 from .errors import DomainError, FormatError, PlanError, UnsupportedLengthError
 from .fast_ops import bench_plan
-from .series_core import TruncatedSeries, load_series, dump_series
+from .series_core import load_series, dump_series
 
 VERIFY_TOL = 1e-8
 VERIFY_POWERS = (2.0 + 0j, 0.5 + 0j, -1.0 + 0j, 0.3 + 0.7j)

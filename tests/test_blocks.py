@@ -8,11 +8,15 @@ from fastseries import (
     DomainError,
     PlanError,
     double_dft,
+    fast_exp,
+    fast_pow,
     oracle_middle,
     shifted_middle_product,
     triple_middle_product,
 )
+from fastseries import block_engine
 from fastseries.block_engine import _aligned_middle, _block_conv
+from fastseries.cli import bench_plan, exp_input, pow_input
 
 from util import disk, rel_err
 
@@ -189,7 +193,7 @@ def test_shifted_single_output_block():
 def test_shifted_with_folded_linear_term_matches_oracle(nb, ng, blocks_out, extra):
     """v = coef*g - b*c with g held in double-sized blocks: the folded term
     reaches the even residual blocks below g's end, and a residual block no
-    pair and no term reaches is absent."""
+    pair and no term reaches is zero."""
     rng, k, coef = np.random.default_rng(15), 4, 0.3 - 0.2j
     shift, n = 4 * k - 1, blocks_out * k + extra
     f, g, b, c = disk(rng, 6 * k), disk(rng, ng * 2 * k), disk(rng, nb * k), disk(rng, nb * k)
@@ -340,10 +344,11 @@ def _pairs(hw_b, hw_c, j):
     return max(0, min(hw_b, j) - max(0, j - hw_c) + 1)
 
 
-def test_absent_residual_images_cost_nothing():
+def test_short_residual_still_inverts_and_counts_every_block():
     """g*h ends four blocks past the cut, so no cached block pair reaches
-    the residual images further up; f has four blocks, so output blocks
-    past the last image it can reach have no terms at all."""
+    the residual images further up, and f has four blocks.  Those images
+    are exact zeros, yet every output block is summed over all its pairs,
+    inverted and tallied: 3*(NN/K + 2) order-K units, as for any product."""
     rng = np.random.default_rng(12)
     f, g, h = disk(rng, 4 * K), disk(rng, M + 4 * K), disk(rng, 2 * K)
     led = CostLedger()
@@ -351,25 +356,56 @@ def test_absent_residual_images_cost_nothing():
     q = triple_middle_product(cache, "a", "b", "c", M, NN, ledger=led)
     assert rel_err(q.coeffs, oracle_middle(f, g, h, M, NN).coeffs) < 1e-10
 
-    # hand count: straddle image j = M/K - 1, output images j = M/K + i
+    # hand count: straddle image j = M/K - 1, output images j = M/K + i,
+    # summed directly, one multiplication per pair and column
     hw_a, hw_b, hw_c, n_out = 3, M // K + 3, 1, NN // K
     images = [_pairs(hw_b, hw_c, M // K + i) for i in range(-1, n_out)]
-    present = [p > 0 for p in images[1:]]
-    assert images[0] > 0 and not all(present)
-    cmul = 3 * K * sum(images)  # image sums
+    assert images[0] > 0 and 0 in images
+    cmul = 3 * K * sum(images)
     cmul += 2 * K  # straddle inverse
     cmul += 4 * K  # theta forward
-    live = 0
-    for t in range(n_out):
-        terms = (t <= hw_a) + sum(present[t - lam] for lam in range(min(t, hw_a) + 1))
-        cmul += 3 * K * terms
-        if terms:
-            live += 1
-            cmul += 2 * K  # output inverse
-    assert 0 < live < n_out
+    # output block t sums a[lam]*u[t-lam] over every pair, the zero images
+    # included; counting them puts this sum on the block-axis path, where
+    # each operand is one chunk of 16 rows, transformed in the call
+    terms = [_pairs(hw_a, n_out - 1, t) for t in range(n_out)]
+    sums = _conv_tallies(hw_a + 1, n_out, 0, n_out, 3 * K, terms, transformed=2)
+    assert sums["axis_dft"] == led.scalar["axis_dft"]
+    cmul += sums["cmul"]
+    cmul += 3 * K * (hw_a + 1)  # a[t] * theta
+    cmul += 2 * K * n_out  # output inverses
     assert led.scalar["cmul"] == cmul
-    assert led.event_count(label="mp-restore") == 2 * live
-    assert led.units_total(K) == 3 * (2 + live)
+    assert led.event_count(label="mp-restore") == 2 * n_out
+    assert led.units_total(K) == 3 * (NN // K + 2)
+
+
+def test_every_residual_image_of_exp_and_pow_has_a_block_pair(monkeypatch):
+    """Every block middle product fast_exp and fast_pow run, on the default
+    and the pinned plans, asks only for residual images some cached block
+    pair reaches: the last image, block_shift - 1 + ceil(out_len/k), is
+    below the sum of the two operands' block counts, and a holds block 0
+    for the pair a[0] * u[t] of every output block t."""
+    real, seen = block_engine._aligned_middle, []
+
+    def spy(cache, a_label, b_label, c_label, block_shift, out_len, *args, **kwargs):
+        k = cache.k
+        na, nb, nc = (len(cache.rows(x).spec) for x in (a_label, b_label, c_label))
+        last = block_shift - 1 + -(-out_len // k)
+        seen.append((na, nb, nc, block_shift, last))
+        return real(cache, a_label, b_label, c_label, block_shift, out_len, *args, **kwargs)
+
+    monkeypatch.setattr(block_engine, "_aligned_middle", spy)
+    rng = np.random.default_rng(19)
+    for N in (1000, 3000, 4096):
+        h, g = exp_input(rng, N), pow_input(rng, N)
+        for plan in (lambda op: None, lambda op: bench_plan(op, N)):
+            for run in (lambda: fast_exp(h, N, plan=plan("exp")),
+                        lambda: fast_pow(g, 0.3 + 0.7j, N, plan=plan("pow"))):
+                seen.clear()
+                run()
+                assert seen, N
+                for na, nb, nc, block_shift, last in seen:
+                    assert na >= 1 and block_shift >= 1
+                    assert last <= nb + nc - 2, (N, na, nb, nc, block_shift, last)
 
 
 def test_partial_head_block_retransformed_at_pinned_scale():
@@ -400,16 +436,16 @@ def test_partial_head_block_retransformed_at_pinned_scale():
     assert rel_err(q.coeffs, want) < 1e-10
 
 
-def _conv_loop(b, c, j0, count, live=None):
+def _conv_loop(b, c, j0, count):
     """Rows j0..j0+count-1 of the block-axis convolution of b and c, one pair
-    at a time, and each row's count of pairs meeting a live row of c."""
+    at a time, and each row's count of pairs."""
     rows, pairs = np.zeros((count, b.shape[1]), dtype=complex), []
     for i, j in enumerate(range(j0, j0 + count)):
         n = 0
         for mu in range(len(b)):
             if 0 <= j - mu < len(c):
                 rows[i] += b[mu] * c[j - mu]
-                n += live is None or live[j - mu]
+                n += 1
         pairs.append(n)
     return rows, pairs
 
@@ -441,7 +477,7 @@ def _conv_tallies(nb, nc, j0, count, width, pairs, transformed):
             "axis_dft": (transformed + len(offsets)) * L * width}
 
 
-def _check_conv(b, c, j0, count, led, live=None, transformed=0):
+def _check_conv(b, c, j0, count, led, transformed=0):
     """_block_conv against the pair loop, within 1e-14 per pair, and its
     tallies against the hand count of the path it took (``transformed``
     chunks made on the block-axis path); b and c are arrays or cache rows.
@@ -449,9 +485,9 @@ def _check_conv(b, c, j0, count, led, live=None, transformed=0):
     bs = b.spec if hasattr(b, "spec") else b
     cs = c.spec if hasattr(c, "spec") else c
     before = dict(led.scalar)
-    got, pairs = _block_conv(b, c, j0, count, led, live=live)
-    want, n = _conv_loop(bs, cs, j0, count, live)
-    assert got.shape == (count, bs.shape[1]) and list(pairs) == n
+    got = _block_conv(b, c, j0, count, led)
+    want, n = _conv_loop(bs, cs, j0, count)
+    assert got.shape == (count, bs.shape[1])
     for i in range(count):
         assert np.max(np.abs(got[i] - want[i]), initial=0) <= 1e-14 * n[i]
     tallies = {kind: led.scalar[kind] - before.get(kind, 0) for kind in led.scalar}
@@ -471,8 +507,8 @@ def test_block_sum_matches_pairwise_loop():
     pairs stay on the direct sum, one multiplication per pair and column,
     and the wide windows take the block-axis path, whose tallies are
     counted chunk pair by chunk pair: a stack's chunks are transformed on
-    first use and kept, a growing series' head chunk again once it grows,
-    and rows of c flagged absent are zero and their pairs not counted."""
+    first use and kept, and a growing series' head chunk again once it
+    grows."""
     rng, width = np.random.default_rng(14), 48
     b = disk(rng, 9 * width).reshape(9, width)
     c = disk(rng, 5 * width).reshape(5, width)
@@ -510,17 +546,6 @@ def test_block_sum_matches_pairwise_loop():
     cache.ensure("s", 63, allow_partial=True)
     # block 62 is complete, block 63 the new head: only chunk 3 is made again
     assert _check_conv(cache.rows("s"), big_c, 63, 17, led, transformed=1)
-
-    # absent rows of c, on both sides of the crossover; the first call also
-    # transforms a's one chunk
-    for absent, axis, transformed in (([], True, 2), ([0, 5, 6, 15], True, 1),
-                                      (range(15), False, None)):
-        c = disk(rng, 16 * 3 * K).reshape(16, 3 * K)
-        live = np.ones(16, dtype=bool)
-        live[list(absent)] = False
-        c[~live] = 0
-        assert _check_conv(cache.rows("a"), c, 0, 16, led, live=live,
-                           transformed=transformed) == axis
 
 
 def test_block_axis_tallies_by_hand():

@@ -6,36 +6,39 @@ Imports fastseries from SRC_DIR (e.g. ``src`` of this checkout, or of a
 second checkout of the parent commit) and runs a fixed matrix: fast_exp and
 fast_pow (every exponent in cli.VERIFY_POWERS) on the default and on the
 pinned bench plans, plus fast_inverse and fast_log, at orders 16, 64,
-256, 1000, 1024, 3000, 4096 and 16384, and triple and shifted middle
-products on small block caches whose products end before the output does,
-plus the plans fast_ops.choose_plan and cli.bench_plan (exp and pow) give at
-the least and the greatest order of every frontier up to 2^22 and at every
-order below 64.
+256, 1000, 1024, 3000, 4096 and 16384, and, apart from that matrix, triple
+and shifted middle products on small block caches whose products end
+before the output does (the edge runs), plus the plans fast_ops.choose_plan
+and cli.bench_plan (exp and pow) give at the least and the greatest order
+of every frontier up to 2^22 and at every order below 64.
 Order 16 is at fast_ops.NEWTON_BASE_ORDER, so its inverses come from the
 coefficient recurrence alone.  Order 3000 is the one whose transforms are
 not all of length 2^a: its Newton steps run at 3072 and its plans at
-m = 1536, so it shows the 3*2^a path.  It prints six
-sha256 digests: one over the raw bytes of every output, one over every
-ledger event (order, stage, label, in recording order) and scalar count,
-one over the events alone, one over the text write_series makes of every
-output and of a fixed set of floats a '%.17g' writer finds hard (powers of
-ten and their neighbours, decimal ties, subnormals, large integers, signed
-zeros, inf, nan, short decimals at every exponent), and one over what
-read_series and load_series make of that text and of a fixed table of
-other texts (float and index spellings, blank lines, spaces, CRLF, a
-comment, '#order 0' with and without a coefficient line, a huge declared
+m = 1536, so it shows the 3*2^a path.  It prints seven
+sha256 digests.  Over the matrix: one over the raw bytes of every output,
+one over every ledger event (order, stage, label, in recording order) and
+scalar count, one over the events alone, one over the text write_series
+makes of every output and of a fixed set of floats a '%.17g' writer finds
+hard (powers of ten and their neighbours, decimal ties, subnormals, large
+integers, signed zeros, inf, nan, short decimals at every exponent), and
+one over what read_series and load_series make of that text and of a fixed
+table of other texts (float and index spellings, blank lines, spaces, CRLF,
+a comment, '#order 0' with and without a coefficient line, a huge declared
 order, a control byte, and, for load_series alone, a byte that is not
-UTF-8): the coefficient bytes, or the FormatError's message and line,
-and one over those plans, each (k, n, m, fallback) or the PlanError's
-message.  A run whose plan is rejected records PlanError in the first four;
-a last line names those runs.
+UTF-8): the coefficient bytes, or the FormatError's message and line; one
+over those plans, each (k, n, m, fallback) or the PlanError's message; and
+one (edges) over each edge run's output, text, events and scalar counts.
+A run whose plan is rejected records PlanError in its lines; a last line
+names those runs.
 
-A refactor meant to keep results bit for bit prints the same six lines as
+A refactor meant to keep results bit for bit prints the same seven lines as
 its parent on the same machine; a change to how the scalar work is done or
 counted keeps the events line, a change to the writer alone keeps all but
 the text line, and a change to the readers alone keeps all but the read
-line.  The output digest depends on numpy's FFT and the CPU, so compare
-trees on one host and do not pin it anywhere.
+line.  The edge runs reach block shapes no exp/pow step makes, so a change
+to how the block engine handles such shapes moves the edges line alone.
+The output digests depend on numpy's FFT and the CPU, so compare trees on
+one host and do not pin them anywhere.
 """
 
 from __future__ import annotations
@@ -109,9 +112,9 @@ def _plans(cli, fast_ops, PlanError):
 
 
 def _edge_runs(block_engine):
-    """Middle products on small caches whose residual images run past the
-    product (absent images) and whose folded linear term runs past its
-    series; the exp/pow matrix never reaches either case."""
+    """Middle products on small caches with residual images that no block
+    pair reaches and a folded linear term that runs past its series; the
+    exp/pow matrix never reaches either case."""
     rng = np.random.default_rng(SEED)
     k, out = 4, []
     for na, nb, nd in ((1, 1, 1), (3, 2, 2), (6, 5, 1), (6, 2, 6)):
@@ -194,38 +197,54 @@ def _written(series_core, coeffs):
     return buf.getvalue().encode()
 
 
+def _record(name, run, CostLedger, PlanError, series_core):
+    """What one run leaves: its status, output bytes, text and ledger (events,
+    then events and scalar counts) as text.  A plan the size rejects is part
+    of the fingerprint."""
+    led = CostLedger()
+    try:
+        coeffs = run(led).coeffs
+        status, result, written = "ok", coeffs.tobytes(), _written(series_core, coeffs)
+    except PlanError:
+        status, result, written = "PlanError", b"PlanError", b"PlanError"
+    events = f"{name} {status}\n"
+    events += "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
+    scalars = "".join(f"{kind}={n}\n" for kind, n in sorted(led.scalar.items()))
+    return status, result, written, events, events + scalars
+
+
 def fingerprint(src_dir):
     cli, fast_ops, series_core, CostLedger, PlanError, FormatError = _import(src_dir)
     outputs, ledgers, events = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    texts, reads = hashlib.sha256(), hashlib.sha256()
+    texts, reads, edges = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     to_read = []
     raised = []
-    runs = [run for N in SIZES for run in _runs(cli, fast_ops, N)]
-    for name, run in runs + _edge_runs(fast_ops.block_engine):
-        led = CostLedger()
-        try:
-            coeffs = run(led).coeffs
-            result, written, status = coeffs.tobytes(), _written(series_core, coeffs), "ok"
-            to_read.append((name, written))
-        except PlanError:  # a plan the size rejects is part of the fingerprint
-            result = written = b"PlanError"
-            status = "PlanError"
+    for N in SIZES:
+        for name, run in _runs(cli, fast_ops, N):
+            status, result, written, evs, ledger = _record(name, run, CostLedger, PlanError,
+                                                           series_core)
+            if status == "ok":
+                to_read.append((name, written))
+            else:
+                raised.append(name)
+            outputs.update(name.encode() + b"\0" + result)
+            texts.update(name.encode() + b"\0" + written)
+            events.update(evs.encode())
+            ledgers.update(ledger.encode())
+    for name, run in _edge_runs(fast_ops.block_engine):
+        status, result, written, _, ledger = _record(name, run, CostLedger, PlanError,
+                                                     series_core)
+        if status != "ok":
             raised.append(name)
-        outputs.update(name.encode() + b"\0" + result)
-        texts.update(name.encode() + b"\0" + written)
-        text = f"{name} {status}\n"
-        text += "".join(f"{e.order} {e.stage} {e.label}\n" for e in led.events)
-        events.update(text.encode())
-        text += "".join(f"{kind}={n}\n" for kind, n in sorted(led.scalar.items()))
-        ledgers.update(text.encode())
-    edges = _written(series_core, _edge_floats().view(np.complex128))
-    texts.update(b"edge floats\0" + edges)
+        edges.update(b"\0".join((name.encode(), result, written, ledger.encode(), b"")))
+    hard = _written(series_core, _edge_floats().view(np.complex128))
+    texts.update(b"edge floats\0" + hard)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp, "series.txt")
-        for name, data in to_read + [("edge floats", edges)] + _read_table():
+        for name, data in to_read + [("edge floats", hard)] + _read_table():
             reads.update(_read_outcomes(series_core, FormatError, name, data, path))
     return (outputs.hexdigest(), ledgers.hexdigest(), events.hexdigest(), texts.hexdigest(),
-            reads.hexdigest(), _plans(cli, fast_ops, PlanError), raised)
+            reads.hexdigest(), _plans(cli, fast_ops, PlanError), edges.hexdigest(), raised)
 
 
 def main(argv=None):
@@ -233,7 +252,8 @@ def main(argv=None):
     if len(argv) != 1:
         sys.exit(__doc__.split("\n\n")[1])
     *digests, raised = fingerprint(argv[0])
-    for name, digest in zip(("outputs", "ledgers", "events", "text", "read", "plans"), digests):
+    for name, digest in zip(("outputs", "ledgers", "events", "text", "read", "plans", "edges"),
+                            digests):
         print(f"{name} {digest}")
     print(f"raised {len(raised)}: {', '.join(raised)}")
     return 0
