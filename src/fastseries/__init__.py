@@ -4,7 +4,6 @@ fast exponential, inverse and constant-power algorithms."""
 from .block_engine import (
     BlockCache,
     BlockPlan,
-    shifted_middle_product,
     triple_middle_product,
 )
 from .cost_ledger import (

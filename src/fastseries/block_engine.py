@@ -1,19 +1,18 @@
 """Blockwise middle products in DFT-image space with a shared spectrum cache.
 
-Series are cut into size-k blocks.  Each block is transformed once into a
-double spectrum of order (2k, k): 3k values that multiply pointwise like an
-order-3k transform while also exposing a plain order-2k DFT as their first
-segment for reuse in short products.  A completed block is never transformed
-again.  The head block of a still-growing series may be transformed while
-some of its tail coefficients are unknown; once it grows it is a different
-polynomial and is transformed afresh (the only recomputation allowed, an
-asymptotically vanishing share of the work).
+Series are cut into size-k blocks.  Each block is transformed once, whole,
+into a double spectrum of order (2k, k): 3k values that multiply pointwise
+like an order-3k transform while also exposing a plain order-2k DFT as their
+first segment for reuse in short products.  A series grows by whole blocks,
+so no block is transformed while some of its coefficients are unknown and
+none is transformed twice into the same kind of spectrum.
 
-The middle product q = f * floor(g*h / x**shift) mod x**n runs entirely on
-cached block spectra: pairwise image convolutions produce the u-vectors, the
-single straddling u is inverted once to extract the flooring correction
-theta and the boundary coefficient, theta is transformed forward, and each
-output block costs one inverse transform.  Excluding the cached block
+The middle product q = f * floor(g*h / x**shift) mod x**n, shift and n
+multiples of k, runs entirely on cached block spectra: pairwise image
+convolutions produce the u-vectors, the single straddling u (the block just
+below the cut, whose upper half reaches past it) is inverted once to
+extract the flooring correction theta, theta is transformed forward, and
+each output block costs one inverse transform.  Excluding the cached block
 transforms, that is 3*(n/k + 2) order-k units.
 
 The cache keeps one record per series: its coefficients, their known
@@ -31,10 +30,10 @@ from one primitive, ``_block_conv``, which takes it one of two ways:
   is transformed along the block axis at length 2c, the chunk-pair products
   are summed per landing offset, and one inverse per offset that reaches
   the rows asked for gives them by overlap-add.  A series' record keeps its
-  chunk transforms, keyed by the known counts of their rows, so a chunk is
-  transformed again only when one of its rows was (the growing head chunk
-  of s, once per step); the fixed r and rho chunks are transformed once
-  per run.  A step's residual images then cost O(m/n) chunk products of
+  chunk transforms, keyed by the rows they were made from, so a chunk is
+  transformed again only when it gained a row (the growing head chunk of
+  s, once per step); the fixed r and rho chunks are transformed once per
+  run.  A step's residual images then cost O(m/n) chunk products of
   2n points each where the direct sum takes O((n/k)(m/k)) row products of
   3k points.
 
@@ -77,7 +76,8 @@ class BlockPlan:
         if self.fallback:
             return
         if self.k < 2:
-            # the head block of a log-derivative extension step holds k-1 known coefficients
+            # the steps run at k = 1 too; the rule stays because the bench
+            # plans, the CLI's --block-size and their tests pin it
             raise PlanError("block size must be at least 2")
         if self.n < 1:
             raise PlanError(f"bootstrap order {self.n} must be positive")
@@ -95,7 +95,10 @@ class BlockPlan:
 
     @property
     def ratio(self) -> int:
-        """m/k, the normalization all stage budgets are quoted in."""
+        """m/k, the normalization all stage budgets are quoted in; a fallback
+        plan has no blocks to quote them in."""
+        if self.fallback:
+            raise PlanError("a fallback plan has no block ratio m/k")
         return self.m // self.k
 
 
@@ -108,25 +111,22 @@ class _Series:
     """One label's cached series: its coefficient array, the count of them
     known, the size of its blocks, and its block spectra, one block per row
     of ``spec``: the double spectrum in all 3k columns, whose first 2k
-    columns are the block's plain order-2k spectrum.  Beside each row, the
-    count of its coefficients the block had known when the whole row
-    (``row_known``) and when its first 2k columns (``row_known_2k``) were
-    last transformed (== block size once complete, -1 when not current).
-    ``written`` counts the rows up to the last double spectrum written;
-    ``spec`` has a row for every block the array can hold.  ``axis`` keeps
-    the block-axis transforms of its chunks for ``_block_conv``, per (chunk,
-    width): the transforms and, per chunk, the known counts of its rows they
-    were made from."""
+    columns are the block's plain order-2k spectrum.  Beside each row, whether
+    the whole row (``made``) and its first 2k columns (``made_2k``) hold the
+    transform of the whole block.  ``written`` counts the rows up to the last
+    double spectrum written; ``spec`` has a row for every block the array
+    can hold.  ``axis`` keeps the block-axis transforms of its chunks for
+    ``_block_conv``, per (chunk, width): the transforms and, per chunk, the
+    ``made`` flags of the rows they were made from."""
 
-    __slots__ = ("array", "known", "block", "spec", "row_known", "row_known_2k",
-                 "written", "axis")
+    __slots__ = ("array", "known", "block", "spec", "made", "made_2k", "written", "axis")
 
     def __init__(self, array: np.ndarray, known: int, block: int, k: int):
         self.array, self.known, self.block = array, known, block
         capacity = -(-array.size // block)
         self.spec = np.empty((capacity, 3 * k), dtype=np.complex128)
-        self.row_known = np.full(capacity, -1, dtype=np.int64)
-        self.row_known_2k = np.full(capacity, -1, dtype=np.int64)
+        self.made = np.zeros(capacity, dtype=bool)
+        self.made_2k = np.zeros(capacity, dtype=bool)
         self.written = 0
         self.axis = {}
 
@@ -136,10 +136,11 @@ class BlockCache:
 
     Each record keeps one 2-d array, row i for block i, holding its double
     spectra; short products read the order-2k spectra as the first 2k
-    columns of the same rows.  A row is current for the known count it was
-    made at; a stale row is transformed again, either whole (``ensure``) or
-    in its first 2k columns only (``ensure_2k``, which leaves the rest of
-    the row stale).
+    columns of the same rows.  Only whole blocks are transformed: every
+    coefficient known, or the zero-padded short last block of a fixed
+    series.  A row not yet current is transformed either whole (``ensure``)
+    or in its first 2k columns only (``ensure_2k``, which leaves the rest
+    of the row for ``ensure``).
 
     Single writer; readers may share it once a frontier is published.
     """
@@ -177,48 +178,40 @@ class BlockCache:
         if upto >= s.written:
             raise DomainError(f"alias range 0..{upto} beyond {src}'s {s.written} slots")
         d.spec[: upto + 1] = s.spec[: upto + 1]
-        d.row_known[: upto + 1] = s.row_known[: upto + 1]
-        d.row_known_2k[: upto + 1] = s.row_known_2k[: upto + 1]
+        d.made[: upto + 1] = s.made[: upto + 1]
+        d.made_2k[: upto + 1] = s.made_2k[: upto + 1]
         d.written = upto + 1
 
     # -- spectra ----------------------------------------------------------------
 
-    def _stale(self, label: str, upto: int, allow_partial: bool, row_known: np.ndarray):
-        """Blocks 0..upto whose rows, by the known counts ``row_known`` they
-        were made at, are stale: their indices, their known counts (only
-        block upto can fall short of the block size) and their coefficients
-        cut to those counts, one block per row."""
+    def _stale(self, label: str, upto: int, made: np.ndarray):
+        """Blocks 0..upto whose rows are not ``made``: their indices and
+        their coefficients, one block per row.  Every block must be whole."""
         s = self._series[label]
         size, arr = s.block, s.array
         tail = s.known - upto * size
         if tail < 1:
             raise DomainError(f"series '{label}' has no coefficients in block {-(-s.known // size)}")
-        states = np.full(upto + 1, size, dtype=np.int64)
-        # a fixed series' short final block is zero-padded and final
+        # a fixed series' short final block is zero-padded and whole
         if tail < size and s.known < arr.size:
-            if not allow_partial:
-                raise DomainError(f"series '{label}' shorter than requested block range")
-            states[upto] = tail
-        idx = np.flatnonzero(row_known[: upto + 1] != states)
+            raise DomainError(f"series '{label}' shorter than requested block range")
+        idx = np.flatnonzero(~made[: upto + 1])
         if not idx.size:
-            return idx, None, None
-        states = states[idx]
-        whole = (states == size) & (idx < arr.size // size)
-        if whole.all() and idx[-1] - idx[0] + 1 == idx.size:
-            return idx, states, arr[idx[0] * size : (idx[-1] + 1) * size].reshape(-1, size)
+            return idx, None
+        full = arr.size // size
+        if idx[-1] < full and idx[-1] - idx[0] + 1 == idx.size:
+            return idx, arr[idx[0] * size : (idx[-1] + 1) * size].reshape(-1, size)
         blocks = np.zeros((idx.size, size), dtype=np.complex128)
-        blocks[whole] = arr[: arr.size // size * size].reshape(-1, size)[idx[whole]]
-        # the head block of a growing series, or a fixed series' short last block
-        for r in np.flatnonzero(~whole):
-            lo = idx[r] * size
-            avail = min(states[r], arr.size - lo)
-            blocks[r, :avail] = arr[lo : lo + avail]
-        return idx, states, blocks
+        inside = idx < full
+        blocks[inside] = arr[: full * size].reshape(-1, size)[idx[inside]]
+        if not inside[-1]:
+            blocks[-1, : arr.size - full * size] = arr[full * size :]
+        return idx, blocks
 
-    def ensure(self, label: str, upto: int, ledger=None, allow_partial=False) -> int:
+    def ensure(self, label: str, upto: int, ledger=None) -> int:
         """Make double spectra for blocks 0..upto current, all stale blocks in
         one batch; returns the number of transforms performed (3 order-k
-        units each).
+        units each).  Blocks 0..upto must be whole.
 
         The label's block size only controls slicing; every spectrum lives in
         the same order-(2k, k) space so blocks of different sizes can be
@@ -228,29 +221,28 @@ class BlockCache:
         s = self._series[label]
         if s.block > 2 * self.k:
             raise PlanError("blocks larger than 2k do not fit the image space")
-        stale, states, blocks = self._stale(label, upto, allow_partial, s.row_known)
+        stale, blocks = self._stale(label, upto, s.made)
         if stale.size:
             s.spec[stale] = fft_core.double_dft(blocks, 2 * self.k, self.k, ledger=ledger,
                                                 label=label).values
-            s.row_known[stale] = s.row_known_2k[stale] = states
+            s.made[stale] = s.made_2k[stale] = True
             s.written = max(s.written, int(stale[-1]) + 1)
         return int(stale.size)
 
-    def ensure_2k(self, label: str, upto: int, ledger=None, allow_partial=False) -> int:
+    def ensure_2k(self, label: str, upto: int, ledger=None) -> int:
         """Make the order-2k spectra (the first 2k columns) of blocks 0..upto
-        current.  A row made at the block's current count, whole or in
-        those columns, already holds them; the others are transformed at
-        order 2k in one batch, whose count is returned (2 order-k units
-        each), and the rest of their rows goes stale."""
+        current; they must be whole.  A row made whole or in those columns
+        already holds them; the others are transformed at order 2k in one
+        batch, whose count is returned (2 order-k units each), and the rest
+        of their rows is left for ``ensure``."""
         s = self._series[label]
         if s.block != self.k:
             raise DomainError("order-2k spectra are only kept for size-k blocks")
-        stale, states, blocks = self._stale(label, upto, allow_partial, s.row_known_2k)
+        stale, blocks = self._stale(label, upto, s.made_2k)
         if stale.size:
             s.spec[stale, : 2 * self.k] = fft_core.dft(blocks, 2 * self.k, ledger=ledger,
                                                        label=label).values
-            s.row_known_2k[stale] = states
-            s.row_known[stale] = -1
+            s.made_2k[stale] = True
         return int(stale.size)
 
     def high_water(self, label: str) -> int:
@@ -261,31 +253,31 @@ class BlockCache:
         """The label's spectra as a ``_block_conv`` operand: the double spectra
         of blocks 0..high_water, or, given count, the order-2k spectra of
         blocks 0..count-1 (a view of the first 2k columns of their rows);
-        with them the known counts they were made at."""
+        with them their ``made`` flags."""
         s = self._series[label]
         if count is None:
-            return _Rows(s.spec[: s.written], s.row_known[: s.written], s)
-        if count > s.row_known_2k.size or (count > 0 and s.row_known_2k[count - 1] < 0):
+            return _Rows(s.spec[: s.written], s.made[: s.written], s)
+        if count > s.made_2k.size or (count > 0 and not s.made_2k[count - 1]):
             raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
-        return _Rows(s.spec[:count, : 2 * self.k], s.row_known_2k[:count], s)
+        return _Rows(s.spec[:count, : 2 * self.k], s.made_2k[:count], s)
 
 
 class _Rows:
     """An operand of ``_block_conv``: block spectra, one block per row.  Rows
-    of a cached series carry the known count each was transformed at and the
-    series, which keeps their block-axis chunk transforms across calls; a
-    plain array is fresh and its chunks are transformed per call."""
+    of a cached series carry their ``made`` flags and the series, which
+    keeps their block-axis chunk transforms across calls; a plain array is
+    fresh and its chunks are transformed per call."""
 
-    __slots__ = ("spec", "known", "series")
+    __slots__ = ("spec", "made", "series")
 
-    def __init__(self, spec, known=None, series=None):
-        self.spec, self.known, self.series = spec, known, series
+    def __init__(self, spec, made=None, series=None):
+        self.spec, self.made, self.series = spec, made, series
 
     def chunk_spectra(self, chunk: int, count: int, ledger) -> np.ndarray:
         """Block-axis transforms, at length 2*chunk, of chunks 0..count-1 (chunk
         q is rows q*chunk.., zero-padded).  A cached series keeps each with
-        the known counts of its rows and makes it again only when those
-        change."""
+        the ``made`` flags of its rows and makes it again only when those
+        change: when the chunk gained a row."""
         if self.series is None:
             out = np.empty((count, 2 * chunk, self.spec.shape[1]), dtype=np.complex128)
             _axis_dft(self.spec, chunk, out, 0, ledger)
@@ -297,7 +289,7 @@ class _Rows:
                                   [None] * cap)
         spec, keys = axis[chunk, width]
         for q in range(count):
-            key = self.known[q * chunk : (q + 1) * chunk].tobytes()
+            key = self.made[q * chunk : (q + 1) * chunk].tobytes()
             if keys[q] != key:
                 _axis_dft(self.spec, chunk, spec[q : q + 1], q, ledger)
                 keys[q] = key
@@ -449,22 +441,21 @@ def short_product_2k(b, c, j0: int, count: int, ledger, label: str) -> np.ndarra
 
 def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
                     ledger=None, linear=None):
-    """Core of q = a * floor(residual / x**(block_shift*k)) mod x**out_len on
-    cached spectra, where residual = b*c, or coef*(series in double-sized
+    """Core of q = a * floor(residual / x**(block_shift*k)) mod x**out_len,
+    out_len a multiple of k, on cached spectra, where residual = b*c, or coef*(series in double-sized
     blocks) - b*c when ``linear=(coef, label2)`` is given.  The double-sized
     blocks of label2 sit on the even k-grid, so a folded linear term needs an
-    even block shift.
+    even block shift; it then starts at the cut and never reaches the
+    straddling block.
 
     The residual images and the output blocks both come from _block_conv;
     the output blocks are inverted in one batch.
 
-    Returns (q, straddle_poly, out_blocks); straddle_poly is the residual's
-    straddling block in coefficient form, whose coefficient k-1 is the single
-    boundary value shifted products need, and out_blocks holds the output
-    blocks in coefficient form, one per row.
+    Returns (q, out_blocks); out_blocks holds the output blocks in
+    coefficient form, one per row.
     """
     k = cache.k
-    n_blocks = -(-out_len // k) if out_len > 0 else 0
+    n_blocks = out_len // k
     if linear is not None and block_shift % 2:
         raise PlanError("a folded linear term needs an even block shift")
 
@@ -480,9 +471,8 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         res[1 : 2 * lin.shape[0] : 2] += coef * lin
         tally(ledger, cmul=lin.size)
 
-    # Straddling block: one inverse to read theta and the boundary value.
-    straddle = _invert_double(res[:1], k, ledger, BOUNDARY_INVERSE_LABEL)[0]
-    theta = straddle[k : 2 * k]
+    # Straddling block: one inverse to read theta, its part past the cut.
+    theta = _invert_double(res[:1], k, ledger, BOUNDARY_INVERSE_LABEL)[0, k : 2 * k]
 
     out_blocks = np.zeros((0, 3 * k), dtype=np.complex128)
     if n_blocks > 0:
@@ -495,13 +485,15 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
         acc[:with_theta] += a.spec[:with_theta] * theta_spec
         tally(ledger, cmul=3 * k * with_theta, cadd=3 * k * with_theta)
         out_blocks = _invert_double(acc, k, ledger, "mp-restore")
-    q = _overlap_rows(out_blocks, k, max(out_len, 0))
-    return q, straddle, out_blocks
+    return _overlap_rows(out_blocks, k, out_len), out_blocks
 
 
 def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label: str,
-                          shift: int, n: int, ledger=None):
-    """q = a * floor(b*c / x**shift) mod x**n for a block-aligned shift.
+                          shift: int, n: int, ledger=None, linear=None):
+    """q = a * floor(v / x**shift) mod x**n for a block-aligned shift and
+    output order, where v = b*c, or coef*g - b*c when ``linear=(coef,
+    g_label)`` names a series g held in double-sized blocks (see
+    _aligned_middle; the shift must then be a multiple of 2k).
 
     All block spectra must already be cached (see BlockCache.ensure); the
     incremental cost recorded here is one inverse for the straddling block,
@@ -510,41 +502,9 @@ def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label
     k = cache.k
     if shift < 0 or shift % k:
         raise DomainError(f"shift {shift} is not a nonnegative multiple of block size {k}")
+    if n < 0:
+        raise DomainError(f"negative output order {n}")
     if n % k:
         raise DomainError(f"output order {n} is not a multiple of block size {k}")
-    q, _, _ = _aligned_middle(cache, a_label, b_label, c_label, shift // k, n, ledger)
+    q, _ = _aligned_middle(cache, a_label, b_label, c_label, shift // k, n, ledger, linear=linear)
     return TruncatedSeries(q)
-
-
-def shifted_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label: str,
-                           shift: int, n: int, ledger=None, linear=None):
-    """q = a * floor(v / x**shift) mod x**n for shift = (multiple of k) - 1,
-    where v = b*c, or coef*g - b*c when ``linear=(coef, g_label)`` names a
-    series g held in double-sized blocks (see _aligned_middle).
-
-    Splitting off the single coefficient below the aligned cut,
-    floor(v/x**s) = v_s + x*floor(v/x**(s+1)), reduces this to the aligned
-    product of order n-1 plus one scalar-times-vector term; the boundary
-    value v_s is read from the straddling block at no extra transform cost
-    (plus coef*g_s, since the linear term never reaches that block).
-    """
-    k = cache.k
-    if shift < 1 or (shift + 1) % k:
-        raise DomainError(f"shift {shift} must be one below a multiple of {k}")
-    if n < 1:
-        raise DomainError("output order must be positive")
-    q_aligned, straddle, _ = _aligned_middle(
-        cache, a_label, b_label, c_label, (shift + 1) // k, n - 1, ledger, linear=linear
-    )
-    v = straddle[k - 1]
-    if linear is not None:
-        g = cache.series_array(linear[1])
-        if shift < g.size:  # g is zero past its end
-            v = linear[0] * g[shift] + v
-    a_arr = cache.series_array(a_label)
-    out = np.zeros(n, dtype=np.complex128)
-    take = min(n, cache.known(a_label))
-    out[:take] = v * a_arr[:take]
-    out[1:] += q_aligned
-    tally(ledger, cmul=take, cadd=n - 1)
-    return TruncatedSeries(out)

@@ -4,19 +4,23 @@ The exponential of h (h[0] = 0) up to order 2m runs in three stages over a
 shared block cache:
 
   stage one    bootstrap a short prefix, then repeatedly extend the frontier
-               by n through the update
-                   f += f_n * J(x**(m'-1) * r_n * floor(dh * f / x**(m'-1)))
-               with every block product done on cached spectra;
-  log stage    extend the logarithmic derivative of the computed prefix to
-               order 2m-1 with the same middle-product machinery;
+               fr by n through the update
+                   f += f_n * J(x**fr * r_n * floor(dh * f / x**fr))
+               where dh = x*h' and J divides coefficient i by i, with every
+               block product done on cached spectra;
+  log stage    extend x times the logarithmic derivative of the computed
+               prefix to order 2m with the same middle-product machinery;
   final stage  one blockwise short product f * (h - log f) using the
                order-2k segments the cache already holds.
 
-Powers h**C (h[0] = 1) follow the same shape with an extra series
-s = C*h'/h computed first: its lower half folds the linear C*h' term into
-the flooring pass (with h' held in double-sized blocks), its upper half runs
-on plain order-2k products.  All budgets are recorded per stage in the
-ledger; bootstrap work is tagged separately and excluded from budget bands.
+Every derivative-like series is stored times x (x*h', x*f'/f, x*C*h'/h),
+so the Newton cut at frontier fr falls on a block boundary: each step is a
+middle product at shift fr over whole blocks.  Powers h**C (h[0] = 1)
+follow the same shape with an extra series s = x*C*h'/h computed first:
+its lower half folds the linear C*x*h' term into the flooring pass (with
+x*h' held in double-sized blocks), its upper half runs on plain order-2k
+products.  All budgets are recorded per stage in the ledger; bootstrap
+work is tagged separately and excluded from budget bands.
 
 fast_exp and fast_pow are the entry points: each checks its input and plan
 once, then runs the private steps (_s_iteration for powers, _first_half,
@@ -24,7 +28,7 @@ _log_extend, _final_stage) on one fresh cache.
 
 The order-n bootstrap prefixes are exponentials and reciprocals.  A power
 takes its prefix h**C mod x**n as the exponential of the integral of its
-seed s_n = C*h'/h mod x**(n-1), so it never calls itself or the quadratic
+seed C*h'/h mod x**(n-1), so it never calls itself or the quadratic
 power reference.  The prefixes come from oracle_exp up to ORACLE_MAX_ORDER
 (oracle_inverse up to ORACLE_INVERSE_MAX_ORDER) and, above it, from fast_exp
 (fast_inverse) on its default plan, whose own bootstrap order is about n/4;
@@ -43,7 +47,7 @@ import threading
 import numpy as np
 
 from . import block_engine, fft_core
-from .block_engine import BlockCache, BlockPlan, frontier, shifted_middle_product
+from .block_engine import BlockCache, BlockPlan, frontier, triple_middle_product
 from .cost_ledger import in_stage, record_dfts, tally
 from .errors import DomainError, PlanError
 from .oracle import _inverse_loop, oracle_exp, oracle_inverse, oracle_pow
@@ -74,9 +78,9 @@ FAST_MIN_ORDER = 32
 #   b = 128     0.33 /   0.18   0/100   1.877
 # closed-form family at N = 4096, pinned plans, error of seeds 7/8/9/10,
 # bootstrap inverses from oracle_inverse up to 512 / from fast_inverse
-#   exp  6.7e-13/1.8e-13/6.0e-14/7.8e-13
-#        3.0e-12/1.6e-12/2.8e-13/9.6e-13
-#   pow  1.6e-12/6.8e-13/2.8e-13/6.3e-13
+#   exp  3.8e-13/1.9e-13/6.6e-14/5.1e-13
+#        3.0e-12/1.5e-12/2.9e-13/5.9e-13
+#   pow  1.6e-12/6.8e-13/2.8e-13/7.2e-13
 #        1.5e-11/6.3e-12/2.9e-13/1.4e-12
 # ORACLE_MAX_ORDER and NEWTON_BASE_ORDER were the largest order the reference
 # won and the base of least ratio when chosen; in this run 1024 is the former
@@ -204,9 +208,10 @@ def _window_product_2k(cache, x_label, y, ledger, y_label, out_label):
 def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> np.ndarray:
     """f mod x**m from its order-n prefix f_n and the reciprocal prefix r_n:
     the frontier grows by n per step through the update
-    f += f_n * J(x**(fr-1) * r_n * floor(b * f / x**(fr-1))), where b is the
-    cached derivative-like series b_label, whose new blocks are transformed
-    under b_stage (the current stage when None).  Registers f and r."""
+    f += f_n * J(x**fr * r_n * floor(b * f / x**fr)), where b = x*f'/f is
+    the cached series b_label, whose new blocks are transformed under
+    b_stage (the current stage when None), and J divides coefficient i by
+    i.  Registers f and r."""
     m, n, k = plan.m, plan.n, plan.k
     f_arr = padded(f_n, m)
     cache.register("f", f_arr, known=n)
@@ -217,7 +222,7 @@ def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> 
             with in_stage(ledger, b_stage):
                 cache.ensure(b_label, (fr + n) // k - 1, ledger=ledger)
             cache.ensure("f", fr // k - 1, ledger=ledger)
-            q = shifted_middle_product(cache, "r", b_label, "f", fr - 1, n, ledger=ledger)
+            q = triple_middle_product(cache, "r", b_label, "f", fr, n, ledger=ledger)
             tail = q.coeffs / np.arange(fr, fr + n)
             tally(ledger, smul=n)
             f_arr[fr : fr + n] = _window_product_2k(
@@ -372,24 +377,25 @@ def fast_log(f, N: int, ledger=None) -> TruncatedSeries:
 # -- exponential --------------------------------------------------------------
 
 def _log_extend(cache, plan, ledger, stage, label, seed_label) -> np.ndarray:
-    """Logarithmic derivative of the cached order-m prefix f, extended to
-    order 2m-1 as the series ``label``; its integral is log(f) up to order 2m.
+    """x times the logarithmic derivative of the cached order-m prefix f,
+    extended to order 2m as the series ``label``; coefficient i over i is
+    that of log(f) up to order 2m.
 
-    Seeded from the cached derivative-like series ``seed_label``, whose block
-    spectra are shared instead of recomputed; only blocks past the seed are
-    transformed.  Reads f and r as _first_half left them.
+    Seeded from the cached series ``seed_label``, equal to it below x**m,
+    whose m/k block spectra are shared instead of recomputed; only blocks
+    past the seed are transformed.  Reads f and r as _first_half left them.
     """
     m, n, k = plan.m, plan.n, plan.k
-    s_arr = np.zeros(2 * m - 1, dtype=np.complex128)
-    s_arr[: m - 1] = cache.series_array(seed_label)[: m - 1]
-    cache.register(label, s_arr, known=m - 1)
-    cache.alias(label, seed_label, m // k - 2)
+    s_arr = np.zeros(2 * m, dtype=np.complex128)
+    s_arr[:m] = cache.series_array(seed_label)[:m]
+    cache.register(label, s_arr, known=m)
+    cache.alias(label, seed_label, m // k - 1)
     with in_stage(ledger, stage):
         for fr in range(m, 2 * m, n):
-            cache.ensure(label, fr // k - 1, ledger=ledger, allow_partial=True)
-            q = shifted_middle_product(cache, "r", label, "f", fr - 1, n, ledger=ledger)
-            s_arr[fr - 1 : fr + n - 1] = -q.coeffs
-            cache.extend_known(label, fr + n - 1)
+            cache.ensure(label, fr // k - 1, ledger=ledger)
+            q = triple_middle_product(cache, "r", label, "f", fr, n, ledger=ledger)
+            s_arr[fr : fr + n] = -q.coeffs
+            cache.extend_known(label, fr + n)
     return s_arr
 
 
@@ -412,66 +418,64 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
 
     f_n, r_n = _exp_prefixes(h2[:n], ledger, "bootstrap.E")
     cache = BlockCache(plan.k)
-    cache.register("dh", np.arange(1, 2 * m) * h2[1:])
+    cache.register("dh", np.arange(2 * m) * h2)
     f_arr = _first_half(cache, f_n, r_n, "dh", plan, ledger, "exp.stage1")
     s = _log_extend(cache, plan, ledger, "exp.log", "s", "dh")
-    w_tail = h2[m:] - s[m - 1 :] / np.arange(m, 2 * m)
+    w_tail = h2[m:] - s[m:] / np.arange(m, 2 * m)
     return _finite_result(_final_stage(cache, f_arr, w_tail, ledger, "exp.final")[:N])
 
 
 # -- constant powers ----------------------------------------------------------
 
-def _s_second_half(cache, dh, C, plan, ledger):
-    """Upper half of the cached s = C*h'/h: each extension is two plain
+def _s_second_half(cache, C, plan, ledger):
+    """Upper half of the cached s = x*C*h'/h: each extension is two plain
     order-2k short products (the s*h window and the reciprocal correction)."""
     m, n, k = plan.m, plan.n, plan.k
-    s_arr = cache.series_array("s")
+    s_arr, dh = cache.series_array("s"), cache.series_array("dh2")
     a = n // k
     for fr in range(m, 2 * m, n):
         cache.ensure_2k("h", (fr + n) // k - 1, ledger=ledger)
-        cache.ensure_2k("s", fr // k - 1, ledger=ledger, allow_partial=True)
-        # block 0 straddles the cut: coefficients fr-1.. of s*h are u[k-1:]
+        cache.ensure_2k("s", fr // k - 1, ledger=ledger)
+        # block 0, below the cut, reaches past it: coefficients fr.. of s*h are u[k:]
         u = block_engine.short_product_2k(cache.rows("s", fr // k),
                                           cache.rows("h", (fr + n) // k),
                                           fr // k - 1, a + 1, ledger, "u2k-restore")
-        G = np.zeros(n, dtype=np.complex128)
-        G[0] = C * dh[fr - 1] - u[k - 1]
-        G[1:] = C * dh[fr : fr + n - 1] - u[k : n + k - 1]
+        G = C * dh[fr : fr + n] - u[k:]
         tally(ledger, cmul=n, cadd=2 * n)
-        s_arr[fr - 1 : fr + n - 1] = _window_product_2k(
+        s_arr[fr : fr + n] = _window_product_2k(
             cache, "rho", G, ledger, y_label="g-blocks", out_label="s2-restore"
         )
-        cache.extend_known("s", fr + n - 1)
+        cache.extend_known("s", fr + n)
 
 
 def _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, C) -> np.ndarray:
-    """Extend s = C*h'/h from its seed, of order n-1, to order 2m-1, for h2
-    = h mod x**(2m) and dh its derivative.
+    """Extend s = x*C*h'/h from its seed, coefficients 1..n-1, to order 2m,
+    for h2 = h mod x**(2m) and dh = x*h2'.
 
     The lower half uses the folded flooring pass on cached block spectra;
-    the upper half switches to plain order-2k products.  Registers h, h'
-    (double-sized blocks), the reciprocal prefix rho_n and s.
+    the upper half switches to plain order-2k products.  Registers h, dh
+    (double-sized blocks, as dh2), the reciprocal prefix rho_n and s.
     """
     m, n, k = plan.m, plan.n, plan.k
     cache.register("h", h2)
     cache.register("dh2", dh, block=2 * k)
     cache.register("rho", rho_n)
-    s_arr = np.zeros(2 * m - 1, dtype=np.complex128)
-    s_arr[: n - 1] = seed
-    cache.register("s", s_arr, known=n - 1)
+    s_arr = np.zeros(2 * m, dtype=np.complex128)
+    s_arr[1:n] = seed
+    cache.register("s", s_arr, known=n)
 
     with in_stage(ledger, "pow.s.first"):
         cache.ensure("rho", n // k - 1, ledger=ledger)
         for fr in range(n, m, n):
             cache.ensure("h", (fr + n) // k - 1, ledger=ledger)
             cache.ensure("dh2", (fr + n) // (2 * k) - 1, ledger=ledger)
-            cache.ensure("s", fr // k - 1, ledger=ledger, allow_partial=True)
-            q = shifted_middle_product(cache, "rho", "s", "h", fr - 1, n, ledger=ledger,
-                                       linear=(C, "dh2"))
-            s_arr[fr - 1 : fr + n - 1] = q.coeffs
-            cache.extend_known("s", fr + n - 1)
+            cache.ensure("s", fr // k - 1, ledger=ledger)
+            q = triple_middle_product(cache, "rho", "s", "h", fr, n, ledger=ledger,
+                                      linear=(C, "dh2"))
+            s_arr[fr : fr + n] = q.coeffs
+            cache.extend_known("s", fr + n)
     with in_stage(ledger, "pow.s.second"):
-        _s_second_half(cache, dh, C, plan, ledger)
+        _s_second_half(cache, C, plan, ledger)
     return s_arr
 
 
@@ -505,9 +509,9 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
 
     with in_stage(ledger, "bootstrap.rho"):
         rho_n = _prefix_inverse(h2[:n], n)
-    dh = np.arange(1, 2 * m) * h2[1:]
+    dh = np.arange(2 * m) * h2
     with in_stage(ledger, "bootstrap.s"):
-        seed = Cc * mul_mod(dh[: n - 1], rho_n, n - 1).coeffs
+        seed = Cc * mul_mod(dh[1:n], rho_n, n - 1).coeffs
     # the seed is C*log(h)' mod x**(n-1), so h**C mod x**n = exp(integral)
     g_n = np.concatenate([[0], seed / np.arange(1, n)])
     f_n, r_n = _exp_prefixes(g_n, ledger, "bootstrap.P")
@@ -517,5 +521,5 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     # the blocks of s are charged to the stage that computed s
     f_arr = _first_half(cache, f_n, r_n, "s", plan, ledger, "pow.f", b_stage="pow.s.first")
     sf = _log_extend(cache, plan, ledger, "pow.log", "sf", "s")
-    w_tail = (s_arr[m - 1 :] - sf[m - 1 :]) / np.arange(m, 2 * m)
+    w_tail = (s_arr[m:] - sf[m:]) / np.arange(m, 2 * m)
     return _finite_result(_final_stage(cache, f_arr, w_tail, ledger, "pow.final")[:N])

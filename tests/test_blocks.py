@@ -11,7 +11,6 @@ from fastseries import (
     fast_exp,
     fast_pow,
     oracle_middle,
-    shifted_middle_product,
     triple_middle_product,
 )
 from fastseries import block_engine
@@ -31,7 +30,7 @@ def test_plan_validation():
     with pytest.raises(PlanError):
         BlockPlan(k=4, n=16, m=16)
     with pytest.raises(PlanError):
-        BlockPlan(k=1, n=2, m=8)  # a head block must hold a known coefficient
+        BlockPlan(k=1, n=2, m=8)  # pinned by the bench plans and the CLI
     for n in (0, -4):  # k divides n and n divides m, but there is no bootstrap
         with pytest.raises(PlanError, match="must be positive"):
             BlockPlan(k=2, n=n, m=512)
@@ -78,20 +77,12 @@ def test_ensure_rejects_blocks_beyond_the_series():
     grows = np.zeros(16, dtype=complex)
     cache.register("y", grows, known=10)
     with pytest.raises(DomainError):
-        cache.ensure("y", 2)  # still-growing series: head block not final
-    assert cache.ensure("y", 2, allow_partial=True) == 3
-
-
-def test_partial_block_is_retransformed_after_growth():
-    cache = BlockCache(4)
-    arr = np.zeros(8, dtype=complex)
-    arr[:6] = np.arange(1, 7)
-    cache.register("x", arr, known=6)
-    assert cache.ensure("x", 1, allow_partial=True) == 2
-    arr[6:] = [7, 8]
-    cache.extend_known("x", 8)
-    assert cache.ensure("x", 1) == 1  # only the grown head block
-    assert cache.ensure("x", 1) == 0
+        cache.ensure("y", 2)  # still-growing series: block 2 is not whole
+    with pytest.raises(DomainError):
+        cache.ensure_2k("y", 2)
+    assert cache.ensure("y", 1) == 2
+    cache.extend_known("y", 12)
+    assert cache.ensure("y", 2) == 1  # block 2, now whole
 
 
 def test_triple_all_ones_example():
@@ -151,57 +142,29 @@ def test_output_blocks_have_negligible_tail():
     rng = np.random.default_rng(5)
     k = 4
     cache, f, g, h = _populated_cache(rng, k, 16, 32)
-    _, _, out_blocks = _aligned_middle(cache, "a", "b", "c", 32 // k, 16)
+    _, out_blocks = _aligned_middle(cache, "a", "b", "c", 32 // k, 16)
     peak = max(np.max(np.abs(d)) for d in out_blocks)
     for d in out_blocks:
         assert np.all(np.abs(d[3 * k - 1 :]) <= 1e-12 * (1 + peak))
 
 
-def test_shifted_matches_oracle():
-    rng = np.random.default_rng(6)
-    cache, f, g, h = _populated_cache(rng, 2, 4, 8)
-    q = shifted_middle_product(cache, "a", "b", "c", 7, 4)
-    want = oracle_middle(f, g, h, 7, 4).coeffs
-    assert rel_err(q.coeffs, want) < 1e-10
-
-
-def test_shifted_with_vanishing_boundary():
-    rng = np.random.default_rng(7)
-    # force the boundary coefficient of g*h to zero: g starts above the cut
-    g = np.zeros(12, dtype=complex)
-    g[8:] = disk(rng, 4)
-    cache, f, g, h = _populated_cache(rng, 2, 4, 8, g=g)
-    assert abs(np.convolve(g, h)[7]) == 0  # the split's scalar term vanishes
-    q = shifted_middle_product(cache, "a", "b", "c", 7, 4)
-    want = oracle_middle(f, g, h, 7, 4).coeffs
-    assert rel_err(q.coeffs, want) < 1e-10
-
-
-def test_shifted_single_output_block():
-    rng = np.random.default_rng(8)
-    cache, f, g, h = _populated_cache(rng, 4, 4, 16)
-    q = shifted_middle_product(cache, "a", "b", "c", 15, 4)
-    want = oracle_middle(f, g, h, 15, 4).coeffs
-    assert rel_err(q.coeffs, want) < 1e-10
-
-
-@pytest.mark.parametrize("nb, ng, blocks_out, extra", [
-    (2, 3, 9, 0),  # the residual runs past both b*c and the folded term
-    (5, 1, 5, 0),  # the folded term stops below the first output block
-    (3, 8, 5, 1),  # an odd count of output blocks, all reached by the term
+@pytest.mark.parametrize("nb, ng, blocks_out", [
+    (2, 3, 9),  # the residual runs past both b*c and the folded term
+    (5, 1, 5),  # the folded term stops below the first output block
+    (3, 8, 5),  # an odd count of output blocks, all reached by the term
 ])
-def test_shifted_with_folded_linear_term_matches_oracle(nb, ng, blocks_out, extra):
-    """v = coef*g - b*c with g held in double-sized blocks: the folded term
-    reaches the even residual blocks below g's end, and a residual block no
-    pair and no term reaches is zero."""
+def test_shifted_with_folded_linear_term_matches_oracle(nb, ng, blocks_out):
+    """v = coef*g - b*c with g held in double-sized blocks, shifted by 4k:
+    the folded term reaches the even residual blocks below g's end, and a
+    residual block no pair and no term reaches is zero."""
     rng, k, coef = np.random.default_rng(15), 4, 0.3 - 0.2j
-    shift, n = 4 * k - 1, blocks_out * k + extra
+    shift, n = 4 * k, blocks_out * k
     f, g, b, c = disk(rng, 6 * k), disk(rng, ng * 2 * k), disk(rng, nb * k), disk(rng, nb * k)
     cache = BlockCache(k)
     for label, arr, size in (("a", f, k), ("b", b, k), ("c", c, k), ("d", g, 2 * k)):
         cache.register(label, arr, block=size)
         cache.ensure(label, arr.size // size - 1)
-    q = shifted_middle_product(cache, "a", "b", "c", shift, n, linear=(coef, "d"))
+    q = triple_middle_product(cache, "a", "b", "c", shift, n, linear=(coef, "d"))
     v = np.zeros(max(2 * nb * k, g.size), dtype=complex)
     v[: 2 * nb * k - 1] -= np.convolve(b, c)
     v[: g.size] += coef * g
@@ -216,8 +179,6 @@ def test_shift_alignment_errors():
     cache, *_ = _populated_cache(rng, 4, 8, 16)
     with pytest.raises(DomainError):
         triple_middle_product(cache, "a", "b", "c", 13, 8)
-    with pytest.raises(DomainError):
-        shifted_middle_product(cache, "a", "b", "c", 13, 8)
 
 
 def test_missing_spectra_error():
@@ -243,27 +204,29 @@ def test_2k_transform_of_grown_head_block_then_ensure():
     rng = np.random.default_rng(16)
     full = disk(rng, 32)
     arr = np.zeros(32, dtype=complex)
-    arr[:14] = full[:14]  # block 3 holds 2 of its 4 coefficients
+    arr[:12] = full[:12]  # blocks 0..2 are whole
     cache = BlockCache(4)
-    cache.register("x", arr, known=14)
-    assert cache.ensure("x", 3, allow_partial=True) == 4
-    arr[14:24] = full[14:24]
+    cache.register("x", arr, known=12)
+    assert cache.ensure("x", 2) == 3
+    arr[12:24] = full[12:24]
     cache.extend_known("x", 24)
     led = CostLedger()
-    # the grown head block 3 and the new blocks 4, 5 at order 2k only
+    # the grown blocks 3, 4, 5 at order 2k only
     assert cache.ensure_2k("x", 5, ledger=led) == 3
     assert [ev.order for ev in led.events] == [8] * 3
     want_2k = np.fft.ifft(full[12:24].reshape(3, 4), n=8, axis=1) * 8
     assert np.allclose(cache.rows("x", 6).spec[3:], want_2k, rtol=0, atol=1e-13)
-    # row 3 no longer holds the double spectrum of the 2-coefficient head
-    # block, so a copy is not current for a series still at that count
-    older = np.zeros(32, dtype=complex)
-    older[:14] = full[:14]
-    cache.register("y", older, known=14)
-    cache.alias("y", "x", 3)
-    assert cache.ensure("y", 3, allow_partial=True) == 1
-    assert np.array_equal(cache.rows("y").spec[3], double_dft(full[12:14], 8, 4).values)
-    # the double spectra of rows 3..5 went stale and are transformed again, whole
+    # rows 3..5 hold no double spectrum yet, so a copy stops at row 2 and
+    # the copy's row 3 is made whole, as ensure makes it
+    copy = np.zeros(32, dtype=complex)
+    copy[:16] = full[:16]
+    cache.register("y", copy, known=16)
+    with pytest.raises(DomainError):
+        cache.alias("y", "x", 3)
+    cache.alias("y", "x", 2)
+    assert cache.ensure("y", 3) == 1
+    assert np.array_equal(cache.rows("y").spec[3], double_dft(full[12:16], 8, 4).values)
+    # the double spectra of rows 3..5 are made whole, once
     assert cache.ensure("x", 5) == 3
     assert cache.ensure_2k("x", 5) == 0
     fresh = BlockCache(4)
@@ -281,7 +244,7 @@ def test_stale_rows_are_made_as_a_fresh_cache_makes_them(stale):
     series = disk(np.random.default_rng(18), (blocks - 1) * k + 3)
     fresh = BlockCache(k)
     fresh.register("x", series)
-    fresh.ensure("x", blocks - 1, allow_partial=True)
+    fresh.ensure("x", blocks - 1)
     want = fresh.rows("x").spec
 
     def expected_events(orders):
@@ -291,16 +254,16 @@ def test_stale_rows_are_made_as_a_fresh_cache_makes_them(stale):
 
     cache = BlockCache(k)
     cache.register("x", series)
-    cache.ensure("x", blocks - 1, allow_partial=True)
+    cache.ensure("x", blocks - 1)
     rec = cache._series["x"]
     rec.spec[stale] = np.nan
-    rec.row_known[stale] = rec.row_known_2k[stale] = -1
+    rec.made[stale] = rec.made_2k[stale] = False
     led = CostLedger()
-    assert cache.ensure_2k("x", blocks - 1, ledger=led, allow_partial=True) == len(stale)
+    assert cache.ensure_2k("x", blocks - 1, ledger=led) == len(stale)
     assert led.events == expected_events((2 * k,))
     assert np.array_equal(cache.rows("x", blocks).spec, want[:, : 2 * k])
     led = CostLedger()
-    assert cache.ensure("x", blocks - 1, ledger=led, allow_partial=True) == len(stale)
+    assert cache.ensure("x", blocks - 1, ledger=led) == len(stale)
     assert led.events == expected_events((2 * k, k))
     assert np.array_equal(cache.rows("x").spec, want)
 
@@ -328,16 +291,6 @@ def test_triple_at_pinned_scale():
     q = triple_middle_product(cache, "a", "b", "c", M, NN, ledger=led)
     assert led.units_total(K) - before == 3 * (NN // K + 2)
     assert rel_err(q.coeffs, oracle_middle(f, g, h, M, NN).coeffs) < 1e-10
-
-
-def test_shifted_at_pinned_scale():
-    rng = np.random.default_rng(11)
-    led = CostLedger()
-    cache, f, g, h = _populated_cache(rng, K, NN, M, ledger=led)
-    before = led.units_total(K)
-    q = shifted_middle_product(cache, "a", "b", "c", M - 1, NN, ledger=led)
-    assert led.units_total(K) - before == 3 * (NN // K + 2)
-    assert rel_err(q.coeffs, oracle_middle(f, g, h, M - 1, NN).coeffs) < 1e-10
 
 
 def _pairs(hw_b, hw_c, j):
@@ -408,32 +361,48 @@ def test_every_residual_image_of_exp_and_pow_has_a_block_pair(monkeypatch):
                     assert last <= nb + nc - 2, (N, na, nb, nc, block_shift, last)
 
 
-def test_partial_head_block_retransformed_at_pinned_scale():
-    rng = np.random.default_rng(13)
-    arr = np.zeros(M, dtype=complex)
-    full = disk(rng, M)
-    arr[:1000] = full[:1000]  # block 62 holds 8 of its 16 coefficients
-    cache = BlockCache(K)
-    cache.register("s", arr, known=1000)
-    assert cache.ensure("s", 62, allow_partial=True) == 63
-    arr[1000:1500] = full[1000:1500]
-    cache.extend_known("s", 1500)
-    led = CostLedger()
-    # the grown head block 62 again, plus blocks 63..93 (93 partial)
-    assert cache.ensure("s", 93, ledger=led, allow_partial=True) == 32
-    assert led.event_count(label="s") == 2 * 32
-    assert cache.high_water("s") == 93
-    want = double_dft(full[992:1008], 2 * K, K).values
-    assert np.array_equal(cache.rows("s").spec[62], want)
+def test_no_block_is_transformed_twice(monkeypatch):
+    """fast_exp and fast_pow, on the default and the pinned plans, make each
+    block of each cached series at most once with ensure and at most once
+    with ensure_2k: a series grows by whole blocks, so none is made while
+    part of it is unknown and made again once it grows."""
+    made, kinds = {}, []
 
-    f, h = disk(rng, NN), disk(rng, M)
-    cache.register("a", f)
-    cache.register("c", h)
-    cache.ensure("a", NN // K - 1)
-    cache.ensure("c", M // K - 1)
-    q = triple_middle_product(cache, "a", "s", "c", 1472, NN)
-    want = oracle_middle(f, full[:1500], h, 1472, NN).coeffs
-    assert rel_err(q.coeffs, want) < 1e-10
+    def spy(kind):
+        real = getattr(BlockCache, kind)
+
+        def wrapped(cache, label, upto, *args, **kwargs):
+            kinds.append([kind, 0])
+            count = real(cache, label, upto, *args, **kwargs)
+            assert kinds.pop()[1] == count, (kind, label)
+            return count
+
+        monkeypatch.setattr(BlockCache, kind, wrapped)
+
+    real_stale = BlockCache._stale
+
+    def stale(cache, label, *args):
+        out = real_stale(cache, label, *args)
+        kinds[-1][1] += len(out[0])  # the rows the caller transforms
+        for i in out[0]:
+            key = (cache, label, int(i), kinds[-1][0])
+            made[key] = made.get(key, 0) + 1
+        return out
+
+    spy("ensure")
+    spy("ensure_2k")
+    monkeypatch.setattr(BlockCache, "_stale", stale)
+    rng = np.random.default_rng(20)
+    for N in (1000, 3000, 4096):
+        h, g = exp_input(rng, N), pow_input(rng, N)
+        for plan in (lambda op: None, lambda op: bench_plan(op, N)):
+            for run in (lambda: fast_exp(h, N, plan=plan("exp")),
+                        lambda: fast_pow(g, 0.3 + 0.7j, N, plan=plan("pow"))):
+                made.clear()
+                run()
+                assert made, N
+                twice = [(label, i, kind) for (_, label, i, kind), n in made.items() if n > 1]
+                assert not twice, (N, twice)
 
 
 def _conv_loop(b, c, j0, count):
@@ -508,7 +477,7 @@ def test_block_sum_matches_pairwise_loop():
     and the wide windows take the block-axis path, whose tallies are
     counted chunk pair by chunk pair: a stack's chunks are transformed on
     first use and kept, and a growing series' head chunk again once it
-    grows."""
+    gains a block."""
     rng, width = np.random.default_rng(14), 48
     b = disk(rng, 9 * width).reshape(9, width)
     c = disk(rng, 5 * width).reshape(5, width)
@@ -532,19 +501,19 @@ def test_block_sum_matches_pairwise_loop():
     # (chunks of 64: both stacks' chunks 0..2 are new)
     assert _check_conv(big_b, big_c, 236, 65, led, transformed=3 + 3)
 
-    # a partial head chunk: block 62 of s holds 8 of its 16 coefficients
+    # a growing head chunk: s holds blocks 0..62
     full = disk(rng, M) / K
     arr = np.zeros(M, dtype=complex)
-    arr[:1000] = full[:1000]
-    cache.register("s", arr, known=1000)
-    cache.ensure("s", 62, allow_partial=True)
-    # chunks of 16 blocks: s has 4 (the last holds the head block); the
-    # chunks of c are kept from above
+    arr[:1008] = full[:1008]
+    cache.register("s", arr, known=1008)
+    cache.ensure("s", 62)
+    # chunks of 16 blocks: s has 4 (the last one short); the chunks of c
+    # are kept from above
     assert _check_conv(cache.rows("s"), big_c, 62, 17, led, transformed=4)
-    arr[1000:1010] = full[1000:1010]
-    cache.extend_known("s", 1010)
-    cache.ensure("s", 63, allow_partial=True)
-    # block 62 is complete, block 63 the new head: only chunk 3 is made again
+    arr[1008:1024] = full[1008:1024]
+    cache.extend_known("s", 1024)
+    cache.ensure("s", 63)
+    # block 63 fills chunk 3: only that chunk is made again
     assert _check_conv(cache.rows("s"), big_c, 63, 17, led, transformed=1)
 
 

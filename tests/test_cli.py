@@ -303,10 +303,9 @@ def test_bench_reports_are_byte_identical(tmp_path):
 
 
 # sha256 of the kv report of `bench --sizes 256,512,1024,2048,4096 --seed 11`:
-# every transform event and scalar count of the pinned k=16 ladder; the unit
-# lines as the per-block engine recorded them before the block stacks were
-# batched, the scalar lines with the block-pair sums on the block-axis path.
-BENCH_KV_SHA256 = "f0021be40170c11d974af4617fe1f303e569cfc5c10c1bf375086e9929dc70d2"
+# every transform event and scalar count of the pinned k=16 ladder, with every
+# block transformed once, whole, and the block-pair sums on the block-axis path.
+BENCH_KV_SHA256 = "a39b3cdba61c7a6f2b1a4afdf37986b456d797b3db2fc8fdebbca111757a1bfe"
 
 
 def test_bench_report_matches_pinned_digest(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from fastseries import (
     BlockCache,
     BlockPlan,
+    CostLedger,
     DomainError,
     FormatError,
     KindMismatchError,
@@ -29,7 +30,9 @@ from fastseries import (
     oracle_middle,
     oracle_pow,
     read_series,
-    shifted_middle_product,
+    report_kv,
+    report_text,
+    stage_table,
     triple_middle_product,
 )
 from fastseries import fft_core
@@ -86,18 +89,25 @@ def test_block_size_checks_of_the_transform_steps(method, block, kind, message):
 
 
 @pytest.mark.parametrize("shift, n, linear, kind, message", [
-    (7, 0, None, DomainError, "output order must be positive"),
-    (7, -4, None, DomainError, "output order must be positive"),
-    (3, 4, (0.5, "c"), PlanError, "a folded linear term needs an even block shift"),
+    (8, -4, None, DomainError, "negative output order -4"),
+    (4, 4, (0.5, "c"), PlanError, "a folded linear term needs an even block shift"),
 ])
-def test_shifted_middle_product_checks(shift, n, linear, kind, message):
-    _raises(kind, message, shifted_middle_product, _cache(), "a", "b", "c", shift, n,
+def test_triple_middle_product_checks(shift, n, linear, kind, message):
+    _raises(kind, message, triple_middle_product, _cache(), "a", "b", "c", shift, n,
             linear=linear)
 
 
 def test_triple_middle_product_needs_whole_output_blocks():
     _raises(DomainError, "output order 6 is not a multiple of block size 4",
             triple_middle_product, _cache(), "a", "b", "c", 8, 6)
+
+
+@pytest.mark.parametrize("report", [report_kv, report_text, stage_table])
+def test_reports_reject_a_fallback_plan(report):
+    """A fallback plan has no blocks, so no m/k to quote units in."""
+    plan = choose_plan(16)
+    assert plan.fallback
+    _raises(PlanError, "a fallback plan has no block ratio m/k", report, CostLedger(), plan)
 
 
 @pytest.mark.parametrize("N", [0, -1])

@@ -28,12 +28,12 @@ TOL = 1e-8  # the identity tolerance of acceptance criterion 5
 C = 0.3 + 0.7j
 
 # sha256 of report_kv for default-plan fast_exp / fast_pow at N = 2**14
-# (k=2048, n=4096, m=8192); its unit lines are those recorded when every
-# bootstrap prefix came from the quadratic references, its scalar lines
-# count the additions of the output-block sums too.
+# (k=2048, n=4096, m=8192); its unit lines hold no bootstrap work and no
+# block transformed twice, its scalar lines count the additions of the
+# output-block sums too.
 KV_SHA256 = {
-    "exp": "a737d00fa2762ff60fff980c6843f2080cb18e95350954b311876c613c5d836d",
-    "pow": "fbe768752d85d4d19d2b684a3eafa90633ece437f651c9eee15b959026890fcb",
+    "exp": "2ab3dba3c996d960885b6dc2570b917ab1d421130c72cdc1ed86b3a9e4b7b440",
+    "pow": "5fa7940f5c637f1b069a80ce36c2c0ec196b498713065dab3941ab9ebcf31349",
 }
 
 

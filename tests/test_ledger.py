@@ -49,19 +49,18 @@ def test_bulk_records_equal_single_records():
 # the default plans, with the block-pair sums on the block-axis path where
 # the engine takes it; none of it depends on the input values.
 EVENT_SHA256 = {
-    "exp pinned": "73313e295558a22821e8f61df2e9dcfe255baf0751d4e81e39bcfda4ef858f9d",
-    "pow pinned": "45024ff165544694be3806696857600fbd268b42af25b9ea593e01cd2927dcc9",
-    "exp default": "1e1ebcab34db70581a3135f2dd8cba776616325a46f9dd1161cb9cd4bf77593b",
-    "pow default": "89b54b305ef7dfa1daf0b3ac68a9ebffe8cf76acd3b5c1048a4409d7e218d5f4",
+    "exp pinned": "991c0a91ff7f0443c6a8b173dd43a7256e2e3c7c349c57b4336411ccf574c0be",
+    "pow pinned": "31cb016ac3acb07aeeaba9194ca6ee55f6a55ee5555e163f87fafb58459f5d50",
+    "exp default": "6b813df84f216591a0bb8c2234694ce63b0cb66e29885a37fc66356c1b4cca35",
+    "pow default": "fd776c9b333753d82f3fa2a2b41e0c887c8fb12b1b202f8b49860c1cb722d5b7",
 }
-# sha256 of the events alone of the same runs; the pinned ones as the
-# block-by-block engine recorded them: how the block-pair sums are done moves
-# no transform.
+# sha256 of the events alone of the same runs: every block transformed once,
+# whole; how the block-pair sums are done moves no transform.
 EVENTS_ONLY_SHA256 = {
-    "exp pinned": "11112037ce033803b1a9053b94d995ce558af764fd8a32963fd1784fa163e363",
-    "pow pinned": "f7149676eaa3cff1c347c9c1f564a4135e5a2d895783831fdf0e4fdbd381e6a3",
-    "exp default": "0b5c5342c7da3f05dbbe330439d76625e10a033e63a7058eb8e14a5502289185",
-    "pow default": "1a894e14248a7799484f9d3a8e07e3eb7c6998a7ac286afa69873050c10b99f8",
+    "exp pinned": "86c0ea99d590e3a6bd4f127d37b92c3b5c2ae44756a62f0523416dc9c87e0c48",
+    "pow pinned": "446cbebf1a442d33c43b4ffaf6406845bc3b27166d190a3a42223431b222d302",
+    "exp default": "37891f237b781c8339b97f653605e8e8817a13fc21396dff60130bb7b05c1b18",
+    "pow default": "cf63cadf182c2276925118c5287952d87583541e96de46a72c2bee39141f7989",
 }
 
 

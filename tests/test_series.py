@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
     "granted_length", "inverse_dft", "inverse_double_dft", "load_series",
     "main_term_units", "mul_mod", "multiply", "oracle_exp", "oracle_inverse",
     "oracle_log", "oracle_middle", "oracle_pow", "read_series", "report_kv",
-    "report_text", "shifted_middle_product", "stage_table", "triple_middle_product",
+    "report_text", "stage_table", "triple_middle_product",
     "write_series",
 }
 

@@ -6,11 +6,12 @@ Imports fastseries from SRC_DIR (e.g. ``src`` of this checkout, or of a
 second checkout of the parent commit) and runs a fixed matrix: fast_exp and
 fast_pow (every exponent in cli.VERIFY_POWERS) on the default and on the
 pinned bench plans, plus fast_inverse and fast_log, at orders 16, 64,
-256, 1000, 1024, 3000, 4096 and 16384, and, apart from that matrix, triple
-and shifted middle products on small block caches whose products end
-before the output does (the edge runs), plus the plans fast_ops.choose_plan
-and cli.bench_plan (exp and pow) give at the least and the greatest order
-of every frontier up to 2^22 and at every order below 64.
+256, 1000, 1024, 3000, 4096 and 16384, and, apart from that matrix, middle
+products with and without a folded linear term on small block caches
+whose products end before the output does (the edge runs), plus the plans
+fast_ops.choose_plan and cli.bench_plan (exp and pow) give at the least
+and the greatest order of every frontier up to 2^22 and at every order
+below 64.
 Order 16 is at fast_ops.NEWTON_BASE_ORDER, so its inverses come from the
 coefficient recurrence alone.  Order 3000 is the one whose transforms are
 not all of length 2^a: its Newton steps run at 3072 and its plans at
@@ -112,9 +113,10 @@ def _plans(cli, fast_ops, PlanError):
 
 
 def _edge_runs(block_engine):
-    """Middle products on small caches with residual images that no block
-    pair reaches and a folded linear term that runs past its series; the
-    exp/pow matrix never reaches either case."""
+    """Middle products at block shifts 2, 4 and 10 on small caches with
+    residual images that no block pair reaches, without and with a folded
+    linear term that runs past its series; the exp/pow matrix never reaches
+    either case."""
     rng = np.random.default_rng(SEED)
     k, out = 4, []
     for na, nb, nd in ((1, 1, 1), (3, 2, 2), (6, 5, 1), (6, 2, 6)):
@@ -131,10 +133,10 @@ def _edge_runs(block_engine):
                 out.append((f"triple {tag}", lambda led, cache=cache, s=shift, n=blocks:
                             block_engine.triple_middle_product(cache, "a", "b", "c", s * k, n * k,
                                                                ledger=led)))
-                out.append((f"shifted {tag}", lambda led, cache=cache, s=shift, n=blocks:
-                            block_engine.shifted_middle_product(cache, "a", "b", "c", s * k - 1,
-                                                                n * k, ledger=led,
-                                                                linear=(0.3 - 0.2j, "d"))))
+                out.append((f"linear {tag}", lambda led, cache=cache, s=shift, n=blocks:
+                            block_engine.triple_middle_product(cache, "a", "b", "c", s * k, n * k,
+                                                               ledger=led,
+                                                               linear=(0.3 - 0.2j, "d"))))
     return out
 
 
