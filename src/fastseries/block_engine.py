@@ -30,10 +30,10 @@ from one primitive, ``_block_conv``, which takes it one of two ways:
   is transformed along the block axis at length 2c, the chunk-pair products
   are summed per landing offset, and one inverse per offset that reaches
   the rows asked for gives them by overlap-add.  A series' record keeps its
-  chunk transforms, keyed by the rows they were made from, so a chunk is
-  transformed again only when it gained a row (the growing head chunk of
-  s, once per step); the fixed r and rho chunks are transformed once per
-  run.  A step's residual images then cost O(m/n) chunk products of
+  chunk transforms, keyed by the count of rows they were made from, so a
+  chunk is transformed again only when it gained a row (the growing head
+  chunk of s, once per step); the fixed r and rho chunks are transformed
+  once per run.  A step's residual images then cost O(m/n) chunk products of
   2n points each where the direct sum takes O((n/k)(m/k)) row products of
   3k points.
 
@@ -56,7 +56,7 @@ import numpy as np
 from . import fft_core
 from .cost_ledger import BOUNDARY_INVERSE_LABEL, tally
 from .errors import DomainError, PlanError
-from .series_core import TruncatedSeries
+from .series_core import TruncatedSeries, padded
 
 
 @dataclass(frozen=True)
@@ -111,23 +111,21 @@ class _Series:
     """One label's cached series: its coefficient array, the count of them
     known, the size of its blocks, and its block spectra, one block per row
     of ``spec``: the double spectrum in all 3k columns, whose first 2k
-    columns are the block's plain order-2k spectrum.  Beside each row, whether
-    the whole row (``made``) and its first 2k columns (``made_2k``) hold the
-    transform of the whole block.  ``written`` counts the rows up to the last
-    double spectrum written; ``spec`` has a row for every block the array
-    can hold.  ``axis`` keeps the block-axis transforms of its chunks for
+    columns are the block's plain order-2k spectrum.  Rows are made in block
+    order, so two counts say which are current: the first ``whole`` rows
+    hold double spectra, the first ``half`` (never fewer) their order-2k
+    spectra.  ``spec`` has a row for every block the array can hold.
+    ``axis`` keeps the block-axis transforms of its chunks for
     ``_block_conv``, per (chunk, width): the transforms and, per chunk, the
-    ``made`` flags of the rows they were made from."""
+    count of rows they were made from."""
 
-    __slots__ = ("array", "known", "block", "spec", "made", "made_2k", "written", "axis")
+    __slots__ = ("array", "known", "block", "spec", "whole", "half", "axis")
 
     def __init__(self, array: np.ndarray, known: int, block: int, k: int):
         self.array, self.known, self.block = array, known, block
         capacity = -(-array.size // block)
         self.spec = np.empty((capacity, 3 * k), dtype=np.complex128)
-        self.made = np.zeros(capacity, dtype=bool)
-        self.made_2k = np.zeros(capacity, dtype=bool)
-        self.written = 0
+        self.whole = self.half = 0
         self.axis = {}
 
 
@@ -173,40 +171,32 @@ class BlockCache:
         return self._series[label].known
 
     def alias(self, dst: str, src: str, upto: int):
-        """Give dst a copy of src's spectra 0..upto (content must agree there)."""
+        """Give dst, registered afresh, a copy of src's double spectra 0..upto
+        (content must agree there); they are dst's first rows of both kinds."""
         s, d = self._series[src], self._series[dst]
-        if upto >= s.written:
-            raise DomainError(f"alias range 0..{upto} beyond {src}'s {s.written} slots")
+        if upto >= s.whole:
+            raise DomainError(f"alias range 0..{upto} beyond {src}'s {s.whole} slots")
         d.spec[: upto + 1] = s.spec[: upto + 1]
-        d.made[: upto + 1] = s.made[: upto + 1]
-        d.made_2k[: upto + 1] = s.made_2k[: upto + 1]
-        d.written = upto + 1
+        d.whole = d.half = upto + 1
 
     # -- spectra ----------------------------------------------------------------
 
-    def _stale(self, label: str, upto: int, made: np.ndarray):
-        """Blocks 0..upto whose rows are not ``made``: their indices and
-        their coefficients, one block per row.  Every block must be whole."""
+    def _stale(self, label: str, upto: int, made: int):
+        """Blocks made..upto, those past the first ``made`` rows: their
+        indices, a range, and their coefficients, one block per row.  Every
+        block must be whole."""
         s = self._series[label]
-        size, arr = s.block, s.array
+        size = s.block
         tail = s.known - upto * size
         if tail < 1:
             raise DomainError(f"series '{label}' has no coefficients in block {-(-s.known // size)}")
         # a fixed series' short final block is zero-padded and whole
-        if tail < size and s.known < arr.size:
+        if tail < size and s.known < s.array.size:
             raise DomainError(f"series '{label}' shorter than requested block range")
-        idx = np.flatnonzero(~made[: upto + 1])
-        if not idx.size:
+        idx = range(made, upto + 1)
+        if not idx:
             return idx, None
-        full = arr.size // size
-        if idx[-1] < full and idx[-1] - idx[0] + 1 == idx.size:
-            return idx, arr[idx[0] * size : (idx[-1] + 1) * size].reshape(-1, size)
-        blocks = np.zeros((idx.size, size), dtype=np.complex128)
-        inside = idx < full
-        blocks[inside] = arr[: full * size].reshape(-1, size)[idx[inside]]
-        if not inside[-1]:
-            blocks[-1, : arr.size - full * size] = arr[full * size :]
-        return idx, blocks
+        return idx, padded(s.array[made * size :], len(idx) * size).reshape(-1, size)
 
     def ensure(self, label: str, upto: int, ledger=None) -> int:
         """Make double spectra for blocks 0..upto current, all stale blocks in
@@ -221,63 +211,62 @@ class BlockCache:
         s = self._series[label]
         if s.block > 2 * self.k:
             raise PlanError("blocks larger than 2k do not fit the image space")
-        stale, blocks = self._stale(label, upto, s.made)
-        if stale.size:
-            s.spec[stale] = fft_core.double_dft(blocks, 2 * self.k, self.k, ledger=ledger,
-                                                label=label).values
-            s.made[stale] = s.made_2k[stale] = True
-            s.written = max(s.written, int(stale[-1]) + 1)
-        return int(stale.size)
+        stale, blocks = self._stale(label, upto, s.whole)
+        if stale:
+            s.spec[stale.start : stale.stop] = fft_core.double_dft(
+                blocks, 2 * self.k, self.k, ledger=ledger, label=label).values
+            s.whole, s.half = stale.stop, max(s.half, stale.stop)
+        return len(stale)
 
     def ensure_2k(self, label: str, upto: int, ledger=None) -> int:
         """Make the order-2k spectra (the first 2k columns) of blocks 0..upto
-        current; they must be whole.  A row made whole or in those columns
-        already holds them; the others are transformed at order 2k in one
-        batch, whose count is returned (2 order-k units each), and the rest
-        of their rows is left for ``ensure``."""
+        current; they must be whole.  The first ``half`` rows already hold
+        them; the others are transformed at order 2k in one batch, whose
+        count is returned (2 order-k units each), and the rest of their rows
+        is left for ``ensure``."""
         s = self._series[label]
         if s.block != self.k:
             raise DomainError("order-2k spectra are only kept for size-k blocks")
-        stale, blocks = self._stale(label, upto, s.made_2k)
-        if stale.size:
-            s.spec[stale, : 2 * self.k] = fft_core.dft(blocks, 2 * self.k, ledger=ledger,
-                                                       label=label).values
-            s.made_2k[stale] = True
-        return int(stale.size)
+        stale, blocks = self._stale(label, upto, s.half)
+        if stale:
+            s.spec[stale.start : stale.stop, : 2 * self.k] = fft_core.dft(
+                blocks, 2 * self.k, ledger=ledger, label=label).values
+            s.half = stale.stop
+        return len(stale)
 
     def high_water(self, label: str) -> int:
         """Index of the last block with a double spectrum, -1 when none."""
-        return self._series[label].written - 1
+        return self._series[label].whole - 1
 
     def rows(self, label: str, count: int | None = None) -> "_Rows":
         """The label's spectra as a ``_block_conv`` operand: the double spectra
-        of blocks 0..high_water, or, given count, the order-2k spectra of
-        blocks 0..count-1 (a view of the first 2k columns of their rows);
-        with them their ``made`` flags."""
+        of its first ``whole`` rows, or, given count, the order-2k spectra of
+        blocks 0..count-1 (a view of the first 2k columns of their rows),
+        which must be among its first ``half``."""
         s = self._series[label]
         if count is None:
-            return _Rows(s.spec[: s.written], s.made[: s.written], s)
-        if count > s.made_2k.size or (count > 0 and not s.made_2k[count - 1]):
+            return _Rows(s.spec[: s.whole], s)
+        if count > s.half:
             raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
-        return _Rows(s.spec[:count, : 2 * self.k], s.made_2k[:count], s)
+        return _Rows(s.spec[:count, : 2 * self.k], s)
 
 
 class _Rows:
     """An operand of ``_block_conv``: block spectra, one block per row.  Rows
-    of a cached series carry their ``made`` flags and the series, which
-    keeps their block-axis chunk transforms across calls; a plain array is
-    fresh and its chunks are transformed per call."""
+    of a cached series carry the series, which keeps their block-axis chunk
+    transforms across calls; a plain array is fresh and its chunks are
+    transformed per call."""
 
-    __slots__ = ("spec", "made", "series")
+    __slots__ = ("spec", "series")
 
-    def __init__(self, spec, made=None, series=None):
-        self.spec, self.made, self.series = spec, made, series
+    def __init__(self, spec, series=None):
+        self.spec, self.series = spec, series
 
     def chunk_spectra(self, chunk: int, count: int, ledger) -> np.ndarray:
         """Block-axis transforms, at length 2*chunk, of chunks 0..count-1 (chunk
         q is rows q*chunk.., zero-padded).  A cached series keeps each with
-        the ``made`` flags of its rows and makes it again only when those
-        change: when the chunk gained a row."""
+        the count of rows it was made from and makes it again only when the
+        chunk gained a row."""
         if self.series is None:
             out = np.empty((count, 2 * chunk, self.spec.shape[1]), dtype=np.complex128)
             _axis_dft(self.spec, chunk, out, 0, ledger)
@@ -289,7 +278,7 @@ class _Rows:
                                   [None] * cap)
         spec, keys = axis[chunk, width]
         for q in range(count):
-            key = self.made[q * chunk : (q + 1) * chunk].tobytes()
+            key = min(chunk, len(self.spec) - q * chunk)
             if keys[q] != key:
                 _axis_dft(self.spec, chunk, spec[q : q + 1], q, ledger)
                 keys[q] = key

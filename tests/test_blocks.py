@@ -235,36 +235,37 @@ def test_2k_transform_of_grown_head_block_then_ensure():
     assert np.array_equal(cache.rows("x").spec, fresh.rows("x").spec)
 
 
-@pytest.mark.parametrize("stale", [[0, 1, 2, 3, 4, 5, 6], [2, 3, 4], [1, 3], [0, 4, 6], [6]])
-def test_stale_rows_are_made_as_a_fresh_cache_makes_them(stale):
-    """ensure and ensure_2k over a contiguous or scattered set of stale rows
-    (the short last block of a fixed series among them) leave the rows a
-    fresh cache makes, and record one event group per stale row."""
+@pytest.mark.parametrize("split", [0, 2, 6])
+def test_rows_made_in_two_calls_match_one_call(split):
+    """ensure_2k and then ensure, each in two calls split before block
+    split, leave the rows one call of each makes, bit for bit, on a fixed
+    series whose zero-padded short last block comes with other blocks or
+    alone, and record one event group per new row."""
     k, blocks = 8, 7
     series = disk(np.random.default_rng(18), (blocks - 1) * k + 3)
-    fresh = BlockCache(k)
-    fresh.register("x", series)
-    fresh.ensure("x", blocks - 1)
-    want = fresh.rows("x").spec
+    one = BlockCache(k)
+    one.register("x", series)
+    one.ensure_2k("x", blocks - 1)
+    want_2k = one.rows("x", blocks).spec.copy()
+    one.ensure("x", blocks - 1)
+    want = one.rows("x").spec
 
-    def expected_events(orders):
+    def made_in(call, orders, upto, rows):
         led = CostLedger()
-        led.record_dfts(orders, len(stale), label="x")
-        return led.events
+        assert call("x", upto, ledger=led) == rows
+        expected = CostLedger()
+        expected.record_dfts(orders, rows, label="x")
+        assert led.events == expected.events
 
     cache = BlockCache(k)
     cache.register("x", series)
-    cache.ensure("x", blocks - 1)
-    rec = cache._series["x"]
-    rec.spec[stale] = np.nan
-    rec.made[stale] = rec.made_2k[stale] = False
-    led = CostLedger()
-    assert cache.ensure_2k("x", blocks - 1, ledger=led) == len(stale)
-    assert led.events == expected_events((2 * k,))
-    assert np.array_equal(cache.rows("x", blocks).spec, want[:, : 2 * k])
-    led = CostLedger()
-    assert cache.ensure("x", blocks - 1, ledger=led) == len(stale)
-    assert led.events == expected_events((2 * k, k))
+    made_in(cache.ensure_2k, (2 * k,), split - 1, split)
+    made_in(cache.ensure_2k, (2 * k,), blocks - 1, blocks - split)
+    assert np.array_equal(cache.rows("x", blocks).spec, want_2k)
+    made_in(cache.ensure, (2 * k, k), split - 1, split)
+    made_in(cache.ensure_2k, (2 * k,), blocks - 1, 0)  # rows past split keep them
+    made_in(cache.ensure, (2 * k, k), blocks - 1, blocks - split)
+    assert cache.high_water("x") == blocks - 1
     assert np.array_equal(cache.rows("x").spec, want)
 
 

@@ -3,18 +3,23 @@ them: these runs keep a renamed or removed name from breaking a tool
 unseen."""
 
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from fastseries import CostLedger, PlanError, block_engine, cli, fast_ops
+from fastseries import CostLedger, PlanError, block_engine, cli, fast_ops, fft_core
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import ab_time  # noqa: E402
+import block_share  # noqa: E402
 import fingerprint  # noqa: E402
+import newton_faults  # noqa: E402
+
+SRC = os.path.join(ROOT, "src")
 
 
 def test_fingerprint_edge_runs_and_plans():
@@ -38,7 +43,48 @@ def test_fingerprint_edge_runs_and_plans():
 def test_ab_time_compares_a_tree_with_itself(op):
     """tools/ab_time.py on this source tree against itself: two pairs at
     order 64, the same outputs bit for bit."""
-    src = os.path.join(ROOT, "src")
-    ms, ratios, diff, shares = ab_time.compare(src, src, op, 64, 2)
+    ms, ratios, diff, shares = ab_time.compare(SRC, SRC, op, 64, 2)
     assert [len(side) for side in ms] == [2, 2] and len(ratios) == 2
     assert diff == 0 and shares is None
+
+
+def test_block_share_times_every_stage(capsys):
+    """tools/block_share.py at order 256, one run: a head line per op and a
+    line per top-level stage, with time in _block_conv for each op; the
+    wrapped names are restored afterwards."""
+    conv, stage = block_engine._block_conv, CostLedger.stage
+    assert block_share.main([SRC, "256", "1"]) == 0
+    assert (block_engine._block_conv, CostLedger.stage) == (conv, stage)
+    lines = capsys.readouterr().out.splitlines()
+    stages = {"exp": ["bootstrap.E", "bootstrap.I", "exp.stage1", "exp.log", "exp.final"],
+              "pow": ["bootstrap.rho", "bootstrap.s", "bootstrap.P", "bootstrap.I",
+                      "pow.s.first", "pow.s.second", "pow.f", "pow.log", "pow.final"]}
+    assert len(lines) == 2 + sum(map(len, stages.values()))
+    for op, tags in stages.items():
+        head = lines.pop(0)
+        assert re.fullmatch(rf"{op} N=256: [\d.]+ ms, _block_conv [\d.]+ ms", head), head
+        assert float(head.rsplit(" ", 2)[1]) > 0, head
+        for tag in tags:
+            line = lines.pop(0)
+            assert re.fullmatch(rf"  {re.escape(tag)} +[\d.]+ ms  _block_conv +[\d.]+ ms "
+                                rf"\(\d+%\)", line), line
+
+
+def test_newton_faults_counts_each_function(capsys):
+    """tools/newton_faults.py at order 64, two repeats: a first-call line and
+    three repeated-call lines per function; the wrapped leaf transforms are
+    restored afterwards."""
+    saved = fft_core._forward, fft_core._backward
+    assert newton_faults.main([SRC, "64", "2"]) == 0
+    assert (fft_core._forward, fft_core._backward) == saved
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.pop(0) == "N=64 repeats=2"
+    assert len(lines) == 8
+    for name in ("fast_inverse", "fast_log"):
+        first = lines.pop(0)
+        assert re.fullmatch(rf"{name} first: [\d.]+ ms, \d+ faults, \d+ in transforms",
+                            first), first
+        for label in ("ms", "faults", "transform faults"):
+            line = lines.pop(0)
+            assert re.fullmatch(rf"{name} repeated {label}: median [\d.]+ min [\d.]+ "
+                                rf"max [\d.]+", line), line
