@@ -30,12 +30,12 @@ from one primitive, ``_block_conv``, which takes it one of two ways:
   is transformed along the block axis at length 2c, the chunk-pair products
   are summed per landing offset, and one inverse per offset that reaches
   the rows asked for gives them by overlap-add.  A series' record keeps its
-  chunk transforms, keyed by the count of rows they were made from, so a
-  chunk is transformed again only when it gained a row (the growing head
-  chunk of s, once per step); the fixed r and rho chunks are transformed
-  once per run.  A step's residual images then cost O(m/n) chunk products of
-  2n points each where the direct sum takes O((n/k)(m/k)) row products of
-  3k points.
+  chunk transforms with one count, the rows they were made from; rows are
+  made in block order, so only the chunks past the last one whole below
+  that count are made again, in one batch (the growing head chunk of s,
+  once per step); the fixed r and rho chunks are transformed once per run.
+  A step's residual images then cost O(m/n) chunk products of 2n points
+  each where the direct sum takes O((n/k)(m/k)) row products of 3k points.
 
 The choice is made per call from the block counts it sees, by a cost model
 fitted to timings of both ways: the default plans (two to eight blocks per
@@ -116,8 +116,8 @@ class _Series:
     hold double spectra, the first ``half`` (never fewer) their order-2k
     spectra.  ``spec`` has a row for every block the array can hold.
     ``axis`` keeps the block-axis transforms of its chunks for
-    ``_block_conv``, per (chunk, width): the transforms and, per chunk, the
-    count of rows they were made from."""
+    ``_block_conv``, per (chunk, width): the transforms and one count, the
+    rows they were made from, as ``whole`` and ``half`` count its rows."""
 
     __slots__ = ("array", "known", "block", "spec", "whole", "half", "axis")
 
@@ -264,36 +264,39 @@ class _Rows:
 
     def chunk_spectra(self, chunk: int, count: int, ledger) -> np.ndarray:
         """Block-axis transforms, at length 2*chunk, of chunks 0..count-1 (chunk
-        q is rows q*chunk.., zero-padded).  A cached series keeps each with
-        the count of rows it was made from and makes it again only when the
-        chunk gained a row."""
+        q is rows q*chunk.., zero-padded).  A cached series keeps them with
+        one count, the rows they were made from.  Rows are made in block
+        order, so a chunk whole below both that count and the rows now is
+        current, and every chunk is when the rows are the same; the rest
+        (the growing head chunk) are made in one batch."""
         if self.series is None:
             out = np.empty((count, 2 * chunk, self.spec.shape[1]), dtype=np.complex128)
             _axis_dft(self.spec, chunk, out, 0, ledger)
             return out
-        width, axis = self.spec.shape[1], self.series.axis
+        width, axis, rows = self.spec.shape[1], self.series.axis, len(self.spec)
         if (chunk, width) not in axis:
             cap = -(-len(self.series.spec) // chunk)
-            axis[chunk, width] = (np.empty((cap, 2 * chunk, width), dtype=np.complex128),
-                                  [None] * cap)
-        spec, keys = axis[chunk, width]
-        for q in range(count):
-            key = min(chunk, len(self.spec) - q * chunk)
-            if keys[q] != key:
-                _axis_dft(self.spec, chunk, spec[q : q + 1], q, ledger)
-                keys[q] = key
+            axis[chunk, width] = np.empty((cap, 2 * chunk, width), dtype=np.complex128), 0
+        spec, made = axis[chunk, width]
+        current = -(-made // chunk) if rows == made else min(rows, made) // chunk
+        if current < count:
+            _axis_dft(self.spec, chunk, spec[current:count], current, ledger)
+            axis[chunk, width] = spec, min(rows, count * chunk)
         return spec[:count]
 
 
 def _axis_dft(rows: np.ndarray, chunk: int, out: np.ndarray, q0: int, ledger):
     """Length-2*chunk transforms along the block axis of chunks q0.. of rows
     (chunk q is rows q*chunk.., zero-padded), in place in out, one chunk per
-    entry; recorded as ``axis_dft`` points."""
+    entry; recorded as ``axis_dft`` points.  Only the last chunk may be
+    short."""
+    part = rows[q0 * chunk : (q0 + len(out)) * chunk]
+    full, short = divmod(len(part), chunk)
+    out[:full, :chunk] = part[: full * chunk].reshape(full, chunk, rows.shape[1])
+    if short:
+        out[full, :short] = part[full * chunk :]
+        out[full, short:chunk] = 0
     out[:, chunk:] = 0
-    for i, blk in enumerate(out):
-        part = rows[(q0 + i) * chunk : (q0 + i + 1) * chunk]
-        blk[: len(part)] = part
-        blk[len(part) : chunk] = 0
     fft_core._axis_forward(out, out)
     tally(ledger, axis_dft=out.size)
 
@@ -313,14 +316,23 @@ _AXIS_MAC_NS = 3.1
 _AXIS_FFT_NS = 2.0
 
 
-def _pairwise(b: np.ndarray, c: np.ndarray, j0: int, lo, hi) -> np.ndarray:
-    """Rows i = sum over mu in lo[i]..hi[i] of b[mu] * c[j0+i-mu], one
-    reduction along the block axis per row (zero where the range is empty)."""
-    rows = np.zeros((len(lo), b.shape[1]), dtype=np.complex128)
-    for i, (l, h) in enumerate(zip(lo, hi)):
-        if h >= l:
-            j = j0 + i
-            np.add.reduce(b[l : h + 1] * c[j - h : j - l + 1][::-1], axis=0, out=rows[i])
+def _pairs_below(J: int, nb: int, nc: int) -> int:
+    """The row pairs (mu, nu), mu < nb and nu < nc, with mu + nu < J: all
+    of them less those with mu >= nb or nu >= nc, by inclusion-exclusion
+    over triangle numbers."""
+    t = [x * (x + 1) // 2 if x > 0 else 0 for x in (J, J - nb, J - nc, J - nb - nc)]
+    return t[0] - t[1] - t[2] + t[3]
+
+
+def _pairwise(b: np.ndarray, c: np.ndarray, j0: int, count: int, live: range) -> np.ndarray:
+    """Rows i = sum over mu of b[mu] * c[j0+i-mu], one reduction along the
+    block axis per row j0+i in live, the rows some pair reaches (zero
+    elsewhere)."""
+    rows = np.zeros((count, b.shape[1]), dtype=np.complex128)
+    nb, nc = len(b), len(c)
+    for j in live:
+        l, h = max(0, j - nc + 1), min(nb - 1, j)
+        np.add.reduce(b[l : h + 1] * c[j - h : j - l + 1][::-1], axis=0, out=rows[j - j0])
     return rows
 
 
@@ -341,19 +353,20 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger
     qb, qc = -(-len(b.spec) // chunk), -(-len(c.spec) // chunk)
     offsets = range(max(0, -((2 * chunk - 2 - j0) // chunk)),
                     min(qb + qc - 2, (j0 + count - 1) // chunk) + 1)
-    spans = [(max(0, s - qc + 1), min(qb - 1, s)) for s in offsets]
-    chunk_pairs = sum(qh - ql + 1 for ql, qh in spans)
+    # every offset s in 0..qb+qc-2 has its chunk pairs (q, s-q)
+    chunk_pairs = _pairs_below(offsets.stop, qb, qc) - _pairs_below(offsets.start, qb, qc)
     # a cached series' chunks are transformed once per run; count the fresh ones
     fresh = sum(min(q, offsets.stop) for x, q in ((b, qb), (c, qc)) if x.series is None)
     axis_ns = (_AXIS_FIXED_NS + _AXIS_MAC_NS * chunk_pairs * L * width
-               + _AXIS_FFT_NS * (fresh + len(spans)) * L * width * chunk.bit_length())
-    if not spans or axis_ns >= direct_ns:
+               + _AXIS_FFT_NS * (fresh + len(offsets)) * L * width * chunk.bit_length())
+    if not offsets or axis_ns >= direct_ns:
         return None
 
     B = b.chunk_spectra(chunk, min(qb, offsets.stop), ledger)
     C = c.chunk_spectra(chunk, min(qc, offsets.stop), ledger)
-    back = np.empty((len(spans), L, width), dtype=np.complex128)
-    for g, (s, (ql, qh)) in enumerate(zip(offsets, spans)):
+    back = np.empty((len(offsets), L, width), dtype=np.complex128)
+    for g, s in enumerate(offsets):
+        ql, qh = max(0, s - qc + 1), min(qb - 1, s)
         np.add.reduce(B[ql : qh + 1] * C[s - qh : s - ql + 1][::-1], axis=0, out=back[g])
     fft_core._axis_backward(back, back)
     # offset s lands back[g, t] on row s*chunk + t, t <= 2*chunk - 2
@@ -366,7 +379,7 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger
     # each row asked for that some offset lands on takes one add per further offset
     covered = min(j0 + count, offsets[-1] * chunk + L - 1) - max(j0, offsets[0] * chunk)
     tally(ledger, axis_dft=back.size, cmul=chunk_pairs * L * width,
-          cadd=((chunk_pairs - len(spans)) * L + landed - covered) * width)
+          cadd=((chunk_pairs - len(offsets)) * L + landed - covered) * width)
     return rows
 
 
@@ -383,20 +396,19 @@ def _block_conv(b, c, j0: int, count: int, ledger=None) -> np.ndarray:
     never as DFT events."""
     b, c = (x if isinstance(x, _Rows) else _Rows(np.asarray(x)) for x in (b, c))
     width, nb, nc = b.spec.shape[1], len(b.spec), len(c.spec)
-    # the few rows of a direct sum make Python ints cheaper than arrays here
-    js = range(j0, j0 + count)
-    lo = [max(0, j - nc + 1) for j in js]
-    hi = [min(nb - 1, j) for j in js]
-    pairs = [max(0, h - l + 1) for l, h in zip(lo, hi)]
-    total, empty = sum(pairs), pairs.count(0)
-    direct_ns = _ROW_NS * (count - empty) + _MAC_NS * total * width
+    # row j has a pair exactly when 0 <= j <= nb+nc-2: the rows with none
+    # are a head (j < 0) and a tail
+    first = max(j0, 0)
+    live = range(first, max(first, min(j0 + count, nb + nc - 1)))
+    total = _pairs_below(live.stop, nb, nc) - _pairs_below(first, nb, nc)
+    direct_ns = _ROW_NS * len(live) + _MAC_NS * total * width
     # below the block-axis path's fixed cost there is nothing to weigh
     rows = _axis_rows(b, c, j0, count, direct_ns, ledger) if direct_ns > _AXIS_FIXED_NS else None
     if rows is None:
-        rows = _pairwise(b.spec, c.spec, j0, lo, hi)
-        tally(ledger, cmul=total * width, cadd=(total - count + empty) * width)
-    elif empty:
-        rows[[i for i, p in enumerate(pairs) if not p]] = 0
+        rows = _pairwise(b.spec, c.spec, j0, count, live)
+        tally(ledger, cmul=total * width, cadd=(total - len(live)) * width)
+    else:
+        rows[: first - j0] = rows[live.stop - j0 :] = 0
     return rows
 
 

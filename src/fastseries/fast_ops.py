@@ -174,6 +174,8 @@ def bench_plan(op: str, N: int, k: int | None = None, n: int | None = None) -> B
     16 fits from m = 128 on; at m = 8 and 12, where no k does, the bound is
     raised to the order k = 2 needs.  A given n takes the first k that fits
     it."""
+    if op not in ("exp", "pow"):
+        raise PlanError(f"no bench plan for {op!r}: only exp and pow run block plans")
     if k is not None and k < 2:
         raise PlanError("block size must be at least 2")
     m = frontier(N)

@@ -538,3 +538,84 @@ def test_block_axis_tallies_by_hand():
     # again: the chunk transforms are kept, only the 2 inverses are new
     _block_conv(cache.rows("b"), cache.rows("c"), 63, 17, led)
     assert led.scalar["axis_dft"] == (8 + 4) * 32 * 6
+
+
+def _first_use_chunks(nb, nc, j0, count):
+    """Chunks the block-axis path transforms when neither stack keeps any:
+    each stack's chunks 0..s, s the last landing offset whose rows meet
+    rows j0..j0+count-1."""
+    chunk = 1 << (count.bit_length() - 1)
+    qb, qc = -(-nb // chunk), -(-nc // chunk)
+    last = max((s for s in range(qb + qc - 1)
+                if s * chunk < j0 + count and j0 < s * chunk + 2 * chunk - 1), default=-1)
+    return min(qb, last + 1) + min(qc, last + 1)
+
+
+def test_closed_form_pair_counts_match_the_rows():
+    """_block_conv prices its two paths and finds its empty rows in closed
+    form: row j has a pair exactly when 0 <= j <= nb+nc-2, and the pairs
+    below row J count by inclusion-exclusion.  That count equals the
+    per-row one, and over a grid of block counts and windows, starting
+    below row 0 or running past row nb+nc-1, _block_conv gives the pair
+    loop's rows, exact zeros where no pair reaches, with the tallies
+    counted pair by pair, on plain arrays and on cache rows, and on both
+    paths."""
+    for nb in range(7):
+        for nc in range(7):
+            for J in range(-3, nb + nc + 3):
+                per_row = sum(max(0, min(nb - 1, j) - max(0, j - nc + 1) + 1) for j in range(J))
+                assert block_engine._pairs_below(J, nb, nc) == per_row, (nb, nc, J)
+
+    rng, paths = np.random.default_rng(21), {False: set(), True: set()}
+    for nb, nc in ((1, 1), (3, 40), (40, 3), (17, 33), (64, 64)):
+        for count in (0, 1, 5, 16, 40):
+            for j0 in (-2, 7, nb + nc - 4, nb + nc - 1):
+                # fresh cache rows, so the chunks are made in the call, as a
+                # plain array's are
+                cache = BlockCache(K)
+                for label, n in (("b", nb), ("c", nc)):
+                    cache.register(label, disk(rng, n * K) / K)
+                    cache.ensure(label, n - 1)
+                fresh = _first_use_chunks(nb, nc, j0, count) if count > 1 else 0
+                for cached in (False, True):
+                    b, c = (cache.rows(x) if cached else cache.rows(x).spec.copy() for x in "bc")
+                    paths[cached].add(_check_conv(b, c, j0, count, CostLedger(), fresh))
+    assert paths == {False: {False, True}, True: {False, True}}
+
+
+def test_chunks_are_made_again_only_after_gaining_rows(monkeypatch):
+    """Pinned fast_exp and fast_pow make the block-axis transform of a
+    cached series' chunk again only after the chunk gained rows, so a fixed
+    series' chunks are made exactly once."""
+    real_spectra, real_dft = block_engine._Rows.chunk_spectra, block_engine._axis_dft
+    made, seen, grown = {}, [], []
+
+    def chunk_spectra(rows, chunk, count, ledger):
+        seen.append(rows)
+        try:
+            return real_spectra(rows, chunk, count, ledger)
+        finally:
+            seen.pop()
+
+    def axis_dft(spec, chunk, out, q0, ledger):
+        series = seen[-1].series if seen else None
+        for q in range(q0, q0 + len(out)) if series is not None else ():
+            held = min(chunk, len(spec) - q * chunk)
+            before = made.setdefault((series, chunk, spec.shape[1], q), [])
+            assert not before or before[-1] < held, (chunk, q, before, held)
+            before.append(held)
+        return real_dft(spec, chunk, out, q0, ledger)
+
+    monkeypatch.setattr(block_engine._Rows, "chunk_spectra", chunk_spectra)
+    monkeypatch.setattr(block_engine, "_axis_dft", axis_dft)
+    rng = np.random.default_rng(22)
+    for N in (1000, 3000, 4096):
+        h, g = exp_input(rng, N), pow_input(rng, N)
+        for run in (lambda: fast_exp(h, N, plan=bench_plan("exp", N)),
+                    lambda: fast_pow(g, 0.3 + 0.7j, N, plan=bench_plan("pow", N))):
+            made.clear()
+            run()
+            assert made, N
+            grown += [held for held in made.values() if len(held) > 1]
+    # some head chunk did grow and was made again
+    assert grown

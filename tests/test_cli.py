@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fastseries import (
-    BlockPlan, CostLedger, choose_plan, fast_exp, fast_pow, load_series, oracle_pow,
+    BlockPlan, CostLedger, PlanError, choose_plan, fast_exp, fast_pow, load_series, oracle_pow,
 )
 from fastseries import cli
 from fastseries.cli import bench_plan, exp_input, main, pow_input, run_bench, run_verify
@@ -411,3 +411,13 @@ def test_bench_plans_keep_k16_where_it_fits():
     assert bench_plan("pow", 4096) == BlockPlan(k=16, n=512, m=2048)
     assert bench_plan("pow", 200) == BlockPlan(k=16, n=32, m=128)
     assert bench_plan("exp", 300) == BlockPlan(k=16, n=16, m=192)
+
+
+@pytest.mark.parametrize("op", ["inv", "log", "EXP", "Pow", "", "exp "])
+def test_bench_plan_refuses_ops_without_block_plans(op):
+    """Only exp and pow run block plans; any other op string, a case or
+    spacing variant included, is refused rather than given pow's plan."""
+    with pytest.raises(PlanError, match="no bench plan"):
+        bench_plan(op, 4096)
+    with pytest.raises(PlanError, match="no bench plan"):
+        bench_plan(op, 4096, k=16, n=256)
