@@ -8,12 +8,12 @@ so no block is transformed while some of its coefficients are unknown and
 none is transformed twice into the same kind of spectrum.
 
 The middle product q = f * floor(g*h / x**shift) mod x**n, shift and n
-multiples of k, runs entirely on cached block spectra: pairwise image
-convolutions produce the u-vectors, the single straddling u (the block just
-below the cut, whose upper half reaches past it) is inverted once to
-extract the flooring correction theta, theta is transformed forward, and
-each output block costs one inverse transform.  Excluding the cached block
-transforms, that is 3*(n/k + 2) order-k units.
+multiples of k, runs on the block spectra it reads, making those not yet
+cached: pairwise image convolutions produce the u-vectors, the straddling u
+(the block just below the cut, whose upper half reaches past it) is
+inverted once to extract the flooring correction theta, theta is
+transformed forward, and each output block costs one inverse transform.
+Excluding the cached block transforms, that is 3*(n/k + 2) order-k units.
 
 The cache keeps one record per series: its coefficients, their known
 count, and its block spectra stacked as the rows of one array, the double
@@ -137,8 +137,8 @@ class BlockCache:
     columns of the same rows.  Only whole blocks are transformed: every
     coefficient known, or the zero-padded short last block of a fixed
     series.  A row not yet current is transformed either whole (``ensure``)
-    or in its first 2k columns only (``ensure_2k``, which leaves the rest
-    of the row for ``ensure``).
+    or in its first 2k columns only (``ensure_2k``, which leaves the rest of
+    the row for ``ensure``), each up to the last whole block asked for.
 
     Single writer; readers may share it once a frontier is published.
     """
@@ -182,26 +182,21 @@ class BlockCache:
     # -- spectra ----------------------------------------------------------------
 
     def _stale(self, label: str, upto: int, made: int):
-        """Blocks made..upto, those past the first ``made`` rows: their
-        indices, a range, and their coefficients, one block per row.  Every
-        block must be whole."""
+        """The whole blocks among made..upto, past the first ``made`` rows
+        (a fixed series' short last block is whole, zero-padded): their
+        indices, a range, and their coefficients, one block per row."""
         s = self._series[label]
         size = s.block
-        tail = s.known - upto * size
-        if tail < 1:
-            raise DomainError(f"series '{label}' has no coefficients in block {-(-s.known // size)}")
-        # a fixed series' short final block is zero-padded and whole
-        if tail < size and s.known < s.array.size:
-            raise DomainError(f"series '{label}' shorter than requested block range")
-        idx = range(made, upto + 1)
+        whole = -(-s.known // size) if s.known == s.array.size else s.known // size
+        idx = range(made, min(upto + 1, whole))
         if not idx:
             return idx, None
         return idx, padded(s.array[made * size :], len(idx) * size).reshape(-1, size)
 
     def ensure(self, label: str, upto: int, ledger=None) -> int:
-        """Make double spectra for blocks 0..upto current, all stale blocks in
-        one batch; returns the number of transforms performed (3 order-k
-        units each).  Blocks 0..upto must be whole.
+        """Make double spectra for the whole blocks among 0..upto current, all
+        stale ones in one batch; returns the number of transforms performed
+        (3 order-k units each).
 
         The label's block size only controls slicing; every spectrum lives in
         the same order-(2k, k) space so blocks of different sizes can be
@@ -219,8 +214,8 @@ class BlockCache:
         return len(stale)
 
     def ensure_2k(self, label: str, upto: int, ledger=None) -> int:
-        """Make the order-2k spectra (the first 2k columns) of blocks 0..upto
-        current; they must be whole.  The first ``half`` rows already hold
+        """Make the order-2k spectra (the first 2k columns) of the whole
+        blocks among 0..upto current.  The first ``half`` rows already hold
         them; the others are transformed at order 2k in one batch, whose
         count is returned (2 order-k units each), and the rest of their rows
         is left for ``ensure``."""
@@ -238,16 +233,17 @@ class BlockCache:
         """Index of the last block with a double spectrum, -1 when none."""
         return self._series[label].whole - 1
 
-    def rows(self, label: str, count: int | None = None) -> "_Rows":
+    def rows(self, label: str, count: int | None = None, ledger=None) -> "_Rows":
         """The label's spectra as a ``_block_conv`` operand: the double spectra
         of its first ``whole`` rows, or, given count, the order-2k spectra of
         blocks 0..count-1 (a view of the first 2k columns of their rows),
-        which must be among its first ``half``."""
+        those not yet made made here (``ensure_2k``); they must be whole."""
         s = self._series[label]
         if count is None:
             return _Rows(s.spec[: s.whole], s)
+        self.ensure_2k(label, count - 1, ledger)
         if count > s.half:
-            raise DomainError(f"missing 2k spectrum for '{label}' block {count - 1}")
+            raise DomainError(f"series '{label}' has no whole block {count - 1}")
         return _Rows(s.spec[:count, : 2 * self.k], s)
 
 
@@ -496,9 +492,11 @@ def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label
     g_label)`` names a series g held in double-sized blocks (see
     _aligned_middle; the shift must then be a multiple of 2k).
 
-    All block spectra must already be cached (see BlockCache.ensure); the
-    incremental cost recorded here is one inverse for the straddling block,
-    one forward for theta, and one inverse per output block.
+    The blocks it reads are made here in the order a, c, g, b: a's up to
+    n/k - 1, the others up to the last residual block (shift + n)/k - 1,
+    each as far as it is whole (BlockCache.ensure) and zero past that.  The
+    rest of the cost is one inverse for the straddling block, one forward
+    for theta, and one inverse per output block.
     """
     k = cache.k
     if shift < 0 or shift % k:
@@ -507,5 +505,11 @@ def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label
         raise DomainError(f"negative output order {n}")
     if n % k:
         raise DomainError(f"output order {n} is not a multiple of block size {k}")
+    last = (shift + n) // k - 1
+    cache.ensure(a_label, n // k - 1, ledger)
+    cache.ensure(c_label, last, ledger)
+    if linear is not None:
+        cache.ensure(linear[1], last // 2, ledger)
+    cache.ensure(b_label, last, ledger)
     q, _ = _aligned_middle(cache, a_label, b_label, c_label, shift // k, n, ledger, linear=linear)
     return TruncatedSeries(q)

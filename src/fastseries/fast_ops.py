@@ -203,7 +203,7 @@ def _window_product_2k(cache, x_label, y, ledger, y_label, out_label):
     k = cache.k
     y_blocks = np.asarray(y, dtype=np.complex128).reshape(-1, k)
     y_specs = fft_core.dft(y_blocks, 2 * k, ledger=ledger, label=y_label).values
-    return block_engine.short_product_2k(cache.rows(x_label, len(y_blocks)), y_specs, 0,
+    return block_engine.short_product_2k(cache.rows(x_label, len(y_blocks), ledger), y_specs, 0,
                                          len(y_blocks), ledger, out_label)
 
 
@@ -223,7 +223,6 @@ def _first_half(cache, f_n, r_n, b_label, plan, ledger, stage, b_stage=None) -> 
         for fr in range(n, m, n):
             with in_stage(ledger, b_stage):
                 cache.ensure(b_label, (fr + n) // k - 1, ledger=ledger)
-            cache.ensure("f", fr // k - 1, ledger=ledger)
             q = triple_middle_product(cache, "r", b_label, "f", fr, n, ledger=ledger)
             tail = q.coeffs / np.arange(fr, fr + n)
             tally(ledger, smul=n)
@@ -394,7 +393,6 @@ def _log_extend(cache, plan, ledger, stage, label, seed_label) -> np.ndarray:
     cache.alias(label, seed_label, m // k - 1)
     with in_stage(ledger, stage):
         for fr in range(m, 2 * m, n):
-            cache.ensure(label, fr // k - 1, ledger=ledger)
             q = triple_middle_product(cache, "r", label, "f", fr, n, ledger=ledger)
             s_arr[fr : fr + n] = -q.coeffs
             cache.extend_known(label, fr + n)
@@ -434,14 +432,11 @@ def _s_second_half(cache, C, plan, ledger):
     order-2k short products (the s*h window and the reciprocal correction)."""
     m, n, k = plan.m, plan.n, plan.k
     s_arr, dh = cache.series_array("s"), cache.series_array("dh2")
-    a = n // k
     for fr in range(m, 2 * m, n):
-        cache.ensure_2k("h", (fr + n) // k - 1, ledger=ledger)
-        cache.ensure_2k("s", fr // k - 1, ledger=ledger)
+        h_rows = cache.rows("h", (fr + n) // k, ledger)  # made before s's, in event order
         # block 0, below the cut, reaches past it: coefficients fr.. of s*h are u[k:]
-        u = block_engine.short_product_2k(cache.rows("s", fr // k),
-                                          cache.rows("h", (fr + n) // k),
-                                          fr // k - 1, a + 1, ledger, "u2k-restore")
+        u = block_engine.short_product_2k(cache.rows("s", fr // k, ledger), h_rows,
+                                          fr // k - 1, n // k + 1, ledger, "u2k-restore")
         G = C * dh[fr : fr + n] - u[k:]
         tally(ledger, cmul=n, cadd=2 * n)
         s_arr[fr : fr + n] = _window_product_2k(
@@ -469,9 +464,6 @@ def _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, C) -> np.ndarray:
     with in_stage(ledger, "pow.s.first"):
         cache.ensure("rho", n // k - 1, ledger=ledger)
         for fr in range(n, m, n):
-            cache.ensure("h", (fr + n) // k - 1, ledger=ledger)
-            cache.ensure("dh2", (fr + n) // (2 * k) - 1, ledger=ledger)
-            cache.ensure("s", fr // k - 1, ledger=ledger)
             q = triple_middle_product(cache, "rho", "s", "h", fr, n, ledger=ledger,
                                       linear=(C, "dh2"))
             s_arr[fr : fr + n] = q.coeffs

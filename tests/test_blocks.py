@@ -69,20 +69,86 @@ def test_ensure_short_final_block_of_fixed_series_is_complete():
     assert cache.ensure("x", 2) == 0
 
 
-def test_ensure_rejects_blocks_beyond_the_series():
+def test_ensure_makes_the_whole_blocks_up_to_the_request():
+    """ensure and ensure_2k make the whole blocks among those asked for, and
+    return how many they made; a block not yet whole waits for its series."""
     cache = BlockCache(4)
     cache.register("x", np.ones(10))
-    with pytest.raises(DomainError):
-        cache.ensure("x", 3)
+    assert cache.ensure("x", 5) == 3  # the fixed series' short block 2 is whole
+    assert cache.high_water("x") == 2
     grows = np.zeros(16, dtype=complex)
     cache.register("y", grows, known=10)
-    with pytest.raises(DomainError):
-        cache.ensure("y", 2)  # still-growing series: block 2 is not whole
-    with pytest.raises(DomainError):
-        cache.ensure_2k("y", 2)
-    assert cache.ensure("y", 1) == 2
+    assert cache.ensure("y", 2) == 2  # still-growing series: block 2 is not whole
+    assert cache.high_water("y") == 1
+    assert cache.ensure("y", 2) == 0
     cache.extend_known("y", 12)
-    assert cache.ensure("y", 2) == 1  # block 2, now whole
+    assert cache.ensure("y", 3) == 1  # block 2, now whole
+    assert cache.high_water("y") == 2
+    cache.register("z", grows, known=10)
+    assert cache.ensure_2k("z", 3) == 2
+    assert cache.ensure_2k("z", 3) == 0
+    assert cache.high_water("z") == -1  # order-2k spectra only
+    cache.register("w", grows, known=3)
+    assert cache.ensure("w", 3) == cache.ensure_2k("w", 3) == 0
+
+
+def test_rows_make_the_order_2k_spectra_they_hand_out():
+    """rows(label, count) makes the order-2k spectra of blocks 0..count-1
+    that are missing, under the ledger it is given, and refuses a block that
+    is not whole."""
+    rng = np.random.default_rng(17)
+    x = disk(rng, 12)
+    cache = BlockCache(4)
+    cache.register("x", x, known=8)
+    cache.ensure("x", 0)
+    assert cache.rows("x").spec.shape == (1, 12)
+    led = CostLedger()
+    rows = cache.rows("x", 2, led)
+    assert rows.spec.shape == (2, 8) and led.event_count(label="x") == 1
+    assert np.allclose(rows.spec[1], np.fft.ifft(x[4:8], 8) * 8, rtol=0, atol=1e-13)
+    assert cache.rows("x").spec.shape == (1, 12)  # no double spectrum is made
+    assert cache.rows("x", 2, led).spec.shape == (2, 8) and led.event_count(label="x") == 1
+    with pytest.raises(DomainError, match="no whole block 2"):
+        cache.rows("x", 3)
+    cache.extend_known("x", 12)
+    assert cache.rows("x", 3).spec.shape == (3, 8)
+
+
+@pytest.mark.parametrize("made", [
+    (1, 3, 5),  # b made only to block 3
+    (1, 5, 1),  # c made only to block 1
+    (0, 0, 0),
+    (-1, -1, -1),  # nothing made
+])
+def test_triple_makes_the_blocks_it_reads(made):
+    """A middle product on operands made partly, or not at all, makes the
+    blocks its window reads and equals the reference."""
+    rng = np.random.default_rng(18)
+    k, shift, n = 4, 16, 8
+    f, g, h = disk(rng, n), disk(rng, shift + n), disk(rng, shift + n)
+    cache = BlockCache(k)
+    for label, arr, upto in zip("abc", (f, g, h), made):
+        cache.register(label, arr)
+        cache.ensure(label, upto)
+    q = triple_middle_product(cache, "a", "b", "c", shift, n)
+    assert rel_err(q.coeffs, oracle_middle(f, g, h, shift, n).coeffs) < 1e-12
+    assert [cache.high_water(label) for label in "abc"] == [1, 5, 5]
+
+
+def test_triple_makes_the_folded_term_it_reads():
+    """With a folded linear term made not at all, the product makes its
+    double-sized blocks up to the one holding the last residual block."""
+    rng, k, coef = np.random.default_rng(19), 4, 0.3 - 0.2j
+    shift, n = 4 * k, 4 * k
+    f, g, b, c = disk(rng, n), disk(rng, 8 * k), disk(rng, 8 * k), disk(rng, 8 * k)
+    cache = BlockCache(k)
+    for label, arr, size in (("a", f, k), ("b", b, k), ("c", c, k), ("d", g, 2 * k)):
+        cache.register(label, arr, block=size)
+    q = triple_middle_product(cache, "a", "b", "c", shift, n, linear=(coef, "d"))
+    v = coef * g - np.convolve(b, c)[: g.size]
+    want = np.convolve(f, v[shift:])[:n]
+    assert rel_err(q.coeffs, want) < 1e-12
+    assert [cache.high_water(label) for label in "abcd"] == [3, 7, 7, 3]
 
 
 def test_triple_all_ones_example():
@@ -179,15 +245,6 @@ def test_shift_alignment_errors():
     cache, *_ = _populated_cache(rng, 4, 8, 16)
     with pytest.raises(DomainError):
         triple_middle_product(cache, "a", "b", "c", 13, 8)
-
-
-def test_missing_spectra_error():
-    cache = BlockCache(2)
-    cache.register("a", np.ones(4))
-    cache.ensure("a", 0)
-    assert cache.rows("a").spec.shape == (1, 6)
-    with pytest.raises(DomainError):
-        cache.rows("a", 2)
 
 
 def test_ensure_2k_after_ensure_is_free():

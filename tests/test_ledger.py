@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from fastseries import (
     BlockPlan,
@@ -84,6 +85,33 @@ def test_event_sequence_of_pinned_runs():
             assert hashlib.sha256(text.encode()).hexdigest() == EVENTS_ONLY_SHA256[key], key
             text += "".join(f"{name}={n}\n" for name, n in sorted(led.scalar.items()))
             assert hashlib.sha256(text.encode()).hexdigest() == EVENT_SHA256[key], key
+
+
+# Units of each main stage on the bench_plan ladder, as a*r + b for
+# r = m/k; the bootstrap stages are left out.
+LADDER_UNITS = {
+    "exp": {"exp.stage1": (Fraction(25, 2), 42), "exp.log": (Fraction(45, 8), 48),
+            "exp.final": (4, 0)},
+    "pow": {"pow.s.first": (Fraction(21, 2), 18), "pow.s.second": (10, 8), "pow.f": (9, 18),
+            "pow.log": (Fraction(21, 4), 24), "pow.final": (4, 0)},
+}
+
+
+@pytest.mark.parametrize("N", [512, 1024, 2048, 4096, 8192, 16384])
+def test_bench_ladder_stage_units_in_closed_form(N):
+    """Every main stage of a pinned exp and pow run costs exactly its closed
+    form in r = m/k (r = 16..512 here)."""
+    rng = np.random.default_rng(N)
+    runs = {"exp": lambda plan, led: fast_exp(exp_input(rng, N), N, plan=plan, ledger=led),
+            "pow": lambda plan, led: fast_pow(pow_input(rng, N), 0.3 + 0.7j, N, plan=plan,
+                                              ledger=led)}
+    for op, run in runs.items():
+        plan, led = bench_plan(op, N), CostLedger()
+        run(plan, led)
+        got = {tag: units for tag, units in led.units_by_stage(plan.k).items()
+               if not tag.startswith("bootstrap.")}
+        r = plan.ratio
+        assert got == {tag: a * r + b for tag, (a, b) in LADDER_UNITS[op].items()}, (op, r)
 
 
 def test_additivity_and_filtering():

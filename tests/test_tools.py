@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import ab_time  # noqa: E402
 import block_share  # noqa: E402
+import crossover  # noqa: E402
 import fingerprint  # noqa: E402
 import newton_faults  # noqa: E402
 
@@ -88,3 +89,39 @@ def test_newton_faults_counts_each_function(capsys):
             line = lines.pop(0)
             assert re.fullmatch(rf"{name} repeated {label}: median [\d.]+ min [\d.]+ "
                                 rf"max [\d.]+", line), line
+
+
+def test_crossover_prints_every_table(monkeypatch, capsys):
+    """tools/crossover.py's four measurements, once each at small orders and
+    one or two repeats: a host line and the rows of every table; the
+    constants it sets while measuring are restored afterwards."""
+    for name, value in (("REPEATS", 1), ("BASES", (8,)), ("BASE_PROBE_ORDER", 64),
+                        ("BASE_REPEATS", 1), ("FAMILY_ORDER", 256), ("FAMILY_SEEDS", (7,)),
+                        ("PAIR_ORDERS", (64,)), ("PAIR_REPEATS", 2)):
+        monkeypatch.setattr(crossover, name, value)
+    saved = (fast_ops.NEWTON_BASE_ORDER, fast_ops.ORACLE_INVERSE_MAX_ORDER,
+             fft_core._PAIR_MIN_ORDER)
+    assert crossover.main([SRC, "64,128"]) == 0
+    assert (fast_ops.NEWTON_BASE_ORDER, fast_ops.ORACLE_INVERSE_MAX_ORDER,
+            fft_core._PAIR_MIN_ORDER) == saved
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"# .+, \d+ usable CPUs, numpy \S+, Python \S+", lines.pop(0))
+    pair = r"[\d.]+ / +[\d.]+ +\d/1"
+    del lines[:2]
+    for n in (64, 128):
+        line = lines.pop(0)
+        assert re.fullmatch(rf"# +{n} +{pair} +{pair}", line), line
+    del lines[:2]
+    line = lines.pop(0)
+    assert re.fullmatch(r"# +b = +8 +[\d.]+ / +[\d.]+ +\d/1 +[\d.]+", line), line
+    del lines[:2]
+    for op in ("exp", "pow"):
+        for label in (op, ""):
+            line = lines.pop(0)
+            assert re.fullmatch(rf"# +{label} +\d\.\de[-+]\d+", line), line
+    if fft_core._usable_cpus() < 2:
+        assert lines == ["# one usable CPU: dft_pair runs serially at every order"]
+    else:
+        del lines[:3]
+        assert len(lines) == 1
+        assert re.fullmatch(r"# +64 +\d+ +\d+ +[\d.]+ \[[\d.]+, [\d.]+\]", lines[0]), lines

@@ -123,11 +123,12 @@ def _edge_runs(block_engine):
         for shift in (2, 4, 10):
             for blocks in (1, 5, 9):
                 cache = block_engine.BlockCache(k)
-                # only the first nd blocks of d get spectra
+                # d holds 6 blocks, of which only the first nd are known; every
+                # known block gets its spectrum here, outside the ledger
                 for label, count, size, held in (("a", na, k, na), ("b", nb, k, nb),
                                                  ("c", nb, k, nb), ("d", nd, 2 * k, 6)):
                     cache.register(label, np.array([1, 1j]) @ rng.standard_normal((2, held * size)),
-                                   block=size)
+                                   known=count * size, block=size)
                     cache.ensure(label, count - 1)
                 tag = f"a={na} b,c={nb} d={nd} shift={shift}k out={blocks}k"
                 out.append((f"triple {tag}", lambda led, cache=cache, s=shift, n=blocks:
