@@ -37,10 +37,15 @@ from one primitive, ``_block_conv``, which takes it one of two ways:
   A step's residual images then cost O(m/n) chunk products of 2n points
   each where the direct sum takes O((n/k)(m/k)) row products of 3k points.
 
-The choice is made per call from the block counts it sees, by a cost model
-fitted to timings of both ways: the default plans (two to eight blocks per
-series) stay direct, the pinned k = 16 plans (m/k >= 128) go along the
-block axis.  Either way the work is tallied in the ledger's scalars
+The choice is made per call from what it can see: a sum of at least 8
+rows, each at most 1024 columns wide, some row of which has a block pair,
+goes along the block axis, any other directly.  The default plans (m/k = 4,
+so a few rows a sum) stay direct; the pinned k = 16 plans take the block
+axis for their windows of 8 rows or more, 32 or 48 columns wide.  Over the
+8,021 calls the default and pinned exp/pow plans make at 69 orders from 32
+to 65536, the rule picks the path the timed cost model it replaced picked on
+all but 9, near ties in pinned pow at m = 384 where that model flipped from
+one step to the next.  Either way the work is tallied in the ledger's scalars
 (``cmul``, ``cadd`` and ``axis_dft``, the points of block-axis transforms),
 never as DFT events.  The forward block transforms of a step and its
 output inverses each run as one batch; the ledger still sees one event per
@@ -153,8 +158,15 @@ class BlockCache:
 
     def register(self, label: str, array, known: int | None = None, block: int | None = None):
         arr = np.asarray(array, dtype=np.complex128).reshape(-1)
-        self._series[label] = _Series(arr, arr.size if known is None else int(known),
-                                      self.k if block is None else int(block), self.k)
+        known = arr.size if known is None else int(known)
+        block = self.k if block is None else int(block)
+        if known < 0:
+            raise DomainError("known coefficient count cannot be negative")
+        if known > arr.size:
+            raise DomainError("known count beyond backing array")
+        if block < 1:
+            raise PlanError("block size must be positive")
+        self._series[label] = _Series(arr, known, block, self.k)
 
     def extend_known(self, label: str, known: int):
         s = self._series[label]
@@ -176,6 +188,8 @@ class BlockCache:
         s, d = self._series[src], self._series[dst]
         if upto >= s.whole:
             raise DomainError(f"alias range 0..{upto} beyond {src}'s {s.whole} slots")
+        if not -1 <= upto < len(d.spec):
+            raise DomainError(f"alias range 0..{upto} not within {dst}'s {len(d.spec)} blocks")
         d.spec[: upto + 1] = s.spec[: upto + 1]
         d.whole = d.half = upto + 1
 
@@ -297,21 +311,6 @@ def _axis_dft(rows: np.ndarray, chunk: int, out: np.ndarray, q0: int, ledger):
     tally(ledger, axis_dft=out.size)
 
 
-# Predicted cost, in ns, of the two ways _block_conv sums, fitted to both
-# paths timed on 128 shapes (k = 16, 64, 256; chunks of 2 to 64 blocks; one
-# or two landing offsets; 1 to 8 chunks per operand) on a 2-vCPU Xeon VM with
-# numpy 2.4.6.  Direct: per row reduced and per complex multiply-add.
-# Block-axis: its extra fixed cost, per multiply-add of the chunk-pair
-# products and per transform point and doubling of length.  The fit picks
-# the faster path on 117 of the 128 shapes; the 11 misses are near ties.
-# Fitted before the axis leaves called pocketfft directly; ROADMAP item 9 refits it.
-_ROW_NS = 7400
-_MAC_NS = 2.3
-_AXIS_FIXED_NS = 44000
-_AXIS_MAC_NS = 3.1
-_AXIS_FFT_NS = 2.0
-
-
 def _pairs_below(J: int, nb: int, nc: int) -> int:
     """The row pairs (mu, nu), mu < nb and nu < nc, with mu + nu < J: all
     of them less those with mu >= nb or nu >= nc, by inclusion-exclusion
@@ -332,9 +331,9 @@ def _pairwise(b: np.ndarray, c: np.ndarray, j0: int, count: int, live: range) ->
     return rows
 
 
-def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger):
-    """The rows of ``_block_conv`` from block-axis transforms, or None when
-    they are predicted to cost more than ``direct_ns``, the direct sum.
+def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, ledger):
+    """The rows of ``_block_conv`` from block-axis transforms, when at least 8
+    rows of at most 1024 columns are asked for and some pair reaches one.
 
     b and c are cut into chunks of ``chunk`` rows, the largest power of two
     not above count, and each chunk is transformed at length L = 2*chunk.
@@ -343,20 +342,12 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, direct_ns: float, ledger
     rows s*chunk..s*chunk+2*chunk-2 meet the rows asked for; the inverses
     overlap-add."""
     chunk = 1 << (count.bit_length() - 1)
-    if chunk < 2:
-        return None
     width, L = b.spec.shape[1], 2 * chunk
     qb, qc = -(-len(b.spec) // chunk), -(-len(c.spec) // chunk)
     offsets = range(max(0, -((2 * chunk - 2 - j0) // chunk)),
                     min(qb + qc - 2, (j0 + count - 1) // chunk) + 1)
     # every offset s in 0..qb+qc-2 has its chunk pairs (q, s-q)
     chunk_pairs = _pairs_below(offsets.stop, qb, qc) - _pairs_below(offsets.start, qb, qc)
-    # a cached series' chunks are transformed once per run; count the fresh ones
-    fresh = sum(min(q, offsets.stop) for x, q in ((b, qb), (c, qc)) if x.series is None)
-    axis_ns = (_AXIS_FIXED_NS + _AXIS_MAC_NS * chunk_pairs * L * width
-               + _AXIS_FFT_NS * (fresh + len(offsets)) * L * width * chunk.bit_length())
-    if not offsets or axis_ns >= direct_ns:
-        return None
 
     B = b.chunk_spectra(chunk, min(qb, offsets.stop), ledger)
     C = c.chunk_spectra(chunk, min(qc, offsets.stop), ledger)
@@ -385,26 +376,26 @@ def _block_conv(b, c, j0: int, count: int, ledger=None) -> np.ndarray:
     over mu of b[mu] * c[j0+i-mu] for every row pair both hold, exactly zero
     where no pair reaches it.
 
-    The rows come from one reduction per row over the pairs (the direct
-    sum), or from products of block-axis chunk transforms (``_axis_rows``),
-    whichever is predicted to be cheaper for these block counts.
-    Either way the work is recorded as ``cmul``/``cadd`` (and ``axis_dft``),
-    never as DFT events."""
+    When at least 8 rows of at most 1024 columns are asked for and some row
+    has a pair, the rows come from products of block-axis chunk transforms
+    (``_axis_rows``); otherwise from one reduction per row over its pairs
+    (the direct sum).  On the 8,021 calls exp/pow plans make up to order
+    65536, that is the path a timed cost model took, but for 9 near ties
+    (ROADMAP item 9).  Either way the work is recorded as ``cmul``/``cadd``
+    (and ``axis_dft``), never as DFT events."""
     b, c = (x if isinstance(x, _Rows) else _Rows(np.asarray(x)) for x in (b, c))
     width, nb, nc = b.spec.shape[1], len(b.spec), len(c.spec)
     # row j has a pair exactly when 0 <= j <= nb+nc-2: the rows with none
     # are a head (j < 0) and a tail
     first = max(j0, 0)
     live = range(first, max(first, min(j0 + count, nb + nc - 1)))
-    total = _pairs_below(live.stop, nb, nc) - _pairs_below(first, nb, nc)
-    direct_ns = _ROW_NS * len(live) + _MAC_NS * total * width
-    # below the block-axis path's fixed cost there is nothing to weigh
-    rows = _axis_rows(b, c, j0, count, direct_ns, ledger) if direct_ns > _AXIS_FIXED_NS else None
-    if rows is None:
-        rows = _pairwise(b.spec, c.spec, j0, count, live)
-        tally(ledger, cmul=total * width, cadd=(total - len(live)) * width)
-    else:
+    if count >= 8 and width <= 1024 and live:
+        rows = _axis_rows(b, c, j0, count, ledger)
         rows[: first - j0] = rows[live.stop - j0 :] = 0
+        return rows
+    rows = _pairwise(b.spec, c.spec, j0, count, live)
+    total = _pairs_below(live.stop, nb, nc) - _pairs_below(first, nb, nc)
+    tally(ledger, cmul=total * width, cadd=(total - len(live)) * width)
     return rows
 
 
@@ -442,8 +433,8 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     out_len a multiple of k, on cached spectra, where residual = b*c, or coef*(series in double-sized
     blocks) - b*c when ``linear=(coef, label2)`` is given.  The double-sized
     blocks of label2 sit on the even k-grid, so a folded linear term needs an
-    even block shift; it then starts at the cut and never reaches the
-    straddling block.
+    even block shift (``triple_middle_product`` checks it); it then starts at
+    the cut and never reaches the straddling block.
 
     The residual images and the output blocks both come from _block_conv;
     the output blocks are inverted in one batch.
@@ -453,8 +444,6 @@ def _aligned_middle(cache, a_label, b_label, c_label, block_shift, out_len,
     """
     k = cache.k
     n_blocks = out_len // k
-    if linear is not None and block_shift % 2:
-        raise PlanError("a folded linear term needs an even block shift")
 
     # Residual images of the straddling block (row 0) and the output blocks.
     res = _block_conv(cache.rows(b_label), cache.rows(c_label), block_shift - 1, n_blocks + 1,
@@ -505,6 +494,8 @@ def triple_middle_product(cache: BlockCache, a_label: str, b_label: str, c_label
         raise DomainError(f"negative output order {n}")
     if n % k:
         raise DomainError(f"output order {n} is not a multiple of block size {k}")
+    if linear is not None and shift % (2 * k):
+        raise PlanError("a folded linear term needs an even block shift")
     last = (shift + n) // k - 1
     cache.ensure(a_label, n // k - 1, ledger)
     cache.ensure(c_label, last, ledger)

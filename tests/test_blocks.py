@@ -368,19 +368,23 @@ def test_short_residual_still_inverts_and_counts_every_block():
     assert rel_err(q.coeffs, oracle_middle(f, g, h, M, NN).coeffs) < 1e-10
 
     # hand count: straddle image j = M/K - 1, output images j = M/K + i,
-    # summed directly, one multiplication per pair and column
+    # 17 rows of 3K columns, summed on the block axis in chunks of 16 rows:
+    # b's 9 chunks and c's one are transformed in the call, as no earlier
+    # call made them
     hw_a, hw_b, hw_c, n_out = 3, M // K + 3, 1, NN // K
     images = [_pairs(hw_b, hw_c, M // K + i) for i in range(-1, n_out)]
     assert images[0] > 0 and 0 in images
-    cmul = 3 * K * sum(images)
+    residual = _conv_tallies(hw_b + 1, hw_c + 1, M // K - 1, n_out + 1, 3 * K, images,
+                             transformed=9 + 1)
+    cmul = residual["cmul"]
     cmul += 2 * K  # straddle inverse
     cmul += 4 * K  # theta forward
     # output block t sums a[lam]*u[t-lam] over every pair, the zero images
-    # included; counting them puts this sum on the block-axis path, where
+    # included; counting them puts this sum on the block-axis path too, where
     # each operand is one chunk of 16 rows, transformed in the call
     terms = [_pairs(hw_a, n_out - 1, t) for t in range(n_out)]
     sums = _conv_tallies(hw_a + 1, n_out, 0, n_out, 3 * K, terms, transformed=2)
-    assert sums["axis_dft"] == led.scalar["axis_dft"]
+    assert residual["axis_dft"] + sums["axis_dft"] == led.scalar["axis_dft"]
     cmul += sums["cmul"]
     cmul += 3 * K * (hw_a + 1)  # a[t] * theta
     cmul += 2 * K * n_out  # output inverses
@@ -608,15 +612,21 @@ def _first_use_chunks(nb, nc, j0, count):
     return min(qb, last + 1) + min(qc, last + 1)
 
 
+def _takes_block_axis(nb, nc, j0, count, width):
+    """_block_conv's rule: along the block axis for at least 8 rows of at
+    most 1024 columns, some row of which (0 <= j <= nb+nc-2) has a pair."""
+    return count >= 8 and width <= 1024 and j0 <= nb + nc - 2 and j0 + count > 0
+
+
 def test_closed_form_pair_counts_match_the_rows():
-    """_block_conv prices its two paths and finds its empty rows in closed
-    form: row j has a pair exactly when 0 <= j <= nb+nc-2, and the pairs
-    below row J count by inclusion-exclusion.  That count equals the
-    per-row one, and over a grid of block counts and windows, starting
-    below row 0 or running past row nb+nc-1, _block_conv gives the pair
-    loop's rows, exact zeros where no pair reaches, with the tallies
-    counted pair by pair, on plain arrays and on cache rows, and on both
-    paths."""
+    """_block_conv picks its path and finds its empty rows in closed form:
+    row j has a pair exactly when 0 <= j <= nb+nc-2, and the pairs below
+    row J count by inclusion-exclusion.  That count equals the per-row one,
+    and over a grid of block counts and windows, starting below row 0 or
+    running past row nb+nc-1, _block_conv takes the path its rule names and
+    gives the pair loop's rows, exact zeros where no pair reaches, with the
+    tallies counted pair by pair, on plain arrays and on cache rows, and on
+    both paths."""
     for nb in range(7):
         for nc in range(7):
             for J in range(-3, nb + nc + 3):
@@ -634,10 +644,25 @@ def test_closed_form_pair_counts_match_the_rows():
                     cache.register(label, disk(rng, n * K) / K)
                     cache.ensure(label, n - 1)
                 fresh = _first_use_chunks(nb, nc, j0, count) if count > 1 else 0
+                rule = _takes_block_axis(nb, nc, j0, count, 3 * K)
                 for cached in (False, True):
                     b, c = (cache.rows(x) if cached else cache.rows(x).spec.copy() for x in "bc")
-                    paths[cached].add(_check_conv(b, c, j0, count, CostLedger(), fresh))
+                    axis = _check_conv(b, c, j0, count, CostLedger(), fresh)
+                    assert axis == rule, (nb, nc, j0, count, cached)
+                    paths[cached].add(axis)
     assert paths == {False: {False, True}, True: {False, True}}
+
+
+def test_wide_rows_are_summed_directly():
+    """Rows wider than 1024 columns take the direct sum however many are
+    asked for; at 1024 columns the same sum runs along the block axis."""
+    rng = np.random.default_rng(22)
+    for width, axis in ((1024, True), (1026, False)):
+        b, c = (disk(rng, 12 * width).reshape(12, width) / width for _ in "bc")
+        for j0, count in ((0, 8), (5, 16)):
+            assert _takes_block_axis(12, 12, j0, count, width) == axis
+            fresh = _first_use_chunks(12, 12, j0, count)
+            assert _check_conv(b, c, j0, count, CostLedger(), fresh) == axis, (width, j0)
 
 
 def test_chunks_are_made_again_only_after_gaining_rows(monkeypatch):

@@ -39,12 +39,13 @@ from fastseries import fft_core
 from fastseries.fft_core import is_supported_length
 
 
-def _cache(k=4):
-    """A cache with series a, b, c of 4 blocks each, all transformed."""
+def _cache(k=4, upto=3):
+    """A cache with series a, b, c of 4 blocks each, blocks 0..upto
+    transformed."""
     cache = BlockCache(k)
     for label in "abc":
         cache.register(label, np.arange(1, 4 * k + 1))
-        cache.ensure(label, 3)
+        cache.ensure(label, upto)
     return cache
 
 
@@ -70,12 +71,37 @@ def test_extend_known_stays_within_its_series(known, message):
     assert cache.known("x") == 16
 
 
+@pytest.mark.parametrize("kwargs, kind, message", [
+    ({"known": 100}, DomainError, "known count beyond backing array"),
+    ({"known": -4}, DomainError, "known coefficient count cannot be negative"),
+    ({"block": 0}, PlanError, "block size must be positive"),
+    ({"block": -2}, PlanError, "block size must be positive"),
+])
+def test_register_keeps_its_series_within_its_array(kwargs, kind, message):
+    cache = BlockCache(4)
+    _raises(kind, message, cache.register, "x", np.ones(8), **kwargs)
+    assert "x" not in cache._series
+
+
 def test_alias_stays_within_the_sources_rows():
     cache = BlockCache(4)
     cache.register("a", np.ones(8))
     cache.register("b", np.ones(8))
     cache.ensure("a", 0)
     _raises(DomainError, "alias range 0..1 beyond a's 1 slots", cache.alias, "b", "a", 1)
+
+
+@pytest.mark.parametrize("upto, message", [
+    (3, "alias range 0..3 not within b's 2 blocks"),
+    (-2, "alias range 0..-2 not within b's 2 blocks"),
+])
+def test_alias_stays_within_both_series(upto, message):
+    cache = BlockCache(4)
+    cache.register("a", np.ones(16))
+    cache.register("b", np.ones(8))
+    cache.ensure("a", 3)
+    _raises(DomainError, message, cache.alias, "b", "a", upto)
+    assert cache.high_water("b") == -1
 
 
 @pytest.mark.parametrize("method, block, kind, message", [
@@ -93,8 +119,13 @@ def test_block_size_checks_of_the_transform_steps(method, block, kind, message):
     (4, 4, (0.5, "c"), PlanError, "a folded linear term needs an even block shift"),
 ])
 def test_triple_middle_product_checks(shift, n, linear, kind, message):
-    _raises(kind, message, triple_middle_product, _cache(), "a", "b", "c", shift, n,
-            linear=linear)
+    """A rejected call transforms no block: it records no event and leaves
+    every series' spectra as they were."""
+    cache, led = _cache(upto=0), CostLedger()
+    _raises(kind, message, triple_middle_product, cache, "a", "b", "c", shift, n,
+            ledger=led, linear=linear)
+    assert led.events == [] and led.scalar == {}
+    assert [cache.high_water(label) for label in "abc"] == [0, 0, 0]
 
 
 def test_triple_middle_product_needs_whole_output_blocks():
