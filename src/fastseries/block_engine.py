@@ -23,13 +23,14 @@ block-pair sum, sum over mu of B[mu] * C[j - mu] (a residual image, an
 output block of a middle or short product, ``short_product_2k``), comes
 from one primitive, ``_block_conv``, which takes it one of two ways:
 
-- directly, one numpy reduction per row over row slices of the two stacks;
+- directly, one pair sum per row: each pair product is added into the row
+  in place, in the order a reduction over the stacked products adds it;
 - along the block axis (van der Hoeven's FFT trading): both stacks are cut
   into chunks of c rows, c the largest power of two not above the rows
   asked for (n/k per extension step, m/k for the final product), each chunk
   is transformed along the block axis at length 2c, the chunk-pair products
-  are summed per landing offset, and one inverse per offset that reaches
-  the rows asked for gives them by overlap-add.  A series' record keeps its
+  are summed in place per landing offset, and one inverse per offset that
+  reaches the rows asked for gives them by overlap-add.  A series' record keeps its
   chunk transforms with one count, the rows they were made from; rows are
   made in block order, so only the chunks past the last one whole below
   that count are made again, in one batch (the growing head chunk of s,
@@ -50,10 +51,21 @@ one step to the next.  Either way the work is tallied in the ledger's scalars
 never as DFT events.  The forward block transforms of a step and its
 output inverses each run as one batch; the ledger still sees one event per
 block transform, in block order.
+
+A block product maps no fresh memory once its thread has run a call of the
+same size.  A cache takes its spectrum rows and chunk transforms from one
+array the thread holds (``_Arena``), the first live cache on the thread
+only, and gives it back when its ``with`` block ends; the offset sums and
+the pair-sum term are held arrays of their own (``_held``).  No held array
+reaches a returned series, and none is read before it is written: the
+counts of made rows and chunks start at 0 in every cache.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +124,63 @@ def frontier(N: int) -> int:
     return fft_core.granted_length(max(8, (N + 1) // 2))
 
 
+class _Held(threading.local):
+    """The calling thread's held arrays: ``arrays`` by key (see ``_held``),
+    and ``owner``, a weak reference to the ``_Arena`` that has claimed the
+    "blocks" array, None when none has."""
+
+    def __init__(self):
+        self.arrays, self.owner = {}, None
+
+
+_local = _Held()
+
+
+def _held(key, size: int) -> np.ndarray:
+    """A complex work array of length size for key: a view of the calling
+    thread's own array for key, replaced only when a larger size comes, so
+    repeated calls map no fresh memory; a thread keeps each key's largest
+    array.  Whatever it holds is stale: the caller writes before it reads."""
+    arrays = _local.arrays
+    if key not in arrays or arrays[key].size < size:
+        arrays[key] = np.empty(size, dtype=np.complex128)
+    return arrays[key][:size]
+
+
+class _Arena:
+    """Where one ``BlockCache`` keeps its series' block arrays: the spectrum
+    rows and the chunk transforms, handed out in the order they are asked
+    for.  The first arena made on a thread while no live one holds it claims
+    the thread's "blocks" array and takes from it as far as it reaches; past
+    that, and in an arena made while another one holds the claim, every
+    array is fresh, so two live caches never share memory.  ``release``
+    gives the claim back and grows the thread's array to all this arena
+    took, so the next cache of the same run maps nothing new; a claim also
+    lapses when its arena is gone."""
+
+    __slots__ = ("buffer", "used", "__weakref__")
+
+    def __init__(self):
+        owner = _local.owner
+        self.buffer = None
+        if owner is None or owner() is None:
+            _local.owner = weakref.ref(self)
+            self.buffer = _local.arrays.setdefault("blocks", np.empty(0, dtype=np.complex128))
+        self.used = 0
+
+    def take(self, *shape) -> np.ndarray:
+        start = self.used
+        self.used += math.prod(shape)
+        if self.buffer is not None and self.used <= self.buffer.size:
+            return self.buffer[start : self.used].reshape(shape)
+        return np.empty(shape, dtype=np.complex128)
+
+    def release(self):
+        if self.buffer is not None:
+            _held("blocks", self.used)
+            self.buffer = _local.owner = None
+
+
 class _Series:
     """One label's cached series: its coefficient array, the count of them
     known, the size of its blocks, and its block spectra, one block per row
@@ -119,17 +188,17 @@ class _Series:
     columns are the block's plain order-2k spectrum.  Rows are made in block
     order, so two counts say which are current: the first ``whole`` rows
     hold double spectra, the first ``half`` (never fewer) their order-2k
-    spectra.  ``spec`` has a row for every block the array can hold.
-    ``axis`` keeps the block-axis transforms of its chunks for
-    ``_block_conv``, per (chunk, width): the transforms and one count, the
-    rows they were made from, as ``whole`` and ``half`` count its rows."""
+    spectra; the rest is stale.  ``spec`` has a row for every block the
+    array can hold.  ``axis`` keeps the block-axis transforms of its chunks
+    for ``_block_conv``, per (chunk, width): the transforms and one count,
+    the rows they were made from, as ``whole`` and ``half`` count its rows.
+    Both come from the cache's ``arena``."""
 
-    __slots__ = ("array", "known", "block", "spec", "whole", "half", "axis")
+    __slots__ = ("array", "known", "block", "spec", "whole", "half", "axis", "arena")
 
-    def __init__(self, array: np.ndarray, known: int, block: int, k: int):
-        self.array, self.known, self.block = array, known, block
-        capacity = -(-array.size // block)
-        self.spec = np.empty((capacity, 3 * k), dtype=np.complex128)
+    def __init__(self, array: np.ndarray, known: int, block: int, k: int, arena: _Arena):
+        self.array, self.known, self.block, self.arena = array, known, block, arena
+        self.spec = arena.take(-(-array.size // block), 3 * k)
         self.whole = self.half = 0
         self.axis = {}
 
@@ -145,7 +214,10 @@ class BlockCache:
     or in its first 2k columns only (``ensure_2k``, which leaves the rest of
     the row for ``ensure``), each up to the last whole block asked for.
 
-    Single writer; readers may share it once a frontier is published.
+    Single writer; readers may share it once a frontier is published.  Its
+    arrays come from the thread's held ones (``_Arena``) when it is the only
+    live cache on its thread; used as a context manager, it gives them back
+    when the block ends, and is not used after that.
     """
 
     def __init__(self, k: int):
@@ -153,6 +225,13 @@ class BlockCache:
             raise PlanError("block size must be positive")
         self.k = k
         self._series: dict[str, _Series] = {}
+        self._arena = _Arena()
+
+    def __enter__(self) -> "BlockCache":
+        return self
+
+    def __exit__(self, *exc):
+        self._arena.release()
 
     # -- series registration --------------------------------------------------
 
@@ -166,7 +245,7 @@ class BlockCache:
             raise DomainError("known count beyond backing array")
         if block < 1:
             raise PlanError("block size must be positive")
-        self._series[label] = _Series(arr, known, block, self.k)
+        self._series[label] = _Series(arr, known, block, self.k, self._arena)
 
     def extend_known(self, label: str, known: int):
         s = self._series[label]
@@ -286,7 +365,7 @@ class _Rows:
         width, axis, rows = self.spec.shape[1], self.series.axis, len(self.spec)
         if (chunk, width) not in axis:
             cap = -(-len(self.series.spec) // chunk)
-            axis[chunk, width] = np.empty((cap, 2 * chunk, width), dtype=np.complex128), 0
+            axis[chunk, width] = self.series.arena.take(cap, 2 * chunk, width), 0
         spec, made = axis[chunk, width]
         current = -(-made // chunk) if rows == made else min(rows, made) // chunk
         if current < count:
@@ -319,15 +398,24 @@ def _pairs_below(J: int, nb: int, nc: int) -> int:
     return t[0] - t[1] - t[2] + t[3]
 
 
+def _pair_sum(b: np.ndarray, c: np.ndarray, s: int, out: np.ndarray, term: np.ndarray):
+    """out = sum over mu of b[mu] * c[s-mu], over every pair both hold (at
+    least one), each product made in term, an array of out's shape, and
+    added in place in ascending mu: the order, and so the bits, of
+    np.add.reduce over the stacked products."""
+    lo, hi = max(0, s - len(c) + 1), min(len(b) - 1, s)
+    np.multiply(b[lo], c[s - lo], out=out)
+    for mu in range(lo + 1, hi + 1):
+        out += np.multiply(b[mu], c[s - mu], out=term)
+
+
 def _pairwise(b: np.ndarray, c: np.ndarray, j0: int, count: int, live: range) -> np.ndarray:
-    """Rows i = sum over mu of b[mu] * c[j0+i-mu], one reduction along the
-    block axis per row j0+i in live, the rows some pair reaches (zero
-    elsewhere)."""
+    """Rows i = sum over mu of b[mu] * c[j0+i-mu], one pair sum per row j0+i
+    in live, the rows some pair reaches (zero elsewhere)."""
     rows = np.zeros((count, b.shape[1]), dtype=np.complex128)
-    nb, nc = len(b), len(c)
+    term = _held("term", b.shape[1])
     for j in live:
-        l, h = max(0, j - nc + 1), min(nb - 1, j)
-        np.add.reduce(b[l : h + 1] * c[j - h : j - l + 1][::-1], axis=0, out=rows[j - j0])
+        _pair_sum(b, c, j, rows[j - j0], term)
     return rows
 
 
@@ -338,9 +426,9 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, ledger):
     b and c are cut into chunks of ``chunk`` rows, the largest power of two
     not above count, and each chunk is transformed at length L = 2*chunk.
     The chunk-pair products are summed per landing offset s, sum over q of
-    B_q * C_{s-q}, in the frequency domain: one inverse per offset whose
-    rows s*chunk..s*chunk+2*chunk-2 meet the rows asked for; the inverses
-    overlap-add."""
+    B_q * C_{s-q}, in the frequency domain, in the thread's held array
+    "back": one inverse per offset whose rows s*chunk..s*chunk+2*chunk-2
+    meet the rows asked for; the inverses overlap-add."""
     chunk = 1 << (count.bit_length() - 1)
     width, L = b.spec.shape[1], 2 * chunk
     qb, qc = -(-len(b.spec) // chunk), -(-len(c.spec) // chunk)
@@ -351,10 +439,10 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, ledger):
 
     B = b.chunk_spectra(chunk, min(qb, offsets.stop), ledger)
     C = c.chunk_spectra(chunk, min(qc, offsets.stop), ledger)
-    back = np.empty((len(offsets), L, width), dtype=np.complex128)
+    back = _held("back", len(offsets) * L * width).reshape(len(offsets), L, width)
+    term = _held("term", L * width).reshape(L, width)
     for g, s in enumerate(offsets):
-        ql, qh = max(0, s - qc + 1), min(qb - 1, s)
-        np.add.reduce(B[ql : qh + 1] * C[s - qh : s - ql + 1][::-1], axis=0, out=back[g])
+        _pair_sum(B, C, s, back[g], term)
     fft_core._axis_backward(back, back)
     # offset s lands back[g, t] on row s*chunk + t, t <= 2*chunk - 2
     rows = np.zeros((count, width), dtype=np.complex128)

@@ -42,7 +42,6 @@ bootstrap stages of the caller's report stay empty.
 from __future__ import annotations
 
 import cmath
-import threading
 
 import numpy as np
 
@@ -97,9 +96,6 @@ NEWTON_BASE_ORDER = 16
 # taken from the inverse; above it r_n is exp(-g) for f_n = exp(g), see
 # _exp_prefixes.  exp(a*x) passes it from about a = 9 on.
 RECIPROCAL_GROWTH_MAX = 1e6
-
-# Per-thread work arrays of the Newton layer, see _workspace.
-_newton_local = threading.local()
 
 
 def _finite_result(c: np.ndarray) -> TruncatedSeries:
@@ -260,14 +256,11 @@ def _newton_orders(N: int) -> list[int]:
 
 
 def _workspace(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three complex work arrays of length L for the Newton layer: views of
-    the calling thread's own arrays, replaced only when a larger L comes, so
-    repeated calls allocate no transform-sized arrays; a thread keeps
-    3 * 16 * L bytes for the largest L it has used (3 MB at L = 2**16)."""
-    bufs = getattr(_newton_local, "bufs", None)
-    if bufs is None or bufs[0].size < L:
-        bufs = _newton_local.bufs = tuple(np.empty(L, dtype=np.complex128) for _ in range(3))
-    return tuple(b[:L] for b in bufs)
+    """Three complex work arrays of length L for the Newton layer, the
+    calling thread's held arrays (block_engine._held), so repeated calls
+    allocate no transform-sized arrays; a thread keeps 3 * 16 * L bytes for
+    the largest L it has used (3 MB at L = 2**16)."""
+    return tuple(block_engine._held(("newton", i), L) for i in range(3))
 
 
 def _wrap_step(q, a, f, h, t, work, ledger, label):
@@ -417,12 +410,13 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
     h2 = padded(h_arr, 2 * m)
 
     f_n, r_n = _exp_prefixes(h2[:n], ledger, "bootstrap.E")
-    cache = BlockCache(plan.k)
-    cache.register("dh", np.arange(2 * m) * h2)
-    f_arr = _first_half(cache, f_n, r_n, "dh", plan, ledger, "exp.stage1")
-    s = _log_extend(cache, plan, ledger, "exp.log", "s", "dh")
-    w_tail = h2[m:] - s[m:] / np.arange(m, 2 * m)
-    return _finite_result(_final_stage(cache, f_arr, w_tail, ledger, "exp.final")[:N])
+    with BlockCache(plan.k) as cache:
+        cache.register("dh", np.arange(2 * m) * h2)
+        f_arr = _first_half(cache, f_n, r_n, "dh", plan, ledger, "exp.stage1")
+        s = _log_extend(cache, plan, ledger, "exp.log", "s", "dh")
+        w_tail = h2[m:] - s[m:] / np.arange(m, 2 * m)
+        f = _final_stage(cache, f_arr, w_tail, ledger, "exp.final")
+    return _finite_result(f[:N])
 
 
 # -- constant powers ----------------------------------------------------------
@@ -510,10 +504,11 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     g_n = np.concatenate([[0], seed / np.arange(1, n)])
     f_n, r_n = _exp_prefixes(g_n, ledger, "bootstrap.P")
 
-    cache = BlockCache(k)
-    s_arr = _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, Cc)
-    # the blocks of s are charged to the stage that computed s
-    f_arr = _first_half(cache, f_n, r_n, "s", plan, ledger, "pow.f", b_stage="pow.s.first")
-    sf = _log_extend(cache, plan, ledger, "pow.log", "sf", "s")
-    w_tail = (s_arr[m:] - sf[m:]) / np.arange(m, 2 * m)
-    return _finite_result(_final_stage(cache, f_arr, w_tail, ledger, "pow.final")[:N])
+    with BlockCache(k) as cache:
+        s_arr = _s_iteration(cache, plan, ledger, h2, dh, rho_n, seed, Cc)
+        # the blocks of s are charged to the stage that computed s
+        f_arr = _first_half(cache, f_n, r_n, "s", plan, ledger, "pow.f", b_stage="pow.s.first")
+        sf = _log_extend(cache, plan, ledger, "pow.log", "sf", "s")
+        w_tail = (s_arr[m:] - sf[m:]) / np.arange(m, 2 * m)
+        f = _final_stage(cache, f_arr, w_tail, ledger, "pow.final")
+    return _finite_result(f[:N])

@@ -216,6 +216,8 @@ def oracle_middle(f, g, h, shift: int, n: int) -> TruncatedSeries:
     """f * floor(g*h / x**shift) mod x**n by full naive products."""
     if shift < 0:
         raise DomainError("shift must be nonnegative")
+    if n < 0:
+        raise DomainError("order must be nonnegative")
     a, b, c = coeffs_of(f), coeffs_of(g), coeffs_of(h)
     out = np.zeros(n, dtype=np.complex128)
     if a.size == 0 or b.size == 0 or c.size == 0:

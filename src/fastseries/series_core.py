@@ -84,6 +84,8 @@ def derivative(f) -> TruncatedSeries:
 
 def mul_mod(f, g, n: int, ledger=None, label=None) -> TruncatedSeries:
     """(f*g) mod x**n through the transform engine."""
+    if n < 0:
+        raise DomainError("order must be nonnegative")
     a, b = coeffs_of(f)[:n], coeffs_of(g)[:n]
     if a.size == 0 or b.size == 0:
         return TruncatedSeries(np.zeros(n, dtype=np.complex128))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fastseries import (
     oracle_middle,
     triple_middle_product,
 )
-from fastseries import block_engine
+from fastseries import block_engine, fast_ops
 from fastseries.block_engine import _aligned_middle, _block_conv
 from fastseries.cli import bench_plan, exp_input, pow_input
 
@@ -701,3 +703,113 @@ def test_chunks_are_made_again_only_after_gaining_rows(monkeypatch):
             grown += [held for held in made.values() if len(held) > 1]
     # some head chunk did grow and was made again
     assert grown
+
+
+# -- held arrays ----------------------------------------------------------------
+
+def _in_fresh_thread(run):
+    """run() on a new thread, whose held arrays start empty: its result, or
+    its exception raised here."""
+    out = []
+
+    def target():
+        try:
+            out.append(run())
+        except BaseException as exc:  # re-raised below, on the test's thread
+            out.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+def _exp_pow(N, pinned, seed=31):
+    """fast_exp and fast_pow (C = 0.3+0.7j) at order N on the CLI's inputs,
+    on the pinned or the default plans, as calls of no argument."""
+    rng = np.random.default_rng(seed)
+    h, g = exp_input(rng, N), pow_input(rng, N)
+    return (lambda: fast_exp(h, N, plan=bench_plan("exp", N) if pinned else None),
+            lambda: fast_pow(g, 0.3 + 0.7j, N, plan=bench_plan("pow", N) if pinned else None))
+
+
+@pytest.mark.parametrize("N, pinned", [(4096, True), (16384, False)])
+def test_stale_held_arrays_are_never_read(N, pinned):
+    """exp and pow give the same bits when every array the thread holds
+    (block spectra, chunk transforms, pair sums, the Newton workspace) is
+    filled with NaN between two calls: no call reads what another left."""
+    def run():
+        outs = []
+        for call in _exp_pow(N, pinned):
+            first = call().coeffs
+            assert block_engine._local.arrays["blocks"].size  # the next call takes from it
+            for held in block_engine._local.arrays.values():
+                held.fill(np.nan)
+            outs.append((first, call().coeffs))
+        return outs
+
+    for first, second in _in_fresh_thread(run):
+        assert first.tobytes() == second.tobytes()
+
+
+def test_live_caches_share_no_array():
+    """The first live cache on a thread takes its spectrum rows and chunk
+    transforms from the thread's held array; one made while it lives gets
+    arrays of its own, sharing no memory with the first's or the thread's.
+    Once the first gives its arrays back, the next cache takes them."""
+    rng = np.random.default_rng(32)
+
+    def arrays(cache):
+        for label in "bc":
+            cache.register(label, disk(rng, 64 * K) / K)
+            cache.ensure(label, 63)
+        _block_conv(cache.rows("b"), cache.rows("c"), 63, 17)  # block axis: chunk transforms
+        series = cache._series.values()
+        return [s.spec for s in series] + [a for s in series for a, _ in s.axis.values()]
+
+    def run():
+        with BlockCache(K) as warm:
+            arrays(warm)
+        held = block_engine._local.arrays["blocks"]
+        with BlockCache(K) as one:
+            two = BlockCache(K)
+            ones, twos = arrays(one), arrays(two)
+            assert len(ones) == len(twos) == 4
+            assert all(np.shares_memory(x, held) for x in ones)
+            assert not any(np.shares_memory(x, y) for x in ones + [held] for y in twos)
+        with BlockCache(K) as three:
+            assert all(np.shares_memory(x, held) for x in arrays(three))
+        return two
+
+    _in_fresh_thread(run)
+
+
+def test_a_failed_call_gives_its_arrays_back(monkeypatch):
+    """A call that raises inside its block work gives the thread's arrays
+    back, although the traceback keeps its cache alive."""
+    def fail(*args):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(fast_ops, "_final_stage", fail)
+    for call in _exp_pow(512, True):
+        with pytest.raises(RuntimeError, match="stop"):
+            call()
+        assert block_engine._local.owner is None
+
+
+def test_a_thread_keeps_no_more_than_its_largest_call():
+    """What a thread holds after a pinned exp and then a pinned pow at 4096
+    is no more than what the larger of the two holds alone."""
+    exp, pow_ = _exp_pow(4096, True)
+
+    def kept(*calls):
+        def run():
+            for call in calls:
+                call()
+            return sum(a.nbytes for a in block_engine._local.arrays.values())
+        return _in_fresh_thread(run)
+
+    alone = kept(exp), kept(pow_)
+    assert 0 < kept(exp, pow_) <= max(alone), alone

@@ -187,6 +187,11 @@ def test_mul_mod_with_an_empty_operand_is_zero(f, g):
     assert mul_mod(f, g, 3).coeffs.tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("f, g", [([1, 2], [3, 4]), ([], [1])])
+def test_mul_mod_to_a_negative_order_fails(f, g):
+    _raises(DomainError, "order must be nonnegative", mul_mod, f, g, -1)
+
+
 def test_derivative_of_an_empty_series():
     _raises(DomainError, "derivative needs order >= 1", derivative, [])
 
@@ -205,6 +210,8 @@ def test_oracle_pow_to_order_zero_is_empty():
 
 def test_oracle_middle_checks_and_short_products():
     _raises(DomainError, "shift must be nonnegative", oracle_middle, [1], [1, 1], [1, 1], -1, 3)
+    _raises(DomainError, "order must be nonnegative", oracle_middle, [1], [1, 1], [1, 1], 0, -1)
+    _raises(DomainError, "order must be nonnegative", oracle_middle, [], [1], [1], 0, -2)
     # g*h = 1 + 2x + x**2 ends below the shift: the floor is zero
     assert oracle_middle([1, 1], [1, 1], [1, 1], 3, 3).coeffs.tolist() == [0, 0, 0]
     assert oracle_middle([], [1, 1], [1, 1], 0, 2).coeffs.tolist() == [0, 0]

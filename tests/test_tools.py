@@ -2,6 +2,7 @@
 them: these runs keep a renamed or removed name from breaking a tool
 unseen."""
 
+import json
 import os
 import re
 import sys
@@ -9,12 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from fastseries import CostLedger, PlanError, block_engine, cli, fast_ops, fft_core
+from fastseries import CostLedger, PlanError, block_engine, cli, fast_ops, fft_core, oracle_middle
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import ab_time  # noqa: E402
+import bench_ladder  # noqa: E402
 import block_share  # noqa: E402
 import crossover  # noqa: E402
 import fingerprint  # noqa: E402
@@ -25,19 +27,53 @@ SRC = os.path.join(ROOT, "src")
 
 def test_fingerprint_edge_runs_and_plans():
     """Every edge middle product of the fingerprint, with and without its
-    folded linear term, gives its whole output blocks; the plans digest is
+    folded linear term, gives the product oracle_middle makes of the known
+    coefficients of its cache's series (block size 4); the plans digest is
     made over every order it lists."""
     runs = fingerprint._edge_runs(block_engine)
     assert len(runs) == 72
-    assert {name.split()[0] for name, _ in runs} == {"triple", "linear"}
-    for name, run in runs:
+    assert {name.split()[0] for name, _, _ in runs} == {"triple", "linear"}
+    for name, run, cache in runs:
         led = CostLedger()
         q = run(led).coeffs
-        blocks = int(name.rsplit("out=", 1)[1].rstrip("k"))
-        assert q.size == 4 * blocks and np.all(np.isfinite(q)), name
-        assert led.events, name
+        shift, n = (4 * int(x) for x in re.search(r"shift=(\d+)k out=(\d+)k", name).groups())
+        a, b, c, d = (cache.series_array(x)[: cache.known(x)] for x in "abcd")
+        want = oracle_middle(a, b, c, shift, n).coeffs
+        if name.startswith("linear"):
+            want = fingerprint.EDGE_LINEAR * oracle_middle(a, d, [1], shift, n).coeffs - want
+        assert q.size == n and led.events, name
+        assert np.max(np.abs(q - want)) <= 1e-13 * (1 + np.max(np.abs(want))), name
     digest = fingerprint._plans(cli, fast_ops, PlanError)
     assert len(digest) == 64
+
+
+def test_bench_ladder_writes_its_schema(tmp_path):
+    """tools/bench_ladder.py at order 256, one repeat, run under two labels
+    into one file: each run has its host header and a row per cell, five ops
+    on the default plans and three on the pinned ones, with positive times
+    and units; a run under a label already there replaces it.  No timing is
+    checked."""
+    out = str(tmp_path / "BENCH_ladder.json")
+    for label in ("before", "after", "before"):
+        assert bench_ladder.main([SRC, "--sizes", "256", "--repeats", "1", "--out", out,
+                                  "--label", label]) == 0
+    with open(out) as f:
+        runs = json.load(f)["runs"]
+    assert [run["label"] for run in runs] == ["after", "before"]
+    cells = {("exp", "default"), ("pow", "default"), ("exp(C*log)", "default"),
+             ("inv", "default"), ("log", "default"),
+             ("exp", "pinned"), ("pow", "pinned"), ("exp(C*log)", "pinned")}
+    for run in runs:
+        assert set(run["host"]) == {"cpu", "usable_cpus", "numpy", "python"}
+        assert run["repeats"] == 1
+        assert {(row["op"], row["plan"]) for row in run["rows"]} == cells
+        assert len(run["rows"]) == len(cells)
+        for row in run["rows"]:
+            assert row["N"] == 256 and (row["k"] is None) == (row["op"] in ("inv", "log"))
+            assert row["unit_order"] == (row["k"] or 256)
+            assert row["ms_best"] <= row["ms_median"] <= row["ms_max"]
+            assert row["mn_ms"] > 0 and row["wall_over_mn"] == row["ms_best"] / row["mn_ms"]
+            assert row["main_units"] > 0 and row["faults_median"] >= 0
 
 
 @pytest.mark.parametrize("op", ["exp", "pow"])

@@ -56,6 +56,8 @@ from source_tree import import_fastseries
 
 SIZES = (16, 64, 256, 1000, 1024, 3000, 4096, 16384)
 SEED = 7
+# coefficient of the edge runs' folded linear term
+EDGE_LINEAR = 0.3 - 0.2j
 
 
 def _import(src_dir):
@@ -113,10 +115,11 @@ def _plans(cli, fast_ops, PlanError):
 
 
 def _edge_runs(block_engine):
-    """Middle products at block shifts 2, 4 and 10 on small caches with
-    residual images that no block pair reaches, without and with a folded
-    linear term that runs past its series; the exp/pow matrix never reaches
-    either case."""
+    """(name, callable taking a ledger, cache) of middle products at block
+    shifts 2, 4 and 10 on small caches with residual images that no block
+    pair reaches, without and with a folded linear term that runs past its
+    series; the exp/pow matrix never reaches either case.  The cache holds
+    the series a, b, c and d each run reads."""
     rng = np.random.default_rng(SEED)
     k, out = 4, []
     for na, nb, nd in ((1, 1, 1), (3, 2, 2), (6, 5, 1), (6, 2, 6)):
@@ -133,11 +136,11 @@ def _edge_runs(block_engine):
                 tag = f"a={na} b,c={nb} d={nd} shift={shift}k out={blocks}k"
                 out.append((f"triple {tag}", lambda led, cache=cache, s=shift, n=blocks:
                             block_engine.triple_middle_product(cache, "a", "b", "c", s * k, n * k,
-                                                               ledger=led)))
+                                                               ledger=led), cache))
                 out.append((f"linear {tag}", lambda led, cache=cache, s=shift, n=blocks:
                             block_engine.triple_middle_product(cache, "a", "b", "c", s * k, n * k,
                                                                ledger=led,
-                                                               linear=(0.3 - 0.2j, "d"))))
+                                                               linear=(EDGE_LINEAR, "d")), cache))
     return out
 
 
@@ -234,7 +237,7 @@ def fingerprint(src_dir):
             texts.update(name.encode() + b"\0" + written)
             events.update(evs.encode())
             ledgers.update(ledger.encode())
-    for name, run in _edge_runs(fast_ops.block_engine):
+    for name, run, _ in _edge_runs(fast_ops.block_engine):
         status, result, written, _, ledger = _record(name, run, CostLedger, PlanError,
                                                      series_core)
         if status != "ok":
