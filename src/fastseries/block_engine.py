@@ -53,19 +53,20 @@ output inverses each run as one batch; the ledger still sees one event per
 block transform, in block order.
 
 A block product maps no fresh memory once its thread has run a call of the
-same size.  A cache takes its spectrum rows and chunk transforms from one
-array the thread holds (``_Arena``), the first live cache on the thread
-only, and gives it back when its ``with`` block ends; the offset sums and
-the pair-sum term are held arrays of their own (``_held``).  No held array
-reaches a returned series, and none is read before it is written: the
-counts of made rows and chunks start at 0 in every cache.
+same size, up to the sizes the benchmark runs (``_HELD_MOST``).  A cache in
+a ``with`` block takes its spectrum rows and chunk transforms from one
+array the thread holds (``_Arena``), unless another cache's ``with`` block
+holds it, and gives it back when its block ends; the offset sums and the
+pair-sum term are held arrays of their own (``_block_work``).  No held
+array reaches a returned series, and none is read before it is written:
+the counts of made rows and chunks start at 0 in every cache, and a cache
+drops its spectra when it gives the array back.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +127,20 @@ def frontier(N: int) -> int:
 
 class _Held(threading.local):
     """The calling thread's held arrays: ``arrays`` by key (see ``_held``),
-    and ``owner``, a weak reference to the ``_Arena`` that has claimed the
-    "blocks" array, None when none has."""
+    and ``claimed``, whether a live ``_Arena`` holds the "blocks" array."""
 
     def __init__(self):
-        self.arrays, self.owner = {}, None
+        self.arrays, self.claimed = {}, False
 
 
 _local = _Held()
+
+# The most a thread holds of each block array ("blocks", "back", "term"), in
+# complex entries (4 MiB): above the 3.4 and 3.0 MiB of spectrum rows and
+# chunk transforms the largest benchmarked calls take, default fast_pow at
+# 2**14 and pinned k = 16 fast_pow at 2**12.  Past it block arrays are made
+# fresh per call, so a thread that ran a large call does not keep its size.
+_HELD_MOST = 1 << 18
 
 
 def _held(key, size: int) -> np.ndarray:
@@ -147,26 +154,32 @@ def _held(key, size: int) -> np.ndarray:
     return arrays[key][:size]
 
 
+def _block_work(key, size: int) -> np.ndarray:
+    """_held(key, size) up to _HELD_MOST entries, a fresh array past it."""
+    if size > _HELD_MOST:
+        return np.empty(size, dtype=np.complex128)
+    return _held(key, size)
+
+
 class _Arena:
     """Where one ``BlockCache`` keeps its series' block arrays: the spectrum
     rows and the chunk transforms, handed out in the order they are asked
-    for.  The first arena made on a thread while no live one holds it claims
-    the thread's "blocks" array and takes from it as far as it reaches; past
-    that, and in an arena made while another one holds the claim, every
-    array is fresh, so two live caches never share memory.  ``release``
-    gives the claim back and grows the thread's array to all this arena
-    took, so the next cache of the same run maps nothing new; a claim also
-    lapses when its arena is gone."""
+    for.  An arena that ``claim``s the thread's "blocks" array while no
+    other live one holds it takes from it as far as it reaches; past that,
+    and in an arena that holds no claim, every array is fresh, so two live
+    caches never share memory.  ``release`` gives the claim back and grows
+    the thread's array to all this arena took, at most _HELD_MOST entries,
+    so the next cache of the same run maps nothing new."""
 
-    __slots__ = ("buffer", "used", "__weakref__")
+    __slots__ = ("buffer", "used")
 
     def __init__(self):
-        owner = _local.owner
-        self.buffer = None
-        if owner is None or owner() is None:
-            _local.owner = weakref.ref(self)
-            self.buffer = _local.arrays.setdefault("blocks", np.empty(0, dtype=np.complex128))
-        self.used = 0
+        self.buffer, self.used = None, 0
+
+    def claim(self):
+        if not _local.claimed:
+            _local.claimed = True
+            self.buffer, self.used = _local.arrays.get("blocks", np.empty(0, dtype=np.complex128)), 0
 
     def take(self, *shape) -> np.ndarray:
         start = self.used
@@ -177,8 +190,8 @@ class _Arena:
 
     def release(self):
         if self.buffer is not None:
-            _held("blocks", self.used)
-            self.buffer = _local.owner = None
+            _held("blocks", min(self.used, _HELD_MOST))
+            self.buffer, _local.claimed = None, False
 
 
 class _Series:
@@ -192,7 +205,8 @@ class _Series:
     array can hold.  ``axis`` keeps the block-axis transforms of its chunks
     for ``_block_conv``, per (chunk, width): the transforms and one count,
     the rows they were made from, as ``whole`` and ``half`` count its rows.
-    Both come from the cache's ``arena``."""
+    Both come from the cache's ``arena``, and both are None once the
+    cache's ``with`` block has ended."""
 
     __slots__ = ("array", "known", "block", "spec", "whole", "half", "axis", "arena")
 
@@ -214,10 +228,13 @@ class BlockCache:
     or in its first 2k columns only (``ensure_2k``, which leaves the rest of
     the row for ``ensure``), each up to the last whole block asked for.
 
-    Single writer; readers may share it once a frontier is published.  Its
-    arrays come from the thread's held ones (``_Arena``) when it is the only
-    live cache on its thread; used as a context manager, it gives them back
-    when the block ends, and is not used after that.
+    Single writer; readers may share it once a frontier is published.
+    Used as a context manager, it takes its arrays from the thread's held
+    ones (``_Arena``) unless another cache's ``with`` block holds them, and
+    gives them back when its own block ends, dropping its series' spectra:
+    asked for them after that, it raises rather than read another call's
+    rows, while ``known`` and ``high_water`` still answer.  Made without
+    ``with``, it takes fresh arrays.
     """
 
     def __init__(self, k: int):
@@ -228,10 +245,20 @@ class BlockCache:
         self._arena = _Arena()
 
     def __enter__(self) -> "BlockCache":
+        self._arena.claim()
         return self
 
     def __exit__(self, *exc):
         self._arena.release()
+        for s in self._series.values():
+            s.spec = s.axis = None
+
+    def _spectra(self, label: str) -> _Series:
+        """label's record, to make or read its spectra."""
+        s = self._series[label]
+        if s.spec is None:
+            raise DomainError(f"series '{label}' gave its spectra back with its cache's with block")
+        return s
 
     # -- series registration --------------------------------------------------
 
@@ -264,7 +291,7 @@ class BlockCache:
     def alias(self, dst: str, src: str, upto: int):
         """Give dst, registered afresh, a copy of src's double spectra 0..upto
         (content must agree there); they are dst's first rows of both kinds."""
-        s, d = self._series[src], self._series[dst]
+        s, d = self._spectra(src), self._spectra(dst)
         if upto >= s.whole:
             raise DomainError(f"alias range 0..{upto} beyond {src}'s {s.whole} slots")
         if not -1 <= upto < len(d.spec):
@@ -296,7 +323,7 @@ class BlockCache:
         combined pointwise (a double-sized block still fits: its degree is
         below 2k while the space holds degrees below 3k).
         """
-        s = self._series[label]
+        s = self._spectra(label)
         if s.block > 2 * self.k:
             raise PlanError("blocks larger than 2k do not fit the image space")
         stale, blocks = self._stale(label, upto, s.whole)
@@ -312,7 +339,7 @@ class BlockCache:
         them; the others are transformed at order 2k in one batch, whose
         count is returned (2 order-k units each), and the rest of their rows
         is left for ``ensure``."""
-        s = self._series[label]
+        s = self._spectra(label)
         if s.block != self.k:
             raise DomainError("order-2k spectra are only kept for size-k blocks")
         stale, blocks = self._stale(label, upto, s.half)
@@ -331,7 +358,7 @@ class BlockCache:
         of its first ``whole`` rows, or, given count, the order-2k spectra of
         blocks 0..count-1 (a view of the first 2k columns of their rows),
         those not yet made made here (``ensure_2k``); they must be whole."""
-        s = self._series[label]
+        s = self._spectra(label)
         if count is None:
             return _Rows(s.spec[: s.whole], s)
         self.ensure_2k(label, count - 1, ledger)
@@ -413,7 +440,7 @@ def _pairwise(b: np.ndarray, c: np.ndarray, j0: int, count: int, live: range) ->
     """Rows i = sum over mu of b[mu] * c[j0+i-mu], one pair sum per row j0+i
     in live, the rows some pair reaches (zero elsewhere)."""
     rows = np.zeros((count, b.shape[1]), dtype=np.complex128)
-    term = _held("term", b.shape[1])
+    term = _block_work("term", b.shape[1])
     for j in live:
         _pair_sum(b, c, j, rows[j - j0], term)
     return rows
@@ -439,8 +466,8 @@ def _axis_rows(b: _Rows, c: _Rows, j0: int, count: int, ledger):
 
     B = b.chunk_spectra(chunk, min(qb, offsets.stop), ledger)
     C = c.chunk_spectra(chunk, min(qc, offsets.stop), ledger)
-    back = _held("back", len(offsets) * L * width).reshape(len(offsets), L, width)
-    term = _held("term", L * width).reshape(L, width)
+    back = _block_work("back", len(offsets) * L * width).reshape(len(offsets), L, width)
+    term = _block_work("term", L * width).reshape(L, width)
     for g, s in enumerate(offsets):
         _pair_sum(B, C, s, back[g], term)
     fft_core._axis_backward(back, back)

@@ -755,10 +755,10 @@ def test_stale_held_arrays_are_never_read(N, pinned):
 
 
 def test_live_caches_share_no_array():
-    """The first live cache on a thread takes its spectrum rows and chunk
-    transforms from the thread's held array; one made while it lives gets
-    arrays of its own, sharing no memory with the first's or the thread's.
-    Once the first gives its arrays back, the next cache takes them."""
+    """A cache in a with block takes its spectrum rows and chunk transforms
+    from the thread's held array; one made meanwhile, or made without with,
+    gets arrays of its own, sharing no memory with the first's or the
+    thread's.  Once the first's block ends, the next cache takes them."""
     rng = np.random.default_rng(32)
 
     def arrays(cache):
@@ -773,15 +773,45 @@ def test_live_caches_share_no_array():
         with BlockCache(K) as warm:
             arrays(warm)
         held = block_engine._local.arrays["blocks"]
+        loose = arrays(BlockCache(K))
+        assert not any(np.shares_memory(x, held) for x in loose)
         with BlockCache(K) as one:
             two = BlockCache(K)
-            ones, twos = arrays(one), arrays(two)
-            assert len(ones) == len(twos) == 4
+            with BlockCache(K) as three:
+                ones, twos, threes = arrays(one), arrays(two), arrays(three)
+            assert len(ones) == len(twos) == len(threes) == 4
             assert all(np.shares_memory(x, held) for x in ones)
-            assert not any(np.shares_memory(x, y) for x in ones + [held] for y in twos)
-        with BlockCache(K) as three:
-            assert all(np.shares_memory(x, held) for x in arrays(three))
+            assert not any(np.shares_memory(x, y) for x in ones + [held]
+                           for y in twos + threes)
+            assert block_engine._local.claimed  # three's block did not give one's back
+        with BlockCache(K) as four:
+            assert all(np.shares_memory(x, held) for x in arrays(four))
         return two
+
+    _in_fresh_thread(run)
+
+
+def test_a_cache_past_its_block_reads_nothing_stale():
+    """A cache whose with block has ended drops its spectra, so a product
+    asked of it after another call has reused the thread's arrays raises
+    instead of reading that call's rows; its counts still answer."""
+    rng = np.random.default_rng(33)
+    exp, _ = _exp_pow(4096, True)
+
+    def run():
+        f, g, h = disk(rng, 4 * K), disk(rng, 6 * K), disk(rng, 6 * K)
+        with BlockCache(K) as cache:
+            for label, arr in zip("abc", (f, g, h)):
+                cache.register(label, arr)
+            q = triple_middle_product(cache, "a", "b", "c", 2 * K, 4 * K)
+        assert rel_err(q.coeffs, oracle_middle(f, g, h, 2 * K, 4 * K).coeffs) < 1e-12
+        exp()
+        assert cache.high_water("b") == 5 and cache.known("b") == 6 * K
+        with pytest.raises(DomainError, match="gave its spectra back"):
+            triple_middle_product(cache, "a", "b", "c", 2 * K, 4 * K)
+        for make in (cache.rows, lambda x: cache.ensure(x, 0), lambda x: cache.ensure_2k(x, 0)):
+            with pytest.raises(DomainError, match=r"series 'c' gave its spectra back"):
+                make("c")
 
     _in_fresh_thread(run)
 
@@ -796,7 +826,24 @@ def test_a_failed_call_gives_its_arrays_back(monkeypatch):
     for call in _exp_pow(512, True):
         with pytest.raises(RuntimeError, match="stop"):
             call()
-        assert block_engine._local.owner is None
+        assert not block_engine._local.claimed
+
+
+def test_a_thread_holds_block_arrays_only_up_to_a_bound(monkeypatch):
+    """With the bound on held block arrays lowered below what pinned exp and
+    pow at 4096 take, the calls give the same bits, and the thread keeps no
+    block array past the bound: the rest is made fresh per call."""
+    want = [call().coeffs for call in _exp_pow(4096, True)]
+    monkeypatch.setattr(block_engine, "_HELD_MOST", 1 << 12)
+
+    def run():
+        outs = [call().coeffs for call in _exp_pow(4096, True)]
+        arrays = block_engine._local.arrays
+        return outs, {key: arrays[key].size for key in ("blocks", "back", "term") if key in arrays}
+
+    outs, sizes = _in_fresh_thread(run)
+    assert [q.tobytes() for q in outs] == [q.tobytes() for q in want]
+    assert sizes["blocks"] == 1 << 12 and max(sizes.values()) <= 1 << 12, sizes
 
 
 def test_a_thread_keeps_no_more_than_its_largest_call():

@@ -48,15 +48,14 @@ def test_fingerprint_edge_runs_and_plans():
 
 
 def test_bench_ladder_writes_its_schema(tmp_path):
-    """tools/bench_ladder.py at order 256, one repeat, run under two labels
+    """tools/bench_ladder.py at order 256, run under two labels
     into one file: each run has its host header and a row per cell, five ops
     on the default plans and three on the pinned ones, with positive times
     and units; a run under a label already there replaces it.  No timing is
     checked."""
     out = str(tmp_path / "BENCH_ladder.json")
     for label in ("before", "after", "before"):
-        assert bench_ladder.main([SRC, "--sizes", "256", "--repeats", "1", "--out", out,
-                                  "--label", label]) == 0
+        assert bench_ladder.main([SRC, "--sizes", "256", "--out", out, "--label", label]) == 0
     with open(out) as f:
         runs = json.load(f)["runs"]
     assert [run["label"] for run in runs] == ["after", "before"]
@@ -65,7 +64,7 @@ def test_bench_ladder_writes_its_schema(tmp_path):
              ("exp", "pinned"), ("pow", "pinned"), ("exp(C*log)", "pinned")}
     for run in runs:
         assert set(run["host"]) == {"cpu", "usable_cpus", "numpy", "python"}
-        assert run["repeats"] == 1
+        assert run["repeats"] == bench_ladder.REPEATS
         assert {(row["op"], row["plan"]) for row in run["rows"]} == cells
         assert len(run["rows"]) == len(cells)
         for row in run["rows"]:
