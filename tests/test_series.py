@@ -170,6 +170,27 @@ def test_text_with_a_comment_skips_the_bulk_parse(monkeypatch, tmp_path):
     assert fastseries.load_series(path).coeffs.tobytes() == want
 
 
+def test_text_with_a_row_too_many_skips_the_bulk_parse(monkeypatch, tmp_path):
+    """A text whose tabs cannot make its declared rows (here a row past its
+    order) never reaches numpy's parser: both readers raise the line loop's
+    error at that row."""
+    c = np.random.default_rng(13).standard_normal(1 << 10) * (1 + 1j)
+    buf = io.StringIO()
+    write_series(c, buf)
+    text = buf.getvalue() + "1024\t1\n"
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode())
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a text with a row too many")
+
+    monkeypatch.setattr(series_core.np, "loadtxt", no_loadtxt)
+    for read, source in ((read_series, io.StringIO(text)), (fastseries.load_series, path)):
+        with pytest.raises(FormatError) as info:
+            read(source)
+        assert (str(info.value), info.value.line) == ("line 1026: expected 'index<TAB>re<TAB>im'", 1026)
+
+
 def _read_outcome(read, source):
     """The coefficient bits a reader gives, or its FormatError's message
     and line."""

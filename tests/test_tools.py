@@ -17,10 +17,8 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import ab_time  # noqa: E402
 import bench_ladder  # noqa: E402
-import block_share  # noqa: E402
 import crossover  # noqa: E402
 import fingerprint  # noqa: E402
-import newton_faults  # noqa: E402
 
 SRC = os.path.join(ROOT, "src")
 
@@ -50,29 +48,54 @@ def test_fingerprint_edge_runs_and_plans():
 def test_bench_ladder_writes_its_schema(tmp_path):
     """tools/bench_ladder.py at order 256, run under two labels
     into one file: each run has its host header and a row per cell, five ops
-    on the default plans and three on the pinned ones, with positive times
-    and units; a run under a label already there replaces it.  No timing is
-    checked."""
+    on the default plans, three on the pinned ones and the two text cells,
+    with positive times and units; a run under a label already there
+    replaces it.  The block-plan and Newton rows split their fastest
+    instrumented call by top-level stage, with _block_conv's part of each,
+    and count the faults of the leaf transforms; the wrappers that measure
+    these stay in each cell's child.  No timing is checked."""
+    def measured():
+        return (CostLedger.stage, block_engine._block_conv,
+                *(getattr(fft_core, name) for name in bench_ladder.LEAVES))
+
+    before = measured()
     out = str(tmp_path / "BENCH_ladder.json")
     for label in ("before", "after", "before"):
         assert bench_ladder.main([SRC, "--sizes", "256", "--out", out, "--label", label]) == 0
+    assert measured() == before
     with open(out) as f:
         runs = json.load(f)["runs"]
     assert [run["label"] for run in runs] == ["after", "before"]
     cells = {("exp", "default"), ("pow", "default"), ("exp(C*log)", "default"),
              ("inv", "default"), ("log", "default"),
-             ("exp", "pinned"), ("pow", "pinned"), ("exp(C*log)", "pinned")}
+             ("exp", "pinned"), ("pow", "pinned"), ("exp(C*log)", "pinned"),
+             ("write", None), ("read", None)}
+    exp = ["bootstrap.E", "bootstrap.I", "exp.stage1", "exp.log", "exp.final"]
+    stages = {"exp": exp, "exp(C*log)": ["inverse"] + exp, "inv": ["inverse"], "log": ["inverse"],
+              "pow": ["bootstrap.rho", "bootstrap.s", "bootstrap.P", "bootstrap.I",
+                      "pow.s.first", "pow.s.second", "pow.f", "pow.log", "pow.final"]}
     for run in runs:
         assert set(run["host"]) == {"cpu", "usable_cpus", "numpy", "python"}
         assert run["repeats"] == bench_ladder.REPEATS
         assert {(row["op"], row["plan"]) for row in run["rows"]} == cells
         assert len(run["rows"]) == len(cells)
         for row in run["rows"]:
-            assert row["N"] == 256 and (row["k"] is None) == (row["op"] in ("inv", "log"))
-            assert row["unit_order"] == (row["k"] or 256)
+            assert row["N"] == 256 and (row["k"] is None) == (row["op"] in ("inv", "log", "write", "read"))
+            assert row["first_ms"] > 0 and row["first_faults"] >= 0
             assert row["ms_best"] <= row["ms_median"] <= row["ms_max"]
             assert row["mn_ms"] > 0 and row["wall_over_mn"] == row["ms_best"] / row["mn_ms"]
-            assert row["main_units"] > 0 and row["faults_median"] >= 0
+            assert row["faults_median"] >= 0
+            if row["plan"] is None:
+                assert [row[key] for key in ("unit_order", "main_units", "instrumented_ms", "stage_ms",
+                                             "block_conv_ms", "transform_faults_median")] == [None] * 6
+                continue
+            assert row["unit_order"] == (row["k"] or 256) and row["main_units"] > 0
+            stage_ms, conv_ms = row["stage_ms"], row["block_conv_ms"]
+            assert list(stage_ms) == list(conv_ms) == stages[row["op"]], row
+            assert all(0 <= conv_ms[tag] <= ms for tag, ms in stage_ms.items()), row
+            assert 0 < sum(stage_ms.values()) <= row["instrumented_ms"], row
+            assert (sum(conv_ms.values()) > 0) == (row["k"] is not None), row
+            assert row["transform_faults_median"] >= 0
 
 
 @pytest.mark.parametrize("op", ["exp", "pow"])
@@ -82,48 +105,6 @@ def test_ab_time_compares_a_tree_with_itself(op):
     ms, ratios, diff, shares = ab_time.compare(SRC, SRC, op, 64, 2)
     assert [len(side) for side in ms] == [2, 2] and len(ratios) == 2
     assert diff == 0 and shares is None
-
-
-def test_block_share_times_every_stage(capsys):
-    """tools/block_share.py at order 256, one run: a head line per op and a
-    line per top-level stage, with time in _block_conv for each op; the
-    wrapped names are restored afterwards."""
-    conv, stage = block_engine._block_conv, CostLedger.stage
-    assert block_share.main([SRC, "256", "1"]) == 0
-    assert (block_engine._block_conv, CostLedger.stage) == (conv, stage)
-    lines = capsys.readouterr().out.splitlines()
-    stages = {"exp": ["bootstrap.E", "bootstrap.I", "exp.stage1", "exp.log", "exp.final"],
-              "pow": ["bootstrap.rho", "bootstrap.s", "bootstrap.P", "bootstrap.I",
-                      "pow.s.first", "pow.s.second", "pow.f", "pow.log", "pow.final"]}
-    assert len(lines) == 2 + sum(map(len, stages.values()))
-    for op, tags in stages.items():
-        head = lines.pop(0)
-        assert re.fullmatch(rf"{op} N=256: [\d.]+ ms, _block_conv [\d.]+ ms", head), head
-        assert float(head.rsplit(" ", 2)[1]) > 0, head
-        for tag in tags:
-            line = lines.pop(0)
-            assert re.fullmatch(rf"  {re.escape(tag)} +[\d.]+ ms  _block_conv +[\d.]+ ms "
-                                rf"\(\d+%\)", line), line
-
-
-def test_newton_faults_counts_each_function(capsys):
-    """tools/newton_faults.py at order 64, two repeats: a first-call line and
-    three repeated-call lines per function; the wrapped leaf transforms are
-    restored afterwards."""
-    saved = fft_core._forward, fft_core._backward
-    assert newton_faults.main([SRC, "64", "2"]) == 0
-    assert (fft_core._forward, fft_core._backward) == saved
-    lines = capsys.readouterr().out.splitlines()
-    assert lines.pop(0) == "N=64 repeats=2"
-    assert len(lines) == 8
-    for name in ("fast_inverse", "fast_log"):
-        first = lines.pop(0)
-        assert re.fullmatch(rf"{name} first: [\d.]+ ms, \d+ faults, \d+ in transforms",
-                            first), first
-        for label in ("ms", "faults", "transform faults"):
-            line = lines.pop(0)
-            assert re.fullmatch(rf"{name} repeated {label}: median [\d.]+ min [\d.]+ "
-                                rf"max [\d.]+", line), line
 
 
 def test_crossover_prints_every_table(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Wall time of every fast op in units of a measured M(N), beside the
-ledger's units and the page faults of a repeated call.
+ledger's units, the page faults of a repeated call and where one call's
+time goes.
 
 Usage:  python tools/bench_ladder.py SRC_DIR [--label NAME] [--sizes LIST]
                                      [--out PATH]
@@ -9,22 +10,38 @@ default 2^8..2^16), calls exp, pow (C = 0.3+0.7j), inv, log and the composite
 exp(C*log) on the CLI's inputs (cli.exp_input for exp, cli.pow_input for
 the others, both drawn from default_rng(N)): all five on the default plans,
 and exp, pow and the composite, whose exp runs the exp plan, on the pinned
-k = 16 plans of cli.bench_plan.  Each cell is called once untimed and then
-REPEATS (7) times, in a process forked for it alone from one that has only
-imported fastseries, so no cell's faults depend on what ran before it.  Its
-row holds:
+k = 16 plans of cli.bench_plan.  Two text cells time series_core's format
+at N: write, write_series of fast_inverse's output into a string, and read,
+load_series of the pow_input file, the benchmark CLI's input.  Each cell is
+called once with a ledger, once untimed and then REPEATS (7) times, in a
+process forked for it alone from one that has only imported fastseries, so
+no cell's faults depend on what the cells before it freed (the forking
+process's own heap can still move them).  Its row holds:
 
+- first_ms, first_faults: the wall ms and minor page faults of the first
+  call, the one with a ledger;
 - ms_best, ms_median, ms_max: the wall time of the REPEATS calls, in ms;
 - mn_ms: M(N), the best of REPEATS products of two order-N inputs by np.fft
   at length 2N, timed in a forked process of its own in the same run, and
   wall_over_mn, ms_best / mn_ms;
-- main_units: the ledger's transform units of one call outside the
+- main_units: the ledger's transform units of the first call outside the
   bootstrap stages, in order-unit_order transforms: unit_order is the
   plan's k for the block plans and N for inv and log (the bootstrap's inner
   calls record nothing);
 - faults_median: the median minor page faults of the REPEATS calls, read
   with getrusage for the whole process, so the threads a transform pair
   starts count too.
+
+Then the child wraps CostLedger.stage and block_engine._block_conv with
+timers, and fft_core's pocketfft leaves (LEAVES) with counts of the minor
+faults each takes in its own thread (getrusage(RUSAGE_THREAD): a transform
+pair runs one leaf on a thread of its own), and makes INSTRUMENTED (3)
+calls with a ledger.  Of the fastest, instrumented_ms is its wall ms and
+stage_ms and block_conv_ms, per top-level ledger stage, the stage's wall ms
+and _block_conv's part of it (the bootstrap's inner calls run inside their
+bootstrap.* stage); transform_faults_median is the median of the calls'
+faults in the leaves, pocketfft's scratch included.  The text cells have
+none of these, nor units: those fields are null.
 
 The file (default BENCH_ladder.json at the repository root) holds one run
 per label, each with its host header (CPU model, usable CPUs, numpy,
@@ -36,6 +53,8 @@ SRC_DIR.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -43,7 +62,10 @@ import platform
 import resource
 import statistics
 import sys
+import tempfile
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -53,18 +75,28 @@ from source_tree import import_fastseries
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = tuple(1 << a for a in range(8, 17))
 REPEATS = 7
+INSTRUMENTED = 3
 POWER = 0.3 + 0.7j
+LEAVES = ("_forward", "_backward", "_axis_forward", "_axis_backward")
 CELLS = tuple((op, name) for name in ("default", "pinned") for op in ("exp", "pow", "exp(C*log)")) + (
-    ("inv", "default"), ("log", "default"))
+    ("inv", "default"), ("log", "default"), ("write", None), ("read", None))
 
 
-def _cell(fastseries, N, op, name):
-    """The plan (None for inv and log) and the call taking a ledger of cell
-    (op, plan name) at order N."""
-    from fastseries import cli, fast_exp, fast_inverse, fast_log, fast_pow
+def _cell(fastseries, N, op, name, tmp):
+    """The plan (None for inv, log and the text cells) and the call taking a
+    ledger of cell (op, plan name) at order N; the read cell's file goes in
+    the directory tmp."""
+    from fastseries import cli, fast_exp, fast_inverse, fast_log, fast_pow, series_core
 
     rng = np.random.default_rng(N)
     h, g = cli.exp_input(rng, N), cli.pow_input(rng, N)
+    if op == "write":
+        f = fast_inverse(g, N).coeffs
+        return None, lambda led: series_core.write_series(f, io.StringIO())
+    if op == "read":
+        path = os.path.join(tmp, "input.txt")
+        series_core.dump_series(g, path)
+        return None, lambda led: series_core.load_series(path)
     if op in ("inv", "log"):
         return None, lambda led: (fast_inverse if op == "inv" else fast_log)(g, N, ledger=led)
     e, p = ((fastseries.choose_plan(N),) * 2 if name == "default"
@@ -76,17 +108,22 @@ def _cell(fastseries, N, op, name):
     return e, lambda led: fast_exp(POWER * fast_log(g, N, ledger=led).coeffs, N, plan=e, ledger=led)
 
 
+def _faults(who=resource.RUSAGE_SELF):
+    return resource.getrusage(who).ru_minflt
+
+
+def _once(call):
+    """Wall ms and minor page faults of one call."""
+    before, start = _faults(), time.perf_counter()
+    call()
+    return (time.perf_counter() - start) * 1e3, _faults() - before
+
+
 def _timed(call):
     """Wall ms and minor page faults of each of REPEATS calls, after one
     untimed call."""
     call()
-    ms, faults = [], []
-    for _ in range(REPEATS):
-        before, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-        call()
-        ms.append((time.perf_counter() - start) * 1e3)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return ms, faults
+    return tuple(zip(*(_once(call) for _ in range(REPEATS))))
 
 
 def _forked(work):
@@ -110,24 +147,87 @@ def _product_ms(N):
     return min(ms)
 
 
+def _instrumented(run):
+    """The fastest of INSTRUMENTED calls of run: its wall ms, ms per
+    top-level stage and ms of _block_conv in each, and the median of all
+    their faults in fft_core's leaves.  The wrappers that measure these stay
+    for the rest of the process, a cell's forked child."""
+    from fastseries import CostLedger, block_engine, fft_core
+
+    stage, conv = CostLedger.stage, block_engine._block_conv
+    top, stages, convs, faults = [], Counter(), Counter(), [0]
+    lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def timed_stage(self, tag):
+        outer = not top
+        if outer:
+            top.append(tag)
+        start = time.perf_counter()
+        try:
+            with stage(self, tag):
+                yield self
+        finally:
+            if outer:
+                stages[top.pop()] += (time.perf_counter() - start) * 1e3
+
+    def timed_conv(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return conv(*args, **kwargs)
+        finally:
+            convs[top[0] if top else ""] += (time.perf_counter() - start) * 1e3
+
+    def counted(leaf):
+        def wrapper(*args, **kwargs):
+            before = _faults(resource.RUSAGE_THREAD)
+            try:
+                return leaf(*args, **kwargs)
+            finally:
+                taken = _faults(resource.RUSAGE_THREAD) - before
+                with lock:
+                    faults[0] += taken
+        return wrapper
+
+    CostLedger.stage, block_engine._block_conv = timed_stage, timed_conv
+    for name in LEAVES:
+        setattr(fft_core, name, counted(getattr(fft_core, name)))
+    calls = []
+    for _ in range(INSTRUMENTED):
+        stages.clear()
+        convs.clear()
+        faults[0] = 0
+        ms, _ = _once(lambda: run(CostLedger()))
+        calls.append((ms, dict(stages), {**dict.fromkeys(stages, 0.0), **convs}, faults[0]))
+    ms, stage_ms, conv_ms, _ = min(calls, key=lambda call: call[0])
+    return {"instrumented_ms": ms, "stage_ms": stage_ms, "block_conv_ms": conv_ms,
+            "transform_faults_median": statistics.median(call[3] for call in calls)}
+
+
 def _cell_row(fastseries, N, op, name, mn):
     """The row of cell (op, plan name) at order N, over M(N) = mn."""
     from fastseries import CostLedger
     from fastseries.cost_ledger import main_term_units
 
-    plan, run = _cell(fastseries, N, op, name)
-    unit = N if plan is None else plan.k
-    led = CostLedger()
-    run(led)
-    ms, faults = _timed(lambda: run(None))
-    return {
-        "op": op, "plan": name, "N": N,
-        "k": plan and plan.k, "n": plan and plan.n, "m": plan and plan.m,
-        "ms_best": min(ms), "ms_median": statistics.median(ms), "ms_max": max(ms),
-        "mn_ms": mn, "wall_over_mn": min(ms) / mn,
-        "unit_order": unit, "main_units": float(main_term_units(led, unit)),
-        "faults_median": statistics.median(faults),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        plan, run = _cell(fastseries, N, op, name, tmp)
+        led = CostLedger()
+        first_ms, first_faults = _once(lambda: run(led))
+        ms, faults = _timed(lambda: run(None))
+        row = {
+            "op": op, "plan": name, "N": N,
+            "k": plan and plan.k, "n": plan and plan.n, "m": plan and plan.m,
+            "first_ms": first_ms, "first_faults": first_faults,
+            "ms_best": min(ms), "ms_median": statistics.median(ms), "ms_max": max(ms),
+            "mn_ms": mn, "wall_over_mn": min(ms) / mn,
+            "faults_median": statistics.median(faults),
+        }
+        if name is None:  # a text cell
+            return {**row, **dict.fromkeys(("unit_order", "main_units", "instrumented_ms", "stage_ms",
+                                            "block_conv_ms", "transform_faults_median"))}
+        unit = N if plan is None else plan.k
+        return {**row, "unit_order": unit, "main_units": float(main_term_units(led, unit)),
+                **_instrumented(run)}
 
 
 def measure(src_dir, sizes=SIZES):

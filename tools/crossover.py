@@ -44,8 +44,8 @@ layer, at each order L of PAIR_ORDERS on p of L and q of L/2 coefficients,
 as a Newton step pairs them: serially (fft_core._PAIR_MIN_ORDER set above
 L) and on two threads (set to 1), PAIR_REPEATS = 300 pairs alternating as
 above.  It prints the median microseconds of each and the median of the
-paired ratios, two threads / serial, with its quartiles.  On a host with
-one usable CPU dft_pair runs serially at every order, and a note takes the
+paired ratios, two threads / serial, with its quartiles (the inclusive
+method, so they stay inside the sample).  On a host with one usable CPU dft_pair runs serially at every order, and a note takes the
 table's place.
 
 The first three tables are written as the comment beside the constants in
@@ -240,7 +240,7 @@ def print_pairs(fft_core):
     for L in PAIR_ORDERS:
         pairs = measure_pair(fft_core, L)
         serial, paired = zip(*pairs)
-        q1, q2, q3 = statistics.quantiles([b / a for a, b in pairs], n=4)
+        q1, q2, q3 = statistics.quantiles([b / a for a, b in pairs], n=4, method="inclusive")
         print(f"#   {L:5d}   {statistics.median(serial):6.0f}   {statistics.median(paired):6.0f}"
               f"   {q2:.2f} [{q1:.2f}, {q3:.2f}]", flush=True)
 
