@@ -126,11 +126,11 @@ def frontier(N: int) -> int:
 
 
 class _Held(threading.local):
-    """The calling thread's held arrays: ``arrays`` by key (see ``_held``),
-    and ``claimed``, whether a live ``_Arena`` holds the "blocks" array."""
+    """The calling thread's held arrays, by key (see ``_held``); the
+    "blocks" array is missing while a live ``_Arena`` holds it."""
 
     def __init__(self):
-        self.arrays, self.claimed = {}, False
+        self.arrays = {"blocks": np.empty(0, dtype=np.complex128)}
 
 
 _local = _Held()
@@ -164,12 +164,12 @@ def _block_work(key, size: int) -> np.ndarray:
 class _Arena:
     """Where one ``BlockCache`` keeps its series' block arrays: the spectrum
     rows and the chunk transforms, handed out in the order they are asked
-    for.  An arena that ``claim``s the thread's "blocks" array while no
-    other live one holds it takes from it as far as it reaches; past that,
-    and in an arena that holds no claim, every array is fresh, so two live
-    caches never share memory.  ``release`` gives the claim back and grows
-    the thread's array to all this arena took, at most _HELD_MOST entries,
-    so the next cache of the same run maps nothing new."""
+    for.  An arena that ``claim``s the thread's "blocks" array, which it
+    gets while no other live arena has it, takes from it as far as it
+    reaches; past that, and in an arena that got none, every array is fresh,
+    so two live caches never share memory.  ``release`` puts the array back
+    and grows it to all this arena took, at most _HELD_MOST entries, so the
+    next cache of the same run maps nothing new."""
 
     __slots__ = ("buffer", "used")
 
@@ -177,9 +177,7 @@ class _Arena:
         self.buffer, self.used = None, 0
 
     def claim(self):
-        if not _local.claimed:
-            _local.claimed = True
-            self.buffer, self.used = _local.arrays.get("blocks", np.empty(0, dtype=np.complex128)), 0
+        self.buffer, self.used = _local.arrays.pop("blocks", None), 0
 
     def take(self, *shape) -> np.ndarray:
         start = self.used
@@ -190,8 +188,8 @@ class _Arena:
 
     def release(self):
         if self.buffer is not None:
+            _local.arrays["blocks"], self.buffer = self.buffer, None
             _held("blocks", min(self.used, _HELD_MOST))
-            self.buffer, _local.claimed = None, False
 
 
 class _Series:

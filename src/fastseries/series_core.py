@@ -109,8 +109,10 @@ def mul_mod(f, g, n: int, ledger=None, label=None) -> TruncatedSeries:
 # ("Printing floating-point numbers quickly and accurately with integers",
 # PLDI 2010) over whole arrays: with D = floor(log10|x|) and p = 16 - D, the
 # 17 digits are N = round(V) for V = |x| * 10**p, one long double product
-# with a correctly rounded table entry 10**p.  Both roundings are relative
-# errors of at most u, the long double unit roundoff, so V is within
+# with the table entry 10**p that numpy's parser reads from '1e{p}'.  The
+# bound rests on that parser rounding correctly, which the tests check for
+# every entry: then both roundings are relative errors of at most u, the
+# long double unit roundoff, so V is within
 # err = V * 2u(1 + 3u) of the exact |x| * 10**p.  N is then the correctly
 # rounded digit string whenever V is further than err from the nearest
 # half-integer, and D is the right exponent whenever V rounded to float64
@@ -138,11 +140,8 @@ class _G17Tables:
     """The fast path's tables, built once on the first write."""
 
     def __init__(self):
-        bits = np.finfo(np.longdouble).nmant + 1
-        mant_exp = [_round_pow10(p, bits) for p in range(_P_MIN, _P_MAX + 1)]
         with np.errstate(over="ignore"):  # a plain double has no 10**309
-            self.pow10 = np.ldexp(np.array([_exact_longdouble(m) for m, _ in mant_exp]),
-                                  np.array([e for _, e in mant_exp]))
+            self.pow10 = np.array([np.longdouble(f"1e{p}") for p in range(_P_MIN, _P_MAX + 1)])
         # 4-digit groups: their ASCII bytes, the same spread over the digit
         # columns of the template, and, for group j of digits 4j+1..4j+4, the
         # significant digits up to its last nonzero one (1, d0 alone, for 0000)
@@ -180,30 +179,6 @@ class _G17Tables:
                 for neg in (0, 1):
                     cls = (layout * 17 + sig - 1) * 2 + neg
                     self.mask[cls, [_TAB] + [_MINUS] * neg + cols] = True
-
-
-def _round_pow10(p: int, bits: int) -> tuple[int, int]:
-    """(m, e) with m * 2**e the nearest bits-bit binary value to 10**p,
-    from exact integers."""
-    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
-    e = num.bit_length() - den.bit_length() - bits
-    while True:
-        top, bottom = (num, den << e) if e >= 0 else (num << -e, den)
-        m, rest = divmod(top, bottom)
-        if m < 1 << bits:
-            break
-        e += 1
-    # 10**p is never a tie for p != 0; a carry to 2**bits is still exact
-    return m + (2 * rest > bottom), e
-
-
-def _exact_longdouble(m: int) -> np.longdouble:
-    """m as a long double, exactly when it fits the significand: whole
-    32-bit groups, each step exact."""
-    out = np.longdouble(0)
-    for shift in range(m.bit_length() // 32 * 32, -1, -32):
-        out = out * 2 ** 32 + ((m >> shift) & 0xFFFFFFFF)
-    return out
 
 
 @functools.cache
@@ -322,17 +297,13 @@ def _read_bulk(data: bytes) -> np.ndarray | None:
     reads it where both accept it (spaces around it and a sign included;
     the floats through PyOS_string_to_double), and skips blank lines, as the
     line loop does; CR and underscores fail it.  A body holding '#' (a
-    comment line, or a field the line loop rejects), or other than 2*n
-    tabs (each row numpy accepts holds two, a blank line none), goes to the
-    line loop before numpy parses it."""
+    comment line, or a field the line loop rejects) goes to the line loop
+    before numpy parses it."""
     head, _, body = data.partition(b"\n")
     match = _BULK_HEADER.fullmatch(head)
     if match is None or b"#" in body or body.translate(None, _BULK_BYTES):
         return None
     order = int(match[1])
-    # the tabs, counted by numpy in a tenth of bytes.count's time
-    if np.count_nonzero(np.frombuffer(body, np.uint8) == ord("\t")) != 2 * order:
-        return None
     if not body.strip():  # np.loadtxt warns on a text with no rows
         return np.empty(0, dtype=np.complex128) if order == 0 else None
     try:

@@ -783,7 +783,7 @@ def test_live_caches_share_no_array():
             assert all(np.shares_memory(x, held) for x in ones)
             assert not any(np.shares_memory(x, y) for x in ones + [held]
                            for y in twos + threes)
-            assert block_engine._local.claimed  # three's block did not give one's back
+            assert "blocks" not in block_engine._local.arrays  # three's block did not give one's back
         with BlockCache(K) as four:
             assert all(np.shares_memory(x, held) for x in arrays(four))
         return two
@@ -826,7 +826,7 @@ def test_a_failed_call_gives_its_arrays_back(monkeypatch):
     for call in _exp_pow(512, True):
         with pytest.raises(RuntimeError, match="stop"):
             call()
-        assert not block_engine._local.claimed
+        assert "blocks" in block_engine._local.arrays
 
 
 def test_a_thread_holds_block_arrays_only_up_to_a_bound(monkeypatch):

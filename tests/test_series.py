@@ -2,6 +2,7 @@ import io
 
 import inspect
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,21 +171,16 @@ def test_text_with_a_comment_skips_the_bulk_parse(monkeypatch, tmp_path):
     assert fastseries.load_series(path).coeffs.tobytes() == want
 
 
-def test_text_with_a_row_too_many_skips_the_bulk_parse(monkeypatch, tmp_path):
-    """A text whose tabs cannot make its declared rows (here a row past its
-    order) never reaches numpy's parser: both readers raise the line loop's
-    error at that row."""
+def test_text_with_a_row_too_many_skips_the_bulk_parse(tmp_path):
+    """A text with a row past its declared order gets no coefficients from
+    the bulk parse: both readers raise the line loop's error at that row."""
     c = np.random.default_rng(13).standard_normal(1 << 10) * (1 + 1j)
     buf = io.StringIO()
     write_series(c, buf)
     text = buf.getvalue() + "1024\t1\n"
     path = tmp_path / "s.txt"
     path.write_bytes(text.encode())
-
-    def no_loadtxt(*args, **kwargs):
-        raise AssertionError("np.loadtxt called on a text with a row too many")
-
-    monkeypatch.setattr(series_core.np, "loadtxt", no_loadtxt)
+    assert series_core._read_bulk(text.encode()) is None
     for read, source in ((read_series, io.StringIO(text)), (fastseries.load_series, path)):
         with pytest.raises(FormatError) as info:
             read(source)
@@ -412,6 +408,24 @@ def test_writer_matches_format_on_random_bits_and_edge_values():
     slow = series_core._g17_fields(bits[:4096], field, np.empty(field.shape, dtype=bool))
     if np.finfo(np.longdouble).nmant >= 63:  # 80-bit or wider long double
         assert slow < 0.05 * 4096
+
+
+def test_pow10_table_is_correctly_rounded():
+    """Every finite entry of the writer's 10**p table, which numpy's parser
+    reads, is nearer 10**p than both its long double neighbours, exactly in
+    rationals: the writer's error bound rests on it."""
+    pow10 = series_core._g17_tables().pow10
+    assert pow10.dtype == np.longdouble
+    assert pow10.size == series_core._P_MAX - series_core._P_MIN + 1
+    for p, x in zip(range(series_core._P_MIN, series_core._P_MAX + 1), pow10):
+        if not np.isfinite(x):
+            continue
+        exact = Fraction(10) ** p
+        gap = abs(Fraction(*x.as_integer_ratio()) - exact)
+        for side in (-np.inf, np.inf):
+            near = np.nextafter(x, np.longdouble(side))
+            if np.isfinite(near):
+                assert gap < abs(Fraction(*near.as_integer_ratio()) - exact), p
 
 
 def test_writer_with_a_double_width_bound_takes_the_exact_path(monkeypatch):

@@ -98,6 +98,25 @@ def test_bench_ladder_writes_its_schema(tmp_path):
             assert row["transform_faults_median"] >= 0
 
 
+def _forking_pid(N):
+    return os.getppid()
+
+
+def _cell_forking_pids(N, op, name, mn):
+    return os.getppid(), mn
+
+
+def test_bench_ladder_forks_every_cell_from_one_server(monkeypatch):
+    """Every cell and every M(N) of a ladder runs in a child of one fork
+    server, never in a child of the measuring process."""
+    monkeypatch.setattr(bench_ladder, "_product_ms", _forking_pid)
+    monkeypatch.setattr(bench_ladder, "_cell_row", _cell_forking_pids)
+    _, rows = bench_ladder.measure(SRC, [256, 512])
+    assert len(rows) == 2 * len(bench_ladder.CELLS)
+    (pids,) = set(rows)
+    assert pids[0] == pids[1] != os.getpid()
+
+
 @pytest.mark.parametrize("op", ["exp", "pow"])
 def test_ab_time_compares_a_tree_with_itself(op):
     """tools/ab_time.py on this source tree against itself: two pairs at

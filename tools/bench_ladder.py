@@ -14,15 +14,16 @@ k = 16 plans of cli.bench_plan.  Two text cells time series_core's format
 at N: write, write_series of fast_inverse's output into a string, and read,
 load_series of the pow_input file, the benchmark CLI's input.  Each cell is
 called once with a ledger, once untimed and then REPEATS (7) times, in a
-process forked for it alone from one that has only imported fastseries, so
-no cell's faults depend on what the cells before it freed (the forking
-process's own heap can still move them).  Its row holds:
+process forked for it alone by a fork server: a process forked from this
+one right after fastseries is imported, which does nothing but fork, so no
+cell's faults depend on what the measuring process or the cells before it
+did.  Its row holds:
 
 - first_ms, first_faults: the wall ms and minor page faults of the first
   call, the one with a ledger;
 - ms_best, ms_median, ms_max: the wall time of the REPEATS calls, in ms;
 - mn_ms: M(N), the best of REPEATS products of two order-N inputs by np.fft
-  at length 2N, timed in a forked process of its own in the same run, and
+  at length 2N, timed in a child of the fork server of its own, and
   wall_over_mn, ms_best / mn_ms;
 - main_units: the ledger's transform units of the first call outside the
   bootstrap stages, in order-unit_order transforms: unit_order is the
@@ -65,6 +66,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -82,11 +84,11 @@ CELLS = tuple((op, name) for name in ("default", "pinned") for op in ("exp", "po
     ("inv", "default"), ("log", "default"), ("write", None), ("read", None))
 
 
-def _cell(fastseries, N, op, name, tmp):
+def _cell(N, op, name, tmp):
     """The plan (None for inv, log and the text cells) and the call taking a
     ledger of cell (op, plan name) at order N; the read cell's file goes in
     the directory tmp."""
-    from fastseries import cli, fast_exp, fast_inverse, fast_log, fast_pow, series_core
+    from fastseries import choose_plan, cli, fast_exp, fast_inverse, fast_log, fast_pow, series_core
 
     rng = np.random.default_rng(N)
     h, g = cli.exp_input(rng, N), cli.pow_input(rng, N)
@@ -99,7 +101,7 @@ def _cell(fastseries, N, op, name, tmp):
         return None, lambda led: series_core.load_series(path)
     if op in ("inv", "log"):
         return None, lambda led: (fast_inverse if op == "inv" else fast_log)(g, N, ledger=led)
-    e, p = ((fastseries.choose_plan(N),) * 2 if name == "default"
+    e, p = ((choose_plan(N),) * 2 if name == "default"
             else (cli.bench_plan("exp", N), cli.bench_plan("pow", N)))
     if op == "pow":
         return p, lambda led: fast_pow(g, POWER, N, plan=p, ledger=led)
@@ -126,17 +128,47 @@ def _timed(call):
     return tuple(zip(*(_once(call) for _ in range(REPEATS))))
 
 
-def _forked(work):
-    """work() in a child forked from this process: its result."""
+def _serve(conn):
+    """The fork server's loop: each request (func, args) from conn runs in a
+    child of its own, which sends func(*args) back itself; None, after the
+    child, says it failed."""
+    while (request := conn.recv()) is not None:
+        if os.fork() == 0:
+            try:
+                func, args = request
+                conn.send(func(*args))
+                os._exit(0)
+            except BaseException:
+                traceback.print_exc()
+                os._exit(1)
+        if os.wait()[1]:
+            conn.send(None)
+
+
+@contextlib.contextmanager
+def _fork_server():
+    """A process forked from this one that runs each call in a child forked
+    from it, so every child starts from the same heap, whatever this
+    process did between calls: yields forked(func, *args), func(*args) in
+    such a child, for a module-level func."""
     context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=lambda: send.send(work()))
-    child.start()
-    send.close()
+    conn, theirs = context.Pipe()
+    server = context.Process(target=_serve, args=(theirs,), daemon=True)
+    server.start()
+    theirs.close()
+
+    def forked(func, *args):
+        conn.send((func, args))
+        result = conn.recv()
+        if result is None:
+            raise RuntimeError(f"{func.__name__}{args} failed in its child")
+        return result
+
     try:
-        return receive.recv()
+        yield forked
     finally:
-        child.join()
+        conn.send(None)
+        server.join()
 
 
 def _product_ms(N):
@@ -204,13 +236,13 @@ def _instrumented(run):
             "transform_faults_median": statistics.median(call[3] for call in calls)}
 
 
-def _cell_row(fastseries, N, op, name, mn):
+def _cell_row(N, op, name, mn):
     """The row of cell (op, plan name) at order N, over M(N) = mn."""
     from fastseries import CostLedger
     from fastseries.cost_ledger import main_term_units
 
     with tempfile.TemporaryDirectory() as tmp:
-        plan, run = _cell(fastseries, N, op, name, tmp)
+        plan, run = _cell(N, op, name, tmp)
         led = CostLedger()
         first_ms, first_faults = _once(lambda: run(led))
         ms, faults = _timed(lambda: run(None))
@@ -232,15 +264,16 @@ def _cell_row(fastseries, N, op, name, mn):
 
 def measure(src_dir, sizes=SIZES):
     """The host header and the rows of every cell at every order."""
-    fastseries = import_fastseries(src_dir)
+    import_fastseries(src_dir)
     from fastseries import fft_core
 
+    rows = []
+    with _fork_server() as forked:
+        for N in sizes:
+            mn = forked(_product_ms, N)
+            rows += [forked(_cell_row, N, op, name, mn) for op, name in CELLS]
     host = {"cpu": _cpu_model(), "usable_cpus": fft_core._usable_cpus(),
             "numpy": np.__version__, "python": platform.python_version()}
-    rows = []
-    for N in sizes:
-        mn = _forked(lambda: _product_ms(N))
-        rows += [_forked(lambda: _cell_row(fastseries, N, op, name, mn)) for op, name in CELLS]
     return host, rows
 
 
