@@ -97,6 +97,9 @@ class BlockPlan:
             # the steps run at k = 1 too; the rule stays because the bench
             # plans, the CLI's --block-size and their tests pin it
             raise PlanError("block size must be at least 2")
+        if not fft_core.is_supported_length(2 * self.k):
+            raise PlanError(f"block size {self.k}: transform length {2 * self.k} "
+                            "not of the form 2^a*3^b, b<=1")
         if self.n < 1:
             raise PlanError(f"bootstrap order {self.n} must be positive")
         if self.n % self.k:

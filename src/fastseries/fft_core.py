@@ -20,7 +20,9 @@ polynomials of one order into the caller's arrays; from order
 ``_PAIR_MIN_ORDER`` up, in a process that may use two CPUs, the second runs
 on a thread started for it while the first runs in the caller (pocketfft
 releases the GIL), with the same values as two ``dft`` calls.  No thread,
-lock or executor is kept between calls.  The leaves neither check nor
+lock or executor is kept between calls.  That protocol, ``_on_two_threads``,
+is the library's only one: the series writer runs its row chunks on it
+too.  The leaves neither check nor
 record; the Newton step that calls ``dft_pair`` records its own event group.
 
 Supported lengths are ``2**a * 3**b`` with ``b <= 1``, which keeps the
@@ -210,41 +212,52 @@ def dft(p, L: int, ledger=None, label=None) -> Spectrum:
     return Spectrum(_forward(c, L), "plain")
 
 
-def dft_pair(p, q, L: int, out_p, out_q) -> tuple[np.ndarray, np.ndarray]:
-    """The values of dft(p, L) and dft(q, L), for polynomials with degrees
-    below L and a supported L, written into out_p and out_q and returned.
-    Like the leaf kernels it checks and records nothing: the Newton layer,
-    its caller, computes the lengths itself and records the events.  From
-    order _PAIR_MIN_ORDER up, in a process that may use at least 2 CPUs,
-    q's transform runs on a thread started for it while p's runs here, so
-    neither output may overlap the other or an input; the call returns once
-    that thread has written out_q and let go of it.  While the interpreter
+def _on_two_threads(first, second):
+    """(first(), second()): second runs on a thread started for it while
+    first runs here, in a process that may use at least 2 CPUs, so the two
+    must touch no memory the other writes.  The call returns once that
+    thread has finished second and let go of everything it held; an error
+    second raised is raised here once first is done.  While the interpreter
     finalizes (a thread started then may never run), or when no thread can
-    start, both run here."""
-    if L < _PAIR_MIN_ORDER or _usable_cpus() < 2 or sys.is_finalizing():
-        return _forward(p, L, out_p), _forward(q, L, out_q)
-    done, error = _thread.allocate_lock(), []
+    start, both run here, first first.  dft_pair and the series writer share
+    this one protocol: no thread, lock or executor outlives the call."""
+    if _usable_cpus() < 2 or sys.is_finalizing():
+        return first(), second()
+    done, result, error = _thread.allocate_lock(), [], []
     done.acquire()
 
-    def second():
+    def run():
         try:
-            _forward(q, L, out_q)
+            result.append(second())
         except BaseException as exc:
             error.append(exc)
         finally:
             done.release()
 
     try:
-        _thread.start_new_thread(second, ())
+        _thread.start_new_thread(run, ())
     except RuntimeError:  # no thread can start
-        return _forward(p, L, out_p), _forward(q, L, out_q)
+        return first(), second()
     try:
-        _forward(p, L, out_p)
+        mine = first()
     finally:
         done.acquire()
     if error:
         raise error[0]
-    return out_p, out_q
+    return mine, result[0]
+
+
+def dft_pair(p, q, L: int, out_p, out_q) -> tuple[np.ndarray, np.ndarray]:
+    """The values of dft(p, L) and dft(q, L), for polynomials with degrees
+    below L and a supported L, written into out_p and out_q and returned.
+    Like the leaf kernels it checks and records nothing: the Newton layer,
+    its caller, computes the lengths itself and records the events.  From
+    order _PAIR_MIN_ORDER up, q's transform runs on a second thread when
+    _on_two_threads starts one, so neither output may overlap the other or
+    an input."""
+    if L < _PAIR_MIN_ORDER:
+        return _forward(p, L, out_p), _forward(q, L, out_q)
+    return _on_two_threads(lambda: _forward(p, L, out_p), lambda: _forward(q, L, out_q))
 
 
 def inverse_dft(s: Spectrum, ledger=None, label=None) -> np.ndarray:

@@ -127,7 +127,13 @@ _LONG_DOUBLE_UNIT = float(np.finfo(np.longdouble).eps) / 2
 _P_MIN, _P_MAX = -292, 340  # p of every finite nonzero double
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of finite nonzero doubles
 _LAYOUTS = 23  # fixed notation at exponents -4..16, scientific with 2 or 3 exponent digits
-_CHUNK_ROWS = 2048  # 4096 floats a chunk: no temporary passes 1 MB
+# Rows spelled at a time.  A chunk of R rows holds about 750*R bytes of
+# numpy temporaries while it is spelled, so the serial writer holds 1.5 MB
+# and, from _THREAD_MIN_ROWS on, each of its two threads 3 MB.  Two threads
+# gained more with 4096-row chunks than with 2048-row ones, and 8192-row
+# ones cost more memory for little more (CHANGES.md).
+_CHUNK_ROWS, _THREAD_CHUNK_ROWS = 2048, 4096
+_THREAD_MIN_ROWS = 8192  # the fifth table of python tools/crossover.py src
 
 # Columns of the field template.  Every spelling is a subsequence of
 #     TAB - 0 . 0 0 0 d0 . d1 . d2 ... . d16 . e s x x x
@@ -258,14 +264,28 @@ def _text_lines(start: int, values: np.ndarray, width: int) -> bytes:
 
 
 def _series_bytes(f) -> bytes:
-    """f in the text format, as ASCII bytes."""
+    """f in the text format, as ASCII bytes.  From _THREAD_MIN_ROWS rows on,
+    a second thread spells the odd chunks while the caller spells the even
+    ones, and the parts are joined in row order, so the bytes are the serial
+    writer's."""
     c = coeffs_of(f)
     values = np.ascontiguousarray(c).view(np.float64)
     width = -(-len(str(max(c.size - 1, 0))) // 4) * 4
-    parts = [b"#order %d\n" % c.size]
-    for start in range(0, c.size, _CHUNK_ROWS):
-        parts.append(_text_lines(start, values[2 * start:2 * (start + _CHUNK_ROWS)], width))
-    return b"".join(parts)
+    threads = c.size >= _THREAD_MIN_ROWS
+    rows = _THREAD_CHUNK_ROWS if threads else _CHUNK_ROWS
+    starts = range(0, c.size, rows)
+
+    def lines(some):
+        return [_text_lines(start, values[2 * start:2 * (start + rows)], width) for start in some]
+
+    if not threads:
+        parts = lines(starts)
+    else:
+        _g17_tables()  # built here, once: functools.cache would let two threads build it
+        parts = [b""] * len(starts)
+        parts[0::2], parts[1::2] = fft_core._on_two_threads(lambda: lines(starts[0::2]),
+                                                            lambda: lines(starts[1::2]))
+    return b"".join([b"#order %d\n" % c.size, *parts])
 
 
 def write_series(f, fp):

@@ -38,6 +38,19 @@ def test_plan_validation():
             BlockPlan(k=2, n=n, m=512)
 
 
+@pytest.mark.parametrize("k", [5, 7, 9])
+def test_plan_rejects_block_sizes_the_transforms_cannot_run(k):
+    """A block size whose order-2k transform length is not supported is a
+    PlanError at construction, not an UnsupportedLengthError from the
+    transform layer inside fast_exp or fast_pow; bench_plan's message for
+    such a size is its own, unchanged."""
+    with pytest.raises(PlanError, match=f"block size {k}: transform length {2 * k} not of the form"):
+        BlockPlan(k=k, n=4 * k, m=8 * k)
+    assert BlockPlan(k=k - 1, n=4 * (k - 1), m=8 * (k - 1)).k == k - 1  # 2k - 2 is 2^a*3^b
+    with pytest.raises(PlanError, match=f"^no valid bootstrap order for k={k}, m=256$"):
+        bench_plan("exp", 512, k=k)
+
+
 def _populated_cache(rng, k, n, m, f=None, g=None, h=None, ledger=None):
     f = disk(rng, n) if f is None else np.asarray(f, dtype=complex)
     g = disk(rng, m + n) if g is None else np.asarray(g, dtype=complex)

@@ -1,6 +1,9 @@
+import _thread
 import io
-
 import inspect
+import sys
+import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -16,9 +19,9 @@ from fastseries import (
     read_series,
     write_series,
 )
-from fastseries import series_core
+from fastseries import fft_core, series_core
 
-from util import rel_err
+from util import record_thread_starts, rel_err
 
 # The package's public names: each is used by the library, the CLI, the
 # tools or the acceptance tests.  An export is added here on purpose.
@@ -439,3 +442,139 @@ def test_writer_with_a_double_width_bound_takes_the_exact_path(monkeypatch):
     slow = series_core._g17_fields(values, field, np.empty(field.shape, dtype=bool))
     assert slow == np.count_nonzero(values)
     assert _written_text(values) == _expected_text(values)
+
+
+# -- the writer on two threads ------------------------------------------------
+
+def _threaded_writer(monkeypatch, cpus=2):
+    """Patch the writer onto two threads from one row on, with chunks of 4
+    rows, in a process that may use cpus CPUs; the thread starts, recorded."""
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(series_core, "_THREAD_MIN_ROWS", 1)
+    monkeypatch.setattr(series_core, "_THREAD_CHUNK_ROWS", 4)
+    return record_thread_starts(monkeypatch)
+
+
+def _writer_values():
+    """re, im pairs of 0.0, -0.0, edge values (ties, subnormals, every
+    layout class) and random bit patterns."""
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2 ** 64, 64, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([[0.0, -0.0, -0.0, 0.0], _edge_values(), bits[np.isfinite(bits)]])
+    return values[: values.size // 2 * 2]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("rows", [1, 3, 4, 5, 7, 8, 9, 13, 16, 17])
+def test_threaded_writer_writes_the_serial_bytes(rows, exact, monkeypatch):
+    """On two threads, at and one past a chunk boundary and at odd row
+    counts, the writer gives the bytes of the serial writer and of format;
+    with one usable CPU the threaded path runs in the caller alone and gives
+    them too.  Some floats take the exact '%.17g' fallback, and with the
+    bound of a 53-bit long double every nonzero one does."""
+    if exact:
+        monkeypatch.setattr(series_core, "_LONG_DOUBLE_UNIT", 2.0 ** -53)
+    values = _writer_values()
+    slow = 0
+    for start in range(0, values.size // 2 - rows + 1, 97 * rows):
+        part = values[2 * start:2 * (start + rows)]
+        field = np.empty((part.size, 46), dtype=np.uint8)
+        taken = series_core._g17_fields(part.copy(), field, np.empty(field.shape, dtype=bool))
+        assert taken == np.count_nonzero(part) or not exact
+        slow += taken
+        serial = _written_text(part)
+        assert serial == _expected_text(part)
+        with monkeypatch.context() as patched:
+            starts = _threaded_writer(patched)
+            assert _written_text(part) == serial
+            assert len(starts) == 1 and starts[0]["done"]
+        with monkeypatch.context() as patched:
+            starts = _threaded_writer(patched, cpus=1)
+            assert _written_text(part) == serial
+            assert not starts
+    assert slow > 0
+
+
+def test_threaded_writer_raises_the_helpers_error(monkeypatch):
+    """An error in a chunk the started thread spells reaches the caller,
+    who waited until that thread had started it."""
+    starts = _threaded_writer(monkeypatch)
+    caller, started, lines = threading.get_ident(), threading.Event(), series_core._text_lines
+
+    def failing(start, values, width):
+        if threading.get_ident() != caller:
+            started.set()
+            raise RuntimeError("helper chunk failed")
+        assert started.wait(30)
+        return lines(start, values, width)
+
+    monkeypatch.setattr(series_core, "_text_lines", failing)
+    with pytest.raises(RuntimeError, match="helper chunk failed"):
+        _written_text(np.arange(32.0))
+    assert len(starts) == 1 and starts[0]["ident"] != caller
+
+
+def test_threaded_writer_runs_alone_when_no_thread_can_start(monkeypatch):
+    """A thread that cannot start leaves every chunk to the caller."""
+    _threaded_writer(monkeypatch)
+
+    def refuse(fn, args):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(_thread, "start_new_thread", refuse)
+    values = _writer_values()[:64]
+    assert _written_text(values) == _expected_text(values)
+
+
+def test_threaded_writer_starts_no_thread_while_the_interpreter_finalizes(monkeypatch):
+    """While the interpreter finalizes, a started thread may never run, so
+    the caller spells every chunk and no thread starts."""
+    starts = _threaded_writer(monkeypatch)
+    monkeypatch.setattr(sys, "is_finalizing", lambda: True)
+    values = _writer_values()[:64]
+    assert _written_text(values) == _expected_text(values)
+    assert not starts
+
+
+def test_threaded_writer_leaves_no_thread_alive(monkeypatch):
+    """The thread a write starts has run to its end when the write returns,
+    at the real chunk size and threshold: a 2**14-row write starts one."""
+    starts = record_thread_starts(monkeypatch)
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 2)
+    rows = max(series_core._THREAD_MIN_ROWS, 1 << 14)
+    values = np.random.default_rng(29).standard_normal(2 * rows)
+    # a thread is done a few bytecodes after it lets the caller go; the
+    # long switch interval keeps the caller from taking the GIL before that
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        alive = _thread._count()
+        text = _written_text(values)
+        assert _thread._count() <= alive
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(starts) == 1 and starts[0]["done"]
+    monkeypatch.setattr(fft_core, "_usable_cpus", lambda: 1)
+    assert _written_text(values) == text
+
+
+def test_threaded_writer_builds_its_tables_once(monkeypatch):
+    """The first write in a process builds the tables before its thread
+    starts: functools.cache would let both threads build them at once."""
+    builds = []
+
+    class Counted(series_core._G17Tables):
+        def __init__(self):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # a window for a second thread to miss the cache
+            super().__init__()
+
+    _threaded_writer(monkeypatch)
+    monkeypatch.setattr(series_core, "_G17Tables", Counted)
+    series_core._g17_tables.cache_clear()
+    try:
+        values = _writer_values()[:64]
+        assert _written_text(values) == _expected_text(values)
+    finally:
+        series_core._g17_tables.cache_clear()
+    assert builds == [threading.get_ident()]

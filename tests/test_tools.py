@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from fastseries import CostLedger, PlanError, block_engine, cli, fast_ops, fft_core, oracle_middle
+from fastseries import (CostLedger, PlanError, block_engine, cli, fast_ops, fft_core, oracle_middle,
+                        series_core)
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
@@ -48,8 +49,8 @@ def test_fingerprint_edge_runs_and_plans():
 def test_bench_ladder_writes_its_schema(tmp_path):
     """tools/bench_ladder.py at order 256, run under two labels
     into one file: each run has its host header and a row per cell, five ops
-    on the default plans, three on the pinned ones and the two text cells,
-    with positive times and units; a run under a label already there
+    on the default plans, three on the pinned ones, the two text cells and
+    the CLI round trip, with positive times and units; a run under a label already there
     replaces it.  The block-plan and Newton rows split their fastest
     instrumented call by top-level stage, with _block_conv's part of each,
     and count the faults of the leaf transforms; the wrappers that measure
@@ -69,7 +70,7 @@ def test_bench_ladder_writes_its_schema(tmp_path):
     cells = {("exp", "default"), ("pow", "default"), ("exp(C*log)", "default"),
              ("inv", "default"), ("log", "default"),
              ("exp", "pinned"), ("pow", "pinned"), ("exp(C*log)", "pinned"),
-             ("write", None), ("read", None)}
+             ("write", None), ("read", None), ("cli", None)}
     exp = ["bootstrap.E", "bootstrap.I", "exp.stage1", "exp.log", "exp.final"]
     stages = {"exp": exp, "exp(C*log)": ["inverse"] + exp, "inv": ["inverse"], "log": ["inverse"],
               "pow": ["bootstrap.rho", "bootstrap.s", "bootstrap.P", "bootstrap.I",
@@ -80,7 +81,8 @@ def test_bench_ladder_writes_its_schema(tmp_path):
         assert {(row["op"], row["plan"]) for row in run["rows"]} == cells
         assert len(run["rows"]) == len(cells)
         for row in run["rows"]:
-            assert row["N"] == 256 and (row["k"] is None) == (row["op"] in ("inv", "log", "write", "read"))
+            assert row["N"] == 256
+            assert (row["k"] is None) == (row["op"] in ("inv", "log", "write", "read", "cli"))
             assert row["first_ms"] > 0 and row["first_faults"] >= 0
             assert row["ms_best"] <= row["ms_median"] <= row["ms_max"]
             assert row["mn_ms"] > 0 and row["wall_over_mn"] == row["ms_best"] / row["mn_ms"]
@@ -127,18 +129,19 @@ def test_ab_time_compares_a_tree_with_itself(op):
 
 
 def test_crossover_prints_every_table(monkeypatch, capsys):
-    """tools/crossover.py's four measurements, once each at small orders and
+    """tools/crossover.py's five measurements, once each at small orders and
     one or two repeats: a host line and the rows of every table; the
     constants it sets while measuring are restored afterwards."""
     for name, value in (("REPEATS", 1), ("BASES", (8,)), ("BASE_PROBE_ORDER", 64),
                         ("BASE_REPEATS", 1), ("FAMILY_ORDER", 256), ("FAMILY_SEEDS", (7,)),
-                        ("PAIR_ORDERS", (64,)), ("PAIR_REPEATS", 2)):
+                        ("PAIR_ORDERS", (64,)), ("PAIR_REPEATS", 2),
+                        ("WRITE_ROWS", (64, 96)), ("WRITE_REPEATS", 2)):
         monkeypatch.setattr(crossover, name, value)
     saved = (fast_ops.NEWTON_BASE_ORDER, fast_ops.ORACLE_INVERSE_MAX_ORDER,
-             fft_core._PAIR_MIN_ORDER)
+             fft_core._PAIR_MIN_ORDER, series_core._THREAD_MIN_ROWS)
     assert crossover.main([SRC, "64,128"]) == 0
     assert (fast_ops.NEWTON_BASE_ORDER, fast_ops.ORACLE_INVERSE_MAX_ORDER,
-            fft_core._PAIR_MIN_ORDER) == saved
+            fft_core._PAIR_MIN_ORDER, series_core._THREAD_MIN_ROWS) == saved
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"# .+, \d+ usable CPUs, numpy \S+, Python \S+", lines.pop(0))
     pair = r"[\d.]+ / +[\d.]+ +\d/1"
@@ -155,8 +158,12 @@ def test_crossover_prints_every_table(monkeypatch, capsys):
             line = lines.pop(0)
             assert re.fullmatch(rf"# +{label} +\d\.\de[-+]\d+", line), line
     if fft_core._usable_cpus() < 2:
-        assert lines == ["# one usable CPU: dft_pair runs serially at every order"]
-    else:
-        del lines[:3]
-        assert len(lines) == 1
-        assert re.fullmatch(r"# +64 +\d+ +\d+ +[\d.]+ \[[\d.]+, [\d.]+\]", lines[0]), lines
+        assert lines == ["# one usable CPU: dft_pair and write_series run serially at every size"]
+        return
+    threads = r"\d+ +\d+ +[\d.]+ \[[\d.]+, [\d.]+\]"
+    assert re.fullmatch(r"# +L +serial +threads +ratio", lines[2]), lines
+    assert re.fullmatch(rf"# +64 +{threads}", lines[3]), lines
+    assert re.fullmatch(r"# +rows +serial +threads +ratio", lines[6]), lines
+    assert [re.fullmatch(rf"# +{rows} +{threads}", line) is not None
+            for rows, line in zip((64, 96), lines[7:])] == [True, True], lines
+    assert len(lines) == 9

@@ -70,9 +70,10 @@ def loop_exp(h, n):
 
 
 def record_thread_starts(monkeypatch):
-    """Wrap _thread.start_new_thread, with which dft_pair starts the thread
-    of a pair, and return the list of starts: one dict per thread, with the
-    target's thread ident and "done", which the target's finally sets."""
+    """Wrap _thread.start_new_thread, with which fft_core._on_two_threads
+    starts the thread of a transform pair or of the series writer, and
+    return the list of starts: one dict per thread, with the target's
+    thread ident and "done", which the target's finally sets."""
     starts, start = [], _thread.start_new_thread
 
     def recorded(fn, args):

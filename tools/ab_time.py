@@ -23,8 +23,8 @@ trees, alternating which tree goes first; pow cycles through
 cli.VERIFY_POWERS.  One untimed call per tree comes first.
 
 It prints a header with the number of CPUs this process may use (the
-Newton layer runs transform pairs on two threads only when it may use
-two), the median milliseconds of each tree, the median and quartiles of
+Newton layer's transform pairs and long series writes run on two threads
+only when it may use two), the median milliseconds of each tree, the median and quartiles of
 the paired ratios change/parent with the number of pairs the change won,
 and the largest difference between the two trees' outputs, scaled by
 1 + max|parent output|.  For write and read it prints instead that the

@@ -12,7 +12,10 @@ the others, both drawn from default_rng(N)): all five on the default plans,
 and exp, pow and the composite, whose exp runs the exp plan, on the pinned
 k = 16 plans of cli.bench_plan.  Two text cells time series_core's format
 at N: write, write_series of fast_inverse's output into a string, and read,
-load_series of the pow_input file, the benchmark CLI's input.  Each cell is
+load_series of the pow_input file, the benchmark CLI's input.  The cli cell
+runs the CLI on that file as the benchmark does, in process, file in and
+file out: one call is cli.main's inv round trip and then its log one at
+order N.  Each cell is
 called once with a ledger, once untimed and then REPEATS (7) times, in a
 process forked for it alone by a fork server: a process forked from this
 one right after fastseries is imported, which does nothing but fork, so no
@@ -41,8 +44,8 @@ calls with a ledger.  Of the fastest, instrumented_ms is its wall ms and
 stage_ms and block_conv_ms, per top-level ledger stage, the stage's wall ms
 and _block_conv's part of it (the bootstrap's inner calls run inside their
 bootstrap.* stage); transform_faults_median is the median of the calls'
-faults in the leaves, pocketfft's scratch included.  The text cells have
-none of these, nor units: those fields are null.
+faults in the leaves, pocketfft's scratch included.  The text and cli
+cells have none of these, nor units: those fields are null.
 
 The file (default BENCH_ladder.json at the repository root) holds one run
 per label, each with its host header (CPU model, usable CPUs, numpy,
@@ -81,13 +84,13 @@ INSTRUMENTED = 3
 POWER = 0.3 + 0.7j
 LEAVES = ("_forward", "_backward", "_axis_forward", "_axis_backward")
 CELLS = tuple((op, name) for name in ("default", "pinned") for op in ("exp", "pow", "exp(C*log)")) + (
-    ("inv", "default"), ("log", "default"), ("write", None), ("read", None))
+    ("inv", "default"), ("log", "default"), ("write", None), ("read", None), ("cli", None))
 
 
 def _cell(N, op, name, tmp):
     """The plan (None for inv, log and the text cells) and the call taking a
-    ledger of cell (op, plan name) at order N; the read cell's file goes in
-    the directory tmp."""
+    ledger of cell (op, plan name) at order N; the files of the read and cli
+    cells go in the directory tmp."""
     from fastseries import choose_plan, cli, fast_exp, fast_inverse, fast_log, fast_pow, series_core
 
     rng = np.random.default_rng(N)
@@ -95,10 +98,20 @@ def _cell(N, op, name, tmp):
     if op == "write":
         f = fast_inverse(g, N).coeffs
         return None, lambda led: series_core.write_series(f, io.StringIO())
-    if op == "read":
+    if op in ("read", "cli"):
         path = os.path.join(tmp, "input.txt")
         series_core.dump_series(g, path)
+    if op == "read":
         return None, lambda led: series_core.load_series(path)
+    if op == "cli":
+        out = os.path.join(tmp, "output.txt")
+
+        def round_trips(led):
+            for cmd in ("inv", "log"):
+                if cli.main([cmd, path, out, "--n", str(N)]) != 0:
+                    raise RuntimeError(f"cli {cmd} failed at order {N}")
+
+        return None, round_trips
     if op in ("inv", "log"):
         return None, lambda led: (fast_inverse if op == "inv" else fast_log)(g, N, ledger=led)
     e, p = ((choose_plan(N),) * 2 if name == "default"
@@ -254,7 +267,7 @@ def _cell_row(N, op, name, mn):
             "mn_ms": mn, "wall_over_mn": min(ms) / mn,
             "faults_median": statistics.median(faults),
         }
-        if name is None:  # a text cell
+        if name is None:  # a text or cli cell
             return {**row, **dict.fromkeys(("unit_order", "main_units", "instrumented_ms", "stage_ms",
                                             "block_conv_ms", "transform_faults_median"))}
         unit = N if plan is None else plan.k

@@ -1,8 +1,9 @@
 """Wall time of the quadratic references against the fast paths, per order,
 the accuracy of the two bootstrap inverses, and the wall time of a transform
-pair on one thread and on two: the measurements behind
-fast_ops.ORACLE_MAX_ORDER, ORACLE_INVERSE_MAX_ORDER and NEWTON_BASE_ORDER,
-and fft_core._PAIR_MIN_ORDER.
+pair and of the series writer on one thread and on two: the measurements
+behind fast_ops.ORACLE_MAX_ORDER, ORACLE_INVERSE_MAX_ORDER and
+NEWTON_BASE_ORDER, fft_core._PAIR_MIN_ORDER and
+series_core._THREAD_MIN_ROWS.
 
 Usage:  python tools/crossover.py SRC_DIR [SIZES]
 
@@ -45,18 +46,27 @@ as a Newton step pairs them: serially (fft_core._PAIR_MIN_ORDER set above
 L) and on two threads (set to 1), PAIR_REPEATS = 300 pairs alternating as
 above.  It prints the median microseconds of each and the median of the
 paired ratios, two threads / serial, with its quartiles (the inclusive
-method, so they stay inside the sample).  On a host with one usable CPU dft_pair runs serially at every order, and a note takes the
-table's place.
+method, so they stay inside the sample).
+
+A fifth table times series_core.write_series into a string, at each row
+count of WRITE_ROWS (2^11 to 2^16), of the dense series fast_inverse makes
+of cli.pow_input drawn from default_rng(rows), the series the CLI writes:
+serially (series_core._THREAD_MIN_ROWS set above the row count) and on two
+threads (set to 1), WRITE_REPEATS = 40 pairs alternating as above, printed
+as the fourth.  _THREAD_MIN_ROWS is the least row count from which the
+ratio's third quartile stays below 1.  On a host with one usable CPU
+neither runs a second thread, and a note takes the place of both tables.
 
 The first three tables are written as the comment beside the constants in
 fast_ops, and the fourth as the one beside _PAIR_MIN_ORDER in fft_core, so
-they can be pasted there.
+they can be pasted there; the fifth is not pasted anywhere.
 Running it on the parent's SRC_DIR as well compares the references of two
 trees, one process each.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import platform
 import statistics
@@ -79,12 +89,14 @@ FAMILY_FACTORS = ((1.0, 0.5 + 0.3j), (0.999, -1.2), (1.0, 0.25 - 0.4j))
 FAMILY_POWER = 0.3 + 0.7j
 PAIR_ORDERS = (4096, 6144, 8192, 12288, 16384, 32768, 65536)
 PAIR_REPEATS = 300
+WRITE_ROWS = tuple(1 << a for a in range(11, 17))
+WRITE_REPEATS = 40
 
 
 def _import(src_dir):
     import_fastseries(src_dir)
-    from fastseries import cli, fast_ops, fft_core, oracle
-    return cli, fast_ops, fft_core, oracle
+    from fastseries import cli, fast_ops, fft_core, oracle, series_core
+    return cli, fast_ops, fft_core, oracle, series_core
 
 
 def _cpu_model() -> str:
@@ -207,42 +219,66 @@ def print_bases(cli, fast_ops):
         print(f"#   b = {b:3d}   {_row(pairs)}   {ratio:.3f}", flush=True)
 
 
+def _serial_and_threaded(module, constant, size, call, repeats):
+    """(serial us, two threads us) pairs of call() at size: module.constant,
+    the size from which call() uses two threads, set above size and set to
+    1, repeats pairs alternating as _pair does, after one untimed pair."""
+    saved, pairs = getattr(module, constant), []
+
+    def run(threshold):
+        setattr(module, constant, threshold)
+        call()
+
+    try:
+        for j in range(-1, repeats):
+            serial, paired = _pair(lambda: run(size + 1), lambda: run(1), j)
+            if j >= 0:
+                pairs.append((serial * 1e3, paired * 1e3))
+    finally:
+        setattr(module, constant, saved)
+    return pairs
+
+
 def measure_pair(fft_core, L):
     """(serial us, two threads us) pairs of dft_pair at order L."""
     rng = np.random.default_rng(L)
     p, q = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
     q = q[: L // 2]
     out = np.empty((2, L), dtype=np.complex128)
-    saved, pairs = fft_core._PAIR_MIN_ORDER, []
-
-    def pair(min_order):
-        fft_core._PAIR_MIN_ORDER = min_order
-        fft_core.dft_pair(p, q, L, out[0], out[1])
-
-    try:
-        for j in range(-1, PAIR_REPEATS):
-            serial, paired = _pair(lambda: pair(L + 1), lambda: pair(1), j)
-            if j >= 0:
-                pairs.append((serial * 1e3, paired * 1e3))
-    finally:
-        fft_core._PAIR_MIN_ORDER = saved
-    return pairs
+    return _serial_and_threaded(fft_core, "_PAIR_MIN_ORDER", L,
+                                lambda: fft_core.dft_pair(p, q, L, out[0], out[1]), PAIR_REPEATS)
 
 
-def print_pairs(fft_core):
-    """The table of transform pairs."""
+def measure_write(cli, fast_ops, series_core, rows):
+    """(serial us, two threads us) pairs of write_series at rows rows."""
+    f = fast_ops.fast_inverse(cli.pow_input(np.random.default_rng(rows), rows), rows)
+    return _serial_and_threaded(series_core, "_THREAD_MIN_ROWS", rows,
+                                lambda: series_core.write_series(f, io.StringIO()), WRITE_REPEATS)
+
+
+def _print_threads(sizes, measure, size_name):
+    """The rows of a serial / two threads table: median us of each side and
+    the median of the paired ratios, two threads / serial, [q1, q3]."""
+    print(f"# {size_name:>7}   serial  threads   ratio")
+    for size in sizes:
+        pairs = measure(size)
+        serial, paired = zip(*pairs)
+        q1, q2, q3 = statistics.quantiles([b / a for a, b in pairs], n=4, method="inclusive")
+        print(f"#   {size:5d}   {statistics.median(serial):6.0f}   {statistics.median(paired):6.0f}"
+              f"   {q2:.2f} [{q1:.2f}, {q3:.2f}]", flush=True)
+
+
+def print_threads(cli, fast_ops, fft_core, series_core):
+    """The tables of transform pairs and of the writer."""
     if fft_core._usable_cpus() < 2:
-        print("# one usable CPU: dft_pair runs serially at every order")
+        print("# one usable CPU: dft_pair and write_series run serially at every size")
         return
     print(f"# dft_pair of L and L/2 coefficients, median us of {PAIR_REPEATS} interleaved pairs,")
     print("# serial / two threads, and the ratio two threads / serial [q1, q3]")
-    print("#       L   serial  threads   ratio")
-    for L in PAIR_ORDERS:
-        pairs = measure_pair(fft_core, L)
-        serial, paired = zip(*pairs)
-        q1, q2, q3 = statistics.quantiles([b / a for a, b in pairs], n=4, method="inclusive")
-        print(f"#   {L:5d}   {statistics.median(serial):6.0f}   {statistics.median(paired):6.0f}"
-              f"   {q2:.2f} [{q1:.2f}, {q3:.2f}]", flush=True)
+    _print_threads(PAIR_ORDERS, lambda L: measure_pair(fft_core, L), "L")
+    print(f"# write_series of fast_inverse's output, median us of {WRITE_REPEATS} interleaved pairs,")
+    print("# serial / two threads, and the ratio two threads / serial [q1, q3]")
+    _print_threads(WRITE_ROWS, lambda rows: measure_write(cli, fast_ops, series_core, rows), "rows")
 
 
 def main(argv=None):
@@ -255,7 +291,7 @@ def main(argv=None):
         sys.exit("error: SIZES must be a comma list of orders")
     if any(n < 1 for n in sizes):
         sys.exit("error: orders must be positive")
-    cli, fast_ops, fft_core, oracle = _import(argv[0])
+    cli, fast_ops, fft_core, oracle, series_core = _import(argv[0])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"# {_cpu_model()}, {cpus} usable CPUs, numpy {np.__version__}, "
           f"Python {platform.python_version()}")
@@ -273,7 +309,7 @@ def main(argv=None):
     for op in ("exp", "pow"):
         print(f"#   {op}  " + "/".join(f"{e:.1e}" for e in reference[op]))
         print("#        " + "/".join(f"{e:.1e}" for e in newton[op]))
-    print_pairs(fft_core)
+    print_threads(cli, fast_ops, fft_core, series_core)
     return 0
 
 
