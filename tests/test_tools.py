@@ -2,9 +2,11 @@
 them: these runs keep a renamed or removed name from breaking a tool
 unseen."""
 
+import contextlib
 import json
 import os
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -16,7 +18,6 @@ from fastseries import (CostLedger, PlanError, block_engine, cli, fast_ops, fft_
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
-import ab_time  # noqa: E402
 import bench_ladder  # noqa: E402
 import crossover  # noqa: E402
 import fingerprint  # noqa: E402
@@ -119,13 +120,82 @@ def test_bench_ladder_forks_every_cell_from_one_server(monkeypatch):
     assert pids[0] == pids[1] != os.getpid()
 
 
-@pytest.mark.parametrize("op", ["exp", "pow"])
-def test_ab_time_compares_a_tree_with_itself(op):
-    """tools/ab_time.py on this source tree against itself: two pairs at
-    order 64, the same outputs bit for bit."""
-    ms, ratios, diff, shares = ab_time.compare(SRC, SRC, op, 64, 2)
-    assert [len(side) for side in ms] == [2, 2] and len(ratios) == 2
-    assert diff == 0 and shares is None
+def test_bench_ladder_runs_below_the_fast_orders(tmp_path):
+    """At N = 16, below FAST_MIN_ORDER, the default cells take choose_plan's
+    fallback plan (k = 0) and count their units in order-N transforms, as
+    inv and log do; a --sizes entry that is not a positive integer exits
+    with one line before any server starts."""
+    out = str(tmp_path / "BENCH_ladder.json")
+    assert bench_ladder.main([SRC, "--sizes", "16", "--out", out]) == 0
+    with open(out) as f:
+        (run,) = json.load(f)["runs"]
+    assert len(run["rows"]) == len(bench_ladder.CELLS)
+    for row in run["rows"]:
+        if row["plan"] == "default" and row["op"] not in ("inv", "log"):
+            assert row["k"] == 0
+        if row["plan"] is not None:
+            assert row["unit_order"] == (row["k"] or 16) and row["main_units"] >= 0
+    for sizes in ("0", "16,-4", "x", ""):
+        with pytest.raises(SystemExit, match=r"^error: --sizes takes"):
+            bench_ladder.main([SRC, "--sizes", sizes, "--out", out])
+
+
+def _paired(monkeypatch, tmp_path, change, parent=SRC):
+    """The rows of a paired ladder of change against parent at order 256,
+    two pairs per cell, by cell, and the pids of the two fork servers."""
+    monkeypatch.setattr(bench_ladder, "PAIRS", 2)
+    servers, fork_server = [], bench_ladder._fork_server
+
+    @contextlib.contextmanager
+    def recorded(src_dir):
+        with fork_server(src_dir) as server:
+            servers.append(server(os.getppid))
+            yield server
+
+    monkeypatch.setattr(bench_ladder, "_fork_server", recorded)
+    out = str(tmp_path / "BENCH_ladder.json")
+    assert bench_ladder.main([change, "--ab", parent, "--sizes", "256", "--out", out]) == 0
+    with open(out) as f:
+        (run,) = json.load(f)["runs"]
+    assert run["label"] == f"{change} vs {parent}" and run["pairs"] == 2
+    assert set(run["host"]) == {"cpu", "usable_cpus", "numpy", "python"}
+    assert [(row["op"], row["plan"]) for row in run["rows"]] == list(bench_ladder.CELLS)
+    return {(row["op"], row["plan"]): row for row in run["rows"]}, servers
+
+
+def test_bench_ladder_pairs_a_tree_with_itself(monkeypatch, tmp_path, capsys):
+    """--ab src against src at order 256: one paired row per cell with two
+    ratios, the outputs equal in every pair, from two fork servers that are
+    neither the measuring process nor each other; the rows print as a
+    table."""
+    rows, servers = _paired(monkeypatch, tmp_path, SRC)
+    assert len(set(servers)) == 2 and os.getpid() not in servers
+    for row in rows.values():
+        assert row["N"] == 256 and len(row["ratios"]) == 2
+        assert row["parent_ms"] > 0 and row["change_ms"] > 0
+        assert row["ratio_q1"] <= row["ratio_median"] <= row["ratio_q3"]
+        assert min(row["ratios"]) <= row["ci95"][0] <= row["ci95"][1] <= max(row["ratios"])
+        assert row["change_won"] == sum(r < 1 for r in row["ratios"])
+        assert row["outputs_equal"] and row["max_diff"] is None
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + len(bench_ladder.CELLS) and lines[-1].split()[1:3] == ["256", "cli"]
+
+
+def test_bench_ladder_pairs_see_a_slower_tree(monkeypatch, tmp_path):
+    """A copy of src whose fast_inverse sleeps 5 ms first, paired as the
+    change against src: the inv and cli cells' ratios exceed 1 in every
+    pair, and every cell's outputs still match."""
+    slow = tmp_path / "slow"
+    shutil.copytree(os.path.join(SRC, "fastseries"), slow / "fastseries",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(slow / "fastseries" / "fast_ops.py", "a") as f:
+        f.write("\n\nimport time as _time\n_fast_inverse = fast_inverse\n\n\n"
+                "def fast_inverse(*args, **kwargs):\n    _time.sleep(0.005)\n"
+                "    return _fast_inverse(*args, **kwargs)\n")
+    rows, _ = _paired(monkeypatch, tmp_path, str(slow))
+    for cell in (("inv", "default"), ("cli", None)):
+        assert all(r > 1 for r in rows[cell]["ratios"]), rows[cell]
+    assert all(row["outputs_equal"] for row in rows.values())
 
 
 def test_crossover_prints_every_table(monkeypatch, capsys):

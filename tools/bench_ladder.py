@@ -1,57 +1,62 @@
 """Wall time of every fast op in units of a measured M(N), beside the
-ledger's units, the page faults of a repeated call and where one call's
-time goes.
+ledger's units, page faults and where one call's time goes; or, with --ab,
+the wall time of every cell in a change's tree paired with its parent's.
 
-Usage:  python tools/bench_ladder.py SRC_DIR [--label NAME] [--sizes LIST]
-                                     [--out PATH]
+Usage:  python tools/bench_ladder.py SRC_DIR [--ab PARENT_SRC] [--label NAME]
+                                     [--sizes LIST] [--out PATH]
 
-Imports fastseries from SRC_DIR and, at each order N of SIZES (a comma list;
-default 2^8..2^16), calls exp, pow (C = 0.3+0.7j), inv, log and the composite
-exp(C*log) on the CLI's inputs (cli.exp_input for exp, cli.pow_input for
-the others, both drawn from default_rng(N)): all five on the default plans,
-and exp, pow and the composite, whose exp runs the exp plan, on the pinned
-k = 16 plans of cli.bench_plan.  Two text cells time series_core's format
-at N: write, write_series of fast_inverse's output into a string, and read,
-load_series of the pow_input file, the benchmark CLI's input.  The cli cell
-runs the CLI on that file as the benchmark does, in process, file in and
-file out: one call is cli.main's inv round trip and then its log one at
-order N.  Each cell is
-called once with a ledger, once untimed and then REPEATS (7) times, in a
-process forked for it alone by a fork server: a process forked from this
-one right after fastseries is imported, which does nothing but fork, so no
-cell's faults depend on what the measuring process or the cells before it
-did.  Its row holds:
+At each order N of SIZES (a comma list of positive integers; default
+2^8..2^16) it calls exp, pow (C = 0.3+0.7j), inv, log and exp(C*log) on
+the CLI's inputs (cli.exp_input, cli.pow_input, from default_rng(N)) on
+the default plans, and exp, pow and exp(C*log) on cli.bench_plan's pinned
+k = 16 plans.  The write cell writes fast_inverse's output into a string,
+the read cell loads the pow_input file (the benchmark CLI's input), and
+one call of the cli cell is cli.main's inv and then log round trip on that
+file at order N, in process, file in and file out.
 
-- first_ms, first_faults: the wall ms and minor page faults of the first
-  call, the one with a ledger;
-- ms_best, ms_median, ms_max: the wall time of the REPEATS calls, in ms;
-- mn_ms: M(N), the best of REPEATS products of two order-N inputs by np.fft
-  at length 2N, timed in a child of the fork server of its own, and
-  wall_over_mn, ms_best / mn_ms;
-- main_units: the ledger's transform units of the first call outside the
-  bootstrap stages, in order-unit_order transforms: unit_order is the
-  plan's k for the block plans and N for inv and log (the bootstrap's inner
-  calls record nothing);
-- faults_median: the median minor page faults of the REPEATS calls, read
-  with getrusage for the whole process, so the threads a transform pair
-  starts count too.
+Every call runs in a process forked for it alone by a fork server, forked
+from this one, that imports its tree through source_tree (dropping any
+fastseries it inherited) and then does nothing but fork, so no cell
+depends on what this process (which imports no tree) or earlier cells did.
 
-Then the child wraps CostLedger.stage and block_engine._block_conv with
-timers, and fft_core's pocketfft leaves (LEAVES) with counts of the minor
-faults each takes in its own thread (getrusage(RUSAGE_THREAD): a transform
-pair runs one leaf on a thread of its own), and makes INSTRUMENTED (3)
-calls with a ledger.  Of the fastest, instrumented_ms is its wall ms and
-stage_ms and block_conv_ms, per top-level ledger stage, the stage's wall ms
-and _block_conv's part of it (the bootstrap's inner calls run inside their
-bootstrap.* stage); transform_faults_median is the median of the calls'
-faults in the leaves, pocketfft's scratch included.  The text and cli
-cells have none of these, nor units: those fields are null.
+One tree: each cell is called once with a ledger, once untimed and then
+REPEATS (7) times, in one child.  Its row holds first_ms and first_faults,
+the wall ms and minor page faults of the ledgered call; ms_best, ms_median
+and ms_max of the REPEATS calls; mn_ms, M(N), the best of REPEATS np.fft
+products of two order-N inputs at length 2N in a child of its own, and
+wall_over_mn, ms_best / mn_ms; main_units, the ledger's transform units
+outside the bootstrap stages in order-unit_order transforms (the plan's k,
+or N for inv, log and the quadratic fallback plans below FAST_MIN_ORDER);
+faults_median, the median minor faults of the REPEATS calls, read with
+getrusage for the whole process, so a transform pair's thread counts too.
+
+Then the child times CostLedger.stage and block_engine._block_conv, counts
+the minor faults of fft_core's pocketfft leaves (LEAVES) per thread
+(RUSAGE_THREAD: a transform pair runs a leaf on a thread of its own) and
+makes INSTRUMENTED (3) calls with a ledger.  Of the fastest, instrumented_ms
+is its wall ms, and stage_ms and block_conv_ms, per top-level stage, the
+stage's ms and _block_conv's part of it (the bootstrap's inner calls run
+in their bootstrap.* stage); transform_faults_median is the median of the
+calls' leaf faults.  The text and cli cells leave these and units null.
+
+Two trees (--ab PARENT_SRC, SRC_DIR the change): each tree has a fork
+server, and each cell runs in PAIRS (60) pairs.  In pair j each tree's
+child moves to the pair's CPU (the usable ones in turn, two pairs each;
+else a child stays on its server's CPU, and a busy CPU slows one tree),
+makes one untimed call and PAIRED_TIMED (3) timed ones without a ledger,
+and returns the best ms and the last output: a series' coefficients, or
+the bytes of the write cell's text or of the cli cell's two files.  The
+change goes first on even j.  The row holds parent_ms and change_ms (each
+tree's median), ratios (change/parent per pair) with ratio_median,
+ratio_q1, ratio_q3 and ci95, a 95% percentile-bootstrap interval of the
+median; change_won, the pairs below 1; outputs_equal, the same bytes in
+every pair, and if not, max_diff, the largest difference of the values
+scaled by 1 + max|parent output|.  The rows print as a table.
 
 The file (default BENCH_ladder.json at the repository root) holds one run
-per label, each with its host header (CPU model, usable CPUs, numpy,
-Python): a run replaces the one of its label and keeps the others, so one
-file holds a parent's rows beside a change's.  The label defaults to
-SRC_DIR.
+per label (default SRC_DIR, or "SRC_DIR vs PARENT_SRC") with its host
+header (CPU model, usable CPUs, numpy, Python); a run replaces the one of
+its label, so one-tree and paired runs (with their pair count) stay side by side.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import io
 import json
 import multiprocessing
 import os
+import pathlib
 import platform
 import resource
 import statistics
@@ -81,6 +87,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = tuple(1 << a for a in range(8, 17))
 REPEATS = 7
 INSTRUMENTED = 3
+PAIRS = 60
+PAIRED_TIMED = 3
+BOOTSTRAP = 2000
 POWER = 0.3 + 0.7j
 LEAVES = ("_forward", "_backward", "_axis_forward", "_axis_backward")
 CELLS = tuple((op, name) for name in ("default", "pinned") for op in ("exp", "pow", "exp(C*log)")) + (
@@ -89,27 +98,33 @@ CELLS = tuple((op, name) for name in ("default", "pinned") for op in ("exp", "po
 
 def _cell(N, op, name, tmp):
     """The plan (None for inv, log and the text cells) and the call taking a
-    ledger of cell (op, plan name) at order N; the files of the read and cli
-    cells go in the directory tmp."""
+    ledger of cell (op, plan name) at order N, which returns what it made;
+    the files of the read and cli cells go in the directory tmp."""
     from fastseries import choose_plan, cli, fast_exp, fast_inverse, fast_log, fast_pow, series_core
 
     rng = np.random.default_rng(N)
     h, g = cli.exp_input(rng, N), cli.pow_input(rng, N)
     if op == "write":
         f = fast_inverse(g, N).coeffs
-        return None, lambda led: series_core.write_series(f, io.StringIO())
+
+        def write(led):
+            series_core.write_series(f, buf := io.StringIO())
+            return buf
+
+        return None, write
     if op in ("read", "cli"):
         path = os.path.join(tmp, "input.txt")
         series_core.dump_series(g, path)
     if op == "read":
         return None, lambda led: series_core.load_series(path)
     if op == "cli":
-        out = os.path.join(tmp, "output.txt")
+        outs = tuple(os.path.join(tmp, f"{cmd}.txt") for cmd in ("inv", "log"))
 
         def round_trips(led):
-            for cmd in ("inv", "log"):
+            for cmd, out in zip(("inv", "log"), outs):
                 if cli.main([cmd, path, out, "--n", str(N)]) != 0:
                     raise RuntimeError(f"cli {cmd} failed at order {N}")
+            return outs
 
         return None, round_trips
     if op in ("inv", "log"):
@@ -141,10 +156,15 @@ def _timed(call):
     return tuple(zip(*(_once(call) for _ in range(REPEATS))))
 
 
-def _serve(conn):
-    """The fork server's loop: each request (func, args) from conn runs in a
-    child of its own, which sends func(*args) back itself; None, after the
-    child, says it failed."""
+def _serve(conn, src_dir):
+    """The fork server: imports the fastseries of src_dir in place of any it
+    inherited and says so on conn; then each request (func, args) from conn
+    runs in a child of its own, which sends func(*args) back itself; None,
+    after the child, says it failed."""
+    for module in [name for name in sys.modules if name.partition(".")[0] == "fastseries"]:
+        del sys.modules[module]
+    import_fastseries(src_dir)
+    conn.send(True)
     while (request := conn.recv()) is not None:
         if os.fork() == 0:
             try:
@@ -159,21 +179,24 @@ def _serve(conn):
 
 
 @contextlib.contextmanager
-def _fork_server():
-    """A process forked from this one that runs each call in a child forked
-    from it, so every child starts from the same heap, whatever this
-    process did between calls: yields forked(func, *args), func(*args) in
-    such a child, for a module-level func."""
+def _fork_server(src_dir):
+    """A process forked from this one, with src_dir's tree imported, that
+    runs each call in a child of its own, so every child starts from the
+    same heap: yields forked(func, *args), func(*args) in such a child, for
+    a module-level func."""
     context = multiprocessing.get_context("fork")
     conn, theirs = context.Pipe()
-    server = context.Process(target=_serve, args=(theirs,), daemon=True)
+    server = context.Process(target=_serve, args=(theirs, src_dir), daemon=True)
     server.start()
     theirs.close()
+    try:
+        conn.recv()
+    except EOFError:  # the server could not import the tree, and said why
+        sys.exit(1)
 
     def forked(func, *args):
         conn.send((func, args))
-        result = conn.recv()
-        if result is None:
+        if (result := conn.recv()) is None:
             raise RuntimeError(f"{func.__name__}{args} failed in its child")
         return result
 
@@ -270,42 +293,131 @@ def _cell_row(N, op, name, mn):
         if name is None:  # a text or cli cell
             return {**row, **dict.fromkeys(("unit_order", "main_units", "instrumented_ms", "stage_ms",
                                             "block_conv_ms", "transform_faults_median"))}
-        unit = N if plan is None else plan.k
+        unit = (plan and plan.k) or N  # a fallback plan's k is 0
         return {**row, "unit_order": unit, "main_units": float(main_term_units(led, unit)),
                 **_instrumented(run)}
 
 
+def _host():
+    from fastseries import fft_core
+    return {"cpu": _cpu_model(), "usable_cpus": fft_core._usable_cpus(),
+            "numpy": np.__version__, "python": platform.python_version()}
+
+
 def measure(src_dir, sizes=SIZES):
     """The host header and the rows of every cell at every order."""
-    import_fastseries(src_dir)
-    from fastseries import fft_core
-
     rows = []
-    with _fork_server() as forked:
+    with _fork_server(src_dir) as forked:
         for N in sizes:
             mn = forked(_product_ms, N)
             rows += [forked(_cell_row, N, op, name, mn) for op, name in CELLS]
-    host = {"cpu": _cpu_model(), "usable_cpus": fft_core._usable_cpus(),
-            "numpy": np.__version__, "python": platform.python_version()}
-    return host, rows
+        return forked(_host), rows
+
+
+def _output(result):
+    """The bytes a cell's call made: a series' coefficients, the text the
+    writer wrote or the files the CLI wrote."""
+    if isinstance(result, io.StringIO):
+        return result.getvalue().encode()
+    if isinstance(result, tuple):
+        return b"".join(pathlib.Path(path).read_bytes() for path in result)
+    return np.ascontiguousarray(result.coeffs, dtype=np.complex128).tobytes()
+
+
+def _paired_call(N, op, name, cpu):
+    """One tree's side of a pair, on the CPU cpu: the best ms of PAIRED_TIMED
+    calls of cell (op, plan name) at order N after an untimed one, and the
+    output of the last."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})  # move there, then let it run on all again
+    os.sched_setaffinity(0, allowed)
+    with tempfile.TemporaryDirectory() as tmp:
+        _, run = _cell(N, op, name, tmp)
+        made = [run(None)]
+        ms = min(_once(lambda: made.append(run(None)))[0] for _ in range(PAIRED_TIMED))
+        return ms, _output(made[-1])
+
+
+def _difference(op, parent, change):
+    """The largest difference of the values of two outputs of op, scaled by
+    1 + max|parent|; inf when they hold different counts."""
+    if op in ("write", "cli"):  # series text: '#order n', then 'i<TAB>re<TAB>im' lines
+        parent, change = (np.loadtxt(io.BytesIO(text), comments="#", usecols=(1, 2), ndmin=2)
+                          @ np.array([1, 1j]) for text in (parent, change))
+    else:
+        parent, change = (np.frombuffer(coeffs, np.complex128) for coeffs in (parent, change))
+    if parent.shape != change.shape:
+        return float("inf")
+    scale = 1.0 + float(np.max(np.abs(parent), initial=0.0))
+    return float(np.max(np.abs(change - parent), initial=0.0)) / scale
+
+
+def _paired_row(N, op, name, change, parent):
+    """The row of cell (op, plan name) at order N, over PAIRS pairs."""
+    ms, diffs = {change: [], parent: []}, []
+    cpus = sorted(os.sched_getaffinity(0))
+    for j in range(PAIRS):
+        outputs = {}
+        for forked in (change, parent) if j % 2 == 0 else (parent, change):
+            t, outputs[forked] = forked(_paired_call, N, op, name, cpus[j // 2 % len(cpus)])
+            ms[forked].append(t)
+        if outputs[parent] != outputs[change]:
+            diffs.append(_difference(op, outputs[parent], outputs[change]))
+    ratios = [c / p for c, p in zip(ms[change], ms[parent])]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    resampled = np.random.default_rng(0).choice(ratios, (BOOTSTRAP, len(ratios)))
+    return {"op": op, "plan": name, "N": N,
+            "parent_ms": statistics.median(ms[parent]), "change_ms": statistics.median(ms[change]),
+            "ratios": ratios, "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
+            "ci95": np.percentile(np.median(resampled, axis=1), [2.5, 97.5]).tolist(),
+            "change_won": sum(r < 1 for r in ratios),
+            "outputs_equal": not diffs, "max_diff": max(diffs, default=None)}
+
+
+def measure_pairs(src_dir, parent_src, sizes=SIZES):
+    """The host header and the rows of every cell at every order, paired."""
+    with _fork_server(src_dir) as change, _fork_server(parent_src) as parent:
+        rows = [_paired_row(N, op, name, change, parent) for N in sizes for op, name in CELLS]
+        return change(_host), rows
+
+
+def _print_pairs(label, host, rows):
+    print(f"# {label}: {PAIRS} pairs, best of {PAIRED_TIMED} calls per tree; {host['cpu']}, "
+          f"{host['usable_cpus']} usable CPUs, numpy {host['numpy']}, Python {host['python']}\n"
+          f"# {'N':>6} {'cell':<19} parent ms change ms  ratio [q1, q3]         95% interval"
+          "       won  outputs")
+    for r in rows:
+        print(f"# {r['N']:>6} {r['op'] + ' ' + (r['plan'] or ''):<19} {r['parent_ms']:>9.3f} "
+              f"{r['change_ms']:>9.3f}  {r['ratio_median']:.3f} [{r['ratio_q1']:.3f}, {r['ratio_q3']:.3f}]"
+              f"  [{r['ci95'][0]:.3f}, {r['ci95'][1]:.3f}] {r['change_won']:>2}/{PAIRS:<2}  "
+              + ("equal" if r["outputs_equal"] else f"max_diff {r['max_diff']:.1e}"))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_dir")
+    parser.add_argument("--ab", metavar="PARENT_SRC")
     parser.add_argument("--label")
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_ladder.json"))
     args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    host, rows = measure(args.src_dir, sizes)
+    sizes = [int(s) if s.strip().isdecimal() else 0 for s in args.sizes.split(",")]
+    if min(sizes) < 1:
+        sys.exit(f"error: --sizes takes a comma list of positive integers, not {args.sizes!r}")
+    if args.ab:
+        label = args.label or f"{args.src_dir} vs {args.ab}"
+        host, rows = measure_pairs(args.src_dir, args.ab, sizes)
+        _print_pairs(label, host, rows)
+        run = {"label": label, "host": host, "pairs": PAIRS, "repeats": PAIRED_TIMED, "rows": rows}
+    else:
+        label = args.label or args.src_dir
+        host, rows = measure(args.src_dir, sizes)
+        run = {"label": label, "host": host, "repeats": REPEATS, "rows": rows}
     runs = []
     if os.path.exists(args.out):
         with open(args.out) as f:
-            runs = json.load(f)["runs"]
-    label = args.label or args.src_dir
-    runs = [run for run in runs if run["label"] != label]
-    runs.append({"label": label, "host": host, "repeats": REPEATS, "rows": rows})
+            runs = [old for old in json.load(f)["runs"] if old["label"] != label]
+    runs.append(run)
     with open(args.out, "w") as f:
         json.dump({"runs": runs}, f, indent=1)
         f.write("\n")
