@@ -115,9 +115,9 @@ def test_newton_layer_in_threads_matches_sequential_runs():
 
 @pytest.mark.parametrize("order", [1000, 4096, 16384])
 def test_results_without_a_ledger_match_ledgered_ones(order):
-    """The timed paths (perfbench, the timed calls of tools/bench_ladder.py)
-    run without a ledger, the fingerprint with one; both must compute the
-    same bytes."""
+    """The timed paths (perfbench, tools/ab_time.py and the timed calls of
+    tools/bench_ladder.py) run without a ledger, the fingerprint with one;
+    both must compute the same bytes."""
     rng = np.random.default_rng(order)
     h, g = exp_input(rng, order), pow_input(rng, order)
     calls = {"inv": functools.partial(fast_inverse, g, order),

@@ -18,6 +18,7 @@ from fastseries import (CostLedger, PlanError, block_engine, cli, fast_ops, fft_
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
+import ab_time  # noqa: E402
 import bench_ladder  # noqa: E402
 import crossover  # noqa: E402
 import fingerprint  # noqa: E402
@@ -120,6 +121,15 @@ def test_bench_ladder_forks_every_cell_from_one_server(monkeypatch):
     assert pids[0] == pids[1] != os.getpid()
 
 
+@pytest.mark.parametrize("op", ["exp", "pow"])
+def test_ab_time_compares_a_tree_with_itself(op):
+    """tools/ab_time.py on this source tree against itself: two pairs at
+    order 64, the same outputs bit for bit."""
+    ms, ratios, diff, shares = ab_time.compare(SRC, SRC, op, 64, 2)
+    assert [len(side) for side in ms] == [2, 2] and len(ratios) == 2
+    assert diff == 0 and shares is None
+
+
 def test_bench_ladder_runs_below_the_fast_orders(tmp_path):
     """At N = 16, below FAST_MIN_ORDER, the default cells take choose_plan's
     fallback plan (k = 0) and count their units in order-N transforms, as
@@ -140,16 +150,21 @@ def test_bench_ladder_runs_below_the_fast_orders(tmp_path):
             bench_ladder.main([SRC, "--sizes", sizes, "--out", out])
 
 
+def _server_facts():
+    return os.getppid(), len(os.environ[bench_ladder.SHIFT_VAR])
+
+
 def _paired(monkeypatch, tmp_path, change, parent=SRC):
     """The rows of a paired ladder of change against parent at order 256,
-    two pairs per cell, by cell, and the pids of the two fork servers."""
+    two pairs per cell, by cell, and the pid and shift of each of its fork
+    servers."""
     monkeypatch.setattr(bench_ladder, "PAIRS", 2)
     servers, fork_server = [], bench_ladder._fork_server
 
     @contextlib.contextmanager
-    def recorded(src_dir):
-        with fork_server(src_dir) as server:
-            servers.append(server(os.getppid))
+    def recorded(*args):
+        with fork_server(*args) as server:
+            servers.append(server(_server_facts))
             yield server
 
     monkeypatch.setattr(bench_ladder, "_fork_server", recorded)
@@ -165,11 +180,14 @@ def _paired(monkeypatch, tmp_path, change, parent=SRC):
 
 def test_bench_ladder_pairs_a_tree_with_itself(monkeypatch, tmp_path, capsys):
     """--ab src against src at order 256: one paired row per cell with two
-    ratios, the outputs equal in every pair, from two fork servers that are
-    neither the measuring process nor each other; the rows print as a
-    table."""
+    ratios, the outputs equal in every pair, from two new fork servers a
+    pair that are neither the measuring process nor each other and start
+    with the same shift; the rows print as a table."""
     rows, servers = _paired(monkeypatch, tmp_path, SRC)
-    assert len(set(servers)) == 2 and os.getpid() not in servers
+    (pids, shifts) = zip(*servers)
+    assert len(set(pids)) == 4 and os.getpid() not in pids
+    assert shifts[0] == shifts[1] and shifts[2] == shifts[3]
+    assert all(shift % 16 == 0 and shift < 4096 for shift in shifts)
     for row in rows.values():
         assert row["N"] == 256 and len(row["ratios"]) == 2
         assert row["parent_ms"] > 0 and row["change_ms"] > 0

@@ -14,10 +14,10 @@ the read cell loads the pow_input file (the benchmark CLI's input), and
 one call of the cli cell is cli.main's inv and then log round trip on that
 file at order N, in process, file in and file out.
 
-Every call runs in a process forked for it alone by a fork server, forked
-from this one, that imports its tree through source_tree (dropping any
-fastseries it inherited) and then does nothing but fork, so no cell
-depends on what this process (which imports no tree) or earlier cells did.
+Every call runs in a process forked for it alone by a fork server, a new
+interpreter that imports its tree through source_tree and then does
+nothing but fork, so no cell depends on what this process (which imports
+no tree) or earlier cells did.
 
 One tree: each cell is called once with a ledger, once untimed and then
 REPEATS (7) times, in one child.  Its row holds first_ms and first_faults,
@@ -39,19 +39,26 @@ stage's ms and _block_conv's part of it (the bootstrap's inner calls run
 in their bootstrap.* stage); transform_faults_median is the median of the
 calls' leaf faults.  The text and cli cells leave these and units null.
 
-Two trees (--ab PARENT_SRC, SRC_DIR the change): each tree has a fork
-server, and each cell runs in PAIRS (60) pairs.  In pair j each tree's
-child moves to the pair's CPU (the usable ones in turn, two pairs each;
-else a child stays on its server's CPU, and a busy CPU slows one tree),
-makes one untimed call and PAIRED_TIMED (3) timed ones without a ledger,
-and returns the best ms and the last output: a series' coefficients, or
-the bytes of the write cell's text or of the cli cell's two files.  The
-change goes first on even j.  The row holds parent_ms and change_ms (each
-tree's median), ratios (change/parent per pair) with ratio_median,
-ratio_q1, ratio_q3 and ci95, a 95% percentile-bootstrap interval of the
-median; change_won, the pairs below 1; outputs_equal, the same bytes in
-every pair, and if not, max_diff, the largest difference of the values
-scaled by 1 + max|parent output|.  The rows print as a table.
+Two trees (--ab PARENT_SRC, SRC_DIR the change): each cell runs in PAIRS
+(120) pairs.  Pair j of every cell runs on a new fork server for each
+tree, both started with the same random shift of their stacks (an
+environment entry of 0 to 4080 bytes), so that the pairs sample layouts
+and ci95 counts their spread.  With one layout for a whole run, a copy of
+the tree in another directory read 0.91 or 1.08 on the cli cell at 4096,
+as the environment's size changed (2-vCPU Xeon VM).  The shift does not
+remove every such effect, so the mode is not yet calibrated: see
+ROADMAP item 14.  In pair j each tree's child moves to the pair's CPU (the
+usable ones in turn, two pairs each; else a child stays on its server's
+CPU, and a busy CPU slows one tree), makes one untimed call and
+PAIRED_TIMED (3) timed ones without a ledger, and returns the best ms and
+the last output: a series' coefficients, or the bytes of the write cell's
+text or of the cli cell's two files.  The change goes first on even j.
+The row holds parent_ms and change_ms (each tree's median), ratios
+(change/parent per pair) with ratio_median, ratio_q1, ratio_q3 and ci95,
+a 95% percentile-bootstrap interval of the median; change_won, the pairs
+below 1; outputs_equal, the same bytes in every pair, and if not,
+max_diff, the largest difference of the values scaled by
+1 + max|parent output|.  The rows print as a table.
 
 The file (default BENCH_ladder.json at the repository root) holds one run
 per label (default SRC_DIR, or "SRC_DIR vs PARENT_SRC") with its host
@@ -87,8 +94,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = tuple(1 << a for a in range(8, 17))
 REPEATS = 7
 INSTRUMENTED = 3
-PAIRS = 60
+PAIRS = 120
 PAIRED_TIMED = 3
+SHIFT_VAR = "BENCH_LADDER_SHIFT"
 BOOTSTRAP = 2000
 POWER = 0.3 + 0.7j
 LEAVES = ("_forward", "_backward", "_axis_forward", "_axis_backward")
@@ -149,20 +157,18 @@ def _once(call):
     return (time.perf_counter() - start) * 1e3, _faults() - before
 
 
-def _timed(call):
-    """Wall ms and minor page faults of each of REPEATS calls, after one
+def _timed(call, count=REPEATS):
+    """Wall ms and minor page faults of each of count calls, after one
     untimed call."""
     call()
-    return tuple(zip(*(_once(call) for _ in range(REPEATS))))
+    return tuple(zip(*(_once(call) for _ in range(count))))
 
 
 def _serve(conn, src_dir):
-    """The fork server: imports the fastseries of src_dir in place of any it
-    inherited and says so on conn; then each request (func, args) from conn
-    runs in a child of its own, which sends func(*args) back itself; None,
-    after the child, says it failed."""
-    for module in [name for name in sys.modules if name.partition(".")[0] == "fastseries"]:
-        del sys.modules[module]
+    """The fork server: imports the fastseries of src_dir and says so on
+    conn; then each request (func, args) from conn runs in a child of its
+    own, which sends func(*args) back itself; None, after the child, says it
+    failed."""
     import_fastseries(src_dir)
     conn.send(True)
     while (request := conn.recv()) is not None:
@@ -179,15 +185,20 @@ def _serve(conn, src_dir):
 
 
 @contextlib.contextmanager
-def _fork_server(src_dir):
-    """A process forked from this one, with src_dir's tree imported, that
-    runs each call in a child of its own, so every child starts from the
-    same heap: yields forked(func, *args), func(*args) in such a child, for
-    a module-level func."""
-    context = multiprocessing.get_context("fork")
+def _fork_server(src_dir, shift=0):
+    """A new interpreter (no tree but src_dir's) that runs each call in a
+    child forked for it alone, so every child starts from the same heap:
+    yields forked(func, *args), func(*args) in such a child, for a
+    module-level func.  The interpreter starts with an environment entry
+    SHIFT_VAR of shift bytes, which moves where its stack starts."""
+    context = multiprocessing.get_context("spawn")
     conn, theirs = context.Pipe()
     server = context.Process(target=_serve, args=(theirs, src_dir), daemon=True)
-    server.start()
+    os.environ[SHIFT_VAR] = "x" * shift
+    try:
+        server.start()
+    finally:
+        del os.environ[SHIFT_VAR]
     theirs.close()
     try:
         conn.recv()
@@ -333,9 +344,9 @@ def _paired_call(N, op, name, cpu):
     os.sched_setaffinity(0, allowed)
     with tempfile.TemporaryDirectory() as tmp:
         _, run = _cell(N, op, name, tmp)
-        made = [run(None)]
-        ms = min(_once(lambda: made.append(run(None)))[0] for _ in range(PAIRED_TIMED))
-        return ms, _output(made[-1])
+        made = []
+        ms, _ = _timed(lambda: made.append(run(None)), PAIRED_TIMED)
+        return min(ms), _output(made[-1])
 
 
 def _difference(op, parent, change):
@@ -352,22 +363,16 @@ def _difference(op, parent, change):
     return float(np.max(np.abs(change - parent), initial=0.0)) / scale
 
 
-def _paired_row(N, op, name, change, parent):
-    """The row of cell (op, plan name) at order N, over PAIRS pairs."""
-    ms, diffs = {change: [], parent: []}, []
-    cpus = sorted(os.sched_getaffinity(0))
-    for j in range(PAIRS):
-        outputs = {}
-        for forked in (change, parent) if j % 2 == 0 else (parent, change):
-            t, outputs[forked] = forked(_paired_call, N, op, name, cpus[j // 2 % len(cpus)])
-            ms[forked].append(t)
-        if outputs[parent] != outputs[change]:
-            diffs.append(_difference(op, outputs[parent], outputs[change]))
-    ratios = [c / p for c, p in zip(ms[change], ms[parent])]
+def _paired_row(N, op, name, pairs):
+    """The row of cell (op, plan name) at order N from its pairs (change ms,
+    parent ms, scaled difference of the outputs or None)."""
+    change, parent, diffs = zip(*pairs)
+    diffs = [d for d in diffs if d is not None]
+    ratios = [c / p for c, p in zip(change, parent)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     resampled = np.random.default_rng(0).choice(ratios, (BOOTSTRAP, len(ratios)))
     return {"op": op, "plan": name, "N": N,
-            "parent_ms": statistics.median(ms[parent]), "change_ms": statistics.median(ms[change]),
+            "parent_ms": statistics.median(parent), "change_ms": statistics.median(change),
             "ratios": ratios, "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
             "ci95": np.percentile(np.median(resampled, axis=1), [2.5, 97.5]).tolist(),
             "change_won": sum(r < 1 for r in ratios),
@@ -375,10 +380,24 @@ def _paired_row(N, op, name, change, parent):
 
 
 def measure_pairs(src_dir, parent_src, sizes=SIZES):
-    """The host header and the rows of every cell at every order, paired."""
-    with _fork_server(src_dir) as change, _fork_server(parent_src) as parent:
-        rows = [_paired_row(N, op, name, change, parent) for N in sizes for op, name in CELLS]
-        return change(_host), rows
+    """The host header and the rows of every cell at every order, paired.
+    Pair j of every cell runs on two new servers, both started with the
+    same shift, drawn anew for each j from 0 to 4080 bytes: a tree's speed
+    can hang on where its stack lies by several percent, either way."""
+    cells = [(N, op, name) for N in sizes for op, name in CELLS]
+    pairs = {cell: [] for cell in cells}
+    cpus = sorted(os.sched_getaffinity(0))
+    shifts = (np.random.default_rng(0).integers(0, 256, PAIRS) * 16).tolist()
+    for j, shift in enumerate(shifts):
+        with _fork_server(src_dir, shift) as change, _fork_server(parent_src, shift) as parent:
+            for N, op, name in cells:
+                made = {}
+                for forked in (change, parent) if j % 2 == 0 else (parent, change):
+                    made[forked] = forked(_paired_call, N, op, name, cpus[j // 2 % len(cpus)])
+                (c, c_out), (p, p_out) = made[change], made[parent]
+                pairs[N, op, name].append((c, p, None if c_out == p_out else _difference(op, p_out, c_out)))
+            host = change(_host)
+    return host, [_paired_row(*cell, pairs[cell]) for cell in cells]
 
 
 def _print_pairs(label, host, rows):
