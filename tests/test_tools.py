@@ -151,13 +151,13 @@ def test_bench_ladder_runs_below_the_fast_orders(tmp_path):
 
 
 def _server_facts():
-    return os.getppid(), len(os.environ[bench_ladder.SHIFT_VAR])
+    return os.getppid(), len(os.environ[bench_ladder.SHIFT_VAR]), sum(map(len, bench_ladder._PAD))
 
 
 def _paired(monkeypatch, tmp_path, change, parent=SRC):
     """The rows of a paired ladder of change against parent at order 256,
-    two pairs per cell, by cell, and the pid and shift of each of its fork
-    servers."""
+    two pairs per cell, by cell, and the pid, stack shift and heap pad bytes
+    of each of its fork servers."""
     monkeypatch.setattr(bench_ladder, "PAIRS", 2)
     servers, fork_server = [], bench_ladder._fork_server
 
@@ -182,12 +182,14 @@ def test_bench_ladder_pairs_a_tree_with_itself(monkeypatch, tmp_path, capsys):
     """--ab src against src at order 256: one paired row per cell with two
     ratios, the outputs equal in every pair, from two new fork servers a
     pair that are neither the measuring process nor each other and start
-    with the same shift; the rows print as a table."""
+    with the same stack shift and heap pad, drawn anew for each pair; the
+    rows print as a table."""
     rows, servers = _paired(monkeypatch, tmp_path, SRC)
-    (pids, shifts) = zip(*servers)
+    (pids, shifts, pads) = zip(*servers)
     assert len(set(pids)) == 4 and os.getpid() not in pids
     assert shifts[0] == shifts[1] and shifts[2] == shifts[3]
     assert all(shift % 16 == 0 and shift < 4096 for shift in shifts)
+    assert pads[0] == pads[1] != pads[2] == pads[3]
     for row in rows.values():
         assert row["N"] == 256 and len(row["ratios"]) == 2
         assert row["parent_ms"] > 0 and row["change_ms"] > 0

@@ -40,19 +40,23 @@ in their bootstrap.* stage); transform_faults_median is the median of the
 calls' leaf faults.  The text and cli cells leave these and units null.
 
 Two trees (--ab PARENT_SRC, SRC_DIR the change): each cell runs in PAIRS
-(120) pairs.  Pair j of every cell runs on a new fork server for each
-tree, both started with the same random shift of their stacks (an
-environment entry of 0 to 4080 bytes), so that the pairs sample layouts
-and ci95 counts their spread.  With one layout for a whole run, a copy of
-the tree in another directory read 0.91 or 1.08 on the cli cell at 4096,
-as the environment's size changed (2-vCPU Xeon VM).  The shift does not
-remove every such effect, so the mode is not yet calibrated: see
-ROADMAP item 14.  In pair j each tree's child moves to the pair's CPU (the
+(240) pairs.  Pair j of every cell runs on a new fork server for each
+tree.  Both start with the same random layout: a shift of their stacks
+(an environment entry of 0 to 4080 bytes) and a pad of their heaps
+(_heap_pad), held before the tree's import.  So the pairs sample layouts,
+and ci95 counts their spread.  With one layout for a whole run, a tree's
+speed hangs on it: a copy of the tree that differs in one comment read
+1.08 on the default exp cell at 4096, and a copy in another directory
+0.91 or 1.08 on the cli cell as the environment's size changed (2-vCPU
+Xeon VM).  In pair j each tree's child moves to the pair's CPU (the
 usable ones in turn, two pairs each; else a child stays on its server's
-CPU, and a busy CPU slows one tree), makes one untimed call and
-PAIRED_TIMED (3) timed ones without a ledger, and returns the best ms and
-the last output: a series' coefficients, or the bytes of the write cell's
-text or of the cli cell's two files.  The change goes first on even j.
+CPU, and a busy CPU slows one tree).  It keeps the output of one untimed
+call (a series' coefficients, or the bytes of the write cell's text or
+of the cli cell's two files), then makes another and PAIRED_TIMED (3)
+timed ones without a ledger, which drop what they make, as a caller
+does: with every output held, the gain of cebebad over 46e9e6e on the
+pinned pow cell at 4096 read 0.99 instead of 0.88.  It returns the best
+ms and the output.  The change goes first on even j.
 The row holds parent_ms and change_ms (each tree's median), ratios
 (change/parent per pair) with ratio_median, ratio_q1, ratio_q3 and ci95,
 a 95% percentile-bootstrap interval of the median; change_won, the pairs
@@ -76,6 +80,7 @@ import multiprocessing
 import os
 import pathlib
 import platform
+import random
 import resource
 import statistics
 import sys
@@ -94,9 +99,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = tuple(1 << a for a in range(8, 17))
 REPEATS = 7
 INSTRUMENTED = 3
-PAIRS = 120
+PAIRS = 240
 PAIRED_TIMED = 3
 SHIFT_VAR = "BENCH_LADDER_SHIFT"
+_PAD = []
 BOOTSTRAP = 2000
 POWER = 0.3 + 0.7j
 LEAVES = ("_forward", "_backward", "_axis_forward", "_axis_backward")
@@ -164,11 +170,23 @@ def _timed(call, count=REPEATS):
     return tuple(zip(*(_once(call) for _ in range(count))))
 
 
-def _serve(conn, src_dir):
-    """The fork server: imports the fastseries of src_dir and says so on
-    conn; then each request (func, args) from conn runs in a child of its
-    own, which sends func(*args) back itself; None, after the child, says it
-    failed."""
+def _heap_pad(seed):
+    """Blocks that move where an import places what it allocates, drawn from
+    seed: one of 0 to 64 KiB from malloc, and 0 to 16 KiB of bytes objects
+    of each of 32 sizes from 34 to 530 bytes, in pymalloc's size classes
+    from 48 bytes up."""
+    draw = random.Random(seed).randrange
+    return [bytearray(draw(1 << 16))] + [bytes(size) for size in range(1, 513, 16)
+                                         for _ in range(draw(16384 // (size + 33) + 1))]
+
+
+def _serve(conn, src_dir, seed):
+    """The fork server: holds _heap_pad(seed) in _PAD, imports the
+    fastseries of src_dir and says so on conn; then each request (func,
+    args) from conn runs in a child of its own, which sends func(*args)
+    back itself; None, after the child, says it failed."""
+    global _PAD
+    _PAD = _heap_pad(seed)
     import_fastseries(src_dir)
     conn.send(True)
     while (request := conn.recv()) is not None:
@@ -185,15 +203,16 @@ def _serve(conn, src_dir):
 
 
 @contextlib.contextmanager
-def _fork_server(src_dir, shift=0):
+def _fork_server(src_dir, shift=0, seed=0):
     """A new interpreter (no tree but src_dir's) that runs each call in a
     child forked for it alone, so every child starts from the same heap:
     yields forked(func, *args), func(*args) in such a child, for a
     module-level func.  The interpreter starts with an environment entry
-    SHIFT_VAR of shift bytes, which moves where its stack starts."""
+    SHIFT_VAR of shift bytes, which moves where its stack starts, and holds
+    _heap_pad(seed) before it imports the tree."""
     context = multiprocessing.get_context("spawn")
     conn, theirs = context.Pipe()
-    server = context.Process(target=_serve, args=(theirs, src_dir), daemon=True)
+    server = context.Process(target=_serve, args=(theirs, src_dir, seed), daemon=True)
     os.environ[SHIFT_VAR] = "x" * shift
     try:
         server.start()
@@ -336,17 +355,17 @@ def _output(result):
 
 
 def _paired_call(N, op, name, cpu):
-    """One tree's side of a pair, on the CPU cpu: the best ms of PAIRED_TIMED
-    calls of cell (op, plan name) at order N after an untimed one, and the
-    output of the last."""
+    """One tree's side of a pair, on the CPU cpu: the output of an untimed
+    call of cell (op, plan name) at order N, and the best ms of PAIRED_TIMED
+    calls after another untimed one, which drop what they make."""
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {cpu})  # move there, then let it run on all again
     os.sched_setaffinity(0, allowed)
     with tempfile.TemporaryDirectory() as tmp:
         _, run = _cell(N, op, name, tmp)
-        made = []
-        ms, _ = _timed(lambda: made.append(run(None)), PAIRED_TIMED)
-        return min(ms), _output(made[-1])
+        output = _output(run(None))
+        ms, _ = _timed(lambda: run(None), PAIRED_TIMED)
+        return min(ms), output
 
 
 def _difference(op, parent, change):
@@ -382,14 +401,16 @@ def _paired_row(N, op, name, pairs):
 def measure_pairs(src_dir, parent_src, sizes=SIZES):
     """The host header and the rows of every cell at every order, paired.
     Pair j of every cell runs on two new servers, both started with the
-    same shift, drawn anew for each j from 0 to 4080 bytes: a tree's speed
-    can hang on where its stack lies by several percent, either way."""
+    same stack shift (0 to 4080 bytes) and heap pad seed, drawn anew for
+    each j: a tree's speed can hang on where its stack and heap lie by
+    several percent, either way."""
     cells = [(N, op, name) for N in sizes for op, name in CELLS]
     pairs = {cell: [] for cell in cells}
     cpus = sorted(os.sched_getaffinity(0))
-    shifts = (np.random.default_rng(0).integers(0, 256, PAIRS) * 16).tolist()
-    for j, shift in enumerate(shifts):
-        with _fork_server(src_dir, shift) as change, _fork_server(parent_src, shift) as parent:
+    rng = np.random.default_rng(0)
+    layouts = zip((rng.integers(0, 256, PAIRS) * 16).tolist(), rng.integers(0, 1 << 32, PAIRS).tolist())
+    for j, layout in enumerate(layouts):
+        with _fork_server(src_dir, *layout) as change, _fork_server(parent_src, *layout) as parent:
             for N, op, name in cells:
                 made = {}
                 for forked in (change, parent) if j % 2 == 0 else (parent, change):
