@@ -115,7 +115,7 @@ def test_newton_layer_in_threads_matches_sequential_runs():
 
 @pytest.mark.parametrize("order", [1000, 4096, 16384])
 def test_results_without_a_ledger_match_ledgered_ones(order):
-    """The timed paths (perfbench, tools/ab_time.py and the timed calls of
+    """The timed paths (perfbench and the timed calls of
     tools/bench_ladder.py) run without a ledger, the fingerprint with one;
     both must compute the same bytes."""
     rng = np.random.default_rng(order)

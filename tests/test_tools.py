@@ -18,7 +18,6 @@ from fastseries import (CostLedger, PlanError, block_engine, cli, fast_ops, fft_
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
-import ab_time  # noqa: E402
 import bench_ladder  # noqa: E402
 import crossover  # noqa: E402
 import fingerprint  # noqa: E402
@@ -121,15 +120,6 @@ def test_bench_ladder_forks_every_cell_from_one_server(monkeypatch):
     assert pids[0] == pids[1] != os.getpid()
 
 
-@pytest.mark.parametrize("op", ["exp", "pow"])
-def test_ab_time_compares_a_tree_with_itself(op):
-    """tools/ab_time.py on this source tree against itself: two pairs at
-    order 64, the same outputs bit for bit."""
-    ms, ratios, diff, shares = ab_time.compare(SRC, SRC, op, 64, 2)
-    assert [len(side) for side in ms] == [2, 2] and len(ratios) == 2
-    assert diff == 0 and shares is None
-
-
 def test_bench_ladder_runs_below_the_fast_orders(tmp_path):
     """At N = 16, below FAST_MIN_ORDER, the default cells take choose_plan's
     fallback plan (k = 0) and count their units in order-N transforms, as
@@ -201,21 +191,45 @@ def test_bench_ladder_pairs_a_tree_with_itself(monkeypatch, tmp_path, capsys):
     assert len(lines) == 2 + len(bench_ladder.CELLS) and lines[-1].split()[1:3] == ["256", "cli"]
 
 
+def _copy_of_src(tmp_path, body):
+    """A copy of src under tmp_path whose fast_inverse runs body, the
+    indented lines of a function of (*args, **kwargs) that may call
+    _fast_inverse, the copy's own."""
+    tree = tmp_path / "copy"
+    shutil.copytree(os.path.join(SRC, "fastseries"), tree / "fastseries",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tree / "fastseries" / "fast_ops.py", "a") as f:
+        f.write("\n\n_fast_inverse = fast_inverse\n\n\ndef fast_inverse(*args, **kwargs):\n" + body)
+    return str(tree)
+
+
 def test_bench_ladder_pairs_see_a_slower_tree(monkeypatch, tmp_path):
     """A copy of src whose fast_inverse sleeps 5 ms first, paired as the
     change against src: the inv and cli cells' ratios exceed 1 in every
     pair, and every cell's outputs still match."""
-    slow = tmp_path / "slow"
-    shutil.copytree(os.path.join(SRC, "fastseries"), slow / "fastseries",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(slow / "fastseries" / "fast_ops.py", "a") as f:
-        f.write("\n\nimport time as _time\n_fast_inverse = fast_inverse\n\n\n"
-                "def fast_inverse(*args, **kwargs):\n    _time.sleep(0.005)\n"
-                "    return _fast_inverse(*args, **kwargs)\n")
-    rows, _ = _paired(monkeypatch, tmp_path, str(slow))
+    slow = _copy_of_src(tmp_path, "    import time\n    time.sleep(0.005)\n"
+                                  "    return _fast_inverse(*args, **kwargs)\n")
+    rows, _ = _paired(monkeypatch, tmp_path, slow)
     for cell in (("inv", "default"), ("cli", None)):
         assert all(r > 1 for r in rows[cell]["ratios"]), rows[cell]
     assert all(row["outputs_equal"] for row in rows.values())
+
+
+def test_bench_ladder_pairs_report_differing_outputs(monkeypatch, tmp_path):
+    """A copy of src whose fast_inverse returns its result times 1 + 1e-12,
+    paired as the change against src: the cells that write fast_inverse's
+    coefficients (inv), its text (write) or its file (cli) read their
+    outputs unequal, by a scaled difference near 1e-12; every other cell
+    reads equal."""
+    scaled = _copy_of_src(tmp_path, "    return TruncatedSeries(_fast_inverse(*args, **kwargs).coeffs"
+                                    " * (1 + 1e-12))\n")
+    rows, _ = _paired(monkeypatch, tmp_path, scaled)
+    differing = {("inv", "default"), ("write", None), ("cli", None)}
+    for cell, row in rows.items():
+        if cell in differing:
+            assert not row["outputs_equal"] and 1e-13 < row["max_diff"] < 1e-11, row
+        else:
+            assert row["outputs_equal"] and row["max_diff"] is None, row
 
 
 def test_crossover_prints_every_table(monkeypatch, capsys):

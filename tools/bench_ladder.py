@@ -40,7 +40,7 @@ in their bootstrap.* stage); transform_faults_median is the median of the
 calls' leaf faults.  The text and cli cells leave these and units null.
 
 Two trees (--ab PARENT_SRC, SRC_DIR the change): each cell runs in PAIRS
-(240) pairs.  Pair j of every cell runs on a new fork server for each
+(480) pairs.  Pair j of every cell runs on a new fork server for each
 tree.  Both start with the same random layout: a shift of their stacks
 (an environment entry of 0 to 4080 bytes) and a pad of their heaps
 (_heap_pad), held before the tree's import.  So the pairs sample layouts,
@@ -99,7 +99,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = tuple(1 << a for a in range(8, 17))
 REPEATS = 7
 INSTRUMENTED = 3
-PAIRS = 240
+PAIRS = 480
 PAIRED_TIMED = 3
 SHIFT_VAR = "BENCH_LADDER_SHIFT"
 _PAD = []
