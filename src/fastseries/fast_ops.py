@@ -37,6 +37,9 @@ the recursion reaches the references within a level or two (at N = 2**14,
 exp prefix f_n = exp(g) whose inversion would cancel is taken as exp(-g)
 instead (_exp_prefixes).  Those inner calls get no ledger, so the
 bootstrap stages of the caller's report stay empty.
+
+On the block path fast_exp and fast_pow read subnormal input parts as signed
+zeros (_flush_subnormals), far below any block product's rounding; see README.
 """
 
 from __future__ import annotations
@@ -104,6 +107,14 @@ def _finite_result(c: np.ndarray) -> TruncatedSeries:
     if not np.all(np.isfinite(c)):
         raise DomainError("result coefficients overflow complex128")
     return TruncatedSeries._adopt(c)
+
+
+def _flush_subnormals(c: np.ndarray) -> None:
+    """Zero, in place and keeping its sign, every real or imaginary part of
+    the complex array c below the smallest normal float64 in magnitude, as
+    hardware flush-to-zero does: block products on such parts are slow."""
+    parts = c.view(np.float64)
+    np.copysign(0.0, parts, out=parts, where=np.abs(parts) < np.finfo(np.float64).tiny)
 
 
 def _prefix_exp(h, n: int) -> np.ndarray:
@@ -408,6 +419,7 @@ def fast_exp(h, N: int, plan: BlockPlan | None = None, ledger=None) -> Truncated
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
+    _flush_subnormals(h2)
 
     f_n, r_n = _exp_prefixes(h2[:n], ledger, "bootstrap.E")
     with BlockCache(plan.k) as cache:
@@ -494,6 +506,7 @@ def fast_pow(h, C, N: int, plan: BlockPlan | None = None, ledger=None) -> Trunca
     if 2 * m < N:
         raise PlanError(f"plan reaches order {2 * m}, below {N}")
     h2 = padded(h_arr, 2 * m)
+    _flush_subnormals(h2)
 
     with in_stage(ledger, "bootstrap.rho"):
         rho_n = _prefix_inverse(h2[:n], n)

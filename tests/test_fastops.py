@@ -25,7 +25,7 @@ from fastseries import (
     oracle_log,
     oracle_pow,
 )
-from fastseries import fast_ops
+from fastseries import block_engine, cli, fast_ops
 from fastseries.block_engine import frontier
 from fastseries.cost_ledger import main_term_units, tally
 from fastseries.fast_ops import bench_plan
@@ -585,3 +585,58 @@ def test_determinism_bitwise():
     d = fast_pow(g, 0.3 + 0.7j, 128, plan=plan, ledger=l4).coeffs
     assert np.array_equal(c, d)
     assert l3.events == l4.events
+
+
+TINY = np.finfo(np.float64).tiny
+
+
+def _subnormal_parts(c):
+    parts = np.asarray(c, dtype=np.complex128).view(np.float64)
+    return int(np.count_nonzero((parts != 0) & (np.abs(parts) < TINY)))
+
+
+def test_flush_subnormals_zeroes_exactly_the_subnormal_parts():
+    sub, keep = [5e-324, -5e-324, 1e-310, -TINY / 2], [TINY, -TINY, 0.0, -0.0, 1.5, -2e-300]
+    c = np.array([complex(a, b) for a in sub + keep for b in keep + sub])
+    before = c.view(np.float64).copy()
+    fast_ops._flush_subnormals(c)
+    after = c.view(np.float64)
+    flushed = np.abs(before) < TINY
+    assert np.array_equal(after[~flushed].view(np.uint64), before[~flushed].view(np.uint64))
+    assert np.all(after[flushed] == 0)
+    assert np.array_equal(np.signbit(after), np.signbit(before))
+    negative = after[before == -5e-324]
+    assert negative.size and np.all(negative == 0) and np.all(np.signbit(negative))
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_exp_and_pow_leave_the_caller_input_unwritten(pinned):
+    N = 4096
+    g = random_exp_arg(np.random.default_rng(0), N, rho=0.5)
+    h = cli.pow_input(np.random.default_rng(0), N)
+    assert _subnormal_parts(g) and _subnormal_parts(h)
+    g0, h0 = g.tobytes(), h.tobytes()
+    fast_exp(g, N, plan=bench_plan("exp", N) if pinned else None)
+    fast_pow(h, 0.3 + 0.7j, N, plan=bench_plan("pow", N) if pinned else None)
+    assert g.tobytes() == g0 and h.tobytes() == h0
+
+
+def test_block_path_registers_no_subnormal(monkeypatch):
+    """Every array the block engine registers, as registered, is free of
+    subnormal parts although the inputs hold many."""
+    registered = []
+    register = block_engine.BlockCache.register
+
+    def spy(self, label, array, *args, **kwargs):
+        registered.append((label, np.array(array, dtype=np.complex128)))
+        return register(self, label, array, *args, **kwargs)
+
+    monkeypatch.setattr(block_engine.BlockCache, "register", spy)
+    N = 4096
+    for seed in (0, 1):
+        h = cli.pow_input(np.random.default_rng(seed), N)
+        fast_pow(h, 0.3 + 0.7j, N, plan=bench_plan("pow", N))
+        fast_pow(h, 0.3 + 0.7j, N)
+    fast_exp(random_exp_arg(np.random.default_rng(0), N, rho=0.5), N)
+    assert {"h", "dh2", "dh"} <= {label for label, _ in registered}
+    assert [label for label, a in registered if _subnormal_parts(a)] == []
